@@ -81,8 +81,9 @@ trace::Trace session_trace(std::size_t pairs) {
   return t;
 }
 
-/// Streams the shared trace as one session; returns false if any send
-/// failed (a dead client would silently undercount the fold).
+/// Streams the shared trace as one session, in Session::stop's order
+/// (samples ahead of events); returns false if any send failed (a dead
+/// client would silently undercount the fold).
 bool stream_one(const std::string& uds, const trace::Trace& t,
                 std::uint64_t pid) {
   collectd::CollectClient client;
@@ -91,8 +92,8 @@ bool stream_one(const std::string& uds, const trace::Trace& t,
   client.send_heartbeat(
       "{\"t\":0.1,\"schema_version\":1,\"seq\":1,\"events_recorded\":1}");
   client.send_meta(t);
-  client.send_fn_events(t.fn_events.data(), t.fn_events.size());
   client.send_temp_samples(t.temp_samples.data(), t.temp_samples.size());
+  client.send_fn_events(t.fn_events.data(), t.fn_events.size());
   client.send_bye(t.fn_events.size(), t.temp_samples.size());
   const bool ok = client.alive();
   client.close();

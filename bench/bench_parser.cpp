@@ -5,14 +5,15 @@
 //   write    bulk packed v2 sections   / per-field v1 stream calls
 //   read     chunked section unpack    / per-field v1 stream calls
 //   sort     k-way merge of runs       / global stable_sort
-//   timeline flat-hash + worker pool   / std::map pair keys
-//   profile  merge-join attribution    / per-function sample scan
+//   timeline flat-hash replay, samples / std::map pair keys and
+//            credited online           / interval unions
+//   profile  read back credited ranges / per-function sample scan
 //
 // End-to-end covers sort -> write -> read -> sort -> timeline -> profile
 // on the same synthetic trace (8 threads, 4 nodes, 64 functions,
 // samples ~= events/100), at 1e5..1e7 events. The seed implementations
-// live in parser/reference.cpp and are never optimised, so the ratio
-// reported here is the PR's headline speedup. CI smoke runs only the
+// live in tests/reference/reference.cpp and are never optimised, so the
+// ratio reported here is the PR's headline speedup. CI smoke runs only the
 // /100000 variants; the committed BENCH_parser.json holds a full run.
 #include <benchmark/benchmark.h>
 
@@ -28,8 +29,8 @@
 #include "bench_provenance.hpp"
 
 #include "parser/profile.hpp"
-#include "parser/reference.hpp"
 #include "parser/timeline.hpp"
+#include "reference/reference.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
@@ -395,6 +396,9 @@ int main(int argc, char** argv) {
   }
   argc = out_argc;
   if (!bench_prov::check_build("bench_parser", allow_debug)) return 2;
+  benchmark::AddCustomContext("tempest_build_type", bench_prov::kBuildType);
+  benchmark::AddCustomContext("cores", std::to_string(bench_prov::cores()));
+  benchmark::AddCustomContext("git_sha", bench_prov::git_sha());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -17,6 +17,11 @@
 // provably identical outputs. Results go to BENCH_pipeline.json; the
 // committed copy holds a full 1e5..1e7 run and CI smoke re-runs the
 // 1e5 point (--max-events 100000).
+//
+// Gate (exit 1 on failure): the streaming child's peak RSS at 1e7
+// events stays under kStreamRssBoundMib — a fixed bound, because the
+// fold credits samples while it replays and keeps no per-activation
+// state. Runs capped below 1e7 print SKIP instead of passing.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,6 +55,7 @@ constexpr std::size_t kThreads = 8;
 constexpr std::size_t kNodes = 4;
 constexpr std::size_t kFuncs = 64;
 constexpr std::uint64_t kFuncBase = 0x400000;
+constexpr long kStreamRssBoundMib = 24;
 
 /// Deterministic RNG so every run benches the same trace.
 struct Lcg {
@@ -166,15 +172,8 @@ int run_child_batch(const std::string& trace_path, std::ostream& out) {
     std::cerr << "bench_pipeline: " << aligned.message() << "\n";
     return 1;
   }
-  tempest::pipeline::AnalysisOptions options;
-  options.timeline_hint =
-      std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  tempest::pipeline::AnalysisPipeline fold(std::move(options));
-  fold.set_metadata(trace);
-  fold.set_bounds(trace.start_tsc(), trace.end_tsc());
-  fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
-  fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
-  const tempest::pipeline::AnalysisResult result = fold.finish();
+  const tempest::pipeline::AnalysisResult result =
+      tempest::pipeline::analyze_trace(trace);
   tempest::pipeline::TextEmitter text(out);
   const Status emitted = text.emit(result);
   if (!emitted) {
@@ -328,6 +327,8 @@ int run_driver(const char* self, std::size_t max_events,
   }
   json << "{\n  \"benchmark\": \"bench_pipeline\",\n"
        << "  \"build_type\": \"" << bench_prov::kBuildType << "\",\n"
+       << "  \"cores\": " << bench_prov::cores() << ",\n"
+       << "  \"git_sha\": \"" << bench_prov::git_sha() << "\",\n"
        << "  \"description\": \"streaming vs batch analysis: wall time and "
           "peak RSS per forked child; outputs byte-verified identical\",\n"
        << "  \"results\": [\n";
@@ -362,18 +363,23 @@ int run_driver(const char* self, std::size_t max_events,
   json << "  ]\n}\n";
   std::cerr << "bench_pipeline: wrote " << out_path << "\n";
 
-  // Acceptance gate (full runs only): streaming peak RSS at 1e7 events
-  // must stay under half the batch path's.
-  if (sizes.back() == all_sizes.back()) {
-    const Measurement& batch = rows[rows.size() - 2];
-    const Measurement& stream = rows[rows.size() - 1];
-    if (stream.max_rss_kib * 2 >= batch.max_rss_kib) {
-      std::cerr << "bench_pipeline: FAIL streaming RSS " << stream.max_rss_kib
-                << " KiB is not < 50% of batch " << batch.max_rss_kib
-                << " KiB at " << sizes.back() << " events\n";
-      return 1;
-    }
+  // Acceptance gate: the streaming child's peak RSS at 1e7 events.
+  if (sizes.back() != all_sizes.back()) {
+    std::cerr << "bench_pipeline: SKIP: needs the 1e7 point (streaming RSS "
+                 "gate; run capped at "
+              << sizes.back() << " events)\n";
+    return 0;
   }
+  const Measurement& stream = rows.back();
+  if (stream.max_rss_kib > kStreamRssBoundMib * 1024) {
+    std::cerr << "bench_pipeline: FAIL streaming RSS " << stream.max_rss_kib
+              << " KiB exceeds " << kStreamRssBoundMib << " MiB at "
+              << sizes.back() << " events\n";
+    return 1;
+  }
+  std::cerr << "bench_pipeline: PASS streaming RSS " << stream.max_rss_kib
+            << " KiB within " << kStreamRssBoundMib << " MiB at " << sizes.back()
+            << " events\n";
   return 0;
 }
 

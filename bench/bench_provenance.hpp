@@ -4,12 +4,19 @@
 // a claim measured on a -O0 asserts-on build is a lie by omission. The
 // bench binaries compile in the CMake build type and (a) refuse to run
 // from an unoptimised build unless --allow-debug is passed, (b) stamp
-// the build type into the JSON they emit so a stray debug artefact is
-// visible in review rather than silently replacing Release numbers.
+// the build type — plus the cores they ran on and the source commit —
+// into the JSON they emit, so a stray debug artefact or a number from
+// another host shape is visible in the file rather than silently
+// replacing Release numbers.
 #pragma once
 
+#include <sched.h>
+
+#include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <string>
+#include <thread>
 
 namespace bench_prov {
 
@@ -18,6 +25,34 @@ inline constexpr const char* kBuildType = TEMPEST_BENCH_BUILD_TYPE;
 #else
 inline constexpr const char* kBuildType = "unspecified";
 #endif
+
+/// CPUs this process may run on (its affinity mask, which containers
+/// narrow below the machine's core count).
+inline unsigned cores() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
+/// The source tree's commit, suffixed "-dirty" when it has uncommitted
+/// changes; "unknown" outside a git checkout.
+inline std::string git_sha() {
+#ifdef TEMPEST_BENCH_SOURCE_DIR
+  const std::string cmd = std::string("git -C '") + TEMPEST_BENCH_SOURCE_DIR +
+                          "' describe --always --dirty --abbrev=12 2>/dev/null";
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[128] = {};
+    const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
+    pclose(pipe);
+    std::string sha = got ? buf : "";
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+    if (!sha.empty()) return sha;
+  }
+#endif
+  return "unknown";
+}
 
 inline bool optimized_build() {
 #ifdef NDEBUG

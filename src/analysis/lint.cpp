@@ -36,64 +36,71 @@ void json_escape(std::ostream& os, const std::string& s) {
 }  // namespace
 
 /// Streaming lint state. Findings are gathered into one bucket per
-/// check family and concatenated in the canonical order (metadata,
-/// references, monotonic, nesting, cadence, trailing bytes) at
-/// finish(), so the streamed report is indistinguishable from the batch
-/// one. The per-check caps and the error/warning totals are shared
-/// across buckets, exactly like the single Collector they replace.
+/// check family and record kind, and concatenated in the canonical
+/// order (metadata, references, monotonic, nesting, cadence, trailing
+/// bytes) at finish(). Each bucket is fed by one record kind alone (or
+/// by the constructor or finish()), and the per-check message cap is
+/// applied across buckets in that same order at finish(), so the report
+/// is the same whichever way the record kinds interleave: the streamed
+/// report is indistinguishable from the batch one.
 struct LintEngine::Impl {
-  /// Appends findings to one bucket while sharing the engine-wide
-  /// per-check counters (counts stay exact past the message cap).
+  /// One bucket's findings: at most max_findings_per_check + 1 per
+  /// check, all that finish() can need to keep the cap's worth across
+  /// buckets and turn the next one into the suppression line.
+  struct Bucket {
+    std::vector<Finding> findings;
+    std::map<std::string, std::size_t> per_check;
+  };
+
+  /// Appends findings to one bucket while counting the engine-wide
+  /// error/warning totals (they stay exact past the message cap).
   class Collector {
    public:
-    Collector(Impl* impl, std::vector<Finding>* bucket)
-        : impl_(impl), bucket_(bucket) {}
+    Collector(Impl* impl, Bucket* bucket) : impl_(impl), bucket_(bucket) {}
 
     void add(const std::string& check, Severity severity, std::string message) {
-      const std::size_t n = ++impl_->per_check[check];
       if (severity == Severity::kError) {
         ++impl_->error_count;
       } else {
         ++impl_->warning_count;
       }
-      if (n <= impl_->options.max_findings_per_check) {
-        bucket_->push_back({check, severity, std::move(message)});
-      } else if (n == impl_->options.max_findings_per_check + 1) {
-        bucket_->push_back(
-            {check, severity, "(further " + check + " findings suppressed)"});
+      const std::size_t cap = impl_->options.max_findings_per_check;
+      const std::size_t n = ++bucket_->per_check[check];
+      if (n <= cap || n == cap + 1) {
+        bucket_->findings.push_back({check, severity, std::move(message)});
       }
     }
 
    private:
     Impl* impl_;
-    std::vector<Finding>* bucket_;
+    Bucket* bucket_;
   };
 
   LintOptions options;
 
-  // Shared across buckets.
-  std::map<std::string, std::size_t> per_check;
   std::size_t error_count = 0;
   std::size_t warning_count = 0;
 
   // Buckets in canonical emission order. `metadata_deferred` holds the
   // has-data-dependent findings (tsc-rate, empty-trace) that the batch
   // path emits first but streaming can only decide at finish().
-  // The monotonic family keeps one sub-bucket per record kind because
-  // the batch path emits them in that order with the global-sort
-  // warning wedged between events and samples.
-  std::vector<Finding> metadata_deferred;
-  std::vector<Finding> metadata;
-  std::vector<Finding> references;
-  std::vector<Finding> mono_events;
-  std::vector<Finding> mono_global;
-  std::vector<Finding> mono_samples;
-  std::vector<Finding> mono_syncs;
-  std::vector<Finding> nesting;
-  std::vector<Finding> cadence;
-  std::vector<Finding> coverage;
-  std::vector<Finding> runstats;
-  std::vector<Finding> trailing;
+  // The reference and monotonic families keep one sub-bucket per record
+  // kind, in the batch path's kind order (events, samples, syncs), with
+  // the global-sort warning wedged between monotonic events and samples.
+  Bucket metadata_deferred;
+  Bucket metadata;
+  Bucket ref_events;
+  Bucket ref_samples;
+  Bucket ref_syncs;
+  Bucket mono_events;
+  Bucket mono_global;
+  Bucket mono_samples;
+  Bucket mono_syncs;
+  Bucket nesting;
+  Bucket cadence;
+  Bucket coverage;
+  Bucket runstats;
+  Bucket trailing;
 
   // RUNSTATS trailer (absent unless set_run_stats was called).
   trace::RunStats run_stats;
@@ -223,7 +230,7 @@ LintEngine& LintEngine::operator=(LintEngine&&) noexcept = default;
 void LintEngine::add_fn_events(const trace::FnEvent* events, std::size_t n) {
   Impl& im = *impl_;
   im.n_events += n;
-  Impl::Collector refs(&im, &im.references);
+  Impl::Collector refs(&im, &im.ref_events);
   Impl::Collector mono(&im, &im.mono_events);
   for (std::size_t i = 0; i < n; ++i) {
     const trace::FnEvent& e = events[i];
@@ -291,7 +298,7 @@ void LintEngine::add_fn_events(const trace::FnEvent* events, std::size_t n) {
 void LintEngine::add_temp_samples(const trace::TempSample* samples, std::size_t n) {
   Impl& im = *impl_;
   im.n_samples += n;
-  Impl::Collector refs(&im, &im.references);
+  Impl::Collector refs(&im, &im.ref_samples);
   Impl::Collector mono(&im, &im.mono_samples);
   for (std::size_t i = 0; i < n; ++i) {
     const trace::TempSample& s = samples[i];
@@ -328,7 +335,7 @@ void LintEngine::add_temp_samples(const trace::TempSample* samples, std::size_t 
 
 void LintEngine::add_clock_syncs(const trace::ClockSync* syncs, std::size_t n) {
   Impl& im = *impl_;
-  Impl::Collector refs(&im, &im.references);
+  Impl::Collector refs(&im, &im.ref_syncs);
   Impl::Collector mono(&im, &im.mono_syncs);
   for (std::size_t i = 0; i < n; ++i) {
     const trace::ClockSync& c = syncs[i];
@@ -380,8 +387,8 @@ void LintEngine::note_trailing_bytes(std::uint64_t bytes) {
   Impl& im = *impl_;
   std::ostringstream msg;
   msg << bytes << " trailing byte(s) after the trace";
-  im.trailing.push_back({"file-trailing-bytes", Severity::kError, msg.str()});
-  ++im.error_count;
+  Impl::Collector(&im, &im.trailing)
+      .add("file-trailing-bytes", Severity::kError, msg.str());
 }
 
 LintReport LintEngine::finish() {
@@ -604,13 +611,22 @@ LintReport LintEngine::finish() {
   report.sensors = im.n_sensors;
   report.error_count = im.error_count;
   report.warning_count = im.warning_count;
-  for (auto* bucket :
-       {&im.metadata_deferred, &im.metadata, &im.references, &im.mono_events,
-        &im.mono_global, &im.mono_samples, &im.mono_syncs, &im.nesting,
-        &im.cadence, &im.coverage, &im.runstats, &im.trailing}) {
-    report.findings.insert(report.findings.end(),
-                           std::make_move_iterator(bucket->begin()),
-                           std::make_move_iterator(bucket->end()));
+  const std::size_t cap = im.options.max_findings_per_check;
+  std::map<std::string, std::size_t> per_check;
+  for (Impl::Bucket* bucket :
+       {&im.metadata_deferred, &im.metadata, &im.ref_events, &im.ref_samples,
+        &im.ref_syncs, &im.mono_events, &im.mono_global, &im.mono_samples,
+        &im.mono_syncs, &im.nesting, &im.cadence, &im.coverage, &im.runstats,
+        &im.trailing}) {
+    for (Finding& f : bucket->findings) {
+      const std::size_t n = ++per_check[f.check];
+      if (n <= cap) {
+        report.findings.push_back(std::move(f));
+      } else if (n == cap + 1) {
+        report.findings.push_back(
+            {f.check, f.severity, "(further " + f.check + " findings suppressed)"});
+      }
+    }
   }
   return report;
 }

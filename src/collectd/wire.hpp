@@ -14,7 +14,7 @@
 // so the collector unpacks sections with the same SIMD converters the
 // file reader uses. A session's frame order is
 //
-//   HELLO, HEARTBEAT*, META, SYNCS?, EVENTS*, SAMPLES*, BYE
+//   HELLO, HEARTBEAT*, META, SYNCS?, SAMPLES*, EVENTS*, BYE
 //
 // — heartbeats stream live during the run at the configured cadence;
 // the bulk sections ship once the trace is sealed at session stop
@@ -23,6 +23,12 @@
 // FLTR trailers, sent BEFORE any bulk section: the collector's
 // AnalysisPipeline needs final thread/synthetic-symbol metadata to
 // start folding, and re-sending metadata would reset the fold.
+//
+// SAMPLES before EVENTS is the preferred order: the fold then credits
+// each sample while it replays the events, and its state stays
+// independent of the event count. The collector accepts EVENTS before
+// (or interleaved with) SAMPLES too, with the same result; it then
+// parks every activation until the samples arrive.
 //
 // DESIGN.md §14 documents the protocol and the collector's shard/fold,
 // backpressure and disconnect semantics.

@@ -299,15 +299,17 @@ Status Session::stop() {
   assemble_run_stats(&trace_.run_stats, totals);
 
   // Ship the sealed run to the collector: full metadata (with the just
-  // assembled RUNSTATS) first, then the bulk sections, then BYE with
-  // the exact counts so the daemon can verify it folded everything.
-  // The heartbeat thread is already joined, so the stream is ours alone.
+  // assembled RUNSTATS) first, then the bulk sections — samples ahead
+  // of events, so the collector's fold credits them as it replays —
+  // then BYE with the exact counts so the daemon can verify it folded
+  // everything. The heartbeat thread is already joined, so the stream
+  // is ours alone.
   if (collect_ != nullptr) {
     collect_->send_meta(trace_);
     collect_->send_clock_syncs(trace_.clock_syncs);
-    collect_->send_fn_events(trace_.fn_events.data(), trace_.fn_events.size());
     collect_->send_temp_samples(trace_.temp_samples.data(),
                                 trace_.temp_samples.size());
+    collect_->send_fn_events(trace_.fn_events.data(), trace_.fn_events.size());
     collect_->send_bye(trace_.fn_events.size(), trace_.temp_samples.size());
     collect_->close();
     heartbeat_.set_line_sink(nullptr);

@@ -343,14 +343,7 @@ Result<RunSummary> load_run(const std::string& path,
   analysis.profile = options.profile;
   analysis.exe_override = options.exe_override;
   analysis.threads = options.threads;
-  analysis.timeline_hint =
-      std::min(tr.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  pipeline::AnalysisPipeline fold(analysis);
-  fold.set_metadata(tr);
-  fold.set_bounds(tr.start_tsc(), tr.end_tsc());
-  fold.add_fn_events(tr.fn_events.data(), tr.fn_events.size());
-  fold.add_temp_samples(tr.temp_samples.data(), tr.temp_samples.size());
-  pipeline::AnalysisResult result = fold.finish();
+  pipeline::AnalysisResult result = pipeline::analyze_trace(tr, std::move(analysis));
 
   RunSummary summary;
   summary.source = path;

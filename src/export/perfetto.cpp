@@ -240,7 +240,16 @@ Status PerfettoExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
     }
   }
 
-  for (const auto& s : batch.temp_samples) {
+  held_samples_.insert(held_samples_.end(), batch.temp_samples.begin(),
+                       batch.temp_samples.end());
+  return out_->good() ? Status::ok()
+                      : Status::error("perfetto export: write failed");
+}
+
+Status PerfettoExporter::on_end(const pipeline::TraceMeta& meta) {
+  // Counter tracks after every B/E record, timed against the first fn
+  // event's base (the first sample's when the trace has no events).
+  for (const auto& s : held_samples_) {
     note_base(s.tsc);
     sample_period_.observe(s);
     const CounterFragments& counter =
@@ -254,11 +263,6 @@ Status PerfettoExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
     put_event(line_);
     ++stats_.events_exported;
   }
-  return out_->good() ? Status::ok()
-                      : Status::error("perfetto export: write failed");
-}
-
-Status PerfettoExporter::on_end(const pipeline::TraceMeta& meta) {
   const double end_ts = correlator_.to_us(max_tsc_);
 
   // Frames still open at end of trace close at the final timestamp —

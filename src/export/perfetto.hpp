@@ -12,9 +12,12 @@
 // chrome://tracing.
 //
 // Streaming: events are written as batches arrive — peak memory is the
-// per-thread stacks plus the name table, independent of event count.
-// Identical record streams produce byte-identical files, so the
-// --stream and batch paths of tempest_parse compare equal with cmp.
+// per-thread stacks, the name table and the (small) sample stream,
+// independent of event count. Sources emit samples before events, but
+// the time base is the first fn event and the counter records follow
+// every B/E record, so samples are held until on_end. Identical record
+// streams produce byte-identical files, so the --stream and batch paths
+// of tempest_parse compare equal with cmp.
 #pragma once
 
 #include <cstdint>
@@ -112,6 +115,7 @@ class PerfettoExporter : public pipeline::BatchSink {
 
   ExportStats stats_;
   std::vector<std::string> warnings_;
+  std::vector<trace::TempSample> held_samples_;  ///< counter records, written at on_end
   std::uint64_t max_tsc_ = 0;
   bool any_event_ = false;   ///< comma state for the traceEvents array
   std::string line_;         ///< reused per-event scratch buffer

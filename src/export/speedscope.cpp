@@ -161,9 +161,11 @@ Status SpeedscopeExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
   }
   // Samples don't appear in speedscope output, but they define the
   // cadence the residual-skew warning compares against, and the final
-  // timestamp force-closes anchor to.
+  // timestamp force-closes anchor to. The time base is the first fn
+  // event's, although sources emit samples first.
   for (const auto& s : batch.temp_samples) {
-    if (!correlator_.has_base()) correlator_.set_base(s.tsc);
+    if (!any_sample_) first_sample_tsc_ = s.tsc;
+    any_sample_ = true;
     if (s.tsc > max_tsc_) max_tsc_ = s.tsc;
     sample_period_.observe(s);
   }
@@ -171,6 +173,7 @@ Status SpeedscopeExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
 }
 
 Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
+  if (!correlator_.has_base() && any_sample_) correlator_.set_base(first_sample_tsc_);
   const double end_at = correlator_.to_us(max_tsc_);
 
   // Frames still open close at the final timestamp, innermost first —

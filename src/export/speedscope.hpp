@@ -95,6 +95,9 @@ class SpeedscopeExporter : public pipeline::BatchSink {
   ExportStats stats_;
   std::vector<std::string> warnings_;
   std::uint64_t max_tsc_ = 0;
+  /// The time base when the trace has no fn events.
+  std::uint64_t first_sample_tsc_ = 0;
+  bool any_sample_ = false;
   std::string line_;  ///< reused per-event scratch buffer
   /// Frame-index event prefixes, grown on demand ([0] = open, [1] =
   /// close).

@@ -8,9 +8,9 @@
 namespace tempest::parser {
 namespace {
 
-/// One node's samples, pre-arranged for the two attribution queries:
-/// the time-sorted stream for the interval merge-join, and per-sensor
-/// time-sorted streams for the nearest-sample fallback.
+/// One node's samples in arrival order — the stream the timeline's
+/// sample positions index — plus per-sensor time-sorted streams for the
+/// nearest-sample fallback.
 struct NodeSamples {
   std::vector<const trace::TempSample*> by_time;
   bool sorted = true;  ///< false only for hand-built unsorted traces
@@ -105,9 +105,9 @@ static RunProfile assemble_profile(
   std::map<std::pair<std::uint16_t, std::uint16_t>, const trace::SensorMeta*> sensor_meta;
   for (const auto& s : meta_sensors) sensor_meta[{s.node_id, s.sensor_id}] = &s;
 
-  // Samples grouped per node, time-sorted (trace is pre-sorted; a
-  // hand-built unsorted trace is detected and handled with the legacy
-  // linear attribution so results never depend on sortedness).
+  // Samples grouped per node in arrival order (an unsorted hand-built
+  // trace is detected; its fallback uses the legacy linear scan so
+  // results never depend on sortedness).
   std::map<std::uint16_t, NodeSamples> node_samples;
   for (const auto& s : temp_samples) {
     NodeSamples& ns = node_samples[s.node_id];
@@ -124,40 +124,39 @@ static RunProfile assemble_profile(
     nodes[n.node_id].hostname = n.hostname;
   }
 
-  // Per-node timeline span, gathered once instead of per node below.
+  // Per-node activity span, gathered once instead of per node below.
   std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>> node_span;
-  for (const auto& [key, fi] : timeline) {
-    if (fi.merged.empty()) continue;
-    auto [it, inserted] = node_span.try_emplace(
-        key.first, std::make_pair(fi.merged.front().begin, fi.merged.back().end));
+  for (const auto& [key, fa] : timeline) {
+    if (fa.activations == 0) continue;
+    auto [it, inserted] =
+        node_span.try_emplace(key.first, std::make_pair(fa.first_begin, fa.last_end));
     if (!inserted) {
-      it->second.first = std::min(it->second.first, fi.merged.front().begin);
-      it->second.second = std::max(it->second.second, fi.merged.back().end);
+      it->second.first = std::min(it->second.first, fa.first_begin);
+      it->second.second = std::max(it->second.second, fa.last_end);
     }
   }
 
-  for (const auto& [key, fn_intervals] : timeline) {
+  for (const auto& [key, activity] : timeline) {
     const std::uint16_t node_id = key.first;
     NodeProfile& node = nodes[node_id];  // creates on demand for unlisted nodes
     node.node_id = node_id;
 
     FunctionProfile fn;
-    fn.addr = fn_intervals.addr;
+    fn.addr = activity.addr;
     const auto name_it = name_map.find(fn.addr);
     fn.name = name_it != name_map.end() ? *name_it->second : "<unknown>";
-    fn.total_time_s = static_cast<double>(fn_intervals.total_ticks) / ticks_per_s;
-    fn.calls = fn_intervals.calls;
+    fn.total_time_s = static_cast<double>(activity.total_ticks) / ticks_per_s;
+    fn.calls = activity.calls;
 
     // Per-activation duration stats from the exact integer sums. The
     // sums are identical across sharded and serial folds, so these
     // doubles are too — the stream/batch and threads-N byte-identity
     // gates stay intact.
-    fn.time.count = fn_intervals.activations;
-    if (fn_intervals.activations > 0) {
-      const double n_act = static_cast<double>(fn_intervals.activations);
-      const double mean_ticks =
-          static_cast<double>(fn_intervals.total_ticks) / n_act;
-      const double sq_ticks = static_cast<double>(fn_intervals.ticks_sq) / n_act;
+    fn.time.count = activity.activations;
+    if (activity.activations > 0) {
+      const double n_act = static_cast<double>(activity.activations);
+      const double mean_ticks = static_cast<double>(activity.total_ticks) / n_act;
+      const double sq_ticks = static_cast<double>(activity.ticks_sq) / n_act;
       const double var_ticks =
           std::max(0.0, sq_ticks - mean_ticks * mean_ticks);
       fn.time.mean_s = mean_ticks / ticks_per_s;
@@ -165,76 +164,36 @@ static RunProfile assemble_profile(
       fn.time.sdv_s = std::sqrt(fn.time.var_s2);
     }
 
-    // Per-sensor attribution: samples landing inside the intervals.
-    // Merge-join over the time-sorted samples and the function's sorted,
-    // non-overlapping merged intervals, iterating whichever side is
-    // smaller — O(min(I, S) log max(I, S) + matches) per function
-    // instead of a scan over every node sample.
+    // Per-sensor statistics over the samples the timeline credited, read
+    // back in arrival order.
     std::map<std::uint16_t, SampleSet> per_sensor;
     const auto samples_it = node_samples.find(node_id);
     NodeSamples* samples = samples_it != node_samples.end() ? &samples_it->second
                                                            : nullptr;
     if (samples != nullptr) {
-      if (samples->sorted && fn_intervals.merged.size() <= samples->by_time.size()) {
-        // Both streams are time-ordered and the intervals are disjoint,
-        // so the cursor only ever moves forward. Galloping (doubling
-        // steps, then binary search inside the last window) finds the
-        // next interval's first sample in O(1) when consecutive
-        // intervals are close — the common case — while staying
-        // O(log gap) when they are not.
-        const auto& by_time = samples->by_time;
-        const auto before = [](const trace::TempSample* s, std::uint64_t t) {
-          return s->tsc < t;
-        };
-        auto it = by_time.begin();
-        for (const Interval& iv : fn_intervals.merged) {
-          if (it != by_time.end() && (*it)->tsc < iv.begin) {
-            std::size_t step = 1;
-            auto lo = it;
-            auto hi = it;
-            while (hi != by_time.end() && (*hi)->tsc < iv.begin) {
-              lo = hi;
-              const std::size_t left = static_cast<std::size_t>(by_time.end() - hi);
-              hi += static_cast<std::ptrdiff_t>(std::min(step, left));
-              step *= 2;
-            }
-            it = std::lower_bound(lo, hi, iv.begin, before);
-          }
-          for (; it != by_time.end() && (*it)->tsc < iv.end; ++it) {
-            per_sensor[(*it)->sensor_id].add(to_unit((*it)->temp_c, options.unit));
-          }
-        }
-      } else if (samples->sorted) {
-        // More intervals than samples: walking the samples against the
-        // interval list (binary search per sample) is the cheaper join.
-        for (const trace::TempSample* s : samples->by_time) {
-          if (fn_intervals.contains(s->tsc)) {
-            per_sensor[s->sensor_id].add(to_unit(s->temp_c, options.unit));
-          }
-        }
-      } else {
-        for (const trace::TempSample* s : samples->by_time) {
-          if (fn_intervals.contains(s->tsc)) {
-            per_sensor[s->sensor_id].add(to_unit(s->temp_c, options.unit));
-          }
+      const auto& by_time = samples->by_time;
+      for (const SampleRange& r : activity.samples) {
+        const std::size_t last = std::min<std::size_t>(r.last, by_time.size());
+        for (std::size_t i = r.first; i < last; ++i) {
+          per_sensor[by_time[i]->sensor_id].add(to_unit(by_time[i]->temp_c, options.unit));
         }
       }
     }
 
     // Significance: the paper flags functions whose execution is short
     // relative to the 4 Hz sampling interval. We require the configured
-    // minimum sample count inside the intervals.
+    // minimum sample count inside the activations.
     std::size_t max_count = 0;
     for (const auto& [sid, set] : per_sensor) max_count = std::max(max_count, set.count());
     fn.significant = max_count >= options.min_samples_significant;
 
     if (!fn.significant && samples != nullptr && !samples->by_time.empty() &&
-        !fn_intervals.merged.empty()) {
+        activity.activations > 0) {
       // Nearest-sample snapshot: closest reading per sensor to the
       // function's first activation, via binary search on the sensor's
       // time-sorted stream (legacy tie-breaking preserved).
       per_sensor.clear();
-      const std::uint64_t at = fn_intervals.merged.front().begin;
+      const std::uint64_t at = activity.first_begin;
       if (samples->sorted) {
         for (const auto& [sid, stream] : samples->sensor_streams()) {
           const trace::TempSample* s = nearest_in_stream(stream, at);

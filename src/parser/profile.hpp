@@ -2,9 +2,11 @@
 //
 // Mirrors the paper's standard output: per node, functions ordered by
 // total inclusive time, each with per-sensor Min/Avg/Max/Sdv/Var/Med/Mod
-// over the temperature samples that fell inside the function's
-// execution intervals (inclusive attribution: a sample credits every
-// function on the stack, which is why `main` summarises the whole run).
+// over the temperature samples taken while the function ran (inclusive
+// attribution: a sample credits every function on the stack, which is
+// why `main` summarises the whole run). The timeline has already
+// credited the samples — each function carries ranges of positions in
+// its node's sample stream — so assembly only reads those samples back.
 // Functions shorter than the sampling interval carry a nearest-sample
 // snapshot flagged not significant, as discussed for foo2 in Fig 2a.
 #pragma once
@@ -89,11 +91,11 @@ struct ProfileOptions {
 
 /// Incremental profile assembly: the streaming core behind
 /// ProfileBuilder. Metadata arrives once (set_metadata), temperature
-/// samples arrive in time-sorted batches (add_samples — owned copies,
-/// batches are transient in the pipeline), and assemble() attributes
-/// them to a finished timeline. Sample storage is the only O(samples)
-/// state; samples are ~1% of events in practice, so the streaming
-/// path's memory stays bounded by them plus the timeline.
+/// samples arrive in batches (add_samples — owned copies, batches are
+/// transient in the pipeline), and assemble() reads a finished
+/// timeline's credited sample ranges back into per-sensor statistics.
+/// Sample storage is the only O(samples) state; samples are ~1% of
+/// events in practice.
 class ProfileAssembler {
  public:
   explicit ProfileAssembler(ProfileOptions options) : options_(options) {}
@@ -101,12 +103,12 @@ class ProfileAssembler {
   /// Record node/sensor inventory and the tick rate.
   void set_metadata(const trace::TraceHeader& header);
 
-  /// Append a batch of temperature samples (global time order across
-  /// calls, same as the event stream).
+  /// Append a batch of temperature samples — the same stream, in the
+  /// same order, as the timeline's, so its sample positions index them.
   void add_samples(const trace::TempSample* samples, std::size_t n);
 
-  /// Attribute the collected samples to `timeline` and assemble the
-  /// profile. `run_start`/`run_end` span every event and sample;
+  /// Assemble the profile from `timeline`'s credited samples, activity
+  /// bounds and sums. `run_start`/`run_end` span every event and sample;
   /// `names` must map every address appearing in the timeline.
   RunProfile assemble(std::uint64_t run_start, std::uint64_t run_end,
                       const TimelineMap& timeline,
@@ -125,10 +127,10 @@ class ProfileAssembler {
   std::vector<trace::TempSample> samples_;
 };
 
-/// Attribute samples to the timeline and assemble the profile.
-/// `names` must map every address appearing in the timeline.
-/// Batch wrapper: same output as ProfileAssembler without copying the
-/// trace's sample vector.
+/// Assemble the profile of `trace` from a timeline built over the same
+/// trace (build_timeline). `names` must map every address appearing in
+/// the timeline. Batch wrapper: same output as ProfileAssembler without
+/// copying the trace's sample vector.
 class ProfileBuilder {
  public:
   ProfileBuilder(const trace::Trace& trace, ProfileOptions options)

@@ -1,8 +1,6 @@
 #include "parser/timeline.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <unordered_map>
 
 namespace tempest::parser {
@@ -29,12 +27,8 @@ class ThreadNodeTable {
   }
 
   std::uint16_t node_of(std::uint32_t thread_id, std::uint16_t fallback) const {
-    if (thread_id < dense_.size()) {
-      const std::int32_t node = dense_[thread_id];
-      return node >= 0 ? static_cast<std::uint16_t>(node) : fallback;
-    }
-    const auto it = sparse_.find(thread_id);
-    return it != sparse_.end() ? it->second : fallback;
+    const std::int32_t node = node_or_negative(thread_id);
+    return node >= 0 ? static_cast<std::uint16_t>(node) : fallback;
   }
 
   /// Listed node for the thread, or -1 when the thread is unknown (its
@@ -49,22 +43,6 @@ class ThreadNodeTable {
   static constexpr std::size_t kDenseCap = std::size_t{1} << 20;
   std::vector<std::int32_t> dense_;
   std::unordered_map<std::uint32_t, std::uint16_t> sparse_;
-};
-
-/// Per-(node, addr) accumulator while replaying the event stream.
-/// `raw` holds the intervals before the union: an optional unsorted
-/// prefix (direct pushes for unknown-thread events) followed by one
-/// begin-sorted run per folded thread, each starting at an offset in
-/// `run_starts`. A thread's outermost activations of one function
-/// cannot overlap, so per-thread interval order == begin order — which
-/// lets the union start from a linear run merge instead of a full sort.
-struct FnAccum {
-  std::uint64_t total_ticks = 0;
-  std::uint64_t calls = 0;
-  std::uint64_t activations = 0;
-  unsigned __int128 ticks_sq = 0;
-  std::vector<Interval> raw;
-  std::vector<std::size_t> run_starts;  ///< fold offsets into `raw`
 };
 
 /// Squared activation length widened before the multiply overflows.
@@ -151,173 +129,241 @@ class FlatPairIndex {
   std::size_t size_ = 0;
 };
 
-/// Union one accumulator's intervals in place. The per-thread runs are
-/// already begin-sorted (see FnAccum), so ordering them is ceil(log2 k)
-/// linear merge passes instead of an O(n log n) comparison sort; the
-/// union sweep then runs over the ordered whole.
-void merge_accum(FnAccum* a) {
-  std::vector<Interval>& raw = a->raw;
-  if (raw.empty()) return;
-  const auto by_begin = [](const Interval& x, const Interval& y) {
-    return x.begin < y.begin;
-  };
-
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // (begin, count)
-  const std::size_t prefix =
-      a->run_starts.empty() ? raw.size() : a->run_starts.front();
-  if (prefix > 0) {
-    // Direct pushes (unknown-thread events) may interleave several
-    // threads; sort that prefix alone when needed.
-    if (!std::is_sorted(raw.begin(),
-                        raw.begin() + static_cast<std::ptrdiff_t>(prefix),
-                        by_begin)) {
-      std::sort(raw.begin(), raw.begin() + static_cast<std::ptrdiff_t>(prefix),
-                by_begin);
-    }
-    runs.emplace_back(0, prefix);
+/// Append positions [lo, hi) to a range list, coalescing with the last
+/// range when they touch. Lists built in ascending order stay coalesced;
+/// anything else is left for merge_sample_ranges.
+void credit(std::vector<SampleRange>* ranges, std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  const auto first = static_cast<std::uint32_t>(lo);
+  const auto last = static_cast<std::uint32_t>(hi);
+  if (!ranges->empty() && first >= ranges->back().first &&
+      first <= ranges->back().last) {
+    ranges->back().last = std::max(ranges->back().last, last);
+  } else {
+    ranges->push_back({first, last});
   }
-  for (std::size_t i = 0; i < a->run_starts.size(); ++i) {
-    const std::size_t begin = a->run_starts[i];
-    const std::size_t end =
-        i + 1 < a->run_starts.size() ? a->run_starts[i + 1] : raw.size();
-    if (end > begin) runs.emplace_back(begin, end - begin);
-  }
-
-  if (runs.size() > 1) {
-    std::vector<Interval> scratch(raw.size());
-    std::vector<Interval>* src = &raw;
-    std::vector<Interval>* dst = &scratch;
-    std::vector<std::pair<std::size_t, std::size_t>> next;
-    while (runs.size() > 1) {
-      next.clear();
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < runs.size(); i += 2) {
-        if (i + 1 < runs.size()) {
-          std::merge(src->begin() + static_cast<std::ptrdiff_t>(runs[i].first),
-                     src->begin() + static_cast<std::ptrdiff_t>(runs[i].first +
-                                                                runs[i].second),
-                     src->begin() + static_cast<std::ptrdiff_t>(runs[i + 1].first),
-                     src->begin() + static_cast<std::ptrdiff_t>(runs[i + 1].first +
-                                                                runs[i + 1].second),
-                     dst->begin() + static_cast<std::ptrdiff_t>(out), by_begin);
-          next.emplace_back(out, runs[i].second + runs[i + 1].second);
-          out += runs[i].second + runs[i + 1].second;
-        } else {
-          std::copy(src->begin() + static_cast<std::ptrdiff_t>(runs[i].first),
-                    src->begin() + static_cast<std::ptrdiff_t>(runs[i].first +
-                                                               runs[i].second),
-                    dst->begin() + static_cast<std::ptrdiff_t>(out));
-          next.emplace_back(out, runs[i].second);
-          out += runs[i].second;
-        }
-      }
-      std::swap(src, dst);
-      runs.swap(next);
-    }
-    if (src != &raw) raw = std::move(scratch);
-  }
-
-  // Union sweep over the now begin-ordered intervals.
-  std::vector<Interval> out;
-  out.reserve(raw.size());
-  out.push_back(raw[0]);
-  for (std::size_t i = 1; i < raw.size(); ++i) {
-    const Interval& iv = raw[i];
-    if (iv.begin <= out.back().end) {
-      out.back().end = std::max(out.back().end, iv.end);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  raw = std::move(out);
-  a->run_starts.clear();
 }
 
-/// Coalesce every accumulator's raw intervals, fanning out over a small
-/// worker pool when the interval volume justifies the thread spawns.
-void merge_all(std::vector<FnAccum*>* work, std::size_t total_intervals) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t workers = std::min<std::size_t>(
-      {hw == 0 ? 1 : hw, std::size_t{8}, work->size()});
-  constexpr std::size_t kParallelThreshold = 1 << 14;
-  if (workers <= 1 || total_intervals < kParallelThreshold) {
-    for (FnAccum* a : *work) merge_accum(a);
-    return;
+/// One node's sample timestamps in arrival order, and the cursor the
+/// replay moves over them.
+class NodeSamples {
+ public:
+  void push(std::uint64_t tsc) {
+    if (!tsc_.empty() && tsc < tsc_.back()) sorted_ = false;
+    tsc_.push_back(tsc);
   }
-  std::atomic<std::size_t> next{0};
-  const auto run = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < work->size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
-      merge_accum((*work)[i]);
+
+  /// Position of the first sample at or after `t`. The cursor walks on
+  /// from where the previous lookup left it — usually zero steps, since
+  /// samples are sparse next to events: O(1) amortised over a
+  /// time-ordered event stream, and still exact when a batch trace's
+  /// threads take turns going back in time.
+  std::size_t seek(std::uint64_t t) {
+    std::size_t c = cursor_;
+    while (c < tsc_.size() && tsc_[c] < t) ++c;
+    while (c > 0 && tsc_[c - 1] >= t) --c;
+    cursor_ = c;
+    return c;
+  }
+
+  /// True when `pos`, a seek() result, is final: a sample at or after
+  /// its tsc has arrived, and later samples arrive in time order.
+  bool settled(std::size_t pos) const { return sorted_ && pos < tsc_.size(); }
+
+  bool sorted() const { return sorted_; }
+
+  /// Position of the first sample at or after `t`, searched outward
+  /// from `from` (doubling steps, then a binary search inside the last
+  /// step): O(log distance), so consecutive activations of one function
+  /// cost little however long the stream.
+  std::size_t lower_bound_from(std::size_t from, std::uint64_t t) const {
+    const auto first = tsc_.begin();
+    if (from > 0 && tsc_[from - 1] >= t) {
+      return static_cast<std::size_t>(std::lower_bound(first, first + from, t) - first);
     }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(run);
-  run();
-  for (auto& t : pool) t.join();
+    std::size_t lo = from, hi = from;
+    for (std::size_t step = 1; hi < tsc_.size() && tsc_[hi] < t; step *= 2) {
+      lo = hi + 1;
+      hi += step;
+    }
+    hi = std::min(hi, tsc_.size());
+    return static_cast<std::size_t>(std::lower_bound(first + lo, first + hi, t) - first);
+  }
+
+  /// Credit the samples inside `iv` on a sorted node, searching from
+  /// position `from`; returns where the next, later activation's search
+  /// should start. Exact once the stream is complete, and before that
+  /// for any activation whose end has settled.
+  std::size_t credit_inside(const Interval& iv, std::size_t from,
+                            std::vector<SampleRange>* ranges) const {
+    const std::size_t lo = lower_bound_from(from, iv.begin);
+    const std::size_t hi = lower_bound_from(lo, iv.end);
+    credit(ranges, lo, hi);
+    return hi;
+  }
+
+  /// Credit the samples inside any interval of `merged` (sorted and
+  /// disjoint, as merge_intervals leaves it) on an unsorted node (a
+  /// hand-built batch trace): one scan in arrival order, one binary
+  /// search per sample.
+  void credit_scan(const std::vector<Interval>& merged,
+                   std::vector<SampleRange>* ranges) const {
+    const auto after = [](std::uint64_t t, const Interval& iv) { return t < iv.begin; };
+    for (std::size_t i = 0; i < tsc_.size(); ++i) {
+      // Only the last interval beginning at or before the sample can hold it.
+      const auto it = std::upper_bound(merged.begin(), merged.end(), tsc_[i], after);
+      if (it != merged.begin() && tsc_[i] < std::prev(it)->end) credit(ranges, i, i + 1);
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> tsc_;
+  std::size_t cursor_ = 0;
+  bool sorted_ = true;
+};
+
+/// What one (addr, thread) or (addr, node) slot gathers from the
+/// activations closed into it. Fields the event loop touches on every
+/// close come first.
+struct Tally {
+  std::uint64_t calls = 0;
+  std::uint64_t total_ticks = 0;
+  std::uint64_t activations = 0;
+  std::uint64_t first_begin = UINT64_MAX;
+  std::uint64_t last_end = 0;
+  std::vector<Interval> parked;     ///< closed before their samples settled
+  std::vector<SampleRange> ranges;  ///< credited sample positions
+  bool keep_spans = false;
+  unsigned __int128 ticks_sq = 0;
+  std::vector<Interval> spans;      ///< every activation, span functions only
+
+  void close(const Interval& iv) {
+    total_ticks += iv.length();
+    ++activations;
+    ticks_sq += squared_ticks(iv.length());
+    first_begin = std::min(first_begin, iv.begin);
+    last_end = std::max(last_end, iv.end);
+    if (keep_spans) spans.push_back(iv);
+  }
+
+  /// Credit every parked activation. Parked activations of one thread
+  /// are in time order, so on a sorted node one forward search serves
+  /// them all; an unsorted node scans its samples once against their
+  /// union.
+  void settle_parked(const NodeSamples& samples) {
+    if (parked.empty()) return;
+    if (samples.sorted()) {
+      std::size_t from = 0;
+      for (const Interval& iv : parked) from = samples.credit_inside(iv, from, &ranges);
+    } else {
+      merge_intervals(&parked);
+      samples.credit_scan(parked, &ranges);
+    }
+    parked.clear();
+  }
+
+  void absorb(Tally&& other) {
+    ticks_sq += other.ticks_sq;
+    calls += other.calls;
+    total_ticks += other.total_ticks;
+    activations += other.activations;
+    first_begin = std::min(first_begin, other.first_begin);
+    last_end = std::max(last_end, other.last_end);
+    append(&ranges, &other.ranges);
+    append(&parked, &other.parked);
+    append(&spans, &other.spans);
+  }
+
+ private:
+  template <typename T>
+  static void append(std::vector<T>* dst, std::vector<T>* src) {
+    if (dst->empty()) {
+      dst->swap(*src);
+    } else {
+      dst->insert(dst->end(), src->begin(), src->end());
+    }
+  }
+};
+
+constexpr std::size_t kUnsettled = SIZE_MAX;
+
+/// Sort half-open [kBegin, kEnd) entries by start and coalesce the ones
+/// that overlap or touch, in place.
+template <auto kBegin, auto kEnd, typename T>
+void coalesce(std::vector<T>* v) {
+  if (v->empty()) return;
+  const auto by_begin = [](const T& a, const T& b) { return a.*kBegin < b.*kBegin; };
+  if (!std::is_sorted(v->begin(), v->end(), by_begin)) {
+    std::sort(v->begin(), v->end(), by_begin);
+  }
+  std::size_t out = 0;
+  for (std::size_t i = 1; i < v->size(); ++i) {
+    const T& next = (*v)[i];
+    T& last = (*v)[out];
+    if (next.*kBegin <= last.*kEnd) {
+      last.*kEnd = std::max(last.*kEnd, next.*kEnd);
+    } else {
+      (*v)[++out] = next;
+    }
+  }
+  v->resize(out + 1);
 }
 
 }  // namespace
 
-bool FunctionIntervals::contains(std::uint64_t tsc) const {
-  const auto it = std::upper_bound(
-      merged.begin(), merged.end(), tsc,
-      [](std::uint64_t t, const Interval& iv) { return t < iv.begin; });
-  if (it == merged.begin()) return false;
-  const Interval& iv = *std::prev(it);
-  return tsc >= iv.begin && tsc < iv.end;
+void merge_intervals(std::vector<Interval>* intervals) {
+  coalesce<&Interval::begin, &Interval::end>(intervals);
 }
 
-void merge_intervals(std::vector<Interval>* intervals) {
-  if (intervals->empty()) return;
-  std::sort(intervals->begin(), intervals->end(),
-            [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
-  std::vector<Interval> out;
-  out.reserve(intervals->size());
-  out.push_back((*intervals)[0]);
-  for (std::size_t i = 1; i < intervals->size(); ++i) {
-    const Interval& iv = (*intervals)[i];
-    if (iv.begin <= out.back().end) {
-      out.back().end = std::max(out.back().end, iv.end);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  *intervals = std::move(out);
+void merge_sample_ranges(std::vector<SampleRange>* ranges) {
+  coalesce<&SampleRange::first, &SampleRange::last>(ranges);
 }
 
 /// All accumulator state lives behind the pimpl so the hot-loop helper
-/// types (FlatPairIndex, FnAccum, ThreadNodeTable) stay file-local.
+/// types (FlatPairIndex, Tally, NodeSamples) stay file-local.
 struct TimelineAccumulator::Impl {
-  // Per (thread, addr): open recursion depth, outermost entry time, and
-  // — for threads listed in the trace metadata — the calls and closed
-  // intervals gathered so far. A listed thread's node never changes, so
-  // those fold into the per-(addr, node) accumulator once at finish()
-  // and the hot loop probes a single hash per event. Events of unknown
-  // threads (corrupt traces) take each event's own node-id fallback and
-  // go to the accumulator directly, exactly as before.
+  // Per (thread, addr): open recursion depth, the outermost entry time
+  // and its sample position, and — for threads listed in the trace
+  // metadata — the tally so far. A listed thread's node never changes,
+  // so the tallies fold into the per-(addr, node) slots once at
+  // finish() and the hot loop probes a single hash per event. Events of
+  // unknown threads (corrupt traces) take each event's own node-id
+  // fallback and go to the per-(addr, node) slot directly.
   struct OpenState {
     std::uint64_t depth = 0;
     std::uint64_t first_enter = 0;
-    std::uint64_t calls = 0;
-    std::uint64_t total_ticks = 0;
-    std::uint64_t activations = 0;
-    unsigned __int128 ticks_sq = 0;
-    std::vector<Interval> raw;
+    std::size_t enter_pos = kUnsettled;  ///< settled sample position of first_enter
+    Tally tally;
   };
 
-  Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint)
-      : thread_node(threads), open_index(hint), accum_index(hint) {}
+  Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
+       SpanFilter keep)
+      : thread_node(threads),
+        open_index(hint),
+        accum_index(hint),
+        keep_spans(std::move(keep)) {
+    // Every listed thread's node is indexed directly by the replay.
+    for (const auto& t : threads) samples_of(t.node_id);
+  }
 
-  FnAccum& accum_at(std::uint64_t addr, std::uint16_t node) {
+  bool wants_spans(std::uint64_t addr) const {
+    return keep_spans && keep_spans(addr);
+  }
+
+  Tally& accum_at(std::uint64_t addr, std::uint16_t node) {
     bool inserted = false;
     const std::uint32_t idx = accum_index.find_or_insert(addr, node, &inserted);
     if (inserted) {
       accum_keys.emplace_back(addr, node);
       accum.emplace_back();
+      accum.back().keep_spans = wants_spans(addr);
     }
     return accum[idx];
+  }
+
+  NodeSamples& samples_of(std::uint16_t node) {
+    if (node >= nodes.size()) nodes.resize(std::size_t{node} + 1);
+    return nodes[node];
   }
 
   ThreadNodeTable thread_node;
@@ -327,17 +373,29 @@ struct TimelineAccumulator::Impl {
   std::vector<OpenState> open;
   FlatPairIndex accum_index;
   std::vector<std::pair<std::uint64_t, std::uint16_t>> accum_keys;  // (addr, node)
-  std::vector<FnAccum> accum;
+  std::vector<Tally> accum;
+  std::vector<NodeSamples> nodes;  ///< indexed by node id
+  SpanFilter keep_spans;
 };
 
 TimelineAccumulator::TimelineAccumulator(
-    const std::vector<trace::ThreadInfo>& threads, std::size_t hint)
-    : impl_(std::make_unique<Impl>(threads, hint == 0 ? 16 : hint)) {}
+    const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
+    SpanFilter keep_spans)
+    : impl_(std::make_unique<Impl>(threads, hint == 0 ? 16 : hint,
+                                   std::move(keep_spans))) {}
 
 TimelineAccumulator::~TimelineAccumulator() = default;
 TimelineAccumulator::TimelineAccumulator(TimelineAccumulator&&) noexcept = default;
 TimelineAccumulator& TimelineAccumulator::operator=(TimelineAccumulator&&) noexcept =
     default;
+
+void TimelineAccumulator::add_samples(const trace::TempSample* samples,
+                                      std::size_t n) {
+  Impl& im = *impl_;
+  for (std::size_t i = 0; i < n; ++i) {
+    im.samples_of(samples[i].node_id).push(samples[i].tsc);
+  }
+}
 
 void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n) {
   Impl& im = *impl_;
@@ -345,49 +403,66 @@ void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n
   // a stable global order which implies per-thread order, and the
   // streaming sources only hand over batches in that same order. Exits
   // that match nothing (or only pop recursion depth) never touch any
-  // table — an accumulator with no interval is dropped at assembly
-  // anyway, so skipping the lookup changes nothing downstream.
+  // table — a slot with no activation is dropped at assembly anyway, so
+  // skipping the lookup changes nothing downstream.
   for (std::size_t i = 0; i < n; ++i) {
     const trace::FnEvent& e = events[i];
+    const std::int32_t node = im.thread_node.node_or_negative(e.thread_id);
     if (e.kind == trace::FnEventKind::kEnter) {
       bool inserted = false;
       const std::uint32_t oi = im.open_index.find_or_insert(e.addr, e.thread_id, &inserted);
       if (inserted) {
         im.open_keys.emplace_back(e.addr, e.thread_id);
         im.open.emplace_back();
+        im.open.back().tally.keep_spans = im.wants_spans(e.addr);
       }
       Impl::OpenState& st = im.open[oi];
-      if (st.depth == 0) st.first_enter = e.tsc;
+      if (st.depth == 0) {
+        st.first_enter = e.tsc;
+        if (node >= 0) {
+          NodeSamples& samples = im.nodes[static_cast<std::size_t>(node)];
+          const std::size_t pos = samples.seek(e.tsc);
+          st.enter_pos = samples.settled(pos) ? pos : kUnsettled;
+        }
+      }
       ++st.depth;
-      if (im.thread_node.node_or_negative(e.thread_id) >= 0) {
-        ++st.calls;
+      if (node >= 0) {
+        ++st.tally.calls;
       } else {
         ++im.accum_at(e.addr, e.node_id).calls;
       }
-    } else {
-      const std::uint32_t oi = im.open_index.find(e.addr, e.thread_id);
-      if (oi == FlatPairIndex::kEmpty || im.open[oi].depth == 0) {
-        ++im.diag.unmatched_exits;
-        continue;
-      }
-      Impl::OpenState& st = im.open[oi];
-      --st.depth;
-      if (st.depth == 0) {
-        const Interval iv{st.first_enter, e.tsc};
-        if (im.thread_node.node_or_negative(e.thread_id) >= 0) {
-          st.raw.push_back(iv);
-          st.total_ticks += iv.length();
-          ++st.activations;
-          st.ticks_sq += squared_ticks(iv.length());
-        } else {
-          FnAccum& fn = im.accum_at(e.addr, e.node_id);
-          fn.raw.push_back(iv);
-          fn.total_ticks += iv.length();
-          ++fn.activations;
-          fn.ticks_sq += squared_ticks(iv.length());
-        }
-      }
+      continue;
     }
+
+    const std::uint32_t oi = im.open_index.find(e.addr, e.thread_id);
+    if (oi == FlatPairIndex::kEmpty || im.open[oi].depth == 0) {
+      ++im.diag.unmatched_exits;
+      continue;
+    }
+    Impl::OpenState& st = im.open[oi];
+    if (--st.depth != 0) continue;
+    const Interval iv{st.first_enter, e.tsc};
+    if (node < 0) {
+      Tally& fn = im.accum_at(e.addr, e.node_id);
+      fn.close(iv);
+      fn.parked.push_back(iv);  // settled against the node's samples at finish()
+      continue;
+    }
+    // Credit [cursor(begin), cursor(end)) once a sample at or after the
+    // end has arrived; until then the activation waits, parked.
+    Tally& tally = st.tally;
+    tally.close(iv);
+    NodeSamples& samples = im.nodes[static_cast<std::size_t>(node)];
+    const std::size_t hi = samples.seek(iv.end);
+    if (!samples.settled(hi)) {
+      tally.parked.push_back(iv);
+      continue;
+    }
+    tally.settle_parked(samples);  // earlier ones first
+    const std::size_t lo = st.enter_pos != kUnsettled
+                               ? st.enter_pos
+                               : samples.lower_bound_from(hi, iv.begin);
+    credit(&tally.ranges, lo, hi);
   }
 }
 
@@ -395,78 +470,66 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
                                         TimelineDiagnostics* diag,
                                         bool keep_empty) {
   Impl& im = *impl_;
-  // Fold the per-(addr, thread) tallies into the per-(addr, node)
-  // accumulators, and close activations still open when the trace ends
-  // (e.g. main, or a run interrupted mid-function). Unknown threads
-  // fall back to node 0 here (no event in hand to borrow a node id
-  // from). Interval union, call counts, and tick totals are all
-  // order-independent, so folding after the loop matches folding
-  // per event.
+  // Close activations still open when the trace ends (e.g. main, or a
+  // run interrupted mid-function), settle everything parked against the
+  // now complete sample streams, and fold the per-(addr, thread) tallies
+  // into the per-(addr, node) slots. Unknown threads fall back to node 0
+  // here (no event in hand to borrow a node id from). Counts, sums and
+  // range unions are all order-independent, so folding after the loop
+  // matches folding per event.
   for (std::size_t oi = 0; oi < im.open.size(); ++oi) {
     Impl::OpenState& st = im.open[oi];
-    const auto [addr, tid] = im.open_keys[oi];
+    Tally& tally = st.tally;
     if (st.depth > 0) {
       ++im.diag.force_closed;
       const Interval iv{st.first_enter, end_tsc};
-      st.raw.push_back(iv);
-      st.total_ticks += iv.length();
-      ++st.activations;
-      st.ticks_sq += squared_ticks(iv.length());
+      tally.close(iv);
+      tally.parked.push_back(iv);
     }
-    if (st.calls == 0 && st.raw.empty()) continue;
+    if (tally.calls == 0 && tally.activations == 0) continue;
+    const auto [addr, tid] = im.open_keys[oi];
     const std::uint16_t node = im.thread_node.node_of(tid, 0);
-    FnAccum& fn = im.accum_at(addr, node);
-    fn.calls += st.calls;
-    fn.total_ticks += st.total_ticks;
-    fn.activations += st.activations;
-    fn.ticks_sq += st.ticks_sq;
-    if (st.raw.empty()) continue;
-    fn.run_starts.push_back(fn.raw.size());
-    if (fn.raw.empty()) {
-      fn.raw = std::move(st.raw);
-    } else {
-      fn.raw.insert(fn.raw.end(), st.raw.begin(), st.raw.end());
-    }
+    tally.settle_parked(im.samples_of(node));
+    im.accum_at(addr, node).absorb(std::move(tally));
   }
-
-  std::vector<FnAccum*> work;
-  work.reserve(im.accum.size());
-  std::size_t total_intervals = 0;
-  for (FnAccum& a : im.accum) {
-    work.push_back(&a);
-    total_intervals += a.raw.size();
-  }
-  merge_all(&work, total_intervals);
 
   // Assemble the ordered public map, dropping functions that produced no
-  // interval at all (possible only for unmatched-exit-only addresses).
+  // activation at all (possible only for unmatched-exit-only addresses).
   TimelineMap result;
   for (std::size_t i = 0; i < im.accum.size(); ++i) {
-    FnAccum& a = im.accum[i];
-    if (a.raw.empty() && !keep_empty) continue;
+    Tally& a = im.accum[i];
+    if (a.activations == 0 && !keep_empty) continue;
     const auto [addr, node] = im.accum_keys[i];
-    FunctionIntervals fi;
-    fi.addr = addr;
-    fi.node_id = node;
-    fi.total_ticks = a.total_ticks;
-    fi.calls = a.calls;
-    fi.activations = a.activations;
-    fi.ticks_sq = a.ticks_sq;
-    fi.merged = std::move(a.raw);
-    result.emplace(std::make_pair(node, addr), std::move(fi));
+    a.settle_parked(im.samples_of(node));
+    merge_sample_ranges(&a.ranges);
+    merge_intervals(&a.spans);
+    FunctionActivity fa;
+    fa.addr = addr;
+    fa.node_id = node;
+    fa.samples = std::move(a.ranges);
+    fa.first_begin = a.first_begin;
+    fa.last_end = a.last_end;
+    fa.spans = std::move(a.spans);
+    fa.total_ticks = a.total_ticks;
+    fa.calls = a.calls;
+    fa.activations = a.activations;
+    fa.ticks_sq = a.ticks_sq;
+    result.emplace(std::make_pair(node, addr), std::move(fa));
   }
 
   if (diag != nullptr) *diag = im.diag;
   return result;
 }
 
-TimelineMap build_timeline(const trace::Trace& trace, TimelineDiagnostics* diag) {
+TimelineMap build_timeline(const trace::Trace& trace, TimelineDiagnostics* diag,
+                           SpanFilter keep_spans) {
   // Both per-event lookups probe a flat hash keyed on the raw pair —
   // (addr, thread) for the open recursion state, (addr, node) for the
   // accumulator — instead of a tree-map pair comparison.
   const std::size_t hint = std::min<std::size_t>(
       trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  TimelineAccumulator acc(trace.threads, hint);
+  TimelineAccumulator acc(trace.threads, hint, std::move(keep_spans));
+  acc.add_samples(trace.temp_samples.data(), trace.temp_samples.size());
   acc.add_events(trace.fn_events.data(), trace.fn_events.size());
   return acc.finish(trace.end_tsc(), diag);
 }

@@ -1,17 +1,29 @@
-// Function timeline reconstruction.
+// Function timeline reconstruction with online sample attribution.
 //
 // This is the capability the paper built Tempest for instead of
 // modifying gprof: gprof's buckets cannot say *which function was
 // executing at time X*, but thermal samples arrive in real time and the
 // same function may run at different temperatures at different moments.
-// The builder replays each thread's entry/exit stream into per-function
-// inclusive interval sets, handling the Table 1 cases: interleaving
-// (D) and recursion with interleaving (E) — a recursive function's
-// nested activations collapse into one interval per outermost call, so
-// inclusive time is never double-counted.
+// The builder replays each thread's entry/exit stream and credits every
+// temperature sample to each function open on its node at that instant
+// (§3.2's inclusive attribution), handling the Table 1 cases:
+// interleaving (D) and recursion with interleaving (E) — a recursive
+// function's nested activations collapse into one activation per
+// outermost call, so neither time nor samples are double-counted.
+//
+// Attribution happens during the replay, not after it. Each node keeps
+// its samples' timestamps and a cursor; at every outermost enter and
+// exit the cursor moves to the first sample at or after that tsc, and an
+// activation [b, e) credits the sample positions [cursor(b), cursor(e)).
+// Fold state is O(functions + samples + open activations) when samples
+// arrive before events — the order every pipeline Source emits. An
+// activation that closes before any sample at or after its end has
+// arrived (events-first feeds) is parked as an interval and resolved by
+// a later close or by finish(), so any interleaving gives the same map.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -28,15 +40,32 @@ struct Interval {
   std::uint64_t length() const { return end > begin ? end - begin : 0; }
 };
 
+/// Half-open run [first, last) of positions in one node's sample stream:
+/// that node's temperature samples in arrival order, counted from 0.
+/// Positions are 32-bit; a node holds fewer than 2^32 samples (a 4 Hz
+/// sensor takes 34 years to get there).
+struct SampleRange {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
+
 /// All activity of one function address on one node.
-struct FunctionIntervals {
+struct FunctionActivity {
   std::uint64_t addr = 0;
   std::uint16_t node_id = 0;
-  /// Sorted, non-overlapping union of the function's activations across
-  /// the node's threads (used for sample attribution).
-  std::vector<Interval> merged;
-  /// Inclusive busy ticks, summed per thread before merging (so two
-  /// ranks running the function concurrently both count).
+  /// The node's samples taken while any of its threads had the function
+  /// open (inclusive attribution): ascending, coalesced position ranges,
+  /// each sample credited once however many threads ran the function.
+  std::vector<SampleRange> samples;
+  /// Earliest activation begin and latest activation end; UINT64_MAX
+  /// and 0 while `activations` is 0.
+  std::uint64_t first_begin = UINT64_MAX;
+  std::uint64_t last_end = 0;
+  /// Sorted, non-overlapping union of the activations across the node's
+  /// threads — kept only for functions the fold's SpanFilter selects.
+  std::vector<Interval> spans;
+  /// Inclusive busy ticks, summed per thread (so two ranks running the
+  /// function concurrently both count).
   std::uint64_t total_ticks = 0;
   std::uint64_t calls = 0;
   /// Outermost activations closed (the per-call duration sample count;
@@ -48,9 +77,6 @@ struct FunctionIntervals {
   /// commute, keeping the sharded fold bit-identical to the serial one
   /// regardless of merge order (a float Welford fold would not).
   unsigned __int128 ticks_sq = 0;
-
-  /// True when `tsc` falls inside any merged interval.
-  bool contains(std::uint64_t tsc) const;
 };
 
 struct TimelineDiagnostics {
@@ -59,38 +85,45 @@ struct TimelineDiagnostics {
 };
 
 /// Key: (node_id, function address).
-using TimelineMap = std::map<std::pair<std::uint16_t, std::uint64_t>, FunctionIntervals>;
+using TimelineMap = std::map<std::pair<std::uint16_t, std::uint64_t>, FunctionActivity>;
+
+/// Decides once per function address whether the fold keeps that
+/// function's activation intervals (FunctionActivity::spans). The
+/// sharded fold calls it from its worker threads.
+using SpanFilter = std::function<bool(std::uint64_t addr)>;
 
 /// Incremental timeline builder: the streaming core behind
-/// build_timeline. Feed time-sorted event batches with add_events (the
-/// global order across calls must match what one sorted pass would
-/// deliver — per-thread order is what actually matters), then finish()
-/// closes still-open activations at `end_tsc` and assembles the map.
-/// Folding N batches produces bit-identical output to one batch of the
-/// concatenation; memory is O(open activations + closed intervals), not
-/// O(events), which is what lets src/pipeline analyse traces larger
-/// than RAM.
+/// build_timeline. Feed time-sorted sample and event batches in any
+/// interleaving (per-thread event order and per-node sample order are
+/// what actually matter), then finish() closes still-open activations at
+/// `end_tsc` and assembles the map. Folding N batches produces
+/// bit-identical output to one batch of the concatenation.
 class TimelineAccumulator {
  public:
   /// `threads` maps thread ids to nodes (copied); `hint` sizes the hash
   /// tables (0 = small default, tables grow as needed).
   explicit TimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
-                               std::size_t hint = 0);
+                               std::size_t hint = 0, SpanFilter keep_spans = {});
   ~TimelineAccumulator();
   TimelineAccumulator(TimelineAccumulator&&) noexcept;
   TimelineAccumulator& operator=(TimelineAccumulator&&) noexcept;
 
+  /// Append samples to their nodes' streams. Each node's samples must
+  /// arrive time-sorted, unless every sample precedes every event (the
+  /// batch wrappers' order), in which case an unsorted node is attributed
+  /// by a scan at finish().
+  void add_samples(const trace::TempSample* samples, std::size_t n);
   void add_events(const trace::FnEvent* events, std::size_t n);
 
-  /// Force-close open activations at `end_tsc`, coalesce intervals and
+  /// Force-close open activations at `end_tsc`, settle parked ones and
   /// return the finished map. The accumulator is spent afterwards.
   ///
-  /// `keep_empty` retains entries whose interval set came out empty
-  /// (call counts recorded under one node while the intervals landed on
-  /// another — possible only for threads missing from the metadata).
-  /// The sharded fold needs them: the "drop empty" rule must apply to
-  /// the union across shards, not to each shard alone, or calls that a
-  /// sibling shard's intervals would have kept alive disappear.
+  /// `keep_empty` retains entries with no activation (call counts
+  /// recorded under one node while the activations landed on another —
+  /// possible only for threads missing from the metadata). The sharded
+  /// fold needs them: the "drop empty" rule must apply to the union
+  /// across shards, not to each shard alone, or calls that a sibling
+  /// shard's activations would have kept alive disappear.
   TimelineMap finish(std::uint64_t end_tsc, TimelineDiagnostics* diag = nullptr,
                      bool keep_empty = false);
 
@@ -99,11 +132,15 @@ class TimelineAccumulator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Build per-function interval sets from a (time-sorted) trace.
+/// Build the timeline of a whole trace (samples first, then events).
 /// Batch wrapper over TimelineAccumulator.
-TimelineMap build_timeline(const trace::Trace& trace, TimelineDiagnostics* diag = nullptr);
+TimelineMap build_timeline(const trace::Trace& trace, TimelineDiagnostics* diag = nullptr,
+                           SpanFilter keep_spans = {});
 
-/// Merge a sorted interval list in place (coalesce overlaps/adjacency).
+/// Sort and coalesce an interval list in place (overlaps and adjacency).
 void merge_intervals(std::vector<Interval>* intervals);
+
+/// Sort and coalesce a sample-range list in place.
+void merge_sample_ranges(std::vector<SampleRange>* ranges);
 
 }  // namespace tempest::parser

@@ -11,37 +11,17 @@
 namespace tempest::parser {
 namespace {
 
-/// Queued event buffers a shard may hold before the producer blocks;
+/// Queued work items a shard may hold before the producer blocks;
 /// bounds fold memory at shards * depth * batch regardless of how far
 /// the decode side runs ahead.
 constexpr std::size_t kMaxQueuedBuffers = 4;
 
-void append_merged(std::vector<Interval>* dst, std::vector<Interval>&& src) {
-  if (src.empty()) return;
-  if (dst->empty()) {
-    *dst = std::move(src);
-    return;
-  }
-  // Both inputs are sorted non-overlapping unions; their union is the
-  // begin-ordered merge followed by the same adjacency-coalescing sweep
-  // the serial accumulator runs. Interval union is associative, so
-  // pairwise merging shards reproduces the one-pass serial union.
-  std::vector<Interval> merged(dst->size() + src.size());
-  std::merge(dst->begin(), dst->end(), src.begin(), src.end(), merged.begin(),
-             [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
-  std::vector<Interval> out;
-  out.reserve(merged.size());
-  out.push_back(merged[0]);
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    const Interval& iv = merged[i];
-    if (iv.begin <= out.back().end) {
-      out.back().end = std::max(out.back().end, iv.end);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  *dst = std::move(out);
-}
+/// One hand-off to a shard: a slice of its threads' events, or a copy
+/// of the whole sample batch.
+struct Work {
+  std::vector<trace::FnEvent> events;
+  std::vector<trace::TempSample> samples;
+};
 
 }  // namespace
 
@@ -52,35 +32,35 @@ TimelineMap merge_timeline_maps(std::vector<TimelineMap>* parts) {
       out = std::move(part);
       continue;
     }
-    for (auto& [key, fi] : part) {
-      auto [it, inserted] = out.try_emplace(key, std::move(fi));
+    for (auto& [key, fa] : part) {
+      auto [it, inserted] = out.try_emplace(key, std::move(fa));
       if (inserted) continue;
-      FunctionIntervals& dst = it->second;
-      dst.total_ticks += fi.total_ticks;
-      dst.calls += fi.calls;
-      dst.activations += fi.activations;
-      dst.ticks_sq += fi.ticks_sq;
-      append_merged(&dst.merged, std::move(fi.merged));
+      FunctionActivity& dst = it->second;
+      dst.total_ticks += fa.total_ticks;
+      dst.calls += fa.calls;
+      dst.activations += fa.activations;
+      dst.ticks_sq += fa.ticks_sq;
+      dst.first_begin = std::min(dst.first_begin, fa.first_begin);
+      dst.last_end = std::max(dst.last_end, fa.last_end);
+      dst.samples.insert(dst.samples.end(), fa.samples.begin(), fa.samples.end());
+      merge_sample_ranges(&dst.samples);
+      dst.spans.insert(dst.spans.end(), fa.spans.begin(), fa.spans.end());
+      merge_intervals(&dst.spans);
     }
   }
   parts->clear();
-  // The serial accumulator drops functions with no interval; shards
-  // keep them (keep_empty) so sibling shards' intervals can rescue
+  // The serial accumulator drops functions with no activation; shards
+  // keep them (keep_empty) so sibling shards' activations can rescue
   // their call counts — apply the drop to the combined map instead.
-  for (auto it = out.begin(); it != out.end();) {
-    if (it->second.merged.empty()) {
-      it = out.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(out, [](const auto& entry) { return entry.second.activations == 0; });
   return out;
 }
 
 struct ShardedTimelineAccumulator::Impl {
   struct Shard {
-    Shard(const std::vector<trace::ThreadInfo>& threads, std::size_t hint)
-        : acc(threads, hint) {}
+    Shard(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
+          SpanFilter keep_spans)
+        : acc(threads, hint, std::move(keep_spans)) {}
 
     TimelineAccumulator acc;  ///< touched only by the shard's worker
     TimelineMap result;
@@ -88,7 +68,7 @@ struct ShardedTimelineAccumulator::Impl {
 
     common::Mutex mu;
     std::condition_variable_any cv;
-    std::deque<std::vector<trace::FnEvent>> queue GUARDED_BY(mu);
+    std::deque<Work> queue GUARDED_BY(mu);
     std::vector<std::vector<trace::FnEvent>> spare GUARDED_BY(mu);
     bool closing GUARDED_BY(mu) = false;
     std::uint64_t end_tsc = 0;  ///< written before closing is published
@@ -97,11 +77,11 @@ struct ShardedTimelineAccumulator::Impl {
   };
 
   Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-       unsigned n_shards) {
+       unsigned n_shards, const SpanFilter& keep_spans) {
     shards.reserve(n_shards);
     const std::size_t shard_hint = hint / n_shards + 16;
     for (unsigned i = 0; i < n_shards; ++i) {
-      shards.push_back(std::make_unique<Shard>(threads, shard_hint));
+      shards.push_back(std::make_unique<Shard>(threads, shard_hint, keep_spans));
     }
     for (auto& s : shards) {
       Shard* shard = s.get();
@@ -112,31 +92,49 @@ struct ShardedTimelineAccumulator::Impl {
 
   static void run(Shard* s) {
     for (;;) {
-      std::vector<trace::FnEvent> buf;
+      Work work;
       bool close = false;
       {
         common::MutexLock lock(&s->mu);
         while (s->queue.empty() && !s->closing) s->cv.wait(s->mu);
         if (!s->queue.empty()) {
-          buf = std::move(s->queue.front());
+          work = std::move(s->queue.front());
           s->queue.pop_front();
         } else {
           close = true;
         }
       }
       if (close) break;
-      s->acc.add_events(buf.data(), buf.size());
-      buf.clear();
+      s->acc.add_samples(work.samples.data(), work.samples.size());
+      s->acc.add_events(work.events.data(), work.events.size());
+      work.events.clear();
       {
         common::MutexLock lock(&s->mu);
-        if (s->spare.size() < kMaxQueuedBuffers) {
-          s->spare.push_back(std::move(buf));
+        if (s->spare.size() < kMaxQueuedBuffers && work.events.capacity() > 0) {
+          s->spare.push_back(std::move(work.events));
         }
       }
       s->cv.notify_all();  // producer may be waiting on queue space
     }
     // keep_empty: the combined-map merge owns the drop-empty rule.
     s->result = s->acc.finish(s->end_tsc, &s->diag, /*keep_empty=*/true);
+  }
+
+  /// Queue `work` on `s`, blocking while its queue is full; returns a
+  /// recycled event buffer when the worker has one to spare.
+  static std::vector<trace::FnEvent> enqueue(Shard* s, Work work) {
+    std::vector<trace::FnEvent> refill;
+    {
+      common::MutexLock lock(&s->mu);
+      while (s->queue.size() >= kMaxQueuedBuffers) s->cv.wait(s->mu);
+      s->queue.push_back(std::move(work));
+      if (!s->spare.empty()) {
+        refill = std::move(s->spare.back());
+        s->spare.pop_back();
+      }
+    }
+    s->cv.notify_all();
+    return refill;
   }
 
   void close_and_join(std::uint64_t end_tsc) {
@@ -158,11 +156,11 @@ struct ShardedTimelineAccumulator::Impl {
 
 ShardedTimelineAccumulator::ShardedTimelineAccumulator(
     const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-    unsigned shards) {
+    unsigned shards, SpanFilter keep_spans) {
   if (shards > 1) {
-    impl_ = std::make_unique<Impl>(threads, hint, shards);
+    impl_ = std::make_unique<Impl>(threads, hint, shards, keep_spans);
   } else {
-    serial_.emplace(threads, hint);
+    serial_.emplace(threads, hint, std::move(keep_spans));
   }
 }
 
@@ -172,6 +170,20 @@ ShardedTimelineAccumulator::~ShardedTimelineAccumulator() {
 
 unsigned ShardedTimelineAccumulator::shards() const {
   return impl_ ? static_cast<unsigned>(impl_->shards.size()) : 1;
+}
+
+void ShardedTimelineAccumulator::add_samples(const trace::TempSample* samples,
+                                             std::size_t n) {
+  if (!impl_) {
+    serial_->add_samples(samples, n);
+    return;
+  }
+  if (n == 0) return;
+  for (auto& s : impl_->shards) {
+    Work work;
+    work.samples.assign(samples, samples + n);
+    Impl::enqueue(s.get(), std::move(work));
+  }
 }
 
 void ShardedTimelineAccumulator::add_events(const trace::FnEvent* events,
@@ -190,19 +202,9 @@ void ShardedTimelineAccumulator::add_events(const trace::FnEvent* events,
   for (std::size_t si = 0; si < n_shards; ++si) {
     std::vector<trace::FnEvent>& part = im.scratch[si];
     if (part.empty()) continue;
-    Impl::Shard& s = *im.shards[si];
-    std::vector<trace::FnEvent> refill;
-    {
-      common::MutexLock lock(&s.mu);
-      while (s.queue.size() >= kMaxQueuedBuffers) s.cv.wait(s.mu);
-      s.queue.push_back(std::move(part));
-      if (!s.spare.empty()) {
-        refill = std::move(s.spare.back());
-        s.spare.pop_back();
-      }
-    }
-    s.cv.notify_all();
-    part = std::move(refill);
+    Work work;
+    work.events = std::move(part);
+    part = Impl::enqueue(im.shards[si].get(), std::move(work));
   }
 }
 

@@ -13,8 +13,12 @@ AnalysisPipeline::AnalysisPipeline(AnalysisOptions options)
 void AnalysisPipeline::set_metadata(const TraceMeta& meta) {
   meta_ = meta;
   if (!options_.exe_override.empty()) meta_.executable = options_.exe_override;
+  // Only the series' span functions keep activation intervals.
   timeline_.emplace(meta_.threads, options_.timeline_hint,
-                    std::max(1u, options_.threads));
+                    std::max(1u, options_.threads),
+                    options_.want_series
+                        ? report::span_filter(meta_, options_.span_functions)
+                        : parser::SpanFilter{});
   assembler_.set_metadata(meta_);
 }
 
@@ -47,6 +51,7 @@ void AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
     if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
   }
   any_records_ = true;
+  timeline_->add_samples(samples, n);
   assembler_.add_samples(samples, n);
 }
 
@@ -55,6 +60,7 @@ AnalysisResult AnalysisPipeline::finish(const symtab::Resolver* resolver) {
 
   parser::TimelineDiagnostics diag;
   const parser::TimelineMap timeline = timeline_->finish(end_tsc_, &diag);
+  timeline_.reset();  // spent: free the fold state before assembly
 
   // Symbolise every distinct address exactly as parse_trace does:
   // synthetic names win, then the ELF resolver, then hex.
@@ -71,14 +77,14 @@ AnalysisResult AnalysisPipeline::finish(const symtab::Resolver* resolver) {
   std::vector<std::pair<std::uint64_t, std::string>> names;
   names.reserve(timeline.size() + meta_.synthetic_symbols.size());
   for (const auto& s : meta_.synthetic_symbols) names.emplace_back(s.addr, s.name);
-  for (const auto& [key, fi] : timeline) {
-    if (fi.addr >= trace::kSyntheticAddrBase) continue;
+  for (const auto& [key, fa] : timeline) {
+    if (fa.addr >= trace::kSyntheticAddrBase) continue;
     if (resolver != nullptr) {
-      names.emplace_back(fi.addr, resolver->resolve(fi.addr));
+      names.emplace_back(fa.addr, resolver->resolve(fa.addr));
     } else {
       std::string hex = "0x";
-      fastwrite::append_hex(hex, fi.addr);
-      names.emplace_back(fi.addr, std::move(hex));
+      fastwrite::append_hex(hex, fa.addr);
+      names.emplace_back(fa.addr, std::move(hex));
     }
   }
 
@@ -93,6 +99,18 @@ AnalysisResult AnalysisPipeline::finish(const symtab::Resolver* resolver) {
     result.has_series = true;
   }
   return result;
+}
+
+AnalysisResult analyze_trace(const trace::Trace& trace, AnalysisOptions options,
+                             const symtab::Resolver* resolver) {
+  options.timeline_hint =
+      std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
+  AnalysisPipeline fold(std::move(options));
+  fold.set_metadata(trace);
+  fold.set_bounds(trace.start_tsc(), trace.end_tsc());
+  fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
+  fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
+  return fold.finish(resolver);
 }
 
 }  // namespace tempest::pipeline

@@ -45,8 +45,11 @@ struct AnalysisResult {
 
 /// The streaming counterpart of parse_trace: metadata once, then
 /// aligned, time-sorted event/sample batches in any interleaving, then
-/// finish(). Folds into TimelineAccumulator and ProfileAssembler, so
-/// peak memory is O(timeline + samples), not O(events). Identical
+/// finish(). Folds into TimelineAccumulator and ProfileAssembler. With
+/// samples ahead of events — the order every Source emits — the
+/// timeline credits samples as it replays, so peak memory is
+/// O(functions + samples + open activations), not O(events); events
+/// ahead of their samples are parked until the samples arrive. Identical
 /// inputs produce bit-identical profiles to the batch path — parse_trace
 /// itself is a wrapper over this class.
 class AnalysisPipeline {
@@ -62,8 +65,8 @@ class AnalysisPipeline {
   /// also covers its one unsorted corner (align with no syncs).
   void set_bounds(std::uint64_t start_tsc, std::uint64_t end_tsc);
 
-  void add_fn_events(const trace::FnEvent* events, std::size_t n);
   void add_temp_samples(const trace::TempSample* samples, std::size_t n);
+  void add_fn_events(const trace::FnEvent* events, std::size_t n);
 
   /// Refresh the RUNSTATS trailer after set_metadata. Streaming sources
   /// only materialise the trailer once the last bulk section drains —
@@ -86,5 +89,15 @@ class AnalysisPipeline {
   bool any_records_ = false;
   bool bounds_forced_ = false;
 };
+
+/// Fold a whole prepared in-memory trace (aligned, or time-sorted when
+/// alignment is off) through AnalysisPipeline: the batch entry point
+/// parse_trace, tempest_parse, tempest-diff and the benches share, so
+/// the feed order lives in one place. Samples go ahead of events, as
+/// every Source emits them. The timeline hint is sized from the event
+/// count, and the trace's scanned bounds replace the inferred ones: the
+/// aligned-but-syncless corner leaves the trace unsorted.
+AnalysisResult analyze_trace(const trace::Trace& trace, AnalysisOptions options = {},
+                             const symtab::Resolver* resolver = nullptr);
 
 }  // namespace tempest::pipeline

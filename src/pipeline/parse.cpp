@@ -5,8 +5,6 @@
 // bit-identical profiles by construction.
 #include "parser/parse.hpp"
 
-#include <algorithm>
-
 #include "pipeline/analysis.hpp"
 #include "trace/align.hpp"
 #include "trace/reader.hpp"
@@ -24,17 +22,7 @@ Result<RunProfile> parse_trace(trace::Trace trace, const ParseOptions& options,
 
   pipeline::AnalysisOptions fold_options;
   fold_options.profile = options.profile;
-  fold_options.timeline_hint =
-      std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  pipeline::AnalysisPipeline fold(std::move(fold_options));
-  fold.set_metadata(trace);
-  // The aligned-but-syncless corner leaves the trace unsorted (the batch
-  // path never sorted it either); pass the scanned bounds instead of
-  // letting the fold infer them from batch ends.
-  fold.set_bounds(trace.start_tsc(), trace.end_tsc());
-  fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
-  fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
-  return std::move(fold.finish(resolver).profile);
+  return std::move(pipeline::analyze_trace(trace, std::move(fold_options), resolver).profile);
 }
 
 Result<RunProfile> parse_trace_file(const std::string& path,

@@ -27,10 +27,10 @@ Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
   fan.options_ = options;
   fan.ranks_.reserve(paths.size());
 
-  // Pass 1: open every rank, combine metadata in path order, and
-  // collect the sync sections (seek-ahead, position restored) in the
-  // same order — fit_clocks then sees exactly the concatenation the
-  // batch path would fit from.
+  // Pass 1: open every rank, combine metadata in path order, and read
+  // the sample and sync sections ahead (seek-ahead, position restored)
+  // in the same order — fit_clocks then sees exactly the concatenation
+  // the batch path would fit from.
   std::vector<trace::ClockSync>& all_syncs = fan.syncs_;
   for (const std::string& path : paths) {
     Rank rank;
@@ -44,16 +44,34 @@ Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
       return Result<RankFanIn>::error(path + ": " + opened.message());
     }
     rank.reader.emplace(std::move(opened).value());
-    auto syncs = rank.reader->read_clock_syncs_ahead();
-    if (!syncs.is_ok()) {
-      return Result<RankFanIn>::error(path + ": " + syncs.message());
+    auto ahead = rank.reader->read_ahead();
+    if (!ahead.is_ok()) {
+      return Result<RankFanIn>::error(path + ": " + ahead.message());
     }
-    const auto& rank_syncs = syncs.value();
+    const auto& rank_syncs = ahead.value().clock_syncs;
     all_syncs.insert(all_syncs.end(), rank_syncs.begin(), rank_syncs.end());
+    rank.samples = std::move(ahead.value().temp_samples);
     fan.meta_.append(rank.reader->header());
     fan.ranks_.push_back(std::move(rank));
   }
   fan.fits_ = trace::fit_clocks(all_syncs);
+
+  // Align the samples now, so the merge compares global timestamps, and
+  // hold each rank's stream to monotone order through the fit.
+  for (Rank& rank : fan.ranks_) {
+    std::uint64_t last = 0;
+    for (auto& s : rank.samples) {
+      s.tsc = aligned(fan.fits_, s.node_id, s.tsc);
+      if (s.tsc < last) {
+        return Result<RankFanIn>::error(
+            rank.path +
+            ": temperature samples fall out of time order after clock "
+            "alignment; re-record the rank or analyse via the batch path, "
+            "which sorts in memory");
+      }
+      last = s.tsc;
+    }
+  }
   return fan;
 }
 
@@ -87,41 +105,32 @@ Status RankFanIn::fill_events(Rank* rank) {
   return Status::ok();
 }
 
-Status RankFanIn::fill_samples(Rank* rank) {
-  if (rank->sample_pos < rank->samples.size() || rank->samples_done) {
-    return Status::ok();
-  }
-  rank->samples.clear();
-  rank->sample_pos = 0;
-  std::size_t appended = 0;
-  const Status read = rank->reader->next_temp_samples(
-      &rank->samples, options_.batch_records, &appended);
-  if (!read) return Status::error(rank->path + ": " + read.message());
-  if (appended == 0) {
-    rank->samples_done = true;
-    return Status::ok();
-  }
-  for (auto& s : rank->samples) {
-    s.tsc = aligned(fits_, s.node_id, s.tsc);
-    if (s.tsc < rank->last_sample_tsc) {
-      return Status::error(
-          rank->path +
-          ": temperature samples fall out of time order after clock "
-          "alignment; re-record the rank or analyse via the batch path, "
-          "which sorts in memory");
-    }
-    rank->last_sample_tsc = s.tsc;
-  }
-  return Status::ok();
-}
-
 Status RankFanIn::next(EventBatch* out, bool* done) {
   *done = false;
 
-  // Phase 0: merge fn events. Scanning ranks in path order with a
-  // strict < comparison keeps ties on the lowest index — the merge is
-  // a stable_sort of the concatenation.
-  while (phase_ == 0 && out->fn_events.size() < options_.batch_records) {
+  // Phase 0: merge the read-ahead temperature samples. Scanning ranks in
+  // path order with a strict < comparison keeps ties on the lowest
+  // index — the merge is a stable_sort of the concatenation.
+  while (phase_ == 0 && out->temp_samples.size() < options_.batch_records) {
+    Rank* best = nullptr;
+    for (Rank& rank : ranks_) {
+      if (rank.sample_pos >= rank.samples.size()) continue;
+      if (best == nullptr || rank.samples[rank.sample_pos].tsc <
+                                 best->samples[best->sample_pos].tsc) {
+        best = &rank;
+      }
+    }
+    if (best == nullptr) {
+      for (Rank& rank : ranks_) std::vector<trace::TempSample>().swap(rank.samples);
+      phase_ = 1;
+      break;
+    }
+    out->temp_samples.push_back(best->samples[best->sample_pos++]);
+  }
+  if (!out->temp_samples.empty()) return Status::ok();
+
+  // Phase 1: merge fn events the same way, refilling per rank.
+  while (phase_ == 1 && out->fn_events.size() < options_.batch_records) {
     Rank* best = nullptr;
     for (Rank& rank : ranks_) {
       const Status filled = fill_events(&rank);
@@ -133,45 +142,31 @@ Status RankFanIn::next(EventBatch* out, bool* done) {
       }
     }
     if (best == nullptr) {
-      phase_ = 1;
+      phase_ = 2;
       break;
     }
     out->fn_events.push_back(best->events[best->event_pos++]);
   }
   if (!out->fn_events.empty()) return Status::ok();
 
-  // Phase 1: merge temperature samples the same way.
-  while (phase_ == 1 && out->temp_samples.size() < options_.batch_records) {
-    Rank* best = nullptr;
-    for (Rank& rank : ranks_) {
-      const Status filled = fill_samples(&rank);
-      if (!filled) return filled;
-      if (rank.sample_pos >= rank.samples.size()) continue;
-      if (best == nullptr || rank.samples[rank.sample_pos].tsc <
-                                 best->samples[best->sample_pos].tsc) {
-        best = &rank;
-      }
-    }
-    if (best == nullptr) {
-      phase_ = 2;
-      break;
-    }
-    out->temp_samples.push_back(best->samples[best->sample_pos++]);
-  }
-  if (!out->temp_samples.empty()) return Status::ok();
-
   if (phase_ == 2) {
-    // Drain each rank's sync section (already consumed logically by the
-    // open()-time pre-pass) so the readers reach done(), then hold
+    // Drain each rank's sample and sync sections (already consumed by
+    // the open()-time pre-pass) so the readers reach done(), then hold
     // every rank to the single-payload rule.
     for (Rank& rank : ranks_) {
-      std::vector<trace::ClockSync> scratch;
+      std::vector<trace::TempSample> samples;
+      std::vector<trace::ClockSync> syncs;
       while (!rank.reader->done()) {
         std::size_t appended = 0;
-        const Status read = rank.reader->next_clock_syncs(
-            &scratch, std::numeric_limits<std::size_t>::max(), &appended);
+        Status read = rank.reader->next_temp_samples(
+            &samples, std::numeric_limits<std::size_t>::max(), &appended);
+        if (read) {
+          read = rank.reader->next_clock_syncs(
+              &syncs, std::numeric_limits<std::size_t>::max(), &appended);
+        }
         if (!read) return Status::error(rank.path + ": " + read.message());
-        scratch.clear();
+        samples.clear();
+        syncs.clear();
       }
       const Status eof = rank.reader->expect_eof();
       if (!eof) return Status::error(rank.path + ": " + eof.message());

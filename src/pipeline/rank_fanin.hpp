@@ -21,18 +21,19 @@ namespace tempest::pipeline {
 /// open() reads every header, concatenates metadata in path order
 /// (TraceHeader::append — ids are not remapped, so ranks must carry
 /// globally unique node/thread ids; tempest-lint's duplicate checks
-/// flag violations), and pre-passes the sync sections (seek over the
-/// bulk payloads and back) to fit clocks from the path-order
-/// concatenation of all sync records — the same input order the batch
-/// path's fit_clocks sees on a concatenated trace.
+/// flag violations), and reads each rank's small sample and sync
+/// sections ahead (seek over the event payload and back). Clocks are
+/// fitted from the path-order concatenation of all sync records — the
+/// same input order the batch path's fit_clocks sees on a concatenated
+/// trace — and the held samples are aligned through the fits.
 ///
-/// next() then merges events (and later samples) by aligned global
-/// timestamp, refilling one bounded buffer per rank. Ties take the
-/// lowest path index, which makes the merge equivalent to a
-/// stable_sort of the concatenation — byte-identical reports to the
-/// batch path. Sync records are consumed by the pre-pass and never
-/// emitted; batches leave this source already aligned and sorted, so
-/// no ClockAlignStage is needed downstream.
+/// next() then merges the samples, and after them the events, by
+/// aligned global timestamp, refilling one bounded event buffer per
+/// rank. Ties take the lowest path index, which makes the merge
+/// equivalent to a stable_sort of the concatenation — byte-identical
+/// reports to the batch path. Sync records are consumed by the pre-pass
+/// and never emitted; batches leave this source already aligned and
+/// sorted, so no ClockAlignStage is needed downstream.
 class RankFanIn : public Source {
  public:
   static Result<RankFanIn> open(const std::vector<std::string>& paths,
@@ -54,29 +55,26 @@ class RankFanIn : public Source {
     /// Heap-allocated so the reader's stream pointer survives moves.
     std::unique_ptr<std::ifstream> in;
     std::optional<trace::TraceStreamReader> reader;
+    std::vector<trace::TempSample> samples;  ///< read ahead, aligned
+    std::size_t sample_pos = 0;
     std::vector<trace::FnEvent> events;
     std::size_t event_pos = 0;
     bool events_done = false;
-    std::vector<trace::TempSample> samples;
-    std::size_t sample_pos = 0;
-    bool samples_done = false;
-    /// Last aligned timestamp emitted per kind — enforces that each
-    /// rank's stream stays monotone after the clock fit.
+    /// Last aligned event timestamp emitted — enforces that each rank's
+    /// stream stays monotone after the clock fit.
     std::uint64_t last_event_tsc = 0;
-    std::uint64_t last_sample_tsc = 0;
   };
 
   RankFanIn() = default;
 
   Status fill_events(Rank* rank);
-  Status fill_samples(Rank* rank);
 
   TraceMeta meta_;
   BatchOptions options_;
   std::map<std::uint16_t, trace::ClockFit> fits_;
   std::vector<trace::ClockSync> syncs_;
   std::vector<Rank> ranks_;
-  int phase_ = 0;  ///< 0 = merging events, 1 = merging samples, 2 = done
+  int phase_ = 0;  ///< 0 = merging samples, 1 = merging events, 2 = done
 };
 
 }  // namespace tempest::pipeline

@@ -5,16 +5,21 @@
 // library restructures that as Source -> Stage* -> BatchSink* over
 // bounded record batches, so a trace (or N per-rank traces) streams
 // through analysis with peak memory bounded by the batch size plus the
-// consumers' own aggregates instead of the full event vector. The batch
-// entry points (parser/parse.hpp) are thin wrappers over the same
-// consumer cores, so both paths produce bit-identical profiles.
+// consumers' own aggregates — per function and per sample, not per
+// event — instead of the full event vector. The batch entry points
+// (parser/parse.hpp) are thin wrappers over the same consumer cores, so
+// both paths produce bit-identical profiles.
 //
 // Ordering contract: a Source emits each record kind in global time
-// order across batches (events sorted, samples sorted; the two kinds
-// may arrive in separate batches and need not interleave). Sources
-// that cannot guarantee order fail with a Status instead of silently
-// degrading — consumers fold batches under the same assumptions
-// Trace::sort_by_time establishes for the batch path.
+// order across batches (events sorted, samples sorted, in separate
+// batches), and emits every temperature sample before the first fn
+// event. Samples first is what lets the analysis fold credit each
+// sample while it replays the events, in memory independent of the
+// event count; consumers stay correct for any interleaving and only
+// lose that bound. Sources that cannot guarantee order fail with a
+// Status instead of silently degrading — consumers fold batches under
+// the same assumptions Trace::sort_by_time establishes for the batch
+// path.
 #pragma once
 
 #include <cstddef>

@@ -37,8 +37,12 @@ void append_json_string(std::string* out, const std::string& s) {
 
 void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
                         const trace::RunStats* run_stats) {
+  // Written through in ~64 KiB pieces: a profile of thousands of
+  // functions runs to megabytes, which a single string would hold twice
+  // over while it grows.
+  constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
   std::string buf;
-  buf.reserve(std::size_t{16} << 10);
+  buf.reserve(kFlushBytes + (std::size_t{4} << 10));
   buf += "{\"unit\":\"";
   buf += unit_suffix(profile.unit);
   buf += "\",\"duration_s\":";
@@ -102,6 +106,10 @@ void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
         buf += "}";
       }
       buf += "]}";
+      if (buf.size() >= kFlushBytes) {
+        out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+      }
     }
     buf += "]}";
   }

@@ -2,12 +2,72 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <unordered_map>
 
 #include "common/fastwrite.hpp"
 #include "parser/parse.hpp"
 #include "parser/timeline.hpp"
 
 namespace tempest::report {
+namespace {
+
+/// Span naming: the synthetic symbol, else the recorded executable's
+/// symtab (opened on first need); no hex fallback.
+class SpanNames {
+ public:
+  explicit SpanNames(const trace::TraceHeader& meta)
+      : executable_(meta.executable), load_bias_(meta.load_bias) {
+    for (const auto& s : meta.synthetic_symbols) synthetic_[s.addr] = s.name;
+  }
+
+  std::optional<std::string> name_of(std::uint64_t addr) {
+    const auto it = synthetic_.find(addr);
+    if (it != synthetic_.end()) return it->second;
+    if (!resolver_tried_) {
+      resolver_tried_ = true;
+      auto built = symtab::Resolver::for_executable(executable_, load_bias_);
+      if (built.is_ok()) resolver_.emplace(std::move(built).value());
+    }
+    if (!resolver_) return std::nullopt;
+    return resolver_->resolve(addr);
+  }
+
+ private:
+  std::map<std::uint64_t, std::string> synthetic_;
+  std::string executable_;
+  std::uint64_t load_bias_ = 0;
+  std::optional<symtab::Resolver> resolver_;
+  bool resolver_tried_ = false;
+};
+
+}  // namespace
+
+parser::SpanFilter span_filter(const trace::TraceHeader& meta,
+                               const std::vector<std::string>& span_functions) {
+  if (span_functions.empty()) return {};
+  struct State {
+    State(const trace::TraceHeader& meta, const std::vector<std::string>& wanted)
+        : names(meta), wanted(wanted.begin(), wanted.end()) {}
+    std::mutex mu;
+    SpanNames names;
+    std::set<std::string> wanted;
+    std::unordered_map<std::uint64_t, bool> decided;
+  };
+  auto state = std::make_shared<State>(meta, span_functions);
+  return [state](std::uint64_t addr) {
+    const std::lock_guard<std::mutex> lock(state->mu);
+    auto [it, inserted] = state->decided.try_emplace(addr, false);
+    if (inserted) {
+      const std::optional<std::string> name = state->names.name_of(addr);
+      it->second = name && state->wanted.count(*name) > 0;
+    }
+    return it->second;
+  };
+}
 
 ThermalSeries build_series(const trace::TraceHeader& meta,
                            const std::vector<trace::TempSample>& samples,
@@ -55,25 +115,18 @@ ThermalSeries build_series(const trace::TraceHeader& meta,
             });
 
   if (!span_functions.empty() && timeline != nullptr) {
-    // Span naming deliberately has no hex fallback: spans are requested
-    // by human-readable name, so an unresolvable address can never match.
-    std::map<std::uint64_t, std::string> names;
-    for (const auto& s : meta.synthetic_symbols) names[s.addr] = s.name;
-    auto resolver = symtab::Resolver::for_executable(meta.executable, meta.load_bias);
-    for (const auto& [key, fi] : *timeline) {
-      if (names.count(fi.addr) == 0 && resolver.is_ok()) {
-        names[fi.addr] = resolver.value().resolve(fi.addr);
-      }
-    }
-    for (const auto& [key, fi] : *timeline) {
-      const auto name_it = names.find(fi.addr);
-      if (name_it == names.end()) continue;
-      if (std::find(span_functions.begin(), span_functions.end(), name_it->second) ==
-          span_functions.end()) {
+    // Only span functions kept their intervals; name them the way
+    // span_filter matched them.
+    SpanNames names(meta);
+    for (const auto& [key, fa] : *timeline) {
+      if (fa.spans.empty()) continue;
+      const std::optional<std::string> name = names.name_of(fa.addr);
+      if (!name || std::find(span_functions.begin(), span_functions.end(), *name) ==
+                       span_functions.end()) {
         continue;
       }
-      for (const auto& iv : fi.merged) {
-        out.spans.push_back({key.first, name_it->second, to_s(iv.begin), to_s(iv.end)});
+      for (const auto& iv : fa.spans) {
+        out.spans.push_back({key.first, *name, to_s(iv.begin), to_s(iv.end)});
       }
     }
     std::sort(out.spans.begin(), out.spans.end(),
@@ -90,9 +143,9 @@ ThermalSeries extract_series(const trace::Trace& trace, TempUnit unit,
     return build_series(trace, trace.temp_samples, trace.start_tsc(),
                         trace.end_tsc(), unit);
   }
-  // Reuse the parser's timeline + symbolisation to find the functions.
-  parser::TimelineDiagnostics diag;
-  const parser::TimelineMap timeline = parser::build_timeline(trace, &diag);
+  // Reuse the parser's timeline, keeping the span functions' intervals.
+  const parser::TimelineMap timeline =
+      parser::build_timeline(trace, nullptr, span_filter(trace, span_functions));
   return build_series(trace, trace.temp_samples, trace.start_tsc(),
                       trace.end_tsc(), unit, span_functions, &timeline);
 }

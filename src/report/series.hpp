@@ -50,12 +50,21 @@ ThermalSeries extract_series(
     const trace::Trace& trace, TempUnit unit,
     const std::vector<std::string>& span_functions = {});
 
+/// The timeline filter that keeps the intervals of `span_functions`:
+/// an address matches when its synthetic symbol, else its name in the
+/// recorded executable's symtab, is listed (spans are requested by
+/// human-readable name, so there is no hex fallback). Each address
+/// resolves once; safe to call from the sharded fold's threads. Empty
+/// when no span functions are named.
+parser::SpanFilter span_filter(const trace::TraceHeader& meta,
+                               const std::vector<std::string>& span_functions);
+
 /// Streaming-friendly core behind extract_series: curves come from
 /// metadata plus an already-aligned, time-sorted sample stream, and
-/// spans from a timeline the caller has already built (required when
-/// `span_functions` is non-empty; span names resolve as in
-/// extract_series — synthetic symbols, then the executable's symtab).
-/// Identical inputs produce byte-identical ThermalSeries either way.
+/// spans from a timeline the caller has already built with
+/// span_filter(meta, span_functions) (required when `span_functions` is
+/// non-empty). Identical inputs produce byte-identical ThermalSeries
+/// either way.
 ThermalSeries build_series(const trace::TraceHeader& meta,
                            const std::vector<trace::TempSample>& samples,
                            std::uint64_t start_tsc, std::uint64_t end_tsc,

@@ -302,14 +302,7 @@ int main(int argc, char** argv) {
     } else {
       trace.sort_by_time();
     }
-    analysis_options.timeline_hint =
-        std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-    pipeline::AnalysisPipeline fold(analysis_options);
-    fold.set_metadata(trace);
-    fold.set_bounds(trace.start_tsc(), trace.end_tsc());
-    fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
-    fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
-    batch_result = fold.finish();
+    batch_result = pipeline::analyze_trace(trace, analysis_options);
     for (pipeline::ProfileEmitter* emitter : emitters) {
       const Status emitted = emitter->emit(batch_result);
       if (!emitted) {

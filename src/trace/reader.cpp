@@ -422,26 +422,25 @@ Status TraceStreamReader::next_clock_syncs(std::vector<ClockSync>* out,
 
 bool TraceStreamReader::done() const { return section_ >= 3; }
 
-Result<std::vector<ClockSync>> TraceStreamReader::read_clock_syncs_ahead() {
-  using R = Result<std::vector<ClockSync>>;
+Result<SectionsAhead> TraceStreamReader::read_ahead() {
+  using R = Result<SectionsAhead>;
   if (section_ != 0 || frame_read_) {
-    return R::error("clock-sync pre-pass must run before the bulk sections "
+    return R::error("read-ahead pre-pass must run before the bulk sections "
                     "are consumed");
   }
   std::istream& in = *in_;
   const std::istream::pos_type pos = in.tellg();
   if (!in || pos == std::istream::pos_type(-1)) {
     in.clear();
-    return R::error("clock-sync pre-pass needs a seekable stream "
+    return R::error("read-ahead pre-pass needs a seekable stream "
                     "(pipe input: use the batch path)");
   }
 
   Cursor cur(in);
-  const auto skip_section = [&](std::uint32_t record_size,
-                                const char* what) -> Status {
-    std::uint64_t count = 0;
+  const auto read_frame = [&](std::uint32_t record_size, const char* what,
+                              std::uint64_t* count) -> Status {
     std::uint32_t rs = 0;
-    if (!cur.get(&count) || count > kMaxRecords) {
+    if (!cur.get(count) || *count > kMaxRecords) {
       return Status::error(std::string("truncated or oversized ") + what +
                            " section");
     }
@@ -449,58 +448,59 @@ Result<std::vector<ClockSync>> TraceStreamReader::read_clock_syncs_ahead() {
       return Status::error(std::string(what) +
                            " record size mismatch (corrupt section framing)");
     }
-    in.seekg(static_cast<std::istream::off_type>(count * record_size),
-             std::ios::cur);
-    if (!in || in.peek() == std::char_traits<char>::eof()) {
-      // A seek past EOF only surfaces on the next read; peek forces it.
-      // EOF right here is only legal if this was the last section, which
-      // the caller's subsequent section reads will establish — for the
-      // pre-pass it means there is no clock-sync section to read.
-      return Status::error(std::string("truncated ") + what + " section");
+    return Status::ok();
+  };
+  // The same frame + staged-chunk decode as next_section, into memory.
+  const auto read_section = [&](auto* out, std::uint32_t record_size,
+                                const char* what, auto unpack) -> Status {
+    std::uint64_t count = 0;
+    const Status framed = read_frame(record_size, what, &count);
+    if (!framed) return framed;
+    const std::uint64_t fit =
+        stream_bound_ == UINT64_MAX ? kReserveCap : stream_bound_ / record_size;
+    out->reserve(static_cast<std::size_t>(std::min(count, fit)));
+    std::vector<char> staging;
+    const std::size_t per_chunk = std::max<std::size_t>(1, kStagingBytes / record_size);
+    for (std::uint64_t left = count; left > 0;) {
+      const std::size_t n =
+          static_cast<std::size_t>(std::min<std::uint64_t>(per_chunk, left));
+      staging.resize(n * record_size);
+      if (!cur.get_bytes(staging.data(), staging.size())) {
+        return Status::error(std::string("truncated ") + what + " section");
+      }
+      const std::size_t base = out->size();
+      out->resize(base + n);
+      unpack(staging.data(), n, out->data() + base);
+      left -= n;
     }
     return Status::ok();
   };
 
-  Status skipped = skip_section(kFnEventRecordSize, "fn event");
-  if (skipped) skipped = skip_section(kTempSampleRecordSize, "temp sample");
-  std::vector<ClockSync> syncs;
-  if (skipped) {
-    // Reuse the frame+chunk reader on the sync section itself.
-    std::uint64_t count = 0;
-    std::uint32_t rs = 0;
-    if (!cur.get(&count) || count > kMaxRecords) {
-      skipped = Status::error("truncated or oversized clock sync section");
-    } else if (!cur.get(&rs) || rs != kClockSyncRecordSize) {
-      skipped = Status::error(
-          "clock sync record size mismatch (corrupt section framing)");
-    } else {
-      syncs.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(count, kReserveCap)));
-      std::vector<char> staging;
-      const std::size_t per_chunk =
-          std::max<std::size_t>(1, kStagingBytes / kClockSyncRecordSize);
-      std::uint64_t left = count;
-      while (left > 0 && skipped) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(per_chunk, left));
-        staging.resize(n * kClockSyncRecordSize);
-        if (!cur.get_bytes(staging.data(), staging.size())) {
-          skipped = Status::error("truncated clock sync section");
-          break;
-        }
-        const std::size_t base = syncs.size();
-        syncs.resize(base + n);
-        codec::unpack_clock_syncs(staging.data(), n, syncs.data() + base);
-        left -= n;
-      }
+  SectionsAhead ahead;
+  std::uint64_t events = 0;
+  Status read = read_frame(kFnEventRecordSize, "fn event", &events);
+  if (read) {
+    in.seekg(static_cast<std::istream::off_type>(events * kFnEventRecordSize),
+             std::ios::cur);
+    // A seek past EOF only surfaces on the next read; peek forces it.
+    if (!in || in.peek() == std::char_traits<char>::eof()) {
+      read = Status::error("truncated fn event section");
     }
+  }
+  if (read) {
+    read = read_section(&ahead.temp_samples, kTempSampleRecordSize, "temp sample",
+                        codec::unpack_temp_samples);
+  }
+  if (read) {
+    read = read_section(&ahead.clock_syncs, kClockSyncRecordSize, "clock sync",
+                        codec::unpack_clock_syncs);
   }
 
   in.clear();
   in.seekg(pos);
-  if (!in) return R::error("stream rewind failed after clock-sync pre-pass");
-  if (!skipped) return R::error(skipped.message());
-  return syncs;
+  if (!in) return R::error("stream rewind failed after read-ahead pre-pass");
+  if (!read) return R::error(read.message());
+  return ahead;
 }
 
 Status TraceStreamReader::expect_eof() {

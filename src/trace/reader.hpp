@@ -27,6 +27,12 @@ class WorkerPool;
 
 namespace tempest::trace {
 
+/// The two small bulk sections, read ahead of the event section.
+struct SectionsAhead {
+  std::vector<TempSample> temp_samples;
+  std::vector<ClockSync> clock_syncs;
+};
+
 /// Incremental trace-v2 reader. `open` consumes the fixed header and
 /// the (small) metadata sections eagerly; the three bulk sections are
 /// then drained strictly in file order — fn events, temp samples,
@@ -65,13 +71,13 @@ class TraceStreamReader {
   /// worker count so each slice stays worth a hand-off.
   void set_decode_pool(WorkerPool* pool) { decode_pool_ = pool; }
 
-  /// Read the whole clock-sync section without consuming the stream
-  /// position, by seeking over the event/sample payloads (their framing
-  /// gives exact byte sizes). Only valid on seekable streams and before
-  /// any bulk section has been touched; the clock-alignment pre-pass of
-  /// the streaming pipeline uses this to fit clocks before the first
-  /// event batch.
-  Result<std::vector<ClockSync>> read_clock_syncs_ahead();
+  /// Read the whole sample and clock-sync sections without consuming the
+  /// stream position, by seeking over the event payload (its framing
+  /// gives the exact byte size) and back. Only valid on seekable streams
+  /// and before any bulk section has been touched. The streaming
+  /// pipeline's pre-pass uses it to fit clocks and to emit the samples
+  /// ahead of the events; both sections are small next to the events.
+  Result<SectionsAhead> read_ahead();
 
   /// After done(): OK on clean EOF, error naming the trailing byte
   /// count otherwise (concatenated or partially overwritten file).

@@ -90,19 +90,25 @@ Trace session_trace(std::uint16_t id, std::size_t pairs) {
   return t;
 }
 
-/// Stream one sealed session over the client, exactly the recording
-/// side's stop() order.
-/// Streams a whole session; returns whether every send succeeded (the
-/// connection was still alive when BYE went out, before close()).
+/// Streams a whole sealed session — by default in the recording side's
+/// stop() order, samples ahead of events; `samples_first = false` ships
+/// them the other way round, which the collector must fold the same.
+/// Returns whether every send succeeded (the connection was still alive
+/// when BYE went out, before close()).
 bool stream_session(collectd::CollectClient* client, const Trace& t,
-                    std::uint64_t pid) {
+                    std::uint64_t pid, bool samples_first = true) {
   client->send_hello(pid, t.executable);
   client->send_heartbeat("{\"t\":0.1,\"schema_version\":1,\"seq\":1,"
                          "\"events_recorded\":1}");
   client->send_meta(t);
   client->send_clock_syncs(t.clock_syncs);
+  if (samples_first) {
+    client->send_temp_samples(t.temp_samples.data(), t.temp_samples.size());
+  }
   client->send_fn_events(t.fn_events.data(), t.fn_events.size());
-  client->send_temp_samples(t.temp_samples.data(), t.temp_samples.size());
+  if (!samples_first) {
+    client->send_temp_samples(t.temp_samples.data(), t.temp_samples.size());
+  }
   client->send_bye(t.fn_events.size(), t.temp_samples.size());
   const bool ok = client->alive();
   client->close();
@@ -235,45 +241,50 @@ TEST(Net, EndpointParsing) {
 // -- collector fold ----------------------------------------------------
 
 TEST(Collector, SingleSessionMatchesOfflineFold) {
-  collectd::CollectorOptions options;
-  options.ingest_uds = sock_path("single");
-  collectd::Collector collector(options);
-  ASSERT_TRUE(collector.start());
+  // Both wire orders: samples ahead of events (what Session::stop
+  // sends) and behind them (older senders); the fold must not care.
+  for (const bool samples_first : {true, false}) {
+    SCOPED_TRACE(samples_first ? "samples first" : "events first");
+    collectd::CollectorOptions options;
+    options.ingest_uds = sock_path(samples_first ? "single_sf" : "single_ef");
+    collectd::Collector collector(options);
+    ASSERT_TRUE(collector.start());
 
-  const Trace t = session_trace(1, 50);
-  const std::string path = temp_path("single_session.trace");
-  ASSERT_TRUE(write_trace_file(path, t));
+    const Trace t = session_trace(1, 50);
+    const std::string path = temp_path("single_session.trace");
+    ASSERT_TRUE(write_trace_file(path, t));
 
-  collectd::CollectClient client;
-  ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
-  stream_session(&client, t, 111);
+    collectd::CollectClient client;
+    ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
+    stream_session(&client, t, 111, samples_first);
 
-  ASSERT_TRUE(wait_until(
-      [&] { return collector.fleet().sessions_folded == 1; }));
-  const collectd::FleetSnapshot fleet = collector.fleet();
-  EXPECT_EQ(fleet.sessions_aborted, 0u);
+    ASSERT_TRUE(wait_until(
+        [&] { return collector.fleet().sessions_folded == 1; }));
+    const collectd::FleetSnapshot fleet = collector.fleet();
+    EXPECT_EQ(fleet.sessions_aborted, 0u);
 
-  const auto offline = offline_fleet({path});
-  ASSERT_EQ(fleet.functions.size(), offline.size());
-  for (const auto& [name, fn] : offline) {
-    auto it = fleet.functions.find(name);
-    ASSERT_NE(it, fleet.functions.end()) << name;
-    EXPECT_EQ(it->second.calls, fn.calls) << name;
-    EXPECT_NEAR(it->second.total_time_s, fn.total_time_s,
-                1e-9 * (1.0 + std::abs(fn.total_time_s)))
-        << name;
+    const auto offline = offline_fleet({path});
+    ASSERT_EQ(fleet.functions.size(), offline.size());
+    for (const auto& [name, fn] : offline) {
+      auto it = fleet.functions.find(name);
+      ASSERT_NE(it, fleet.functions.end()) << name;
+      EXPECT_EQ(it->second.calls, fn.calls) << name;
+      EXPECT_NEAR(it->second.total_time_s, fn.total_time_s,
+                  1e-9 * (1.0 + std::abs(fn.total_time_s)))
+          << name;
+    }
+
+    // RunStats ride through the fold with the conservation invariant.
+    EXPECT_TRUE(fleet.run_stats.present);
+    EXPECT_EQ(fleet.run_stats.calls_observed, t.fn_events.size());
+    EXPECT_EQ(fleet.run_stats.events_recorded +
+                  fleet.run_stats.events_suppressed +
+                  fleet.run_stats.events_throttled +
+                  fleet.run_stats.events_dropped +
+                  fleet.run_stats.events_overwritten,
+              fleet.run_stats.calls_observed);
+    collector.stop();
   }
-
-  // RunStats ride through the fold with the conservation invariant.
-  EXPECT_TRUE(fleet.run_stats.present);
-  EXPECT_EQ(fleet.run_stats.calls_observed, t.fn_events.size());
-  EXPECT_EQ(fleet.run_stats.events_recorded +
-                fleet.run_stats.events_suppressed +
-                fleet.run_stats.events_throttled +
-                fleet.run_stats.events_dropped +
-                fleet.run_stats.events_overwritten,
-            fleet.run_stats.calls_observed);
-  collector.stop();
 }
 
 TEST(Collector, HammerManySessionsWithDisconnects) {

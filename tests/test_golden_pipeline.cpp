@@ -1,6 +1,7 @@
 // Golden equivalence: the analysis fast path (k-way merge sort, v2 bulk
-// trace I/O, flat-hash timeline, merge-join attribution) must produce
-// results identical to the seed pipeline preserved in parser/reference.
+// trace I/O, flat-hash timeline crediting samples as it replays) must
+// produce results identical to the seed pipeline preserved in
+// tests/reference.
 // The synthetic trace exercises every semantic corner the optimisations
 // could disturb: per-thread runs, cross-thread interleaving, recursion,
 // an unmatched exit, an activation left open at trace end, duplicate
@@ -12,9 +13,9 @@
 #include <vector>
 
 #include "parser/profile.hpp"
-#include "parser/reference.hpp"
 #include "parser/timeline.hpp"
 #include "pipeline/analysis.hpp"
+#include "reference/reference.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
@@ -115,20 +116,41 @@ void expect_events_equal(const std::vector<FnEvent>& a, const std::vector<FnEven
   }
 }
 
-void expect_timelines_equal(const TimelineMap& fast, const TimelineMap& seed) {
+/// The fast timeline against the seed's interval unions: same sums, the
+/// same activity bounds, the same credited samples (the seed's
+/// `contains` over the node's samples in arrival order) and — for a fold
+/// that keeps every function's spans — the same unions.
+void expect_timelines_equal(const Trace& t, const TimelineMap& fast,
+                            const reference::SeedTimeline& seed) {
   ASSERT_EQ(fast.size(), seed.size());
   for (const auto& [key, sfi] : seed) {
     const auto it = fast.find(key);
     ASSERT_NE(it, fast.end()) << "missing (" << key.first << ", " << key.second << ")";
-    const FunctionIntervals& ffi = it->second;
-    EXPECT_EQ(ffi.addr, sfi.addr);
-    EXPECT_EQ(ffi.node_id, sfi.node_id);
-    EXPECT_EQ(ffi.total_ticks, sfi.total_ticks);
-    EXPECT_EQ(ffi.calls, sfi.calls);
-    ASSERT_EQ(ffi.merged.size(), sfi.merged.size());
+    const FunctionActivity& ffa = it->second;
+    EXPECT_EQ(ffa.addr, sfi.addr);
+    EXPECT_EQ(ffa.node_id, sfi.node_id);
+    EXPECT_EQ(ffa.total_ticks, sfi.total_ticks);
+    EXPECT_EQ(ffa.calls, sfi.calls);
+    ASSERT_FALSE(sfi.merged.empty());
+    EXPECT_EQ(ffa.first_begin, sfi.merged.front().begin);
+    EXPECT_EQ(ffa.last_end, sfi.merged.back().end);
+
+    std::vector<std::uint32_t> want, got;
+    std::uint32_t pos = 0;
+    for (const TempSample& s : t.temp_samples) {
+      if (s.node_id != key.first) continue;
+      if (sfi.contains(s.tsc)) want.push_back(pos);
+      ++pos;
+    }
+    for (const SampleRange& r : ffa.samples) {
+      for (std::uint32_t i = r.first; i < r.last; ++i) got.push_back(i);
+    }
+    EXPECT_EQ(got, want) << "(" << key.first << ", " << key.second << ")";
+
+    ASSERT_EQ(ffa.spans.size(), sfi.merged.size());
     for (std::size_t i = 0; i < sfi.merged.size(); ++i) {
-      EXPECT_EQ(ffi.merged[i].begin, sfi.merged[i].begin);
-      EXPECT_EQ(ffi.merged[i].end, sfi.merged[i].end);
+      EXPECT_EQ(ffa.spans[i].begin, sfi.merged[i].begin);
+      EXPECT_EQ(ffa.spans[i].end, sfi.merged[i].end);
     }
   }
 }
@@ -206,16 +228,20 @@ TEST(GoldenPipeline, SortHandlesInvalidRunMetadata) {
 }
 
 TEST(GoldenPipeline, TimelineMatchesSeed) {
-  Trace t = golden_trace();
-  t.sort_by_time();
-  TimelineDiagnostics fast_diag, seed_diag;
-  const TimelineMap fast = build_timeline(t, &fast_diag);
-  const TimelineMap seed = reference::build_timeline_seed(t, &seed_diag);
-  EXPECT_EQ(fast_diag.unmatched_exits, seed_diag.unmatched_exits);
-  EXPECT_EQ(fast_diag.force_closed, seed_diag.force_closed);
-  EXPECT_EQ(fast_diag.unmatched_exits, 1u);
-  EXPECT_EQ(fast_diag.force_closed, 1u);
-  expect_timelines_equal(fast, seed);
+  for (const bool sorted : {true, false}) {
+    SCOPED_TRACE(sorted ? "sorted" : "unsorted");
+    Trace t = golden_trace();
+    if (sorted) t.sort_by_time();
+    TimelineDiagnostics fast_diag, seed_diag;
+    const TimelineMap fast =
+        build_timeline(t, &fast_diag, [](std::uint64_t) { return true; });
+    const reference::SeedTimeline seed = reference::build_timeline_seed(t, &seed_diag);
+    EXPECT_EQ(fast_diag.unmatched_exits, seed_diag.unmatched_exits);
+    EXPECT_EQ(fast_diag.force_closed, seed_diag.force_closed);
+    EXPECT_EQ(fast_diag.unmatched_exits, 1u);
+    EXPECT_EQ(fast_diag.force_closed, 1u);
+    expect_timelines_equal(t, fast, seed);
+  }
 }
 
 TEST(GoldenPipeline, ProfileMatchesSeedExactly) {
@@ -223,7 +249,7 @@ TEST(GoldenPipeline, ProfileMatchesSeedExactly) {
   t.sort_by_time();
   TimelineDiagnostics diag;
   const TimelineMap fast_tl = build_timeline(t, &diag);
-  const TimelineMap seed_tl = reference::build_timeline_seed(t);
+  const reference::SeedTimeline seed_tl = reference::build_timeline_seed(t);
   const auto names = golden_names();
   for (const TempUnit unit : {TempUnit::kFahrenheit, TempUnit::kCelsius}) {
     ProfileOptions options;
@@ -241,7 +267,7 @@ TEST(GoldenPipeline, ProfileMatchesSeedOnUnsortedTrace) {
   Trace t = golden_trace();
   TimelineDiagnostics diag;
   const TimelineMap fast_tl = build_timeline(t, &diag);
-  const TimelineMap seed_tl = reference::build_timeline_seed(t);
+  const reference::SeedTimeline seed_tl = reference::build_timeline_seed(t);
   const auto names = golden_names();
   const ProfileOptions options;
   const RunProfile fast = ProfileBuilder(t, options).build(fast_tl, names, diag);
@@ -270,38 +296,91 @@ TEST(GoldenPipeline, EndToEndThroughV2RoundTrip) {
   Trace seed_t = golden_trace();
   reference::sort_by_time_seed(&seed_t);
   TimelineDiagnostics seed_diag;
-  const TimelineMap seed_tl = reference::build_timeline_seed(seed_t, &seed_diag);
+  const reference::SeedTimeline seed_tl =
+      reference::build_timeline_seed(seed_t, &seed_diag);
   const RunProfile seed = reference::build_profile_seed(
       seed_t, seed_tl, golden_names(), seed_diag, {});
   expect_profiles_equal(fast, seed);
 }
 
+enum class Feed { kSamplesFirst, kEventsFirst, kInterleaved };
+
+const char* feed_name(Feed order) {
+  switch (order) {
+    case Feed::kSamplesFirst: return "samples first";
+    case Feed::kEventsFirst: return "events first";
+    case Feed::kInterleaved: return "interleaved";
+  }
+  return "?";
+}
+
+/// Feed a sorted trace's records to the fold in small batches of uneven,
+/// cycling sizes, so batch boundaries land everywhere. Interleaved hands
+/// over whichever stream is behind in time, as a live source would.
+void feed(tempest::pipeline::AnalysisPipeline* fold, const Trace& t, Feed order) {
+  constexpr std::size_t kSizes[] = {3, 1, 2};
+  std::size_t turn = 0, e = 0, s = 0;
+  const std::size_t ne = t.fn_events.size(), ns = t.temp_samples.size();
+  const auto events = [&] {
+    const std::size_t n = std::min(kSizes[turn++ % 3], ne - e);
+    fold->add_fn_events(t.fn_events.data() + e, n);
+    e += n;
+  };
+  const auto samples = [&] {
+    const std::size_t n = std::min(kSizes[turn++ % 3], ns - s);
+    fold->add_temp_samples(t.temp_samples.data() + s, n);
+    s += n;
+  };
+  switch (order) {
+    case Feed::kSamplesFirst:
+      while (s < ns) samples();
+      while (e < ne) events();
+      break;
+    case Feed::kEventsFirst:
+      while (e < ne) events();
+      while (s < ns) samples();
+      break;
+    case Feed::kInterleaved:
+      while (e < ne || s < ns) {
+        if (s < ns && (e == ne || t.temp_samples[s].tsc <= t.fn_events[e].tsc)) {
+          samples();
+        } else {
+          events();
+        }
+      }
+      break;
+  }
+}
+
 TEST(GoldenPipeline, StreamingFoldMatchesSeedOracle) {
   // The streaming pipeline's consumer core, fed the sorted golden trace
-  // in deliberately small, uneven batches, must reproduce the seed
-  // pipeline's profile exactly. The seed gets hex names because the
-  // fold's symboliser falls back to hex when the recorded executable
-  // ("golden", which doesn't exist) has no symtab.
+  // in deliberately small, uneven batches — samples ahead of events (the
+  // order every Source emits), behind them (activations park until the
+  // samples arrive), or interleaved — serially and over 4 shards, must
+  // reproduce the seed pipeline's profile exactly. The seed gets hex
+  // names because the fold's symboliser falls back to hex when the
+  // recorded executable ("golden", which doesn't exist) has no symtab.
   Trace t = golden_trace();
   t.sort_by_time();
   TimelineDiagnostics seed_diag;
-  const TimelineMap seed_tl = reference::build_timeline_seed(t, &seed_diag);
+  const reference::SeedTimeline seed_tl = reference::build_timeline_seed(t, &seed_diag);
   const std::vector<std::pair<std::uint64_t, std::string>> hex_names = {
       {kFnA, "0x1000"}, {kFnB, "0x2000"}, {kFnC, "0x3000"}, {kFnD, "0x4000"}};
   const RunProfile seed =
       reference::build_profile_seed(t, seed_tl, hex_names, seed_diag, {});
 
-  tempest::pipeline::AnalysisPipeline fold;
-  fold.set_metadata(t);
-  for (std::size_t i = 0; i < t.fn_events.size(); i += 3) {
-    fold.add_fn_events(t.fn_events.data() + i,
-                       std::min<std::size_t>(3, t.fn_events.size() - i));
+  for (const Feed order : {Feed::kSamplesFirst, Feed::kEventsFirst, Feed::kInterleaved}) {
+    for (const unsigned shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
+                   " shard(s)");
+      tempest::pipeline::AnalysisOptions options;
+      options.threads = shards;
+      tempest::pipeline::AnalysisPipeline fold(options);
+      fold.set_metadata(t);
+      feed(&fold, t, order);
+      expect_profiles_equal(fold.finish().profile, seed);
+    }
   }
-  for (std::size_t i = 0; i < t.temp_samples.size(); i += 2) {
-    fold.add_temp_samples(t.temp_samples.data() + i,
-                          std::min<std::size_t>(2, t.temp_samples.size() - i));
-  }
-  expect_profiles_equal(fold.finish().profile, seed);
 }
 
 TEST(GoldenPipeline, FindLocatesEveryFunctionLikeLinearScan) {

@@ -237,8 +237,10 @@ TEST(ParallelPipeline, PrefetchSourcePreservesBatchSequence) {
 
 /// Sharded timeline fold vs the serial accumulator over a hostile
 /// stream: unmatched exits, frames left open, events on thread ids the
-/// metadata never declared, recursion — everything the drop-empty merge
-/// rule has to get right.
+/// metadata never declared, recursion, and samples split around the
+/// events (half settle activations as they close, half arrive after
+/// them) — everything the drop-empty and range-union merge rules have
+/// to get right.
 TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
   for (const std::uint32_t seed : {1u, 2u, 3u, 4u}) {
     std::mt19937_64 rng(seed);
@@ -259,16 +261,26 @@ TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
                         enter ? FnEventKind::kEnter : FnEventKind::kExit});
     }
     const std::uint64_t end_tsc = tsc + 10;
+    std::vector<TempSample> samples;
+    for (std::uint64_t at = 100; at < end_tsc; at += 5 + rng() % 40) {
+      samples.push_back({at, 40.0, static_cast<std::uint16_t>(rng() % 3), 0});
+    }
+    const std::size_t early = samples.size() / 2;
+    // Keep every function's interval union so the sharded span merge is
+    // checked against the serial fold too.
+    const parser::SpanFilter keep_all = [](std::uint64_t) { return true; };
 
     parser::TimelineDiagnostics serial_diag;
-    parser::TimelineAccumulator serial(threads);
+    parser::TimelineAccumulator serial(threads, 0, keep_all);
+    serial.add_samples(samples.data(), samples.size());
     serial.add_events(events.data(), events.size());
     const parser::TimelineMap expected =
         serial.finish(end_tsc, &serial_diag);
 
     for (const unsigned shards : {2u, 4u, 8u}) {
       parser::TimelineDiagnostics diag;
-      parser::ShardedTimelineAccumulator sharded(threads, 0, shards);
+      parser::ShardedTimelineAccumulator sharded(threads, 0, shards, keep_all);
+      sharded.add_samples(samples.data(), early);
       // Feed in uneven chunks to exercise the queue hand-off.
       std::size_t pos = 0;
       while (pos < events.size()) {
@@ -277,6 +289,7 @@ TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
         sharded.add_events(events.data() + pos, n);
         pos += n;
       }
+      sharded.add_samples(samples.data() + early, samples.size() - early);
       const parser::TimelineMap got = sharded.finish(end_tsc, &diag);
 
       EXPECT_EQ(diag.unmatched_exits, serial_diag.unmatched_exits)
@@ -292,10 +305,19 @@ TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
         EXPECT_EQ(g->second.node_id, e->second.node_id);
         EXPECT_EQ(g->second.total_ticks, e->second.total_ticks);
         EXPECT_EQ(g->second.calls, e->second.calls);
-        ASSERT_EQ(g->second.merged.size(), e->second.merged.size());
-        for (std::size_t i = 0; i < g->second.merged.size(); ++i) {
-          EXPECT_EQ(g->second.merged[i].begin, e->second.merged[i].begin);
-          EXPECT_EQ(g->second.merged[i].end, e->second.merged[i].end);
+        EXPECT_EQ(g->second.activations, e->second.activations);
+        EXPECT_TRUE(g->second.ticks_sq == e->second.ticks_sq);
+        EXPECT_EQ(g->second.first_begin, e->second.first_begin);
+        EXPECT_EQ(g->second.last_end, e->second.last_end);
+        ASSERT_EQ(g->second.samples.size(), e->second.samples.size());
+        for (std::size_t i = 0; i < g->second.samples.size(); ++i) {
+          EXPECT_EQ(g->second.samples[i].first, e->second.samples[i].first);
+          EXPECT_EQ(g->second.samples[i].last, e->second.samples[i].last);
+        }
+        ASSERT_EQ(g->second.spans.size(), e->second.spans.size());
+        for (std::size_t i = 0; i < g->second.spans.size(); ++i) {
+          EXPECT_EQ(g->second.spans[i].begin, e->second.spans[i].begin);
+          EXPECT_EQ(g->second.spans[i].end, e->second.spans[i].end);
         }
       }
     }

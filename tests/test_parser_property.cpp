@@ -51,7 +51,8 @@ TEST_P(ParserProperty, InclusiveTimesRespectNesting) {
   t.sort_by_time();
 
   TimelineDiagnostics diag;
-  const TimelineMap timeline = build_timeline(t, &diag);
+  const TimelineMap timeline =
+      build_timeline(t, &diag, [](std::uint64_t) { return true; });
   EXPECT_EQ(diag.unmatched_exits, 0u);
   EXPECT_EQ(diag.force_closed, 0u);
 
@@ -59,14 +60,16 @@ TEST_P(ParserProperty, InclusiveTimesRespectNesting) {
   for (const auto& [key, fn] : timeline) {
     // Every function's inclusive time fits inside the root's.
     EXPECT_LE(fn.total_ticks, root.total_ticks) << "addr " << key.second;
-    // Merged intervals are sorted and disjoint.
-    for (std::size_t i = 1; i < fn.merged.size(); ++i) {
-      EXPECT_GT(fn.merged[i].begin, fn.merged[i - 1].end - 1);
+    EXPECT_GE(fn.first_begin, root.first_begin) << "addr " << key.second;
+    EXPECT_LE(fn.last_end, root.last_end) << "addr " << key.second;
+    // Span unions are sorted and disjoint.
+    for (std::size_t i = 1; i < fn.spans.size(); ++i) {
+      EXPECT_GT(fn.spans[i].begin, fn.spans[i - 1].end - 1);
     }
-    // total_ticks equals the union length (single thread: merged union
-    // is exactly the per-thread intervals).
+    // total_ticks equals the union length (single thread: the union is
+    // exactly the per-thread activations).
     std::uint64_t union_len = 0;
-    for (const auto& iv : fn.merged) union_len += iv.length();
+    for (const auto& iv : fn.spans) union_len += iv.length();
     EXPECT_EQ(fn.total_ticks, union_len) << "addr " << key.second;
   }
 }

@@ -454,20 +454,49 @@ TEST(RankFanIn, MergesFullyDisjointTscRanges) {
 }
 
 TEST(LintSink, MatchesBatchLintReport) {
-  Trace t = rank_trace(0, 0);
-  t.sort_by_time();
-  analysis::LintOptions options;
-  options.expected_hz = 0.0;
-  const analysis::LintReport batch = analysis::lint_trace(t, options);
+  // A clean trace, and one whose events and samples both reference an
+  // undeclared node — more findings of that one check than the cap
+  // keeps. The source feeds samples first, lint_trace events first; the
+  // reports must not differ in which findings survive or their order.
+  Trace clean = rank_trace(0, 0);
+  clean.sort_by_time();
+  Trace dangling = clean;
+  for (std::size_t i = 0; i < 3; ++i) {
+    dangling.fn_events[i].node_id = 9;
+    dangling.temp_samples[i].node_id = 9;
+  }
+  for (const Trace& t : {clean, dangling}) {
+    analysis::LintOptions options;
+    options.expected_hz = 0.0;
+    options.max_findings_per_check = 4;
+    const analysis::LintReport batch = analysis::lint_trace(t, options);
 
-  pipeline::BatchOptions batch_options;
-  batch_options.batch_records = 2;
-  pipeline::MemoryTraceSource source(t, batch_options);
-  pipeline::LintSink sink(options);
-  const Status ran = pipeline::run_pipeline(&source, {}, {&sink});
-  ASSERT_TRUE(ran) << ran.message();
+    pipeline::BatchOptions batch_options;
+    batch_options.batch_records = 2;
+    pipeline::MemoryTraceSource source(t, batch_options);
+    pipeline::LintSink sink(options);
+    const Status ran = pipeline::run_pipeline(&source, {}, {&sink});
+    ASSERT_TRUE(ran) << ran.message();
 
-  EXPECT_EQ(analysis::to_json(sink.report()), analysis::to_json(batch));
+    EXPECT_EQ(analysis::to_json(sink.report()), analysis::to_json(batch));
+  }
+  const analysis::LintReport dangling_report = [&] {
+    analysis::LintOptions options;
+    options.max_findings_per_check = 4;
+    return analysis::lint_trace(dangling, options);
+  }();
+  std::size_t event_refs = 0, sample_refs = 0, suppressed = 0;
+  for (const analysis::Finding& f : dangling_report.findings) {
+    if (f.check != "node-unresolved") continue;
+    if (f.message.rfind("fn event", 0) == 0) ++event_refs;
+    if (f.message.rfind("temp sample", 0) == 0) ++sample_refs;
+    if (f.message.rfind("(further", 0) == 0) ++suppressed;
+  }
+  // Events come first in the canonical order: all 3 of theirs, then 1
+  // of the samples', then the suppression line.
+  EXPECT_EQ(event_refs, 3u);
+  EXPECT_EQ(sample_refs, 1u);
+  EXPECT_EQ(suppressed, 1u);
 }
 
 TEST(AnalysisPipeline, EmptyRunProducesEmptyProfile) {

@@ -291,7 +291,9 @@ TEST_P(SymtabBitFlip, BitFlipsNeverCrash) {
       // Whatever parsed must be safe to walk in full.
       const ElfImage& im = result.value();
       for (const auto& sec : im.sections) {
-        if (sec.executable()) EXPECT_LE(sec.bytes.size(), mutated.size());
+        if (sec.executable()) {
+          EXPECT_LE(sec.bytes.size(), mutated.size());
+        }
       }
       for (const auto& sym : im.symbols) (void)sym.is_function();
       for (const auto& reloc : im.relocations) {

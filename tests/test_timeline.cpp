@@ -1,7 +1,12 @@
-// Timeline reconstruction: the Table 1 conditions (single function,
-// multiple, interleaving, recursion + interleaving) plus unbalanced
-// traces.
+// Timeline reconstruction and the sample attribution done during the
+// replay: the Table 1 conditions (single function, multiple,
+// interleaving, recursion + interleaving), unbalanced traces, and the
+// half-open [begin, end) boundaries — checked on which samples each
+// function is credited with, whatever order samples and events arrive.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "parser/timeline.hpp"
 
@@ -10,13 +15,21 @@ namespace {
 using namespace tempest::parser;
 using tempest::trace::FnEvent;
 using tempest::trace::FnEventKind;
+using tempest::trace::TempSample;
 using tempest::trace::Trace;
 
-Trace trace_with(std::vector<FnEvent> events) {
+using Ticks = std::vector<std::uint64_t>;
+
+/// Threads 0 and 1 run on nodes 0 and 1; each node gets samples at the
+/// given timestamps.
+Trace trace_with(std::vector<FnEvent> events, const Ticks& node0_samples = {},
+                 const Ticks& node1_samples = {}) {
   Trace t;
   t.tsc_ticks_per_second = 1e9;
   t.threads = {{0, 0, 0}, {1, 1, 0}};
   t.fn_events = std::move(events);
+  for (const std::uint64_t at : node0_samples) t.temp_samples.push_back({at, 40.0, 0, 0});
+  for (const std::uint64_t at : node1_samples) t.temp_samples.push_back({at, 50.0, 1, 0});
   t.sort_by_time();
   return t;
 }
@@ -28,71 +41,117 @@ FnEvent exit_(std::uint64_t tsc, std::uint64_t addr, std::uint32_t tid = 0) {
   return {tsc, addr, tid, 0, FnEventKind::kExit};
 }
 
+/// Timestamps of the samples credited to `fa`, read back through its
+/// ranges over the node's samples in arrival order.
+Ticks credited(const Trace& t, const FunctionActivity& fa) {
+  Ticks node_samples;
+  for (const TempSample& s : t.temp_samples) {
+    if (s.node_id == fa.node_id) node_samples.push_back(s.tsc);
+  }
+  Ticks out;
+  for (const SampleRange& r : fa.samples) {
+    EXPECT_LT(r.first, r.last);
+    EXPECT_LE(r.last, node_samples.size());
+    for (std::uint32_t i = r.first; i < r.last && i < node_samples.size(); ++i) {
+      out.push_back(node_samples[i]);
+    }
+  }
+  return out;
+}
+
+const SpanFilter kKeepAllSpans = [](std::uint64_t) { return true; };
+
 TEST(Timeline, SingleFunction) {  // Table 1 case B
-  const auto tl = build_timeline(trace_with({enter(100, 1), exit_(600, 1)}));
+  const Trace t = trace_with({enter(100, 1), exit_(600, 1)}, {99, 100, 599, 600});
+  const auto tl = build_timeline(t);
   ASSERT_EQ(tl.size(), 1u);
   const auto& fn = tl.at({0, 1});
   EXPECT_EQ(fn.calls, 1u);
+  EXPECT_EQ(fn.activations, 1u);
   EXPECT_EQ(fn.total_ticks, 500u);
-  ASSERT_EQ(fn.merged.size(), 1u);
-  EXPECT_TRUE(fn.contains(100));
-  EXPECT_TRUE(fn.contains(599));
-  EXPECT_FALSE(fn.contains(600));
-  EXPECT_FALSE(fn.contains(99));
+  EXPECT_EQ(fn.first_begin, 100u);
+  EXPECT_EQ(fn.last_end, 600u);
+  // Half-open: the sample at the enter tick counts, the one at the exit
+  // tick does not.
+  EXPECT_EQ(credited(t, fn), (Ticks{100, 599}));
 }
 
 TEST(Timeline, MultipleSequentialFunctions) {  // Table 1 case C
-  const auto tl = build_timeline(trace_with({
-      enter(0, 1), exit_(100, 1),
-      enter(100, 2), exit_(300, 2),
-      enter(300, 3), exit_(600, 3),
-  }));
+  const Trace t = trace_with(
+      {
+          enter(0, 1), exit_(100, 1),
+          enter(100, 2), exit_(300, 2),
+          enter(300, 3), exit_(600, 3),
+      },
+      {50, 100, 299, 300, 599});
+  const auto tl = build_timeline(t);
   EXPECT_EQ(tl.at({0, 1}).total_ticks, 100u);
   EXPECT_EQ(tl.at({0, 2}).total_ticks, 200u);
   EXPECT_EQ(tl.at({0, 3}).total_ticks, 300u);
+  // A sample on a hand-over tick belongs to the function that starts.
+  EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{50}));
+  EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{100, 299}));
+  EXPECT_EQ(credited(t, tl.at({0, 3})), (Ticks{300, 599}));
 }
 
 TEST(Timeline, InterleavedNesting) {  // Table 1 case D
   // main(10) { foo1(20) { foo2(30..40) } (50) } foo2(60..70) main exit 80.
-  const auto tl = build_timeline(trace_with({
-      enter(10, 100),             // main
-      enter(20, 1),               // foo1
-      enter(30, 2), exit_(40, 2), // foo2 inside foo1
-      exit_(50, 1),               // foo1
-      enter(60, 2), exit_(70, 2), // foo2 from main
-      exit_(80, 100),
-  }));
+  const Trace t = trace_with(
+      {
+          enter(10, 100),              // main
+          enter(20, 1),                // foo1
+          enter(30, 2), exit_(40, 2),  // foo2 inside foo1
+          exit_(50, 1),                // foo1
+          enter(60, 2), exit_(70, 2),  // foo2 from main
+          exit_(80, 100),
+      },
+      {35, 65, 75});
+  const auto tl = build_timeline(t, nullptr, kKeepAllSpans);
   EXPECT_EQ(tl.at({0, 100}).total_ticks, 70u);  // inclusive main
   EXPECT_EQ(tl.at({0, 1}).total_ticks, 30u);    // foo1 inclusive of foo2
   EXPECT_EQ(tl.at({0, 2}).total_ticks, 20u);    // two activations
   EXPECT_EQ(tl.at({0, 2}).calls, 2u);
-  ASSERT_EQ(tl.at({0, 2}).merged.size(), 2u);
-  EXPECT_TRUE(tl.at({0, 1}).contains(35));      // inclusive attribution
+  ASSERT_EQ(tl.at({0, 2}).spans.size(), 2u);
+  // Inclusive attribution: a sample credits every function on the stack.
+  EXPECT_EQ(credited(t, tl.at({0, 100})), (Ticks{35, 65, 75}));
+  EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{35}));
+  EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{35, 65}));
 }
 
 TEST(Timeline, RecursionCollapsesToOutermost) {  // Table 1 case E
   // f enters at 0, recurses at 10 and 20, unwinds 30/40, exits 100.
-  const auto tl = build_timeline(trace_with({
-      enter(0, 7), enter(10, 7), enter(20, 7),
-      exit_(30, 7), exit_(40, 7), exit_(100, 7),
-  }));
+  const Trace t = trace_with(
+      {
+          enter(0, 7), enter(10, 7), enter(20, 7),
+          exit_(30, 7), exit_(40, 7), exit_(100, 7),
+      },
+      {5, 25, 35, 99, 100});
+  const auto tl = build_timeline(t, nullptr, kKeepAllSpans);
   const auto& fn = tl.at({0, 7});
   EXPECT_EQ(fn.calls, 3u);
+  EXPECT_EQ(fn.activations, 1u);
   EXPECT_EQ(fn.total_ticks, 100u);  // not 100+30+10 double-counted
-  ASSERT_EQ(fn.merged.size(), 1u);
-  EXPECT_EQ(fn.merged[0].begin, 0u);
-  EXPECT_EQ(fn.merged[0].end, 100u);
+  ASSERT_EQ(fn.spans.size(), 1u);
+  EXPECT_EQ(fn.spans[0].begin, 0u);
+  EXPECT_EQ(fn.spans[0].end, 100u);
+  // Each sample once, however deep the recursion was at that instant.
+  EXPECT_EQ(credited(t, fn), (Ticks{5, 25, 35, 99}));
 }
 
 TEST(Timeline, RecursionWithInterleaving) {
   // f { g { f } } — mutual nesting; f's inclusive time spans everything.
-  const auto tl = build_timeline(trace_with({
-      enter(0, 1), enter(10, 2), enter(20, 1),
-      exit_(30, 1), exit_(40, 2), exit_(50, 1),
-  }));
+  const Trace t = trace_with(
+      {
+          enter(0, 1), enter(10, 2), enter(20, 1),
+          exit_(30, 1), exit_(40, 2), exit_(50, 1),
+      },
+      {5, 15, 25, 35, 45});
+  const auto tl = build_timeline(t);
   EXPECT_EQ(tl.at({0, 1}).total_ticks, 50u);
   EXPECT_EQ(tl.at({0, 2}).total_ticks, 30u);
   EXPECT_EQ(tl.at({0, 1}).calls, 2u);
+  EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{5, 15, 25, 35, 45}));
+  EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{15, 25, 35}));
 }
 
 TEST(Timeline, UnmatchedExitIsCountedAndIgnored) {
@@ -106,21 +165,122 @@ TEST(Timeline, UnmatchedExitIsCountedAndIgnored) {
 
 TEST(Timeline, OpenFunctionsForceClosedAtTraceEnd) {
   TimelineDiagnostics diag;
-  const auto tl = build_timeline(
-      trace_with({enter(0, 1), enter(100, 2), exit_(300, 2)}), &diag);
+  const Trace t = trace_with({enter(0, 1), enter(100, 2), exit_(300, 2)}, {150, 300});
+  const auto tl = build_timeline(t, &diag);
   EXPECT_EQ(diag.force_closed, 1u);
   EXPECT_EQ(tl.at({0, 1}).total_ticks, 300u);  // closed at end (tsc 300)
+  EXPECT_EQ(tl.at({0, 1}).last_end, 300u);
+  // The force-closed activation is half-open at the trace end too.
+  EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{150}));
+  EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{150}));
 }
 
 TEST(Timeline, ThreadsAreIndependent) {
-  // Same address on two threads; each timeline replay is separate and
-  // total_ticks sums the per-thread inclusive times.
-  const auto tl = build_timeline(trace_with({
-      enter(0, 5, 0), enter(50, 5, 1), exit_(100, 5, 0), exit_(200, 5, 1),
-  }));
+  // Same address on two threads; each timeline replay is separate,
+  // total_ticks sums the per-thread inclusive times, and each node's
+  // samples credit only that node's activity.
+  const Trace t = trace_with(
+      {
+          enter(0, 5, 0), enter(50, 5, 1), exit_(100, 5, 0), exit_(200, 5, 1),
+      },
+      {60, 150}, {40, 60, 150});
+  const auto tl = build_timeline(t);
   // thread 0 node 0: [0,100); thread 1 node 1: [50,200).
   EXPECT_EQ(tl.at({0, 5}).total_ticks, 100u);
   EXPECT_EQ(tl.at({1, 5}).total_ticks, 150u);
+  EXPECT_EQ(credited(t, tl.at({0, 5})), (Ticks{60}));
+  EXPECT_EQ(credited(t, tl.at({1, 5})), (Ticks{60, 150}));
+}
+
+TEST(Timeline, ThreadsOfOneNodeCreditEachSampleOnce) {
+  // Two threads of node 0 run f over overlapping spans: the union, not
+  // the sum, decides which samples f is credited with.
+  Trace t = trace_with({enter(0, 5, 0), enter(50, 5, 2), exit_(100, 5, 0),
+                        exit_(200, 5, 2)},
+                       {25, 75, 150, 250});
+  t.threads.push_back({2, 0, 1});
+  const auto tl = build_timeline(t);
+  EXPECT_EQ(tl.at({0, 5}).total_ticks, 250u);
+  EXPECT_EQ(credited(t, tl.at({0, 5})), (Ticks{25, 75, 150}));
+}
+
+TEST(Timeline, AnyFeedOrderCreditsTheSameSamples) {
+  // Samples ahead of events settle each activation as it closes; events
+  // ahead of samples park their activations until the samples arrive
+  // (or finish()); an interleaved feed mixes both.
+  const Trace t = trace_with(
+      {enter(10, 1), enter(20, 2), exit_(40, 2), exit_(90, 1), enter(95, 2),
+       exit_(120, 2)},
+      {5, 30, 60, 100, 110, 130});
+  const auto feed = [&t](int order) {
+    TimelineAccumulator acc(t.threads);
+    const auto samples = [&](std::size_t b, std::size_t e) {
+      acc.add_samples(t.temp_samples.data() + b, e - b);
+    };
+    const auto events = [&](std::size_t b, std::size_t e) {
+      acc.add_events(t.fn_events.data() + b, e - b);
+    };
+    const std::size_t ns = t.temp_samples.size(), ne = t.fn_events.size();
+    if (order == 0) {
+      samples(0, ns);
+      events(0, ne);
+    } else if (order == 1) {
+      events(0, ne);
+      samples(0, ns);
+    } else {
+      samples(0, 2);
+      events(0, 3);
+      samples(2, 4);
+      events(3, ne);
+      samples(4, ns);
+    }
+    return acc.finish(t.end_tsc());
+  };
+  for (int order = 0; order < 3; ++order) {
+    SCOPED_TRACE(order);
+    const TimelineMap tl = feed(order);
+    EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{30, 60}));
+    EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{30, 100, 110}));
+    EXPECT_EQ(tl.at({0, 2}).first_begin, 20u);
+    EXPECT_EQ(tl.at({0, 2}).last_end, 120u);
+  }
+}
+
+TEST(Timeline, UnsortedSamplesAttributeInArrivalOrder) {
+  // A hand-built trace whose node samples are out of time order, with
+  // several activations of one function: adjacent ([100,200) then
+  // [200,300)), separate ([350,400)) and overlapping across two threads
+  // of the node ([150,250) on thread 2). Each sample inside any of them
+  // is credited once, at its arrival position, and the half-open
+  // boundaries hold. Function 2 runs on threads 5 and 6,
+  // missing from the metadata, so both activations land in one slot and
+  // close out of begin order: [10,180) and then [50,90) inside it.
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  t.threads = {{0, 0, 0}, {2, 0, 1}};
+  t.fn_events = {enter(100, 1),    enter(150, 1, 2), exit_(200, 1),
+                 enter(200, 1),    exit_(250, 1, 2), exit_(300, 1),
+                 enter(350, 1),    exit_(400, 1),
+                 enter(10, 2, 5),  exit_(180, 2, 5), enter(50, 2, 6),
+                 exit_(90, 2, 6)};
+  for (const std::uint64_t at : {500, 150, 350, 300, 99, 200, 399, 340}) {
+    t.temp_samples.push_back({at, 40.0, 0, 0});
+  }
+  const auto tl = build_timeline(t);
+  const auto& fn = tl.at({0, 1});
+  EXPECT_EQ(fn.activations, 4u);
+  ASSERT_EQ(fn.samples.size(), 2u);
+  EXPECT_EQ(fn.samples[0].first, 1u);  // 150, 350
+  EXPECT_EQ(fn.samples[0].last, 3u);
+  EXPECT_EQ(fn.samples[1].first, 5u);  // 200, 399
+  EXPECT_EQ(fn.samples[1].last, 7u);
+  const auto& nested = tl.at({0, 2});
+  EXPECT_EQ(nested.activations, 2u);
+  ASSERT_EQ(nested.samples.size(), 2u);
+  EXPECT_EQ(nested.samples[0].first, 1u);  // 150
+  EXPECT_EQ(nested.samples[0].last, 2u);
+  EXPECT_EQ(nested.samples[1].first, 4u);  // 99
+  EXPECT_EQ(nested.samples[1].last, 5u);
 }
 
 TEST(Timeline, MergeIntervalsCoalesces) {
@@ -131,6 +291,18 @@ TEST(Timeline, MergeIntervalsCoalesces) {
   EXPECT_EQ(ivs[0].end, 50u);
   EXPECT_EQ(ivs[1].begin, 60u);
   EXPECT_EQ(ivs[1].end, 70u);
+}
+
+TEST(Timeline, MergeSampleRangesCoalesces) {
+  std::vector<SampleRange> ranges = {{4, 6}, {0, 2}, {5, 9}, {2, 3}, {12, 13}};
+  merge_sample_ranges(&ranges);
+  ASSERT_EQ(ranges.size(), 3u);
+  EXPECT_EQ(ranges[0].first, 0u);
+  EXPECT_EQ(ranges[0].last, 3u);
+  EXPECT_EQ(ranges[1].first, 4u);
+  EXPECT_EQ(ranges[1].last, 9u);
+  EXPECT_EQ(ranges[2].first, 12u);
+  EXPECT_EQ(ranges[2].last, 13u);
 }
 
 TEST(Timeline, EmptyTrace) {
