@@ -98,7 +98,6 @@ tempest::trace::Trace make_trace(std::size_t n_events) {
   t.fn_events.reserve(per_thread * kThreads);
   std::uint64_t max_tsc = 0;
   for (std::size_t th = 0; th < kThreads; ++th) {
-    const std::size_t begin = t.fn_events.size();
     const auto tid = static_cast<std::uint32_t>(th);
     const auto node = static_cast<std::uint16_t>(th % kNodes);
     std::uint64_t tsc = 1000 + th * 7;
@@ -117,7 +116,6 @@ tempest::trace::Trace make_trace(std::size_t n_events) {
       }
     }
     max_tsc = std::max(max_tsc, tsc);
-    t.fn_event_runs.push_back({begin, t.fn_events.size() - begin});
   }
 
   const std::size_t n_samples = std::max<std::size_t>(n_events / 100, 16);

@@ -2,32 +2,37 @@
 // the optimised one, stage by stage and end-to-end.
 //
 // Stages (fast / seed):
+//   drain    one-pass merge of the     / global stable_sort of the
+//            per-thread chunks         / concatenated buffers
 //   write    bulk packed v2 sections   / per-field v1 stream calls
 //   read     chunked section unpack    / per-field v1 stream calls
-//   sort     k-way merge of runs       / global stable_sort
 //   timeline flat-hash replay, samples / std::map pair keys and
 //            credited online           / interval unions
 //   profile  read back credited ranges / per-function sample scan
 //
-// End-to-end covers sort -> write -> read -> sort -> timeline -> profile
-// on the same synthetic trace (8 threads, 4 nodes, 64 functions,
-// samples ~= events/100), at 1e5..1e7 events. The seed implementations
-// live in tests/reference/reference.cpp and are never optimised, so the
-// ratio reported here is the PR's headline speedup. CI smoke runs only the
-// /100000 variants; the committed BENCH_parser.json holds a full run.
+// End-to-end covers drain -> write -> read -> sort -> timeline ->
+// profile on the same synthetic trace (8 threads, 4 nodes, 64
+// functions, samples ~= events/100), at 1e5..1e7 events. The seed
+// implementations live in tests/reference/reference.cpp and are never
+// optimised, so the ratio reported here is the fast path's speedup. CI
+// smoke runs only the /100000 variants; the committed BENCH_parser.json
+// holds a full run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_provenance.hpp"
 
+#include "core/thread_buffer.hpp"
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
 #include "reference/reference.hpp"
@@ -56,9 +61,9 @@ struct Lcg {
 };
 
 /// Build an unsorted trace the way a real run produces one: per-thread
-/// time-ordered event runs concatenated into fn_events (with run
-/// metadata), plus per-node sample blocks. Cached per size — generation
-/// costs more than some of the benchmarks it feeds.
+/// time-ordered event runs concatenated into fn_events in thread order,
+/// plus per-node sample blocks. Cached per size — generation costs more
+/// than some of the benchmarks it feeds.
 const tempest::trace::Trace& base_trace(std::size_t n_events) {
   static std::map<std::size_t, tempest::trace::Trace> cache;
   const auto it = cache.find(n_events);
@@ -85,7 +90,6 @@ const tempest::trace::Trace& base_trace(std::size_t n_events) {
   t.fn_events.reserve(per_thread * kThreads);
   std::uint64_t max_tsc = 0;
   for (std::size_t th = 0; th < kThreads; ++th) {
-    const std::size_t begin = t.fn_events.size();
     const auto tid = static_cast<std::uint32_t>(th);
     const auto node = static_cast<std::uint16_t>(th % kNodes);
     std::uint64_t tsc = 1000 + th * 7;
@@ -106,7 +110,6 @@ const tempest::trace::Trace& base_trace(std::size_t n_events) {
       }
     }
     max_tsc = std::max(max_tsc, tsc);
-    t.fn_event_runs.push_back({begin, t.fn_events.size() - begin});
   }
 
   const std::size_t n_samples = std::max<std::size_t>(n_events / 100, 16);
@@ -140,6 +143,34 @@ const tempest::trace::Trace& sorted_trace(std::size_t n_events) {
   return cache.emplace(n_events, std::move(t)).first->second;
 }
 
+/// base_trace as the recorder holds it at stop: each thread's events in
+/// its own chunked buffer, pushed by one short-lived thread per buffer
+/// (registered in order, so the registry's ids match the events'), and
+/// the trace the drain lands in — metadata and samples, no events.
+struct Producer {
+  std::unique_ptr<tempest::core::ThreadRegistry> registry =
+      std::make_unique<tempest::core::ThreadRegistry>();
+  tempest::trace::Trace trace;
+};
+
+Producer make_producer(const tempest::trace::Trace& base) {
+  Producer p;
+  const std::size_t per_thread = base.fn_events.size() / kThreads;
+  for (std::size_t th = 0; th < kThreads; ++th) {
+    std::thread([&p, &base, per_thread, th] {
+      tempest::core::ThreadState* ts = p.registry->current();
+      ts->node_id = static_cast<std::uint16_t>(th % kNodes);
+      ts->core = static_cast<std::uint16_t>(th);
+      ts->events.append(base.fn_events.data() + th * per_thread, per_thread);
+    }).join();
+  }
+  static_cast<tempest::trace::TraceHeader&>(p.trace) = base;
+  p.trace.threads.clear();  // the drain lists them
+  p.trace.temp_samples = base.temp_samples;
+  p.trace.clock_syncs = base.clock_syncs;
+  return p;
+}
+
 std::vector<std::pair<std::uint64_t, std::string>> func_names() {
   std::vector<std::pair<std::uint64_t, std::string>> names;
   names.reserve(kFuncs);
@@ -153,22 +184,30 @@ void set_events_rate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-// --- Sort -----------------------------------------------------------------
+// --- Drain ----------------------------------------------------------------
+// The producer's ordering step at session stop. Filling the per-thread
+// buffers is recording, not the drain, so it runs with timing paused;
+// the seed side times its stable_sort alone, not the concatenating copy
+// it needs first.
 
-void BM_Sort_Fast(benchmark::State& state) {
+void BM_Drain_Fast(benchmark::State& state) {
   const auto& base = base_trace(state.range(0));
   for (auto _ : state) {
-    state.PauseTiming();  // the fresh unsorted copy is not the sort
-    tempest::trace::Trace t = base;
+    state.PauseTiming();
+    Producer p = make_producer(base);
     state.ResumeTiming();
-    t.sort_by_time();
-    benchmark::DoNotOptimize(t.fn_events.data());
+    p.registry->drain_into(&p.trace);
+    benchmark::DoNotOptimize(p.trace.fn_events.data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();  // freeing the trace is not the drain
+    p = Producer{};
+    state.ResumeTiming();
   }
   set_events_rate(state);
 }
-BENCHMARK(BM_Sort_Fast)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Drain_Fast)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
-void BM_Sort_Seed(benchmark::State& state) {
+void BM_Drain_Seed(benchmark::State& state) {
   const auto& base = base_trace(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
@@ -176,10 +215,14 @@ void BM_Sort_Seed(benchmark::State& state) {
     state.ResumeTiming();
     tempest::parser::reference::sort_by_time_seed(&t);
     benchmark::DoNotOptimize(t.fn_events.data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    t = tempest::trace::Trace{};
+    state.ResumeTiming();
   }
   set_events_rate(state);
 }
-BENCHMARK(BM_Sort_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Drain_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // --- Write ----------------------------------------------------------------
 // Through real files (the production API): stringstreams would charge
@@ -313,10 +356,11 @@ void BM_Profile_Seed(benchmark::State& state) {
 BENCHMARK(BM_Profile_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // --- End to end -----------------------------------------------------------
-// Full analysis round trip from a raw (unsorted, per-thread-runs) trace:
-// producer sort -> serialise -> deserialise -> parser sort -> timeline
-// -> profile. This is the ISSUE's headline number; the 1e7 variants run
-// one iteration each to keep the suite's wall time bounded.
+// Full analysis round trip from the recorder's per-thread buffers:
+// producer drain -> serialise -> deserialise -> parser sort -> timeline
+// -> profile (the seed starts from the concatenated buffers and sorts
+// them). The 1e7 variants run two iterations each to keep the suite's
+// wall time bounded.
 
 template <bool kSeed>
 void end_to_end(benchmark::State& state) {
@@ -325,7 +369,13 @@ void end_to_end(benchmark::State& state) {
   const ProfileOptions options;
   for (auto _ : state) {
     state.PauseTiming();  // materialising the input is not the pipeline
-    tempest::trace::Trace t = base;
+    tempest::trace::Trace t;
+    Producer p;
+    if constexpr (kSeed) {
+      t = base;
+    } else {
+      p = make_producer(base);
+    }
     state.ResumeTiming();
     TimelineDiagnostics diag;
     tempest::parser::RunProfile profile;
@@ -344,8 +394,9 @@ void end_to_end(benchmark::State& state) {
       profile = tempest::parser::reference::build_profile_seed(
           loaded, timeline, names, diag, options);
     } else {
-      t.sort_by_time();
-      (void)tempest::trace::write_trace_file(bench_path(), t).is_ok();
+      p.registry->drain_into(&p.trace);
+      p.trace.sort_by_time();  // as Session::stop: samples, bounds
+      (void)tempest::trace::write_trace_file(bench_path(), p.trace).is_ok();
       auto rt = tempest::trace::read_trace_file(bench_path());
       tempest::trace::Trace loaded = std::move(rt).value();
       loaded.sort_by_time();

@@ -16,12 +16,23 @@
 // <= 25% of an accepted one. tempest-audit's --filter-out suggestions
 // assume suppression is nearly free; this is where that assumption is
 // continuously measured (BENCH_record.json, SHAPE CHECK + exit code).
+//
+// A second gate bounds what Session::stop holds at once: four threads
+// record ~4M events unbounded, and the process's peak RSS (VmHWM) may
+// rise above its pre-session VmRSS by at most 1.25x the drained events'
+// bytes. The one-pass drain unmaps each chunk as it merges it, so the
+// peak is one copy of the events plus a few chunks; a change that
+// brings back a second copy (a staging vector, a merge scratch) fails.
+// It runs first, so no earlier phase sets the high-water mark.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_provenance.hpp"
 #include "common/cli.hpp"
@@ -44,6 +55,59 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// A `Vm*:` field of /proc/self/status in KiB, or -1 where unavailable.
+long status_kib(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::strtol(line.c_str() + field.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+/// Outcome of the stop-time memory gate.
+struct StopPeak {
+  bool measured = false;
+  std::size_t events = 0;
+  double drained_mib = 0.0;
+  double rise_mib = 0.0;  ///< VmHWM after stop() minus VmRSS before start()
+};
+
+/// Record `pairs_per_thread` enter/exit pairs on each of `threads`
+/// threads in one unbounded session, then stop it and read how far the
+/// high-water mark rose.
+StopPeak measure_stop_peak(Session& session, std::size_t threads,
+                           std::size_t pairs_per_thread) {
+  StopPeak out;
+  const long before_kib = status_kib("VmRSS");
+  SessionConfig config;
+  config.sample_hz = 4.0;
+  config.bind_affinity = false;
+  config.auto_report = false;
+  if (before_kib < 0 || !session.start(config)) return out;
+  const std::uint64_t addr = session.synthetic_addr("bench_record_stop_peak");
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&session, addr, pairs_per_thread] {
+      for (std::size_t i = 0; i < pairs_per_thread; ++i) {
+        session.record_enter(addr);
+        session.record_exit(addr);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const bool stopped = session.stop().is_ok();
+  const long peak_kib = status_kib("VmHWM");
+  out.events = session.take_trace().fn_events.size();
+  out.measured = stopped && peak_kib >= 0;
+  out.drained_mib = static_cast<double>(out.events * sizeof(tempest::trace::FnEvent)) /
+                    (1024.0 * 1024.0);
+  out.rise_mib = static_cast<double>(peak_kib - before_kib) / 1024.0;
+  return out;
 }
 
 /// ns per hook call (not per pair), best of `reps` runs of `calls`
@@ -108,6 +172,8 @@ int main(int argc, char** argv) {
   tempest::simnode::SimNode node(node_config);
   session.register_sim_node(&node);
 
+  const StopPeak stop_peak = measure_stop_peak(session, 4, 500'000);
+
   // Inactive baseline needs no session at all.
   const double inactive_ns = pair_ns_per_call(session, 0x1234, calls, reps);
 
@@ -160,6 +226,21 @@ int main(int argc, char** argv) {
   const bool gate = ratio <= 0.25;
   shape_check("rejected call costs <= 25% of an accepted call", gate);
 
+  const double peak_ratio =
+      stop_peak.drained_mib > 0.0 ? stop_peak.rise_mib / stop_peak.drained_mib : 1e300;
+  bool peak_gate = true;
+  if (stop_peak.measured) {
+    std::printf("stop peak            %8.1f MiB over %.1f MiB drained "
+                "(%zu events, %.2fx)\n",
+                stop_peak.rise_mib, stop_peak.drained_mib, stop_peak.events,
+                peak_ratio);
+    peak_gate = peak_ratio <= 1.25;
+    shape_check("peak RSS rise through stop() <= 1.25x the drained events", peak_gate);
+  } else {
+    std::cout << "SHAPE CHECK [SKIP] stop peak: no VmRSS/VmHWM in /proc/self/status "
+                 "on this host, or the session failed\n";
+  }
+
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"build_type\": \"" << bench_prov::kBuildType << "\",\n"
@@ -169,8 +250,12 @@ int main(int argc, char** argv) {
       << "  \"baseline_ns_per_call\": " << baseline_ns << ",\n"
       << "  \"accepted_ns_per_call\": " << accepted_ns << ",\n"
       << "  \"rejected_ns_per_call\": " << rejected_ns << ",\n"
-      << "  \"rejected_over_accepted\": " << ratio << "\n"
+      << "  \"rejected_over_accepted\": " << ratio << ",\n"
+      << "  \"stop_peak_events\": " << stop_peak.events << ",\n"
+      << "  \"stop_peak_drained_mib\": " << stop_peak.drained_mib << ",\n"
+      << "  \"stop_peak_rise_mib\": " << stop_peak.rise_mib << ",\n"
+      << "  \"stop_peak_over_drained\": " << peak_ratio << "\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
-  return gate ? 0 : 1;
+  return gate && peak_gate ? 0 : 1;
 }

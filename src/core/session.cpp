@@ -285,6 +285,8 @@ Status Session::stop() {
     trace_.synthetic_symbols = synthetic_;
     trace_.filter = filter_decl_;
   }
+  // The drain merges the events in time order and frees the buffers as
+  // it goes; sort_by_time then only checks them and orders the samples.
   DrainTotals totals;
   registry_.drain_into(&trace_, ring_trim_ticks_, &totals);
   trace_.temp_samples = std::move(tempd_.samples());

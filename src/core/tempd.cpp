@@ -53,7 +53,13 @@ void Tempd::stop() {
   // Request-before-join, and only ever join under the lifecycle lock:
   // a second stop() (or the destructor racing an explicit stop) sees a
   // non-joinable handle and falls through. Safe when start() never ran.
-  stop_requested_.store(true, std::memory_order_release);
+  // The request is stored under wake_mu_ so the sampler cannot miss the
+  // notify between checking the flag and starting to wait.
+  {
+    common::MutexLock wake(&wake_mu_);
+    stop_requested_.store(true, std::memory_order_release);
+  }
+  wake_.notify_all();
   const bool was_running = thread_.joinable();
   if (thread_.joinable()) {
     thread_.join();
@@ -89,8 +95,8 @@ void Tempd::run_loop(double hz) {
   while (!stop_requested_.load(std::memory_order_acquire)) {
     const auto tick_start = clock::now();
     // Jitter = how late the sweep starts relative to its deadline
-    // (early wakeups clamp to 0 — the slice loop below never overshoots
-    // by design, scheduling noise does).
+    // (early wakeups clamp to 0 — the wait below never overshoots by
+    // design, scheduling noise does).
     const double late_us = to_us(tick_start - next);
     telemetry::observe(Histogram::kCadenceJitterUs,
                        late_us < 0.0 ? 0.0 : late_us);
@@ -115,14 +121,12 @@ void Tempd::run_loop(double hz) {
       ++stats_.missed_ticks;
       telemetry::count(Counter::kTempdMissedTicks);
     }
-    // sleep_until the absolute deadline in small slices so stop() is
-    // responsive at low rates.
-    while (!stop_requested_.load(std::memory_order_acquire)) {
-      const auto now = clock::now();
-      if (now >= next) break;
-      std::this_thread::sleep_until(
-          std::min(next, now + clock::duration(std::chrono::milliseconds(20))));
-    }
+    // Wait for the absolute deadline; stop() notifies, so it never waits
+    // out the period.
+    common::MutexLock wake(&wake_mu_);
+    wake_.wait_until(wake_mu_, next, [this] {
+      return stop_requested_.load(std::memory_order_acquire);
+    });
   }
   // Final sample so every function interval is bracketed by readings.
   sample_all_nodes();

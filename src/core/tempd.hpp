@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,7 +92,11 @@ class Tempd {
   std::vector<NodeBinding>* nodes_ = nullptr;
   std::function<void()> tick_hook_;  ///< read only by the sampler thread
   std::atomic<bool> running_{false};
+  /// stop() sets it under wake_mu_ (the loop reads it lock-free), so the
+  /// sampler's wait for its next deadline cannot miss the wakeup.
   std::atomic<bool> stop_requested_{false};
+  common::Mutex wake_mu_;
+  std::condition_variable_any wake_;
 
   std::vector<trace::TempSample> samples_;
   std::vector<trace::ClockSync> clock_syncs_;

@@ -4,7 +4,9 @@
 // fixed-size record to a thread-local chunked buffer: no locks, no
 // branching beyond a chunk-full check, and allocation only once per
 // 64Ki events. This is what keeps Tempest's overhead under the paper's
-// 7% bound. Buffers are drained once, at session stop.
+// 7% bound. Buffers are drained once, at session stop, by one merge
+// that writes the trace's event vector and unmaps each chunk as soon as
+// it has been merged.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +21,10 @@
 namespace tempest::core {
 
 /// Append-only chunked store of FnEvents for a single thread. Events
-/// are pushed with monotonically increasing timestamps (one thread, one
-/// clock domain), so each buffer is a pre-sorted run that the trace
-/// merger can exploit.
+/// are pushed with non-decreasing timestamps while the thread keeps one
+/// clock, so a buffer is one time-ordered run, or a few when a clock
+/// rebind steps its timestamps back; the registry's drain merges the
+/// runs of every thread straight into the trace.
 ///
 /// Optionally bounded (set_limit): once the cap is reached the buffer
 /// switches to a single scratch chunk that newer events overwrite, so a
@@ -39,6 +42,38 @@ namespace tempest::core {
 class EventBuffer {
  public:
   static constexpr std::size_t kChunkSize = 64 * 1024;
+
+  /// kChunkSize events in their own anonymous page mapping. Releasing
+  /// one unmaps it, so its pages leave the process at once: a malloc'd
+  /// 1.5 MiB block can come from a heap arena that never shrinks (glibc
+  /// raises its mmap threshold once a larger block has been freed), and
+  /// the drain's footprint relies on merged chunks really going away.
+  class Chunk {
+   public:
+    Chunk() = default;
+    /// Map a fresh chunk (pages are zero-filled on first touch); throws
+    /// std::bad_alloc when the kernel refuses.
+    static Chunk map();
+    ~Chunk() { release(); }
+    Chunk(Chunk&& other) noexcept;
+    Chunk& operator=(Chunk&& other) noexcept;
+    Chunk(const Chunk&) = delete;
+    Chunk& operator=(const Chunk&) = delete;
+
+    trace::FnEvent* data() const { return data_; }
+    /// Unmap now; idempotent.
+    void release();
+
+   private:
+    trace::FnEvent* data_ = nullptr;
+  };
+
+  /// One chunk's retained events, listed for the registry's drain.
+  struct Slice {
+    const trace::FnEvent* begin = nullptr;
+    const trace::FnEvent* end = nullptr;
+    Chunk* chunk = nullptr;  ///< null for the write head: never released
+  };
 
   void push(const trace::FnEvent& e) {
     // pos_ starts at kChunkSize, so the empty buffer takes the same
@@ -98,15 +133,18 @@ class EventBuffer {
     return true;
   }
 
-  /// Copy all retained events out (drain happens once, post-run);
-  /// reserves the destination before inserting.
-  void append_to(std::vector<trace::FnEvent>* out) const;
+  /// Append one Slice per chunk, oldest first, covering the retained
+  /// events. A nonzero `min_tsc` (TEMPEST_RING_SECONDS) skips the events
+  /// stamped before it and counts them into *trimmed: whole chunks whose
+  /// last event predates it, then a binary search inside the boundary
+  /// chunk. Skipped chunks stay listed, empty, so the drain frees them.
+  void slices(std::uint64_t min_tsc, std::vector<Slice>* out,
+              std::uint64_t* trimmed);
 
-  /// Time-trimmed copy for TEMPEST_RING_SECONDS: events stamped before
-  /// `min_tsc` are skipped (binary search inside the boundary chunk —
-  /// per-thread buffers are time-ordered) and counted into *trimmed.
-  void append_to(std::vector<trace::FnEvent>* out, std::uint64_t min_tsc,
-                 std::uint64_t* trimmed) const;
+  /// After a drain released every listed chunk but the write head: park
+  /// the write head, where a hook racing the drain may still land, and
+  /// leave the buffer empty.
+  void finish_drain();
 
   /// Publish not-yet-published stored/dropped counts to the telemetry
   /// registry (chunk boundaries publish eagerly; this flushes the
@@ -118,8 +156,9 @@ class EventBuffer {
 
   trace::FnEvent* active_ = nullptr;  ///< current write target chunk
   std::size_t pos_ = kChunkSize;
-  std::vector<std::unique_ptr<trace::FnEvent[]>> chunks_;
-  std::unique_ptr<trace::FnEvent[]> scratch_;  ///< overwrite target once capped
+  std::vector<Chunk> chunks_;
+  Chunk scratch_;  ///< overwrite target once capped
+  Chunk parked_;   ///< drained write head, kept for racing hooks
   std::size_t max_chunks_ = 0;                 ///< 0 = unbounded
   std::size_t ring_chunks_ = 0;                ///< 0 = not a ring
   bool dropping_ = false;
@@ -189,7 +228,8 @@ struct DrainTotals {
 /// generation, so a thread that is mid-record while another thread
 /// resets keeps writing into a retired (leaked-until-registry-death)
 /// buffer instead of freed memory; its next current() call
-/// re-registers under the new generation.
+/// re-registers under the new generation. A drained state keeps only
+/// its write-head chunk, so a retired one costs at most one chunk.
 class ThreadRegistry {
  public:
   /// Get (or create) the calling thread's state.
@@ -210,10 +250,15 @@ class ThreadRegistry {
   void set_buffer_ring(std::size_t ring_events_per_thread) EXCLUDES(mu_);
 
   /// Drain all buffers into a trace (call only when threads are
-  /// quiesced). Reserves the destination once for the total event count
-  /// and records one Trace::fn_event_runs entry per thread, so
-  /// Trace::sort_by_time can k-way-merge the per-thread runs instead of
-  /// re-sorting from scratch.
+  /// quiesced): one stable merge of every thread's time-ordered runs
+  /// appends the events to trace->fn_events in timestamp order, ties to
+  /// the earlier-registered thread and then to buffer order — exactly
+  /// what a stable sort of the registration-order concatenation gives.
+  /// The destination is reserved once, and each chunk is unmapped as
+  /// soon as the merge has consumed it, so the drain never holds more
+  /// than one copy of the events plus a chunk per run. The write-head
+  /// chunks stay mapped (a hook racing stop() may still write there) and
+  /// every buffer is left empty.
   ///
   /// `ring_ticks` (nonzero only in TEMPEST_RING_SECONDS mode) trims each
   /// thread's buffer to events newer than its clock's "now minus the
@@ -226,8 +271,9 @@ class ThreadRegistry {
   }
 
   /// Like drain_into but non-destructive and without telemetry flushes:
-  /// copies the retained window out for a flight-recorder snapshot while
-  /// the session is merely paused (active flag cleared), not stopped.
+  /// merges a copy of the retained window out for a flight-recorder
+  /// snapshot while the session is merely paused (active flag cleared),
+  /// not stopped, and releases nothing.
   /// Thread ids/cores are appended to trace->threads as in drain_into.
   void snapshot_into(trace::Trace* trace, std::uint64_t ring_ticks,
                      DrainTotals* totals) EXCLUDES(mu_);
@@ -246,9 +292,10 @@ class ThreadRegistry {
  private:
   ThreadState* register_thread() EXCLUDES(mu_);
 
-  /// Shared body of drain_into/snapshot_into. REQUIRES(mu_) via callers.
+  /// Shared body of drain_into (`drain` set: flush telemetry, release
+  /// merged chunks) and snapshot_into. REQUIRES(mu_) via callers.
   void collect_into(trace::Trace* trace, std::uint64_t ring_ticks,
-                    DrainTotals* totals, bool publish) REQUIRES(mu_);
+                    DrainTotals* totals, bool drain) REQUIRES(mu_);
 
   common::Mutex mu_;
   std::vector<std::unique_ptr<ThreadState>> threads_ GUARDED_BY(mu_);

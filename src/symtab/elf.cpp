@@ -141,8 +141,16 @@ Result<std::vector<FuncSymbol>> extract(const std::vector<char>& file,
 Result<std::vector<char>> slurp_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Result<std::vector<char>>::error("cannot open " + path);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+  // Whole blocks, not one istreambuf_iterator step per byte: that loop
+  // cost ~4 ns a byte (milliseconds per executable) and its speed swung
+  // by a fifth with the code alignment the link happened to give it.
+  std::vector<char> bytes;
+  std::vector<char> block(64 * 1024);
+  while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+         in.gcount() > 0) {
+    bytes.insert(bytes.end(), block.data(), block.data() + in.gcount());
+  }
+  return bytes;
 }
 
 }  // namespace

@@ -3,127 +3,6 @@
 #include <algorithm>
 
 namespace tempest::trace {
-namespace {
-
-/// True when the runs tile [0, n) in order and each run is internally
-/// time-ordered — the precondition for merging instead of sorting.
-bool runs_are_mergeable(const std::vector<FnEvent>& events,
-                        const std::vector<SortedRun>& runs) {
-  std::size_t expected = 0;
-  for (const auto& r : runs) {
-    if (r.begin != expected) return false;
-    expected += r.count;
-  }
-  if (expected != events.size()) return false;
-  for (const auto& r : runs) {
-    for (std::size_t i = r.begin + 1; i < r.begin + r.count; ++i) {
-      if (events[i].tsc < events[i - 1].tsc) return false;
-    }
-  }
-  return true;
-}
-
-/// Fan-in per merge pass. Four wins on real traces: the selection scan
-/// over the run heads costs more per element at wider fan-ins than the
-/// extra streaming pass it would save.
-constexpr std::size_t kMergeFanIn = 4;
-
-/// Merge up to kMergeFanIn adjacent time-sorted runs of `src` into
-/// `dst` at offset `out`. Stable with respect to run order: on equal
-/// timestamps the run with the lower index wins, and adjacent grouping
-/// means lower run index == lower original indices.
-void merge_group(const std::vector<FnEvent>& src, const SortedRun* runs,
-                 std::size_t k, std::vector<FnEvent>* dst, std::size_t out) {
-  if (k == 1) {
-    std::copy(src.begin() + static_cast<std::ptrdiff_t>(runs[0].begin),
-              src.begin() + static_cast<std::ptrdiff_t>(runs[0].begin + runs[0].count),
-              dst->begin() + static_cast<std::ptrdiff_t>(out));
-    return;
-  }
-  if (k == 2) {
-    // Branchless two-run merge: the pointer select compiles to a
-    // conditional move, sidestepping the mispredicted branch per
-    // element a naive merge pays on interleaved thread timelines.
-    // Strict < keeps stability (left run wins ties).
-    const FnEvent* a = src.data() + runs[0].begin;
-    const FnEvent* aend = a + runs[0].count;
-    const FnEvent* b = src.data() + runs[1].begin;
-    const FnEvent* bend = b + runs[1].count;
-    FnEvent* o = dst->data() + out;
-    while (a != aend && b != bend) {
-      const bool take_b = b->tsc < a->tsc;
-      const FnEvent* p = take_b ? b : a;
-      *o++ = *p;
-      b += static_cast<std::ptrdiff_t>(take_b);
-      a += static_cast<std::ptrdiff_t>(!take_b);
-    }
-    o = std::copy(a, aend, o);
-    std::copy(b, bend, o);
-    return;
-  }
-  struct Head {
-    const FnEvent* p;
-    const FnEvent* end;
-  };
-  Head cur[kMergeFanIn];
-  std::size_t active = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    cur[active].p = src.data() + runs[i].begin;
-    cur[active].end = cur[active].p + runs[i].count;
-    ++active;
-  }
-  FnEvent* o = dst->data() + out;
-  while (active > 1) {
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < active; ++j) {
-      if (cur[j].p->tsc < cur[best].p->tsc) best = j;  // strict: ties keep lower run
-    }
-    *o++ = *cur[best].p++;
-    if (cur[best].p == cur[best].end) {
-      for (std::size_t j = best; j + 1 < active; ++j) cur[j] = cur[j + 1];
-      --active;
-    }
-  }
-  std::copy(cur[0].p, cur[0].end, o);
-}
-
-/// Stable k-way merge of per-thread runs, done as ceil(log4 k) passes
-/// of 4-way adjacent merges ping-ponging between the event array and
-/// one scratch buffer. Each pass streams the whole array once, so the
-/// 4-way fan-in cuts memory traffic versus pairwise passes (8 runs:
-/// two passes instead of three); a tournament heap over all k runs
-/// would do fewer passes still but loses far more to its per-element
-/// comparison cascade and cache-hostile indirection.
-void merge_runs(std::vector<FnEvent>* events, const std::vector<SortedRun>& runs) {
-  std::vector<SortedRun> cur;
-  cur.reserve(runs.size());
-  for (const auto& r : runs) {
-    if (r.count > 0) cur.push_back(r);
-  }
-  if (cur.size() <= 1) return;
-
-  std::vector<FnEvent> scratch(events->size());
-  std::vector<FnEvent>* src = events;
-  std::vector<FnEvent>* dst = &scratch;
-  std::vector<SortedRun> next;
-  while (cur.size() > 1) {
-    next.clear();
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < cur.size(); i += kMergeFanIn) {
-      const std::size_t k = std::min(kMergeFanIn, cur.size() - i);
-      merge_group(*src, cur.data() + i, k, dst, out);
-      std::size_t total = 0;
-      for (std::size_t j = 0; j < k; ++j) total += cur[i + j].count;
-      next.push_back({out, total});
-      out += total;
-    }
-    std::swap(src, dst);
-    cur.swap(next);
-  }
-  if (src != events) *events = std::move(scratch);
-}
-
-}  // namespace
 
 void RunStats::append(const RunStats& other) {
   if (!other.present) return;
@@ -197,17 +76,8 @@ void Trace::sort_by_time() {
   const auto event_before = [](const FnEvent& a, const FnEvent& b) {
     return a.tsc < b.tsc;
   };
-  if (!fn_event_runs.empty() && runs_are_mergeable(fn_events, fn_event_runs)) {
-    merge_runs(&fn_events, fn_event_runs);
-  } else if (!std::is_sorted(fn_events.begin(), fn_events.end(), event_before)) {
+  if (!std::is_sorted(fn_events.begin(), fn_events.end(), event_before)) {
     std::stable_sort(fn_events.begin(), fn_events.end(), event_before);
-  }
-  // After any sort the whole vector is one run; repeated sorts (e.g.
-  // align_clocks on an in-process trace) validate in O(n) and return.
-  if (fn_events.empty()) {
-    fn_event_runs.clear();
-  } else {
-    fn_event_runs.assign(1, {0, fn_events.size()});
   }
 
   const auto sample_before = [](const TempSample& a, const TempSample& b) {

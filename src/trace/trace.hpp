@@ -68,14 +68,6 @@ struct SyntheticSymbol {
 /// Synthetic addresses live far above any plausible text segment.
 inline constexpr std::uint64_t kSyntheticAddrBase = 0xFFFF'F000'0000'0000ULL;
 
-/// A contiguous, already time-sorted slice of `fn_events`. Each thread's
-/// buffer is appended as one run by ThreadRegistry::drain_into, which
-/// lets sort_by_time replace the global stable_sort with a k-way merge.
-struct SortedRun {
-  std::size_t begin = 0;
-  std::size_t count = 0;
-};
-
 /// Runtime self-measurement written by the recording process at session
 /// end (trace v2 RUNSTATS trailer). Answers "can I trust this trace?":
 /// were events dropped, did tempd keep its cadence, what did the
@@ -171,18 +163,12 @@ struct Trace : TraceHeader {
   std::vector<TempSample> temp_samples;
   std::vector<ClockSync> clock_syncs;
 
-  /// In-memory run metadata over `fn_events` (not serialised). When the
-  /// runs tile the event vector and each run is time-ordered,
-  /// sort_by_time merges them instead of re-sorting from scratch; after
-  /// any sort the whole vector is one run.
-  std::vector<SortedRun> fn_event_runs;
-
-  /// Sort events and samples by (timestamp, enter-before-exit ties kept
-  /// stable); callers run this after concatenating per-thread buffers.
-  /// Exploits `fn_event_runs` (k-way merge) when present and valid,
-  /// falling back to a stable sort otherwise. Also caches start/end
-  /// timestamps; mutating events or samples afterwards requires calling
-  /// sort_by_time again (true anyway, since mutation breaks the order).
+  /// Sort events and samples by timestamp, ties kept stable. A recorded
+  /// trace's events arrive already merged (ThreadRegistry::drain_into),
+  /// so this is an O(n) is_sorted check, with a stable_sort for anything
+  /// out of order. Also caches start/end timestamps; mutating events or
+  /// samples afterwards requires calling sort_by_time again (true
+  /// anyway, since mutation breaks the order).
   void sort_by_time();
 
   /// Earliest timestamp across events and samples (0 when empty).

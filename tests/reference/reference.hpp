@@ -1,7 +1,8 @@
 // Seed-pipeline reference implementations, kept verbatim from before
 // the analysis fast path landed. They are the golden oracle: the
-// equivalence tests assert the fast path (bulk trace I/O, k-way merge
-// sort, flat-hash timeline with online sample attribution) produces
+// equivalence tests assert the fast path (the recorder's one-pass drain
+// merge, bulk trace I/O, flat-hash timeline with online sample
+// attribution) produces
 // byte-identical profiles, and bench_parser measures the speedup
 // against them. Never "optimise" these — their value is that they stay
 // the slow, obviously-correct originals. Test-only: nothing in src/
@@ -49,7 +50,7 @@ using SeedTimeline = std::map<std::pair<std::uint16_t, std::uint64_t>, SeedFunct
 /// Seed merge_intervals: sort by begin, coalesce overlaps/adjacency.
 void merge_intervals_seed(std::vector<SeedInterval>* intervals);
 
-/// Seed Trace::sort_by_time: global stable_sort, ignoring run metadata.
+/// Seed Trace::sort_by_time: global stable_sort of events and samples.
 void sort_by_time_seed(trace::Trace* trace);
 
 /// Seed build_timeline: std::map pair-key lookups per event.

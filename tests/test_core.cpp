@@ -2,6 +2,10 @@
 // per-block APIs, config parsing, workbench DVFS stretching.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -286,6 +290,71 @@ TEST(Session, MaxEventsCapDropsLoudly) {
   EXPECT_EQ(rs.events_recorded, trace.fn_events.size());
   // Every pushed-but-not-kept event is accounted for, none silently.
   EXPECT_EQ(rs.events_dropped, kPushed - core::EventBuffer::kChunkSize);
+  session.clear_nodes();
+}
+
+// ASan's quarantine and TSan's allocator keep freed blocks resident, so
+// under them VmRSS measures the sanitizer, not the recorder.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TEMPEST_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TEMPEST_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
+/// This process's resident set in MiB, from /proc/self/status, after
+/// handing free heap pages back to the kernel: glibc keeps a freed
+/// trace vector's pages in its heap (below the trim threshold), which
+/// says nothing about what the recorder itself still holds.
+double vm_rss_mib() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+TEST(Session, BackToBackSessionsKeepNoDrainedBuffers) {
+  // A retired thread state outlives its session (a racing hook may
+  // still hold it), but after the drain it keeps only its write-head
+  // chunk: memory must not grow by a session's events per session.
+#ifdef TEMPEST_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
+#endif
+  auto& session = Session::instance();
+  session.clear_nodes();
+  simnode::SimNode node(fast_node());
+  session.register_sim_node(&node);
+  constexpr std::size_t kPairs = 500'000;  // ~1M events per session
+  const double session_mib =
+      2.0 * kPairs * sizeof(trace::FnEvent) / (1024.0 * 1024.0);
+  double first_mib = 0.0;
+  for (int s = 0; s < 8; ++s) {
+    ASSERT_TRUE(session.start(test_config(4.0)));
+    const std::uint64_t addr = session.synthetic_addr("back_to_back");
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      session.record_enter(addr);
+      session.record_exit(addr);
+    }
+    ASSERT_TRUE(session.stop());
+    ASSERT_EQ(session.take_trace().fn_events.size(), 2 * kPairs);
+    const double rss_mib = vm_rss_mib();
+    ASSERT_GT(rss_mib, 0.0) << "no VmRSS in /proc/self/status";
+    if (s == 0) {
+      first_mib = rss_mib;
+    } else {
+      EXPECT_LE(rss_mib - first_mib, session_mib)
+          << "session " << s << ": " << rss_mib << " MiB after the first's "
+          << first_mib << " MiB";
+    }
+  }
   session.clear_nodes();
 }
 

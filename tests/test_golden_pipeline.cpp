@@ -1,7 +1,8 @@
-// Golden equivalence: the analysis fast path (k-way merge sort, v2 bulk
-// trace I/O, flat-hash timeline crediting samples as it replays) must
-// produce results identical to the seed pipeline preserved in
-// tests/reference.
+// Golden equivalence: the analysis fast path (v2 bulk trace I/O,
+// flat-hash timeline crediting samples as it replays) must produce
+// results identical to the seed pipeline preserved in tests/reference.
+// The recorder's event order is pinned separately, against the seed's
+// stable sort, by tests/test_drain.cpp.
 // The synthetic trace exercises every semantic corner the optimisations
 // could disturb: per-thread runs, cross-thread interleaving, recursion,
 // an unmatched exit, an activation left open at trace end, duplicate
@@ -31,8 +32,9 @@ constexpr std::uint64_t kFnB = 0x2000;  // interleaved across threads
 constexpr std::uint64_t kFnC = 0x3000;  // too short to be significant
 constexpr std::uint64_t kFnD = 0x4000;  // left open at trace end
 
-/// Three nodes, six threads; events appended per thread in time order
-/// with run metadata, exactly as ThreadRegistry::drain_into emits them.
+/// Three nodes, six threads; events appended per thread in time order,
+/// the registration-order concatenation ThreadRegistry::drain_into
+/// merges.
 Trace golden_trace() {
   Trace t;
   t.tsc_ticks_per_second = 1e9;
@@ -45,13 +47,11 @@ Trace golden_trace() {
 
   const auto push_run = [&t](std::uint32_t tid, std::uint16_t node,
                              std::vector<FnEvent> events) {
-    const std::size_t begin = t.fn_events.size();
     for (auto& e : events) {
       e.thread_id = tid;
       e.node_id = node;
       t.fn_events.push_back(e);
     }
-    t.fn_event_runs.push_back({begin, t.fn_events.size() - begin});
   };
 
   // t0 (node 0): recursion on A — nested activations collapse into one
@@ -103,17 +103,6 @@ Trace golden_trace() {
 
 std::vector<std::pair<std::uint64_t, std::string>> golden_names() {
   return {{kFnA, "alpha_fn"}, {kFnB, "beta_fn"}, {kFnC, "gamma_fn"}, {kFnD, "delta_fn"}};
-}
-
-void expect_events_equal(const std::vector<FnEvent>& a, const std::vector<FnEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tsc, b[i].tsc) << "event " << i;
-    EXPECT_EQ(a[i].addr, b[i].addr) << "event " << i;
-    EXPECT_EQ(a[i].thread_id, b[i].thread_id) << "event " << i;
-    EXPECT_EQ(a[i].node_id, b[i].node_id) << "event " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
-  }
 }
 
 /// The fast timeline against the seed's interval unions: same sums, the
@@ -194,37 +183,6 @@ void expect_profiles_equal(const RunProfile& fast, const RunProfile& seed) {
       }
     }
   }
-}
-
-TEST(GoldenPipeline, SortMatchesSeedStableSort) {
-  Trace fast = golden_trace();
-  Trace seed = golden_trace();
-  fast.sort_by_time();  // k-way merge over the recorded runs
-  reference::sort_by_time_seed(&seed);
-  expect_events_equal(fast.fn_events, seed.fn_events);
-  ASSERT_EQ(fast.temp_samples.size(), seed.temp_samples.size());
-  for (std::size_t i = 0; i < seed.temp_samples.size(); ++i) {
-    EXPECT_EQ(fast.temp_samples[i].tsc, seed.temp_samples[i].tsc) << i;
-    EXPECT_DOUBLE_EQ(fast.temp_samples[i].temp_c, seed.temp_samples[i].temp_c) << i;
-    EXPECT_EQ(fast.temp_samples[i].sensor_id, seed.temp_samples[i].sensor_id) << i;
-  }
-  // After the merge the whole vector is one run.
-  ASSERT_EQ(fast.fn_event_runs.size(), 1u);
-  EXPECT_EQ(fast.fn_event_runs[0].begin, 0u);
-  EXPECT_EQ(fast.fn_event_runs[0].count, fast.fn_events.size());
-  EXPECT_EQ(fast.start_tsc(), seed.start_tsc());
-  EXPECT_EQ(fast.end_tsc(), seed.end_tsc());
-}
-
-TEST(GoldenPipeline, SortHandlesInvalidRunMetadata) {
-  // Stale/overlapping run metadata must not corrupt the sort: the fast
-  // path detects it and falls back to the seed-equivalent stable sort.
-  Trace fast = golden_trace();
-  Trace seed = golden_trace();
-  fast.fn_event_runs = {{0, 3}, {2, fast.fn_events.size() - 2}};  // overlap
-  fast.sort_by_time();
-  reference::sort_by_time_seed(&seed);
-  expect_events_equal(fast.fn_events, seed.fn_events);
 }
 
 TEST(GoldenPipeline, TimelineMatchesSeed) {

@@ -79,7 +79,6 @@ Trace big_trace(std::size_t n_events, std::uint32_t seed) {
           {tsc, 40.0 + static_cast<double>(rng() % 400) * 0.1, 0, 0});
     }
   }
-  t.fn_event_runs.assign(1, {0, t.fn_events.size()});
   t.sort_by_time();
   return t;
 }
@@ -96,7 +95,6 @@ Trace rank_trace(std::uint16_t rank, std::uint64_t skew, std::size_t n_pairs) {
   const std::uint64_t base = 10000 + rank * 13;
   const auto local = [&](std::uint64_t global) { return global - skew; };
   std::uint64_t g = base;
-  const std::size_t run = t.fn_events.size();
   for (std::size_t i = 0; i < n_pairs; ++i) {
     const std::uint64_t addr = 0x2000 + (i % 7) * 16;
     t.fn_events.push_back({local(g), addr, tid, rank, FnEventKind::kEnter});
@@ -108,7 +106,6 @@ Trace rank_trace(std::uint16_t rank, std::uint64_t skew, std::size_t n_pairs) {
     }
     g += 100;
   }
-  t.fn_event_runs.push_back({run, t.fn_events.size() - run});
   t.clock_syncs = {{local(base), base, rank}, {local(g), g, rank}};
   return t;
 }

@@ -59,16 +59,12 @@ Trace rank_trace(std::uint16_t rank, std::uint64_t skew) {
                         std::uint64_t addr, FnEventKind kind) {
     t.fn_events.push_back({local(global_tsc), addr, tid, rank, kind});
   };
-  const std::size_t run0 = t.fn_events.size();
   push(t0, base + 0, kFnMain, FnEventKind::kEnter);
   push(t0, base + 100, kFnWork, FnEventKind::kEnter);
   push(t0, base + 700, kFnWork, FnEventKind::kExit);
   push(t0, base + 900, kFnMain, FnEventKind::kExit);
-  t.fn_event_runs.push_back({run0, t.fn_events.size() - run0});
-  const std::size_t run1 = t.fn_events.size();
   push(t1, base + 50, kFnWork, FnEventKind::kEnter);
   push(t1, base + 650, kFnWork, FnEventKind::kExit);
-  t.fn_event_runs.push_back({run1, t.fn_events.size() - run1});
 
   for (std::uint64_t g = base + 40; g < base + 900; g += 200) {
     t.temp_samples.push_back({local(g), 40.0 + rank + (g % 7) * 0.5, rank, 0});
@@ -174,7 +170,6 @@ TEST(ChunkedTraceSource, TrailingBytesRejected) {
 TEST(OrderCheckStage, RejectsOutOfOrderStream) {
   Trace t = sorted_single_trace();
   std::swap(t.fn_events.front(), t.fn_events.back());  // break the order
-  t.fn_event_runs.clear();
   const std::string path = temp_path("unsorted.trace");
   ASSERT_TRUE(write_trace_file(path, t));
 
@@ -394,7 +389,6 @@ TEST(RankFanIn, ToleratesZeroEventRank) {
   active.sort_by_time();
   Trace idle = rank_trace(1, 0);
   idle.fn_events.clear();
-  idle.fn_event_runs.clear();
   idle.temp_samples.clear();
   idle.sort_by_time();
 

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "sensors/hwmon.hpp"
 #include "sensors/replay.hpp"
@@ -18,7 +19,11 @@ using namespace tempest::sensors;
 class HwmonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "hwmon_fake";
+    // One tree per test: ctest runs these in parallel processes, and a
+    // shared tree would be removed under a neighbour mid-test.
+    root_ = fs::path(::testing::TempDir()) /
+            (std::string("hwmon_fake_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(root_);
     fs::create_directories(root_ / "hwmon0");
     fs::create_directories(root_ / "hwmon1");

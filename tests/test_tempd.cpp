@@ -3,6 +3,7 @@
 // and start/stop cycles must be repeatable on one instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -122,6 +123,29 @@ TEST(Tempd, AbsoluteCadenceHoldsWithoutDrift) {
   EXPECT_GE(stats.ticks, 2u);  // immediate first tick + final tick
   EXPECT_EQ(stats.read_errors, 0u);
   EXPECT_EQ(stats.samples, 0u);  // no nodes, no sensors
+}
+
+TEST(Tempd, StopWakesASleepingSampler) {
+  // At 1 Hz the sampler spends nearly all its time waiting for the next
+  // deadline; stop() must wake it, not wait for the wait to end. Each
+  // stop lands 21 ms after start, where a sampler sleeping in 20 ms
+  // slices would still have ~19 ms to go. The median over the cycles
+  // keeps one slow join on a busy host from deciding.
+  Tempd tempd;
+  std::vector<NodeBinding> no_nodes;
+  std::vector<double> stop_ms;
+  for (int cycle = 0; cycle < 9; ++cycle) {
+    tempd.start(1.0, &no_nodes);
+    std::this_thread::sleep_for(std::chrono::milliseconds(21));
+    const auto t0 = std::chrono::steady_clock::now();
+    tempd.stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    EXPECT_GE(tempd.stats().ticks, 2u) << "cycle " << cycle;  // first + final
+  }
+  std::nth_element(stop_ms.begin(), stop_ms.begin() + 4, stop_ms.end());
+  EXPECT_LT(stop_ms[4], 5.0) << "median stop() latency in ms";
 }
 
 TEST(Tempd, SlowSweepCountsMissesInsteadOfDrifting) {
