@@ -42,7 +42,7 @@
 
 namespace {
 
-using tempest::parser::ProfileBuilder;
+using tempest::parser::ProfileAssembler;
 using tempest::parser::ProfileOptions;
 using tempest::parser::TimelineDiagnostics;
 
@@ -331,9 +331,12 @@ void BM_Profile_Fast(benchmark::State& state) {
   TimelineDiagnostics diag;
   const auto timeline = tempest::parser::build_timeline(t, &diag);
   const auto names = func_names();
-  const ProfileOptions options;
+  ProfileAssembler assembler{ProfileOptions{}};
+  assembler.set_metadata(t);
+  assembler.add_samples(t.temp_samples.data(), t.temp_samples.size());
   for (auto _ : state) {
-    auto profile = ProfileBuilder(t, options).build(timeline, names, diag);
+    auto profile =
+        assembler.assemble(t.start_tsc(), t.end_tsc(), timeline, names, diag);
     benchmark::DoNotOptimize(profile.nodes.size());
   }
   set_events_rate(state);
@@ -401,7 +404,12 @@ void end_to_end(benchmark::State& state) {
       tempest::trace::Trace loaded = std::move(rt).value();
       loaded.sort_by_time();
       const auto timeline = tempest::parser::build_timeline(loaded, &diag);
-      profile = ProfileBuilder(loaded, options).build(timeline, names, diag);
+      ProfileAssembler assembler(options);
+      assembler.set_metadata(loaded);
+      assembler.add_samples(loaded.temp_samples.data(),
+                            loaded.temp_samples.size());
+      profile = assembler.assemble(loaded.start_tsc(), loaded.end_tsc(),
+                                   timeline, names, diag);
     }
     benchmark::DoNotOptimize(profile.nodes.size());
   }

@@ -8,30 +8,13 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "trace/reader.hpp"
 
 namespace tempest::analysis {
 namespace {
 
 std::string fmt_thread(std::uint32_t tid) { return "thread " + std::to_string(tid); }
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-             << "0123456789abcdef"[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -712,13 +695,9 @@ std::string to_json(const LintReport& report) {
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const Finding& f = report.findings[i];
     if (i > 0) os << ",";
-    os << "{\"check\":\"";
-    json_escape(os, f.check);
-    os << "\",\"severity\":\""
+    os << "{\"check\":" << json::quote(f.check) << ",\"severity\":\""
        << (f.severity == Severity::kError ? "error" : "warning")
-       << "\",\"message\":\"";
-    json_escape(os, f.message);
-    os << "\"}";
+       << "\",\"message\":" << json::quote(f.message) << "}";
   }
   os << "]}";
   return os.str();

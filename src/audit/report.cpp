@@ -6,28 +6,11 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "symtab/resolver.hpp"
 
 namespace tempest::audit {
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-             << "0123456789abcdef"[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -45,9 +28,8 @@ const char* elf_type_name(std::uint16_t type) {
 }
 
 void json_function(std::ostream& os, const FunctionRecord& fn) {
-  os << "{\"name\":\"";
-  json_escape(os, fn.name);
-  os << "\",\"addr\":\"" << hex(fn.addr) << "\",\"size\":" << fn.size
+  os << "{\"name\":" << json::quote(fn.name) << ",\"addr\":\""
+     << hex(fn.addr) << "\",\"size\":" << fn.size
      << ",\"instrumented\":" << (fn.instrumented ? "true" : "false")
      << ",\"static_callers\":" << fn.static_callers
      << ",\"static_callees\":" << fn.static_callees << "}";
@@ -62,9 +44,8 @@ std::string to_json(const Inventory& inventory, const CoverageReport& coverage,
   for (const CallEdge& e : inventory.edges) {
     if (e.source == EdgeSource::kReloc) ++reloc_edges;
   }
-  os << "{\"binary\":\"";
-  json_escape(os, inventory.binary_path);
-  os << "\",\"elf_type\":\"" << elf_type_name(inventory.elf_type)
+  os << "{\"binary\":" << json::quote(inventory.binary_path)
+     << ",\"elf_type\":\"" << elf_type_name(inventory.elf_type)
      << "\",\"hooks_linked\":" << (inventory.hooks_linked ? "true" : "false")
      << ",\"functions\":" << inventory.functions.size()
      << ",\"instrumented\":" << coverage.instrumented
@@ -88,9 +69,8 @@ std::string to_json(const Inventory& inventory, const CoverageReport& coverage,
     first = false;
     ++listed;
     const FunctionRecord& fn = inventory.functions[fn_index];
-    os << "{\"name\":\"";
-    json_escape(os, fn.name);
-    os << "\",\"addr\":\"" << hex(fn.addr) << "\",\"reachable_from_instrumented\":"
+    os << "{\"name\":" << json::quote(fn.name) << ",\"addr\":\""
+       << hex(fn.addr) << "\",\"reachable_from_instrumented\":"
        << (silent.count(fn_index) > 0 ? "true" : "false") << "}";
   };
   for (const std::uint32_t i : coverage.silent_subtree_fns) emit_gap(i);
@@ -110,9 +90,8 @@ std::string to_json(const Inventory& inventory, const CoverageReport& coverage,
       const OverheadEntry& entry = overhead->ranked[i];
       const FunctionRecord& fn = inventory.functions[entry.fn];
       if (i > 0) os << ",";
-      os << "{\"name\":\"";
-      json_escape(os, fn.name);
-      os << "\",\"addr\":\"" << hex(fn.addr) << "\",\"calls\":" << entry.calls
+      os << "{\"name\":" << json::quote(fn.name) << ",\"addr\":\""
+         << hex(fn.addr) << "\",\"calls\":" << entry.calls
          << ",\"predicted_probe_events\":" << entry.predicted_probes
          << ",\"share\":" << std::setprecision(6) << entry.share
          << ",\"static_callers\":" << fn.static_callers

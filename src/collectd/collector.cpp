@@ -21,6 +21,8 @@
 
 #include "collectd/net.hpp"
 #include "collectd/wire.hpp"
+#include "common/fastwrite.hpp"
+#include "common/json.hpp"
 #include "pipeline/analysis.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -35,34 +37,6 @@ using telemetry::Histogram;
 constexpr int kPollTimeoutMs = 50;
 constexpr std::size_t kHttpRequestCap = 8 * 1024;
 constexpr std::size_t kMaxSessionSyncs = 1u << 20;
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          *out += "\\u00";
-          out->push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-          out->push_back(kHex[static_cast<unsigned char>(c) & 0xF]);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_num(std::string* out, double v) {
-  std::ostringstream os;
-  os << v;
-  *out += os.str();
-}
 
 /// Value of the first `name:` header in an HTTP header block (the
 /// request line plus CRLF-separated headers), "" when absent. Header
@@ -92,25 +66,6 @@ std::string header_value(const std::string& headers, const std::string& name) {
     pos = eol;
   }
   return "";
-}
-
-/// Scan a flat heartbeat-schema JSON object for "key":number pairs.
-void parse_flat_json(const std::string& line,
-                     std::vector<std::pair<std::string, double>>* out) {
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t key_start = line.find('"', pos);
-    if (key_start == std::string::npos) return;
-    const std::size_t key_end = line.find('"', key_start + 1);
-    if (key_end == std::string::npos) return;
-    const std::size_t colon = line.find(':', key_end + 1);
-    if (colon == std::string::npos) return;
-    const std::string key = line.substr(key_start + 1, key_end - key_start - 1);
-    char* end = nullptr;
-    const double v = std::strtod(line.c_str() + colon + 1, &end);
-    if (end != line.c_str() + colon + 1) out->emplace_back(key, v);
-    pos = colon + 1;
-  }
 }
 
 enum SessionState : int {
@@ -221,19 +176,8 @@ void fold_profile(const parser::RunProfile& profile,
       f.calls += fn.calls;
       f.total_time_s += fn.total_time_s;
       if (seen_this_run.insert(fn.name).second) ++f.sessions;
-      // Chan's parallel combine: pool this run's per-activation
-      // duration moments into the fleet rollup so variance composes
-      // exactly as if every interval had been folded in one pass.
-      if (fn.time.count > 0) {
-        const double nb = static_cast<double>(fn.time.count);
-        const double na = static_cast<double>(f.activations);
-        const double n = na + nb;
-        const double delta = fn.time.mean_s - f.time_mean_s;
-        const double m2_b = fn.time.var_s2 * nb;
-        f.time_m2 += m2_b + delta * delta * na * nb / n;
-        f.time_mean_s += delta * nb / n;
-        f.activations += fn.time.count;
-      }
+      f.time.merge(Moments::from_variance(fn.time.count, fn.time.mean_s,
+                                          fn.time.var_s2));
     }
   }
 }
@@ -357,9 +301,13 @@ struct Collector::Impl {
   }
 
   void fold_heartbeat(SessionInfo* s, const std::string& line) {
-    const auto seq =
-        static_cast<std::uint64_t>(json_number(line, "seq", 0.0));
-    const double t = json_number(line, "t", 0.0);
+    const json::NumberFields fields = json::read_numbers(line);
+    const double seq_value = fields.get("seq");
+    const std::uint64_t seq =
+        seq_value >= 1.0 && seq_value < 0x1p64
+            ? static_cast<std::uint64_t>(seq_value)
+            : 0;
+    const double t = fields.get("t");
     if (seq > 0) {
       const std::uint64_t last = s->last_seq.load(std::memory_order_relaxed);
       if (last > 0 && seq > last + 1) {
@@ -734,7 +682,7 @@ struct Collector::Impl {
       }
     }
     *body = "{\"status\":\"ok\",\"uptime_s\":";
-    append_num(body, uptime_s());
+    fastwrite::append_general(*body, uptime_s());
     *body += ",\"sessions_active\":" + std::to_string(live) + "}";
     return 200;
   }
@@ -756,7 +704,7 @@ struct Collector::Impl {
         last_t = s->last_t;
       }
       *body += "{\"id\":" + std::to_string(id) + ",\"name\":";
-      append_json_string(body, name);
+      json::append_json_string(body, name);
       *body += ",\"pid\":" + std::to_string(pid);
       *body += ",\"state\":\"";
       *body += state_name(s->state.load(std::memory_order_acquire));
@@ -775,7 +723,7 @@ struct Collector::Impl {
       *body += ",\"last_seq\":" +
                std::to_string(s->last_seq.load(std::memory_order_relaxed));
       *body += ",\"last_t\":";
-      append_num(body, last_t);
+      fastwrite::append_general(*body, last_t);
       *body += "}";
     }
     *body += "]}";
@@ -807,16 +755,16 @@ struct Collector::Impl {
     for (std::size_t i = 0; i < fns.size(); ++i) {
       if (i > 0) *body += ",";
       *body += "{\"name\":";
-      append_json_string(body, fns[i].first);
+      json::append_json_string(body, fns[i].first);
       *body += ",\"calls\":" + std::to_string(fns[i].second.calls);
       *body += ",\"total_time_s\":";
-      append_num(body, fns[i].second.total_time_s);
+      fastwrite::append_general(*body, fns[i].second.total_time_s);
       *body += ",\"sessions\":" + std::to_string(fns[i].second.sessions);
-      *body += ",\"activations\":" + std::to_string(fns[i].second.activations);
+      *body += ",\"activations\":" + std::to_string(fns[i].second.time.count);
       *body += ",\"time_mean_s\":";
-      append_num(body, fns[i].second.time_mean_s);
+      fastwrite::append_general(*body, fns[i].second.time.mean);
       *body += ",\"time_var_s2\":";
-      append_num(body, fns[i].second.time_var_s2());
+      fastwrite::append_general(*body, fns[i].second.time.variance());
       *body += "}";
     }
     *body += "]}";
@@ -849,9 +797,9 @@ struct Collector::Impl {
     *body += ",\"tempd_samples\":" + std::to_string(rs.tempd_samples);
     *body += ",\"heartbeats\":" + std::to_string(rs.heartbeats);
     *body += ",\"wall_seconds\":";
-    append_num(body, rs.wall_seconds);
+    fastwrite::append_general(*body, rs.wall_seconds);
     *body += ",\"tempd_cpu_seconds\":";
-    append_num(body, rs.tempd_cpu_seconds);
+    fastwrite::append_general(*body, rs.tempd_cpu_seconds);
     // The conservation invariant, checked server-side so a curl of this
     // endpoint is a fleet-wide lint.
     *body += ",\"conservation_ok\":";
@@ -917,9 +865,8 @@ struct Collector::Impl {
     // heartbeat line.
     std::vector<std::pair<std::string, double>> merged;
     for (const std::string& line : lines) {
-      std::vector<std::pair<std::string, double>> kv;
-      parse_flat_json(line, &kv);
-      for (auto& [key, value] : kv) {
+      const json::NumberFields fields = json::read_numbers(line);
+      for (const auto& [key, value] : fields.members) {
         auto it = std::find_if(merged.begin(), merged.end(),
                                [&](const auto& p) { return p.first == key; });
         if (it == merged.end()) {
@@ -937,8 +884,9 @@ struct Collector::Impl {
     *body = "{";
     for (std::size_t i = 0; i < merged.size(); ++i) {
       if (i > 0) *body += ",";
-      *body += "\"" + merged[i].first + "\":";
-      append_num(body, merged[i].second);
+      json::append_json_string(body, merged[i].first);
+      *body += ":";
+      fastwrite::append_general(*body, merged[i].second);
     }
     *body += "}";
     return 200;

@@ -41,6 +41,7 @@
 #include <memory>
 #include <string>
 
+#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "parser/profile.hpp"
 #include "trace/trace.hpp"
@@ -92,18 +93,10 @@ struct FleetFunction {
   std::uint64_t calls = 0;
   double total_time_s = 0.0;
   std::uint64_t sessions = 0;  ///< folded sessions that ran it
-  /// Pooled per-activation duration moments across every folded
-  /// session (Chan parallel combine of each run's mean/variance), so
-  /// `tempest-diff --poll` can score fleet-level drift with the same
-  /// Welch statistic the offline diff uses.
-  std::uint64_t activations = 0;  ///< closed outermost intervals
-  double time_mean_s = 0.0;       ///< pooled mean seconds per activation
-  double time_m2 = 0.0;           ///< pooled sum of squared deviations
-
-  /// Pooled population variance (seconds²); 0 with no activations.
-  double time_var_s2() const {
-    return activations == 0 ? 0.0 : time_m2 / static_cast<double>(activations);
-  }
+  /// Per-activation duration moments (seconds) pooled across every
+  /// folded session, so `tempest-diff --poll` can score fleet-level
+  /// drift with the same Welch statistic the offline diff uses.
+  Moments time;
 };
 
 /// Roll one run's profile into a fleet function map — exactly the fold

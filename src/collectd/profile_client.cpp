@@ -1,113 +1,34 @@
 #include "collectd/profile_client.hpp"
 
-#include <cstdlib>
-
 #include "collectd/net.hpp"
+#include "common/json.hpp"
 
 namespace tempest::collectd {
-namespace {
 
-/// Cursor over the /profile JSON. The query plane emits a fixed shape
-/// (see Impl::handle_profile), so a tolerant scanner beats a general
-/// parser: find each field by key, skip what we don't know.
-struct Scanner {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  bool find(const char* key, std::size_t limit) {
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = s.find(needle, pos);
-    if (at == std::string::npos || at >= limit) return false;
-    pos = at + needle.size();
-    return true;
-  }
-
-  double number() {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str() + pos, &end);
-    if (end != nullptr) pos = static_cast<std::size_t>(end - s.c_str());
-    return v;
-  }
-
-  /// Decode the JSON string starting at pos (expects the opening
-  /// quote); handles the escapes append_json_string produces.
-  bool string(std::string* out) {
-    if (pos >= s.size() || s[pos] != '"') return false;
-    ++pos;
-    out->clear();
-    while (pos < s.size()) {
-      const char c = s[pos++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos >= s.size()) return false;
-      const char esc = s[pos++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos + 4 > s.size()) return false;
-          const unsigned long cp = std::strtoul(s.substr(pos, 4).c_str(),
-                                                nullptr, 16);
-          pos += 4;
-          out->push_back(static_cast<char>(cp & 0xFF));
-          break;
-        }
-        default: out->push_back(esc); break;
-      }
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
-Result<FleetProfileView> parse_fleet_profile(const std::string& json) {
+Result<FleetProfileView> parse_fleet_profile(const std::string& body) {
   FleetProfileView view;
-  Scanner sc{json};
-  if (sc.find("sessions_folded", json.size())) {
-    view.sessions_folded = static_cast<std::uint64_t>(sc.number());
-  }
-  Scanner fns{json};
-  if (!fns.find("functions", json.size())) {
+  bool have_functions = false;
+  json::Reader in(body);
+  const bool ok = in.object([&](std::string_view key) {
+    if (key == "sessions_folded") return in.number(&view.sessions_folded);
+    if (key != "functions") return in.skip();
+    have_functions = true;
+    return in.array([&] {
+      FleetProfileEntry& e = view.functions.emplace_back();
+      return in.object([&](std::string_view field) {
+        if (field == "name") return in.string(&e.name);
+        if (field == "calls") return in.number(&e.calls);
+        if (field == "total_time_s") return in.number(&e.total_time_s);
+        if (field == "sessions") return in.number(&e.sessions);
+        if (field == "time_mean_s") return in.number(&e.time_mean_s);
+        if (field == "time_var_s2") return in.number(&e.time_var_s2);
+        return in.skip();
+      });
+    });
+  });
+  if (!ok) return Result<FleetProfileView>::error("/profile body is malformed JSON");
+  if (!have_functions) {
     return Result<FleetProfileView>::error("/profile body has no functions array");
-  }
-  std::size_t pos = json.find('[', fns.pos);
-  if (pos == std::string::npos) {
-    return Result<FleetProfileView>::error("/profile functions array malformed");
-  }
-  ++pos;
-  while (pos < json.size()) {
-    const std::size_t obj = json.find_first_of("{]", pos);
-    if (obj == std::string::npos || json[obj] == ']') break;
-    // Function names never contain braces (append_json_string escapes
-    // control characters and quotes only), so the first '}' ends the
-    // object.
-    const std::size_t end = json.find('}', obj);
-    if (end == std::string::npos) {
-      return Result<FleetProfileView>::error("/profile entry unterminated");
-    }
-    FleetProfileEntry e;
-    Scanner field{json, obj};
-    if (field.find("name", end) && !field.string(&e.name)) {
-      return Result<FleetProfileView>::error("/profile entry name malformed");
-    }
-    Scanner calls{json, obj};
-    if (calls.find("calls", end)) e.calls = static_cast<std::uint64_t>(calls.number());
-    Scanner total{json, obj};
-    if (total.find("total_time_s", end)) e.total_time_s = total.number();
-    Scanner sess{json, obj};
-    if (sess.find("sessions", end)) e.sessions = static_cast<std::uint64_t>(sess.number());
-    Scanner mean{json, obj};
-    if (mean.find("time_mean_s", end)) e.time_mean_s = mean.number();
-    Scanner var{json, obj};
-    if (var.find("time_var_s2", end)) e.time_var_s2 = var.number();
-    view.functions.push_back(std::move(e));
-    pos = end + 1;
   }
   return view;
 }

@@ -30,7 +30,7 @@ struct FleetProfileView {
 };
 
 /// Parse a /profile response body.
-Result<FleetProfileView> parse_fleet_profile(const std::string& json);
+Result<FleetProfileView> parse_fleet_profile(const std::string& body);
 
 /// GET /profile?top=N from `endpoint` ("uds:/path" | "tcp:host:port" |
 /// "host:port") and parse it. `top` 0 uses the server default.

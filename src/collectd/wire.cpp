@@ -1,6 +1,5 @@
 #include "collectd/wire.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -160,31 +159,6 @@ bool unpack_meta(std::string_view payload, trace::Trace* out) {
   if (!parsed.is_ok()) return false;
   *out = std::move(parsed).value();
   return true;
-}
-
-double json_number(std::string_view line, std::string_view key, double fallback) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return fallback;
-  const std::size_t start = pos + needle.size();
-  if (start >= line.size()) return fallback;
-  // strtod needs a NUL-terminated buffer; numbers are short.
-  char buf[64];
-  std::size_t n = 0;
-  while (start + n < line.size() && n < sizeof(buf) - 1) {
-    const char c = line[start + n];
-    if ((c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' &&
-        c != 'E') {
-      break;
-    }
-    buf[n] = c;
-    ++n;
-  }
-  buf[n] = '\0';
-  if (n == 0) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  return end == buf ? fallback : v;
 }
 
 }  // namespace tempest::collectd

@@ -109,9 +109,4 @@ std::string pack_meta(const trace::TraceHeader& header);
 /// Parse a META payload back into a (bulk-empty) trace.
 bool unpack_meta(std::string_view payload, trace::Trace* out);
 
-/// Scan a flat heartbeat-schema JSON line for `"key":number`. Returns
-/// `fallback` when the key is absent or malformed — absence-tolerant by
-/// design (older senders lack "seq"/"schema_version").
-double json_number(std::string_view line, std::string_view key, double fallback);
-
 }  // namespace tempest::collectd

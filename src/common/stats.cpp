@@ -43,24 +43,26 @@ StatsSummary SampleSet::summarize() const {
   return s;
 }
 
-void StreamingStats::add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+void Moments::add(double value) {
+  ++count;
+  const double delta = value - mean;
+  mean += delta / static_cast<double>(count);
+  m2 += delta * (value - mean);
+}
+
+void Moments::merge(const Moments& other) {
+  if (other.count == 0) return;
+  if (count == 0) {
+    *this = other;
+    return;
   }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
+  const double n = static_cast<double>(count);
+  const double on = static_cast<double>(other.count);
+  const double total = n + on;
+  const double delta = other.mean - mean;
+  mean += delta * on / total;
+  m2 += other.m2 + delta * delta * n * on / total;
+  count += other.count;
 }
-
-double StreamingStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace tempest

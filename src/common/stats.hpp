@@ -3,12 +3,13 @@
 // The paper's standard output prints, per function and per sensor:
 // Min, Avg, Max, Sdv, Var, Med (median), Mod (mode). Median and mode
 // need the sample population, so SampleSet keeps the values (temperature
-// sample counts are tiny: 4 Hz * run length). StreamingStats is the
-// allocation-free Welford variant used on hot paths (activity metering,
-// overhead accounting).
+// sample counts are tiny: 4 Hz * run length). Moments is the O(1)
+// summary that pools: per-function durations and sensor readings merged
+// across nodes (tempest-diff, trend) and sessions (tempest-collectd).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace tempest {
@@ -43,24 +44,30 @@ class SampleSet {
   std::vector<double> values_;
 };
 
-/// Welford online mean/variance with min/max; O(1) memory.
-class StreamingStats {
- public:
-  void add(double value);
-  std::size_t count() const { return count_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double mean() const { return mean_; }
-  /// Population variance (0 for fewer than 2 samples).
-  double variance() const;
-  double stddev() const;
+/// Population moments of a stream: count, mean and M2, the sum of
+/// squared deviations from the mean. add() is Welford's update; merge()
+/// is Chan's pairwise combine, so moments pooled across nodes or
+/// sessions equal those of one pass up to float rounding. Pools keep M2
+/// rather than a variance: merging it adds no variance * count round
+/// trip per step.
+struct Moments {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
 
- private:
-  std::size_t count_ = 0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
+  /// Moments of `count` values with this mean and population variance.
+  static Moments from_variance(std::uint64_t count, double mean,
+                               double variance) {
+    return {count, mean, variance * static_cast<double>(count)};
+  }
+
+  void add(double value);
+  /// Pool `other` in; the first merge into empty moments copies it.
+  void merge(const Moments& other);
+  /// Population variance; 0 when empty.
+  double variance() const {
+    return count == 0 ? 0.0 : m2 / static_cast<double>(count);
+  }
 };
 
 }  // namespace tempest

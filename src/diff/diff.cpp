@@ -9,8 +9,8 @@
 #include <set>
 
 #include "common/fastwrite.hpp"
+#include "common/json.hpp"
 #include "pipeline/analysis.hpp"
-#include "report/json.hpp"
 #include "trace/align.hpp"
 #include "trace/reader.hpp"
 
@@ -62,44 +62,6 @@ double student_two_tailed_p(double t_abs, double dof) {
   return reg_incomplete_beta(dof / 2.0, 0.5, x);
 }
 
-/// Streaming-combinable population moments (count, mean, M2 — the sum
-/// of squared deviations). Chan's pairwise formula, so pooling node
-/// profiles is order-independent up to float rounding; the pool
-/// iterates the std::map key order, which is deterministic.
-struct Moments {
-  double n = 0.0;
-  double mean = 0.0;
-  double m2 = 0.0;
-
-  void combine(double on, double omean, double om2) {
-    if (on <= 0.0) return;
-    if (n <= 0.0) {
-      n = on;
-      mean = omean;
-      m2 = om2;
-      return;
-    }
-    const double total = n + on;
-    const double delta = omean - mean;
-    mean += delta * on / total;
-    m2 += om2 + delta * delta * n * on / total;
-    n = total;
-  }
-
-  double variance() const { return n > 0.0 ? m2 / n : 0.0; }  // population
-};
-
-struct PooledFunction {
-  std::uint64_t calls = 0;
-  double total_time_s = 0.0;
-  Moments time;  ///< per-activation duration, seconds
-  std::map<std::string, Moments> sensors;
-};
-
-/// (node, key) -> pooled stats; node is always 0 when pooling across
-/// nodes, so one map type serves both alignment modes.
-using Pool = std::map<std::pair<std::uint16_t, std::string>, PooledFunction>;
-
 std::string function_key(const parser::FunctionProfile& fn) {
   if (!fn.name.empty() && fn.name != "<unknown>") return fn.name;
   // Address fallback for unresolved symbols; '@' cannot start a mangled
@@ -110,43 +72,10 @@ std::string function_key(const parser::FunctionProfile& fn) {
   return buf;
 }
 
-Pool pool_profile(const parser::RunProfile& profile, bool per_node) {
-  Pool pool;
-  for (const auto& node : profile.nodes) {
-    for (const auto& fn : node.functions) {
-      const std::uint16_t slot = per_node ? node.node_id : 0;
-      PooledFunction& p = pool[{slot, function_key(fn)}];
-      p.calls += fn.calls;
-      p.total_time_s += fn.total_time_s;
-      p.time.combine(static_cast<double>(fn.time.count), fn.time.mean_s,
-                     fn.time.var_s2 * static_cast<double>(fn.time.count));
-      for (const auto& sp : fn.sensors) {
-        p.sensors[sp.name].combine(static_cast<double>(sp.sample_count),
-                                   sp.stats.avg,
-                                   sp.stats.var *
-                                       static_cast<double>(sp.sample_count));
-      }
-    }
-  }
-  return pool;
-}
-
 bool filter_declares(const trace::FilterDecl& filter, const std::string& name) {
   if (!filter.present) return false;
   return std::find(filter.suppressed.begin(), filter.suppressed.end(), name) !=
          filter.suppressed.end();
-}
-
-FunctionSide side_from(const PooledFunction& p) {
-  FunctionSide s;
-  s.present = true;
-  s.calls = p.calls;
-  s.total_time_s = p.total_time_s;
-  s.time.count = static_cast<std::uint64_t>(p.time.n);
-  s.time.mean_s = p.time.mean;
-  s.time.var_s2 = p.time.variance();
-  s.time.sdv_s = std::sqrt(s.time.var_s2);
-  return s;
 }
 
 void append_num6(std::string& out, double v) {
@@ -162,7 +91,7 @@ void append_time(std::string& out, double v) {
 void append_delta_entry(std::string& buf, const FunctionDelta& d,
                         bool per_node) {
   buf += "{\"function\":";
-  report::append_json_string(&buf, d.key);
+  json::append_json_string(&buf, d.key);
   if (per_node) {
     buf += ",\"node_id\":";
     fastwrite::append_u64(buf, d.node_id);
@@ -220,7 +149,7 @@ void append_delta_entry(std::string& buf, const FunctionDelta& d,
     const SensorDelta& sd = d.sensors[i];
     if (i > 0) buf += ",";
     buf += "{\"name\":";
-    report::append_json_string(&buf, sd.name);
+    json::append_json_string(&buf, sd.name);
     buf += ",\"base_avg\":";
     append_num6(buf, sd.base_avg);
     buf += ",\"cur_avg\":";
@@ -273,6 +202,37 @@ void write_ranked_text(std::string& buf, const char* title,
 }
 
 }  // namespace
+
+Pool pool_profile(const parser::RunProfile& profile, bool per_node) {
+  Pool pool;
+  for (const auto& node : profile.nodes) {
+    for (const auto& fn : node.functions) {
+      const std::uint16_t slot = per_node ? node.node_id : 0;
+      PooledFunction& p = pool[{slot, function_key(fn)}];
+      p.calls += fn.calls;
+      p.total_time_s += fn.total_time_s;
+      p.time.merge(Moments::from_variance(fn.time.count, fn.time.mean_s,
+                                          fn.time.var_s2));
+      for (const auto& sp : fn.sensors) {
+        p.sensors[sp.name].merge(Moments::from_variance(
+            sp.sample_count, sp.stats.avg, sp.stats.var));
+      }
+    }
+  }
+  return pool;
+}
+
+FunctionSide side_from(const PooledFunction& p) {
+  FunctionSide s;
+  s.present = true;
+  s.calls = p.calls;
+  s.total_time_s = p.total_time_s;
+  s.time.count = p.time.count;
+  s.time.mean_s = p.time.mean;
+  s.time.var_s2 = p.time.variance();
+  s.time.sdv_s = std::sqrt(s.time.var_s2);
+  return s;
+}
 
 double reg_incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
@@ -438,13 +398,14 @@ DiffResult diff_runs(const RunSummary& base, const RunSummary& cur,
       const Moments& cm = cs->second;
       SensorDelta sd;
       sd.name = sname;
-      sd.base_count = static_cast<std::size_t>(bm.n);
-      sd.cur_count = static_cast<std::size_t>(cm.n);
+      sd.base_count = bm.count;
+      sd.cur_count = cm.count;
       sd.base_avg = bm.mean;
       sd.cur_avg = cm.mean;
       sd.delta_avg = cm.mean - bm.mean;
-      const WelchResult w = welch_compare(bm.mean, bm.variance(), bm.n,
-                                          cm.mean, cm.variance(), cm.n);
+      const WelchResult w = welch_compare(
+          bm.mean, bm.variance(), static_cast<double>(bm.count), cm.mean,
+          cm.variance(), static_cast<double>(cm.count));
       sd.confidence = w.confidence;
       sd.significant = w.confidence >= options.min_confidence &&
                        std::fabs(sd.delta_avg) >= options.min_temp_delta;
@@ -518,9 +479,9 @@ void write_diff_json(std::ostream& out, const DiffResult& result) {
   std::string buf;
   buf.reserve(std::size_t{16} << 10);
   buf += "{\"schema\":\"tempest-diff\",\"schema_version\":1,\"baseline\":";
-  report::append_json_string(&buf, result.base_label);
+  json::append_json_string(&buf, result.base_label);
   buf += ",\"current\":";
-  report::append_json_string(&buf, result.cur_label);
+  json::append_json_string(&buf, result.cur_label);
   buf += ",\"min_confidence\":";
   append_num6(buf, result.options.min_confidence);
   buf += ",\"filtered_tolerated\":";

@@ -17,9 +17,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "parser/profile.hpp"
 #include "trace/trace.hpp"
@@ -85,6 +87,27 @@ struct FunctionSide {
   double total_time_s = 0.0;
   parser::TimeStats time;  ///< pooled per-activation duration stats
 };
+
+/// One function's numbers pooled across nodes (or per node): what the
+/// diff aligns and the trend series prints.
+struct PooledFunction {
+  std::uint64_t calls = 0;
+  double total_time_s = 0.0;
+  Moments time;  ///< per-activation duration, seconds
+  std::map<std::string, Moments> sensors;
+};
+
+/// (node, key) -> pooled numbers. The key is the symbol name, or
+/// "@0x<addr>" for an unresolved function; node is always 0 when
+/// pooling across nodes, so one map type serves both alignment modes.
+using Pool = std::map<std::pair<std::uint16_t, std::string>, PooledFunction>;
+
+/// Pool a profile by function key, merging each node's moments in map
+/// key order (deterministic, so a run pooled twice pools identically).
+Pool pool_profile(const parser::RunProfile& profile, bool per_node);
+
+/// The diff's view of one pooled function.
+FunctionSide side_from(const PooledFunction& p);
 
 struct SensorDelta {
   std::string name;

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <map>
 #include <ostream>
 #include <thread>
 
 #include "collectd/profile_client.hpp"
 #include "common/fastwrite.hpp"
-#include "report/json.hpp"
+#include "common/json.hpp"
 
 namespace tempest::diff {
 namespace {
@@ -36,9 +33,9 @@ void write_entry(std::ostream& out, std::size_t run, const std::string& source,
   std::string buf = "{\"run\":";
   fastwrite::append_u64(buf, run);
   buf += ",\"source\":";
-  report::append_json_string(&buf, source);
+  json::append_json_string(&buf, source);
   buf += ",\"function\":";
-  report::append_json_string(&buf, function);
+  json::append_json_string(&buf, function);
   buf += ",\"calls\":";
   fastwrite::append_u64(buf, calls);
   buf += ",\"total_time_s\":";
@@ -59,49 +56,6 @@ void write_entry(std::ostream& out, std::size_t run, const std::string& source,
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
-/// Pool one run across nodes the same way the diff aligns it, so the
-/// series keys match `tempest-diff` output keys.
-struct SeriesRow {
-  std::uint64_t calls = 0;
-  double total_time_s = 0.0;
-  parser::TimeStats time;
-};
-
-std::map<std::string, SeriesRow> pool_for_series(
-    const parser::RunProfile& profile) {
-  std::map<std::string, SeriesRow> rows;
-  for (const auto& node : profile.nodes) {
-    for (const auto& fn : node.functions) {
-      std::string key = fn.name;
-      if (key.empty() || key == "<unknown>") {
-        char buf[2 + 16 + 2];
-        std::snprintf(buf, sizeof buf, "@0x%llx",
-                      static_cast<unsigned long long>(fn.addr));
-        key = buf;
-      }
-      SeriesRow& row = rows[key];
-      // Combine per-activation stats across nodes via exact-enough
-      // pooled moments (same Chan combine the diff pool uses).
-      const double n0 = static_cast<double>(row.time.count);
-      const double n1 = static_cast<double>(fn.time.count);
-      if (n1 > 0.0) {
-        const double total = n0 + n1;
-        const double m2 = row.time.var_s2 * n0 + fn.time.var_s2 * n1 +
-                          (fn.time.mean_s - row.time.mean_s) *
-                              (fn.time.mean_s - row.time.mean_s) * n0 * n1 /
-                              total;
-        row.time.mean_s += (fn.time.mean_s - row.time.mean_s) * n1 / total;
-        row.time.var_s2 = m2 / total;
-        row.time.sdv_s = std::sqrt(row.time.var_s2);
-        row.time.count += fn.time.count;
-      }
-      row.calls += fn.calls;
-      row.total_time_s += fn.total_time_s;
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 
 Status write_trend(const std::vector<std::string>& paths, std::ostream& out,
@@ -113,23 +67,26 @@ Status write_trend(const std::vector<std::string>& paths, std::ostream& out,
   for (std::size_t i = 0; i < paths.size(); ++i) {
     auto run = load_run(paths[i], options.load);
     if (!run.is_ok()) return Status::error(run.message());
-    const auto rows = pool_for_series(run.value().profile);
-
-    std::vector<std::pair<std::string, const SeriesRow*>> ordered;
-    ordered.reserve(rows.size());
-    for (const auto& [key, row] : rows) ordered.emplace_back(key, &row);
+    // Pooled across nodes the way the diff aligns a run, so the series
+    // keys match `tempest-diff` output keys.
+    const Pool pool = pool_profile(run.value().profile, false);
+    std::vector<std::pair<const std::string*, FunctionSide>> ordered;
+    ordered.reserve(pool.size());
+    for (const auto& [key, pooled] : pool) {
+      ordered.emplace_back(&key.second, side_from(pooled));
+    }
     std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
-      if (a.second->total_time_s != b.second->total_time_s) {
-        return a.second->total_time_s > b.second->total_time_s;
+      if (a.second.total_time_s != b.second.total_time_s) {
+        return a.second.total_time_s > b.second.total_time_s;
       }
-      return a.first < b.first;
+      return *a.first < *b.first;
     });
     if (options.top > 0 && ordered.size() > options.top) {
       ordered.resize(options.top);
     }
-    for (const auto& [key, row] : ordered) {
-      write_entry(out, i, paths[i], key, row->calls, row->total_time_s,
-                  &row->time, nullptr);
+    for (const auto& [key, side] : ordered) {
+      write_entry(out, i, paths[i], *key, side.calls, side.total_time_s,
+                  &side.time, nullptr);
     }
   }
   return Status::ok();

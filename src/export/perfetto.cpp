@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "report/json.hpp"
+#include "common/json.hpp"
 #include "trace/writer.hpp"
 
 namespace tempest::exporter {
@@ -76,7 +76,7 @@ const std::string& PerfettoExporter::name_suffix(std::uint64_t addr) {
   auto it = name_suffixes_.find(addr);
   if (it == name_suffixes_.end()) {
     std::string suffix = ",\"cat\":\"fn\",\"name\":";
-    report::append_json_string(&suffix, names_->name_of(addr));
+    json::append_json_string(&suffix, names_->name_of(addr));
     suffix += "}";
     it = name_suffixes_.emplace(addr, std::move(suffix)).first;
   }
@@ -98,7 +98,7 @@ const PerfettoExporter::CounterFragments& PerfettoExporter::counter_fragments(
         named != sensor_names_.end() ? named->second
                                      : "sensor " + std::to_string(sensor_id);
     frags.name_args = ",\"name\":";
-    report::append_json_string(&frags.name_args, "temp " + sensor + " (C)");
+    json::append_json_string(&frags.name_args, "temp " + sensor + " (C)");
     frags.name_args += ",\"args\":{\"celsius\":";
     it = counters_.emplace(key, std::move(frags)).first;
   }
@@ -140,7 +140,7 @@ Status PerfettoExporter::begin(const pipeline::TraceMeta& meta) {
     line_ += "{\"ph\":\"M\",\"pid\":";
     append_u64(&line_, node.node_id);
     line_ += ",\"name\":\"process_name\",\"args\":{\"name\":";
-    report::append_json_string(
+    json::append_json_string(
         &line_, "rank " + std::to_string(node.node_id) + " (" + node.hostname +
                     ")");
     line_ += "}}";
@@ -161,7 +161,7 @@ Status PerfettoExporter::begin(const pipeline::TraceMeta& meta) {
     line_ += ",\"tid\":";
     append_u64(&line_, thread.thread_id);
     line_ += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    report::append_json_string(&line_,
+    json::append_json_string(&line_,
                                "thread " + std::to_string(thread.thread_id) +
                                    " (core " + std::to_string(thread.core) +
                                    ")");
@@ -203,7 +203,7 @@ Status PerfettoExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
           line_ += ",\"ts\":";
           append_ts(&line_, ts);
           line_ += ",\"s\":\"t\",\"name\":";
-          report::append_json_string(
+          json::append_json_string(
               &line_, std::string(a->regression ? "tempest-diff regression: "
                                                 : "tempest-diff improvement: ") +
                           a->function);
@@ -292,7 +292,7 @@ Status PerfettoExporter::on_end(const pipeline::TraceMeta& meta) {
       line_ += "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":";
       append_ts(&line_, end_ts);
       line_ += ",\"s\":\"g\",\"name\":";
-      report::append_json_string(&line_, name);
+      json::append_json_string(&line_, name);
       line_ += ",\"args\":{\"count\":";
       append_u64(&line_, count);
       line_ += "}}";
@@ -355,7 +355,7 @@ Status PerfettoExporter::on_end(const pipeline::TraceMeta& meta) {
       const DiffAnnotation* a = annotations_marked_[i];
       if (i > 0) line_ += ",";
       line_ += "{\"function\":";
-      report::append_json_string(&line_, a->function);
+      json::append_json_string(&line_, a->function);
       line_ += ",\"delta_time_s\":";
       append_double(&line_, a->delta_time_s);
       line_ += ",\"confidence\":";

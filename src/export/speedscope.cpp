@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "report/json.hpp"
+#include "common/json.hpp"
 #include "trace/writer.hpp"
 
 namespace tempest::exporter {
@@ -206,7 +206,7 @@ Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
     if (!first) line_ += ",\n";
     first = false;
     line_ += "{\"name\":";
-    report::append_json_string(&line_, name);
+    json::append_json_string(&line_, name);
     line_ += "}";
   }
   line_ += "]},\n\"profiles\":[";
@@ -226,7 +226,7 @@ Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
     first_profile = false;
     line_ += "\n{\"type\":\"evented\",\"name\":";
     const auto named = thread_names_.find(key);
-    report::append_json_string(
+    json::append_json_string(
         &line_, named != thread_names_.end()
                     ? named->second
                     : "rank " + std::to_string(key.node_id) + " thread " +

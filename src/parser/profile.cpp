@@ -83,18 +83,12 @@ const FunctionProfile* RunProfile::find(std::uint16_t node_id,
   return &nodes[ni].functions[fi];
 }
 
-/// Shared assembly core: ProfileBuilder points it at the trace's own
-/// vectors (zero-copy batch path), ProfileAssembler at its streamed
-/// copies. Output is bit-identical either way.
-static RunProfile assemble_profile(
-    const std::vector<trace::NodeInfo>& meta_nodes,
-    const std::vector<trace::SensorMeta>& meta_sensors, double tsc_rate,
-    const std::vector<trace::TempSample>& temp_samples, std::uint64_t run_start,
-    std::uint64_t run_end, const TimelineMap& timeline,
+RunProfile ProfileAssembler::assemble(
+    std::uint64_t run_start, std::uint64_t run_end, const TimelineMap& timeline,
     const std::vector<std::pair<std::uint64_t, std::string>>& names,
-    TimelineDiagnostics diagnostics, const ProfileOptions& options) {
+    TimelineDiagnostics diagnostics) const {
   RunProfile run;
-  run.unit = options.unit;
+  run.unit = options_.unit;
   run.diagnostics = diagnostics;
 
   std::unordered_map<std::uint64_t, const std::string*> name_map;
@@ -103,23 +97,24 @@ static RunProfile assemble_profile(
 
   // Sensor metadata by (node, sensor).
   std::map<std::pair<std::uint16_t, std::uint16_t>, const trace::SensorMeta*> sensor_meta;
-  for (const auto& s : meta_sensors) sensor_meta[{s.node_id, s.sensor_id}] = &s;
+  for (const auto& s : sensors_) sensor_meta[{s.node_id, s.sensor_id}] = &s;
 
   // Samples grouped per node in arrival order (an unsorted hand-built
   // trace is detected; its fallback uses the legacy linear scan so
   // results never depend on sortedness).
   std::map<std::uint16_t, NodeSamples> node_samples;
-  for (const auto& s : temp_samples) {
+  for (const auto& s : samples_) {
     NodeSamples& ns = node_samples[s.node_id];
     if (!ns.by_time.empty() && s.tsc < ns.by_time.back()->tsc) ns.sorted = false;
     ns.by_time.push_back(&s);
   }
 
-  const double ticks_per_s = tsc_rate > 0.0 ? tsc_rate : 1.0;
+  const double ticks_per_s =
+      tsc_ticks_per_second_ > 0.0 ? tsc_ticks_per_second_ : 1.0;
   run.duration_s = static_cast<double>(run_end - run_start) / ticks_per_s;
 
   std::map<std::uint16_t, NodeProfile> nodes;
-  for (const auto& n : meta_nodes) {
+  for (const auto& n : nodes_) {
     nodes[n.node_id].node_id = n.node_id;
     nodes[n.node_id].hostname = n.hostname;
   }
@@ -175,7 +170,7 @@ static RunProfile assemble_profile(
       for (const SampleRange& r : activity.samples) {
         const std::size_t last = std::min<std::size_t>(r.last, by_time.size());
         for (std::size_t i = r.first; i < last; ++i) {
-          per_sensor[by_time[i]->sensor_id].add(to_unit(by_time[i]->temp_c, options.unit));
+          per_sensor[by_time[i]->sensor_id].add(to_unit(by_time[i]->temp_c, options_.unit));
         }
       }
     }
@@ -185,7 +180,7 @@ static RunProfile assemble_profile(
     // minimum sample count inside the activations.
     std::size_t max_count = 0;
     for (const auto& [sid, set] : per_sensor) max_count = std::max(max_count, set.count());
-    fn.significant = max_count >= options.min_samples_significant;
+    fn.significant = max_count >= options_.min_samples_significant;
 
     if (!fn.significant && samples != nullptr && !samples->by_time.empty() &&
         activity.activations > 0) {
@@ -197,7 +192,7 @@ static RunProfile assemble_profile(
       if (samples->sorted) {
         for (const auto& [sid, stream] : samples->sensor_streams()) {
           const trace::TempSample* s = nearest_in_stream(stream, at);
-          if (s != nullptr) per_sensor[sid].add(to_unit(s->temp_c, options.unit));
+          if (s != nullptr) per_sensor[sid].add(to_unit(s->temp_c, options_.unit));
         }
       } else {
         std::map<std::uint16_t, std::pair<std::uint64_t, double>> best;
@@ -205,7 +200,7 @@ static RunProfile assemble_profile(
           const std::uint64_t dist = s->tsc > at ? s->tsc - at : at - s->tsc;
           const auto it = best.find(s->sensor_id);
           if (it == best.end() || dist < it->second.first) {
-            best[s->sensor_id] = {dist, to_unit(s->temp_c, options.unit)};
+            best[s->sensor_id] = {dist, to_unit(s->temp_c, options_.unit)};
           }
         }
         for (const auto& [sid, dt] : best) per_sensor[sid].add(dt.second);
@@ -260,25 +255,6 @@ void ProfileAssembler::set_metadata(const trace::TraceHeader& header) {
 
 void ProfileAssembler::add_samples(const trace::TempSample* samples, std::size_t n) {
   samples_.insert(samples_.end(), samples, samples + n);
-}
-
-RunProfile ProfileAssembler::assemble(
-    std::uint64_t run_start, std::uint64_t run_end, const TimelineMap& timeline,
-    const std::vector<std::pair<std::uint64_t, std::string>>& names,
-    TimelineDiagnostics diagnostics) const {
-  return assemble_profile(nodes_, sensors_, tsc_ticks_per_second_, samples_,
-                          run_start, run_end, timeline, names, diagnostics,
-                          options_);
-}
-
-RunProfile ProfileBuilder::build(
-    const TimelineMap& timeline,
-    const std::vector<std::pair<std::uint64_t, std::string>>& names,
-    TimelineDiagnostics diagnostics) const {
-  return assemble_profile(trace_.nodes, trace_.sensors,
-                          trace_.tsc_ticks_per_second, trace_.temp_samples,
-                          trace_.start_tsc(), trace_.end_tsc(), timeline, names,
-                          diagnostics, options_);
 }
 
 }  // namespace tempest::parser

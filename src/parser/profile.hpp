@@ -70,7 +70,7 @@ struct RunProfile {
   /// O(log F) per lookup instead of the old scan over nodes*functions).
   /// The index rebuilds itself when the profile's shape (node or
   /// function count) changes; renaming functions in place without
-  /// changing counts requires going through the builder again. Not safe
+  /// changing counts requires assembling the profile again. Not safe
   /// for concurrent first calls from multiple threads.
   const FunctionProfile* find(std::uint16_t node_id, const std::string& name) const;
 
@@ -89,11 +89,11 @@ struct ProfileOptions {
   std::size_t min_samples_significant = 2;
 };
 
-/// Incremental profile assembly: the streaming core behind
-/// ProfileBuilder. Metadata arrives once (set_metadata), temperature
-/// samples arrive in batches (add_samples — owned copies, batches are
-/// transient in the pipeline), and assemble() reads a finished
-/// timeline's credited sample ranges back into per-sensor statistics.
+/// Incremental profile assembly. Metadata arrives once (set_metadata),
+/// temperature samples arrive in batches (add_samples — owned copies,
+/// batches are transient in the pipeline), and assemble() reads a
+/// finished timeline's credited sample ranges back into per-sensor
+/// statistics.
 /// Sample storage is the only O(samples) state; samples are ~1% of
 /// events in practice.
 class ProfileAssembler {
@@ -125,24 +125,6 @@ class ProfileAssembler {
   std::vector<trace::NodeInfo> nodes_;
   std::vector<trace::SensorMeta> sensors_;
   std::vector<trace::TempSample> samples_;
-};
-
-/// Assemble the profile of `trace` from a timeline built over the same
-/// trace (build_timeline). `names` must map every address appearing in
-/// the timeline. Batch wrapper: same output as ProfileAssembler without
-/// copying the trace's sample vector.
-class ProfileBuilder {
- public:
-  ProfileBuilder(const trace::Trace& trace, ProfileOptions options)
-      : trace_(trace), options_(options) {}
-
-  RunProfile build(const TimelineMap& timeline,
-                   const std::vector<std::pair<std::uint64_t, std::string>>& names,
-                   TimelineDiagnostics diagnostics) const;
-
- private:
-  const trace::Trace& trace_;
-  ProfileOptions options_;
 };
 
 }  // namespace tempest::parser

@@ -1,6 +1,7 @@
 #include "report/json.hpp"
 
 #include "common/fastwrite.hpp"
+#include "common/json.hpp"
 
 namespace tempest::report {
 namespace {
@@ -12,28 +13,6 @@ void append_num(std::string& out, double v) {
 }
 
 }  // namespace
-
-void append_json_string(std::string* out, const std::string& s) {
-  static constexpr char kHexDigits[] = "0123456789abcdef";
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += "\\u00";
-          out->push_back(kHexDigits[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-          out->push_back(kHexDigits[static_cast<unsigned char>(c) & 0xF]);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
                         const trace::RunStats* run_stats) {
@@ -58,7 +37,7 @@ void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
     buf += "{\"node_id\":";
     fastwrite::append_u64(buf, node.node_id);
     buf += ",\"hostname\":";
-    append_json_string(&buf, node.hostname);
+    json::append_json_string(&buf, node.hostname);
     buf += ",\"duration_s\":";
     append_num(buf, node.duration_s);
     buf += ",\"functions\":[";
@@ -66,7 +45,7 @@ void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
       const auto& fn = node.functions[f];
       if (f > 0) buf += ",";
       buf += "{\"name\":";
-      append_json_string(&buf, fn.name);
+      json::append_json_string(&buf, fn.name);
       buf += ",\"total_time_s\":";
       append_num(buf, fn.total_time_s);
       buf += ",\"calls\":";
@@ -86,7 +65,7 @@ void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
         const auto& sp = fn.sensors[s];
         if (s > 0) buf += ",";
         buf += "{\"name\":";
-        append_json_string(&buf, sp.name);
+        json::append_json_string(&buf, sp.name);
         buf += ",\"samples\":";
         fastwrite::append_u64(buf, sp.sample_count);
         buf += ",\"min\":";

@@ -16,10 +16,4 @@ namespace tempest::report {
 void write_profile_json(std::ostream& out, const parser::RunProfile& profile,
                         const trace::RunStats* run_stats = nullptr);
 
-/// Append `s` to `out` as a JSON string literal (surrounding quotes,
-/// control characters and quotes/backslashes escaped). Shared by the
-/// profile dump and the trace exporters, which build whole lines in a
-/// string buffer before writing.
-void append_json_string(std::string* out, const std::string& s);
-
 }  // namespace tempest::report

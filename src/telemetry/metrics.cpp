@@ -108,6 +108,24 @@ std::size_t bucket_for(Histogram h, double value) {
 
 thread_local std::uint32_t tls_shard = UINT32_MAX;
 
+/// The members every snapshot line carries after its leading ones, and
+/// the closing brace.
+void write_snapshot_members(std::ostream& out, const MetricsSnapshot& snapshot) {
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    out << ",\"" << kCounterNames[c] << "\":" << snapshot.counters[c];
+  }
+  for (std::size_t g = 0; g < kGaugeCount; ++g) {
+    out << ",\"" << kGaugeNames[g] << "\":" << snapshot.gauges[g];
+  }
+  for (std::size_t h = 0; h < kHistogramCount; ++h) {
+    const HistogramSnapshot& hs = snapshot.histograms[h];
+    out << ",\"" << kHistogramNames[h] << "_count\":" << hs.count << ",\""
+        << kHistogramNames[h] << "_mean\":" << hs.mean() << ",\""
+        << kHistogramNames[h] << "_max\":" << hs.max;
+  }
+  out << "}";
+}
+
 }  // namespace
 
 const char* counter_name(Counter c) {
@@ -209,19 +227,7 @@ void write_snapshot_json(std::ostream& out, const MetricsSnapshot& snapshot,
                          double t_seconds, std::uint64_t seq) {
   out << "{\"t\":" << t_seconds << ",\"schema_version\":" << kHeartbeatSchemaVersion
       << ",\"seq\":" << seq;
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    out << ",\"" << kCounterNames[c] << "\":" << snapshot.counters[c];
-  }
-  for (std::size_t g = 0; g < kGaugeCount; ++g) {
-    out << ",\"" << kGaugeNames[g] << "\":" << snapshot.gauges[g];
-  }
-  for (std::size_t h = 0; h < kHistogramCount; ++h) {
-    const HistogramSnapshot& hs = snapshot.histograms[h];
-    out << ",\"" << kHistogramNames[h] << "_count\":" << hs.count << ",\""
-        << kHistogramNames[h] << "_mean\":" << hs.mean() << ",\""
-        << kHistogramNames[h] << "_max\":" << hs.max;
-  }
-  out << "}";
+  write_snapshot_members(out, snapshot);
 }
 
 void write_snapshot_prometheus(std::ostream& out, const MetricsSnapshot& snapshot,
@@ -256,19 +262,7 @@ void write_snapshot_prometheus(std::ostream& out, const MetricsSnapshot& snapsho
 void write_snapshot_json(std::ostream& out, const MetricsSnapshot& snapshot,
                          double t_seconds) {
   out << "{\"t\":" << t_seconds;
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    out << ",\"" << kCounterNames[c] << "\":" << snapshot.counters[c];
-  }
-  for (std::size_t g = 0; g < kGaugeCount; ++g) {
-    out << ",\"" << kGaugeNames[g] << "\":" << snapshot.gauges[g];
-  }
-  for (std::size_t h = 0; h < kHistogramCount; ++h) {
-    const HistogramSnapshot& hs = snapshot.histograms[h];
-    out << ",\"" << kHistogramNames[h] << "_count\":" << hs.count << ",\""
-        << kHistogramNames[h] << "_mean\":" << hs.mean() << ",\""
-        << kHistogramNames[h] << "_max\":" << hs.max;
-  }
-  out << "}";
+  write_snapshot_members(out, snapshot);
 }
 
 }  // namespace tempest::telemetry

@@ -115,11 +115,10 @@ int main(int argc, char** argv) {
     return Status::ok();
   });
   args.add_value("--idle-timeout", [&](const std::string& v) {
-    char* end = nullptr;
-    options.idle_timeout_s = std::strtod(v.c_str(), &end);
-    if (v.empty() || end == nullptr || *end != '\0' ||
-        options.idle_timeout_s <= 0.0) {
-      return Status::error("bad --idle-timeout value '" + v + "'");
+    const Status st = tempest::cli::parse_double(v, &options.idle_timeout_s);
+    if (!st.is_ok()) return st;
+    if (options.idle_timeout_s <= 0.0) {
+      return Status::error("--idle-timeout must be positive");
     }
     return Status::ok();
   });

@@ -19,8 +19,6 @@
 // Lints stream through LintEngine (lint_trace_file reads the trace in
 // bounded batches), so arbitrarily large traces check in constant
 // memory.
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,18 +34,6 @@ constexpr const char* kUsage =
     "[--json] [--hz RATE] [--tolerance F] [--symtab EXE] [--strict] [-q] "
     "[--version] <trace file>...";
 
-tempest::Status parse_double(const std::string& what, const std::string& value,
-                             double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return tempest::Status::error("bad " + what + " value '" + value + "'");
-  }
-  *out = parsed;
-  return tempest::Status::ok();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,10 +46,10 @@ int main(int argc, char** argv) {
   tempest::cli::ArgParser args(kUsage);
   args.add_flag("--json", [&] { json = true; });
   args.add_value("--hz", [&](const std::string& v) {
-    return parse_double("--hz", v, &options.expected_hz);
+    return tempest::cli::parse_double(v, &options.expected_hz);
   });
   args.add_value("--tolerance", [&](const std::string& v) {
-    return parse_double("--tolerance", v, &options.cadence_tolerance);
+    return tempest::cli::parse_double(v, &options.cadence_tolerance);
   });
   std::string symtab_exe;
   args.add_value("--symtab", [&](const std::string& v) {

@@ -23,11 +23,8 @@
 //
 // Exit codes: 0 ok, 1 assertion failed, 2 usage error or unreadable /
 // empty heartbeat file.
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,6 +32,7 @@
 
 #include "collectd/net.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/status.hpp"
 #include "trace/writer.hpp"
 
@@ -43,21 +41,6 @@ namespace {
 constexpr const char* kUsage =
     "[--once] [--interval SECS] [--no-clear] [--assert-tempd-below PCT] "
     "[--connect ENDPOINT] [--version] <trace file or .telemetry.jsonl>";
-
-/// Extract the numeric value of `"key":` from one flat JSON object
-/// line (the heartbeat writes no nested objects, arrays, or string
-/// values beyond the keys themselves). Returns fallback when absent.
-double json_number(const std::string& line, const std::string& key,
-                   double fallback = 0.0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(line.c_str() + at + needle.size(), &end);
-  if (end == line.c_str() + at + needle.size() || errno == ERANGE) return fallback;
-  return v;
-}
 
 /// Last two complete snapshot lines of the heartbeat file (previous may
 /// be empty when only one snapshot exists yet). Re-reads the whole
@@ -90,21 +73,25 @@ tempest::Status read_tail(const std::string& path, std::string* last,
   return tempest::Status::ok();
 }
 
-void render(const std::string& last, const std::string& previous,
+void render(const std::string& last_line, const std::string& previous_line,
             std::ostream& out) {
-  const double t = json_number(last, "t");
-  const double events = json_number(last, "events_recorded");
-  const double dropped = json_number(last, "events_dropped");
-  const double threads = json_number(last, "active_threads");
-  const double tempd_cpu_s = json_number(last, "tempd_cpu_us") / 1e6;
+  const tempest::json::NumberFields last =
+      tempest::json::read_numbers(last_line);
+  const double t = last.get("t");
+  const double events = last.get("events_recorded");
+  const double dropped = last.get("events_dropped");
+  const double threads = last.get("active_threads");
+  const double tempd_cpu_s = last.get("tempd_cpu_us") / 1e6;
   const double cpu_share = t > 0.0 ? 100.0 * tempd_cpu_s / t : 0.0;
 
   // Throughput from the delta to the previous snapshot when one exists;
   // from the run average otherwise.
   double rate = t > 0.0 ? events / t : 0.0;
-  if (!previous.empty()) {
-    const double dt = t - json_number(previous, "t");
-    if (dt > 0.0) rate = (events - json_number(previous, "events_recorded")) / dt;
+  if (!previous_line.empty()) {
+    const tempest::json::NumberFields previous =
+        tempest::json::read_numbers(previous_line);
+    const double dt = t - previous.get("t");
+    if (dt > 0.0) rate = (events - previous.get("events_recorded")) / dt;
   }
 
   char buf[256];
@@ -118,10 +105,10 @@ void render(const std::string& last, const std::string& previous,
   // Admission pipeline counters (suppression filter / throttle / ring);
   // only rendered when the session actually rejected or recycled
   // something — a plain record-everything run keeps the old layout.
-  const double suppressed = json_number(last, "events_suppressed");
-  const double throttled = json_number(last, "events_throttled");
-  const double overwritten = json_number(last, "events_overwritten");
-  const double snapshots = json_number(last, "ring_snapshots");
+  const double suppressed = last.get("events_suppressed");
+  const double throttled = last.get("events_throttled");
+  const double overwritten = last.get("events_overwritten");
+  const double snapshots = last.get("ring_snapshots");
   if (suppressed > 0.0 || throttled > 0.0 || overwritten > 0.0 ||
       snapshots > 0.0) {
     std::snprintf(buf, sizeof(buf),
@@ -132,31 +119,31 @@ void render(const std::string& last, const std::string& previous,
   }
   std::snprintf(buf, sizeof(buf),
                 "  probes   mean %.0f ns   max %.0f ns   (n=%.0f sampled)",
-                json_number(last, "probe_cost_ns_mean"),
-                json_number(last, "probe_cost_ns_max"),
-                json_number(last, "probe_cost_ns_count"));
+                last.get("probe_cost_ns_mean"),
+                last.get("probe_cost_ns_max"),
+                last.get("probe_cost_ns_count"));
   out << buf << "\n";
   std::snprintf(buf, sizeof(buf),
                 "  tempd    %.0f ticks (%.0f missed)   %.0f samples   "
                 "%.0f read errors   cpu %.2f%% of wall",
-                json_number(last, "tempd_ticks"),
-                json_number(last, "tempd_missed_ticks"),
-                json_number(last, "tempd_samples"),
-                json_number(last, "sensor_read_failures"), cpu_share);
+                last.get("tempd_ticks"),
+                last.get("tempd_missed_ticks"),
+                last.get("tempd_samples"),
+                last.get("sensor_read_failures"), cpu_share);
   out << buf << "\n";
   std::snprintf(buf, sizeof(buf),
                 "  cadence  jitter mean %.0f us  max %.0f us   sensor read "
                 "mean %.0f us",
-                json_number(last, "cadence_jitter_us_mean"),
-                json_number(last, "cadence_jitter_us_max"),
-                json_number(last, "sensor_read_us_mean"));
+                last.get("cadence_jitter_us_mean"),
+                last.get("cadence_jitter_us_max"),
+                last.get("sensor_read_us_mean"));
   out << buf << "\n";
 
   std::string temps = "  temps   ";
   bool any = false;
   for (int i = 0; i < 8; ++i) {
     const std::string key = "sensor_temp_" + std::to_string(i) + "_mc";
-    const double mc = json_number(last, key, -1e9);
+    const double mc = last.get(key, -1e9);
     if (mc <= -1e9 || mc == 0.0) continue;
     std::snprintf(buf, sizeof(buf), " s%d=%.1fC", i, mc / 1000.0);
     temps += buf;
@@ -166,19 +153,19 @@ void render(const std::string& last, const std::string& previous,
   std::snprintf(buf, sizeof(buf),
                 "  memory   peak rss %.0f KiB   buffer chunks %.0f   "
                 "heartbeats %.0f",
-                json_number(last, "peak_rss_kb"),
-                json_number(last, "buffer_flushes"),
-                json_number(last, "heartbeats"));
+                last.get("peak_rss_kb"),
+                last.get("buffer_flushes"),
+                last.get("heartbeats"));
   out << buf << "\n";
 
   // Export runs (tempest-export / tempest_parse --export) publish their
   // accounting through the same registry; show it when one happened.
-  const double exported = json_number(last, "export_events_exported");
+  const double exported = last.get("export_events_exported");
   if (exported > 0.0) {
     std::snprintf(buf, sizeof(buf),
                   "  export   %.0f events   %.0f spans dropped   %.0f bytes",
-                  exported, json_number(last, "export_spans_dropped"),
-                  json_number(last, "export_bytes_written"));
+                  exported, last.get("export_spans_dropped"),
+                  last.get("export_bytes_written"));
     out << buf << "\n";
   }
 }
@@ -196,22 +183,16 @@ int main(int argc, char** argv) {
   args.add_flag("--once", [&] { once = true; });
   args.add_flag("--no-clear", [&] { no_clear = true; });
   args.add_value("--interval", [&](const std::string& v) {
-    errno = 0;
-    char* end = nullptr;
-    interval_s = std::strtod(v.c_str(), &end);
-    if (v.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-        interval_s <= 0.0) {
-      return Status::error("bad --interval value '" + v + "'");
-    }
+    const Status st = tempest::cli::parse_double(v, &interval_s);
+    if (!st.is_ok()) return st;
+    if (interval_s <= 0.0) return Status::error("--interval must be positive");
     return Status::ok();
   });
   args.add_value("--assert-tempd-below", [&](const std::string& v) {
-    errno = 0;
-    char* end = nullptr;
-    assert_below_pct = std::strtod(v.c_str(), &end);
-    if (v.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-        assert_below_pct < 0.0) {
-      return Status::error("bad --assert-tempd-below value '" + v + "'");
+    const Status st = tempest::cli::parse_double(v, &assert_below_pct);
+    if (!st.is_ok()) return st;
+    if (assert_below_pct < 0.0) {
+      return Status::error("--assert-tempd-below must not be negative");
     }
     return Status::ok();
   });
@@ -286,9 +267,11 @@ int main(int argc, char** argv) {
   }
 
   if (assert_below_pct >= 0.0) {
-    const double t = json_number(last, "t");
+    const tempest::json::NumberFields snapshot =
+        tempest::json::read_numbers(last);
+    const double t = snapshot.get("t");
     const double share =
-        t > 0.0 ? 100.0 * (json_number(last, "tempd_cpu_us") / 1e6) / t : 0.0;
+        t > 0.0 ? 100.0 * (snapshot.get("tempd_cpu_us") / 1e6) / t : 0.0;
     if (share >= assert_below_pct) {
       std::fprintf(stderr,
                    "ASSERT FAILED: tempd used %.3f%% of wall time "

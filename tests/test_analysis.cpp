@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include <unistd.h>
+
 #include "analysis/lint.hpp"
 #include "core/api.hpp"
 #include "core/session.hpp"
@@ -259,7 +261,10 @@ TEST(Lint, JsonOutputCarriesVerdictAndFindings) {
 class LintCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    trace_path_ = new std::string(::testing::TempDir() + "/lint_cli.trace");
+    // Per-process path: ctest runs each case as its own process, and
+    // every one records this trace in SetUpTestSuite.
+    trace_path_ = new std::string(::testing::TempDir() + "/lint_cli." +
+                                  std::to_string(getpid()) + ".trace");
     tempest::simnode::ClusterConfig cc;
     cc.nodes = 1;
     cc.kind = tempest::simnode::NodeKind::kX86Basic;

@@ -33,6 +33,9 @@
 #ifndef TEMPEST_DIFF_BIN
 #define TEMPEST_DIFF_BIN "tools/tempest-diff"
 #endif
+#ifndef TEMPEST_COLLECTD_BIN
+#define TEMPEST_COLLECTD_BIN "tools/tempest-collectd"
+#endif
 
 namespace {
 
@@ -279,7 +282,8 @@ TEST_F(CliTest, TopToleratesTruncatedHeartbeatTail) {
 
 /// Run an arbitrary tool binary; returns the exit code, captures stdout.
 int run_tool(const char* bin, const std::string& args, std::string* output) {
-  const std::string out_path = ::testing::TempDir() + "/cli_tool.out";
+  const std::string out_path = ::testing::TempDir() + "/cli_tool." +
+                               std::to_string(getpid()) + ".out";
   const std::string cmd =
       std::string(bin) + " " + args + " > " + out_path + " 2>/dev/null";
   const int rc = std::system(cmd.c_str());
@@ -466,6 +470,50 @@ TEST_F(CliTest, TopConnectUnreachableCollectorIsOneLineError) {
   EXPECT_NE(err.find("collector at 127.0.0.1:1 unreachable"), std::string::npos)
       << err;
   EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
+TEST_F(CliTest, NonFiniteFloatOptionsAreUsageErrors) {
+  // Every float option goes through one strict parser: nan and inf are
+  // rejected, not compared (a NaN budget would skip its gate).
+  const std::string jsonl = ::testing::TempDir() + "/nonfinite." +
+                            std::to_string(getpid()) + ".telemetry.jsonl";
+  {
+    std::ofstream out(jsonl, std::ios::trunc);
+    out << "{\"t\":2.0,\"tempd_cpu_us\":1000000}\n";  // tempd at 50% of wall
+  }
+  const std::string trace = " \"" + *trace_path_ + "\"";
+  for (const char* value : {"nan", "inf"}) {
+    SCOPED_TRACE(value);
+    const std::string v = value;
+    EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
+                       "--once --assert-tempd-below " + v + " \"" + jsonl + "\"",
+                       nullptr),
+              2);
+    EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
+                       "--once --interval " + v + " \"" + jsonl + "\"", nullptr),
+              2);
+    // --version makes a tool that accepts the value exit at once
+    // instead of starting the daemon.
+    EXPECT_EQ(run_tool(TEMPEST_COLLECTD_BIN,
+                       "--idle-timeout " + v + " --uds /nonexistent --version",
+                       nullptr),
+              2);
+    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--hz " + v + trace, nullptr), 2);
+    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--tolerance " + v + trace, nullptr), 2);
+  }
+  // The range checks still hold for finite values.
+  EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
+                     "--once --assert-tempd-below -1 \"" + jsonl + "\"", nullptr),
+            2);
+  EXPECT_EQ(run_tool(TEMPEST_COLLECTD_BIN,
+                     "--idle-timeout 0 --uds /nonexistent --version", nullptr),
+            2);
+  EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
+                     "--once --assert-tempd-below 90 \"" + jsonl + "\"", nullptr),
+            0);
+  EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
+                     "--once --assert-tempd-below 10 \"" + jsonl + "\"", nullptr),
+            1);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "collectd/net.hpp"
 #include "collectd/profile_client.hpp"
 #include "collectd/wire.hpp"
+#include "common/json.hpp"
 #include "parser/profile.hpp"
 #include "pipeline/rank_fanin.hpp"
 #include "pipeline/sinks.hpp"
@@ -30,6 +31,7 @@ namespace {
 using namespace tempest;
 using namespace tempest::trace;
 namespace collectd = tempest::collectd;
+namespace json = tempest::json;
 namespace pipeline = tempest::pipeline;
 
 std::string temp_path(const std::string& name) {
@@ -216,9 +218,10 @@ TEST(Wire, MetaRoundTripCarriesRunStatsAndSymbols) {
 
 TEST(Wire, JsonNumberScansFlatHeartbeatLines) {
   const std::string line = "{\"t\":1.5,\"schema_version\":1,\"seq\":42}";
-  EXPECT_DOUBLE_EQ(collectd::json_number(line, "t", -1.0), 1.5);
-  EXPECT_DOUBLE_EQ(collectd::json_number(line, "seq", -1.0), 42.0);
-  EXPECT_DOUBLE_EQ(collectd::json_number(line, "absent", -1.0), -1.0);
+  const json::NumberFields fields = json::read_numbers(line);
+  EXPECT_DOUBLE_EQ(fields.get("t", -1.0), 1.5);
+  EXPECT_DOUBLE_EQ(fields.get("seq", -1.0), 42.0);
+  EXPECT_DOUBLE_EQ(fields.get("absent", -1.0), -1.0);
 }
 
 TEST(Net, EndpointParsing) {
@@ -685,10 +688,10 @@ TEST(Collector, FoldProfilePoolsTimeMoments) {
   ASSERT_EQ(fleet.count("pooled_fn"), 1u);
   const collectd::FleetFunction& f = fleet["pooled_fn"];
   EXPECT_EQ(f.sessions, 2u);
-  EXPECT_EQ(f.activations, 5u);
-  EXPECT_NEAR(f.time_mean_s, 16.0, 1e-12);
-  EXPECT_NEAR(f.time_m2, 155.0, 1e-9);
-  EXPECT_NEAR(f.time_var_s2(), 31.0, 1e-9);
+  EXPECT_EQ(f.time.count, 5u);
+  EXPECT_NEAR(f.time.mean, 16.0, 1e-12);
+  EXPECT_NEAR(f.time.m2, 155.0, 1e-9);
+  EXPECT_NEAR(f.time.variance(), 31.0, 1e-9);
 
   // A profile with no activation stats still folds calls/time but
   // leaves the moments untouched.
@@ -696,7 +699,7 @@ TEST(Collector, FoldProfilePoolsTimeMoments) {
   no_stats.nodes[0].functions[0].calls = 7;
   no_stats.nodes[0].functions[0].total_time_s = 1.5;
   collectd::fold_profile(no_stats, &fleet);
-  EXPECT_EQ(fleet["pooled_fn"].activations, 5u);
+  EXPECT_EQ(fleet["pooled_fn"].time.count, 5u);
   EXPECT_EQ(fleet["pooled_fn"].calls, 12u);
 }
 
@@ -775,6 +778,69 @@ TEST(Collector, ProfileServesPooledTimeStats) {
     EXPECT_NEAR(fn.time_var_s2, 0.0, 1e-18);
   }
   EXPECT_TRUE(shared_seen) << body;
+  collector.stop();
+}
+
+// -- names and keys that need the full JSON grammar --------------------
+
+TEST(Collector, ProfileParsesBraceNamedFunctions) {
+  // Demangled lambdas carry braces; the /profile client must read every
+  // field of such an entry, not stop at the first '}' in its name.
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("lambda");
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+
+  const std::string lambda = "main::{lambda()#1}::operator()() const";
+  Trace t = session_trace(4, 20);
+  t.synthetic_symbols[0].name = lambda;
+  collectd::CollectClient client;
+  ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
+  ASSERT_TRUE(stream_session(&client, t, 44));
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.fleet().sessions_folded == 1; }));
+
+  const collectd::FleetFunction want = collector.fleet().functions.at(lambda);
+  ASSERT_GT(want.calls, 0u);
+  std::string body;
+  ASSERT_EQ(collector.handle_query("/profile", &body), 200);
+  auto view = collectd::parse_fleet_profile(body);
+  ASSERT_TRUE(view.is_ok()) << view.message();
+  bool seen = false;
+  for (const auto& fn : view.value().functions) {
+    if (fn.name != lambda) continue;
+    seen = true;
+    EXPECT_EQ(fn.calls, want.calls);
+    EXPECT_EQ(fn.sessions, 1u);
+    EXPECT_NEAR(fn.total_time_s, want.total_time_s, 1e-12);
+    EXPECT_NEAR(fn.time_mean_s, want.time.mean, 1e-15);
+  }
+  EXPECT_TRUE(seen) << body;
+  collector.stop();
+}
+
+TEST(Collector, TopEscapesHeartbeatKeys) {
+  // A peer's heartbeat key with a quote in it comes back out of /top
+  // escaped, so the aggregate stays JSON.
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("topkey");
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+
+  collectd::CollectClient client;
+  ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
+  client.send_hello(45, "key_app");
+  client.send_heartbeat("{\"t\":1,\"a\\\"b\":2}");
+  std::string top;
+  ASSERT_TRUE(wait_until([&] {
+    return collector.handle_query("/top", &top) == 200 && top != "{}";
+  }));
+  EXPECT_NE(top.find("\"a\\\"b\":2"), std::string::npos) << top;
+  const json::NumberFields back = json::read_numbers(top);
+  ASSERT_EQ(back.members.size(), 2u) << top;
+  EXPECT_EQ(back.members[1].first, "a\"b");
+  EXPECT_EQ(back.members[1].second, 2.0);
+  client.close();
   collector.stop();
 }
 

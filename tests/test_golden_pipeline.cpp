@@ -105,6 +105,16 @@ std::vector<std::pair<std::uint64_t, std::string>> golden_names() {
   return {{kFnA, "alpha_fn"}, {kFnB, "beta_fn"}, {kFnC, "gamma_fn"}, {kFnD, "delta_fn"}};
 }
 
+/// The profile of a whole in-memory trace from a timeline built over it.
+RunProfile profile_of(const Trace& t, const ProfileOptions& options,
+                      const TimelineMap& timeline, TimelineDiagnostics diag) {
+  ProfileAssembler assembler(options);
+  assembler.set_metadata(t);
+  assembler.add_samples(t.temp_samples.data(), t.temp_samples.size());
+  return assembler.assemble(t.start_tsc(), t.end_tsc(), timeline,
+                            golden_names(), diag);
+}
+
 /// The fast timeline against the seed's interval unions: same sums, the
 /// same activity bounds, the same credited samples (the seed's
 /// `contains` over the node's samples in arrival order) and — for a fold
@@ -212,7 +222,7 @@ TEST(GoldenPipeline, ProfileMatchesSeedExactly) {
   for (const TempUnit unit : {TempUnit::kFahrenheit, TempUnit::kCelsius}) {
     ProfileOptions options;
     options.unit = unit;
-    const RunProfile fast = ProfileBuilder(t, options).build(fast_tl, names, diag);
+    const RunProfile fast = profile_of(t, options, fast_tl, diag);
     const RunProfile seed =
         reference::build_profile_seed(t, seed_tl, names, diag, options);
     expect_profiles_equal(fast, seed);
@@ -228,7 +238,7 @@ TEST(GoldenPipeline, ProfileMatchesSeedOnUnsortedTrace) {
   const reference::SeedTimeline seed_tl = reference::build_timeline_seed(t);
   const auto names = golden_names();
   const ProfileOptions options;
-  const RunProfile fast = ProfileBuilder(t, options).build(fast_tl, names, diag);
+  const RunProfile fast = profile_of(t, options, fast_tl, diag);
   const RunProfile seed =
       reference::build_profile_seed(t, seed_tl, names, diag, options);
   expect_profiles_equal(fast, seed);
@@ -248,8 +258,7 @@ TEST(GoldenPipeline, EndToEndThroughV2RoundTrip) {
   fast_t.sort_by_time();
   TimelineDiagnostics fast_diag;
   const TimelineMap fast_tl = build_timeline(fast_t, &fast_diag);
-  const RunProfile fast =
-      ProfileBuilder(fast_t, {}).build(fast_tl, golden_names(), fast_diag);
+  const RunProfile fast = profile_of(fast_t, {}, fast_tl, fast_diag);
 
   Trace seed_t = golden_trace();
   reference::sort_by_time_seed(&seed_t);
@@ -346,7 +355,7 @@ TEST(GoldenPipeline, FindLocatesEveryFunctionLikeLinearScan) {
   t.sort_by_time();
   TimelineDiagnostics diag;
   const TimelineMap tl = build_timeline(t, &diag);
-  const RunProfile profile = ProfileBuilder(t, {}).build(tl, golden_names(), diag);
+  const RunProfile profile = profile_of(t, {}, tl, diag);
   for (const auto& node : profile.nodes) {
     for (const auto& fn : node.functions) {
       const FunctionProfile* hit = profile.find(node.node_id, fn.name);

@@ -7,9 +7,9 @@
 
 namespace {
 
+using tempest::Moments;
 using tempest::SampleSet;
 using tempest::StatsSummary;
-using tempest::StreamingStats;
 
 TEST(SampleSet, EmptySummaryIsZeroed) {
   SampleSet s;
@@ -74,30 +74,58 @@ TEST(SampleSet, ConstantSeriesHasZeroSpread) {
   EXPECT_EQ(sum.mod, 91.0);
 }
 
-TEST(StreamingStats, MatchesSampleSetOnRandomData) {
+TEST(Moments, MatchesSampleSetOnRandomData) {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(80.0, 130.0);
   SampleSet set;
-  StreamingStats stream;
+  Moments stream;
   for (int i = 0; i < 1000; ++i) {
     const double v = dist(rng);
     set.add(v);
     stream.add(v);
   }
   const StatsSummary sum = set.summarize();
-  EXPECT_NEAR(stream.mean(), sum.avg, 1e-9);
+  EXPECT_NEAR(stream.mean, sum.avg, 1e-9);
   EXPECT_NEAR(stream.variance(), sum.var, 1e-6);
-  EXPECT_NEAR(stream.stddev(), sum.sdv, 1e-8);
-  EXPECT_DOUBLE_EQ(stream.min(), sum.min);
-  EXPECT_DOUBLE_EQ(stream.max(), sum.max);
-  EXPECT_EQ(stream.count(), sum.count);
+  EXPECT_NEAR(std::sqrt(stream.variance()), sum.sdv, 1e-8);
+  EXPECT_EQ(stream.count, sum.count);
 }
 
-TEST(StreamingStats, FewerThanTwoSamplesHasZeroVariance) {
-  StreamingStats s;
+TEST(Moments, FewerThanTwoSamplesHasZeroVariance) {
+  Moments s;
   EXPECT_EQ(s.variance(), 0.0);
   s.add(5.0);
   EXPECT_EQ(s.variance(), 0.0);
+}
+
+TEST(Moments, MergingTwoHalvesEqualsAddingAll) {
+  std::mt19937 rng(11);
+  std::normal_distribution<double> dist(100.0, 15.0);
+  Moments all, first, second, empty;
+  for (int i = 0; i < 1001; ++i) {
+    const double v = dist(rng);
+    all.add(v);
+    (i < 400 ? first : second).add(v);
+  }
+  Moments pooled;
+  pooled.merge(first);  // into empty moments: a copy
+  EXPECT_EQ(pooled.count, first.count);
+  EXPECT_EQ(pooled.mean, first.mean);
+  EXPECT_EQ(pooled.m2, first.m2);
+  pooled.merge(second);
+  pooled.merge(empty);  // merging nothing changes nothing
+  EXPECT_EQ(pooled.count, all.count);
+  EXPECT_NEAR(pooled.mean, all.mean, 1e-12 * all.mean);
+  EXPECT_NEAR(pooled.m2, all.m2, 1e-9 * all.m2);
+  EXPECT_NEAR(pooled.variance(), all.variance(), 1e-9 * all.variance());
+
+  // The (count, mean, variance) form a profile stores merges the same.
+  Moments from_summaries = Moments::from_variance(
+      first.count, first.mean, first.variance());
+  from_summaries.merge(Moments::from_variance(second.count, second.mean,
+                                              second.variance()));
+  EXPECT_NEAR(from_summaries.variance(), all.variance(),
+              1e-9 * all.variance());
 }
 
 // Property sweep: for any population, sdv^2 == var, min <= med <= max,
