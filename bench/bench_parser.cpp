@@ -6,8 +6,10 @@
 //            per-thread chunks         / concatenated buffers
 //   write    bulk packed v2 sections   / per-field v1 stream calls
 //   read     chunked section unpack    / per-field v1 stream calls
-//   timeline flat-hash replay, samples / std::map pair keys and
-//            credited online           / interval unions
+//   align    dense per-node ClockMap,  / std::map lookup and an
+//            inline to_global          / out-of-line fit per record
+//   timeline compact hot/cold replay,  / std::map pair keys and
+//            samples credited online   / interval unions
 //   profile  read back credited ranges / per-function sample scan
 //
 // End-to-end covers drain -> write -> read -> sort -> timeline ->
@@ -36,6 +38,7 @@
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
 #include "reference/reference.hpp"
+#include "trace/align.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
@@ -124,10 +127,14 @@ const tempest::trace::Trace& base_trace(std::size_t n_events) {
                                 static_cast<std::uint16_t>(rng.next() % 2)});
     }
   }
+  // Every node's clock drifts (n * 20 ppm) and sits n * 1000 ticks
+  // off the global one, so each node gets its own fit.
   for (std::size_t n = 0; n < kNodes; ++n) {
+    const double rate = 1.0 + static_cast<double>(n) * 2e-5;
     for (std::size_t i = 0; i < 8; ++i) {
       const std::uint64_t at = (i + 1) * (max_tsc / 9);
-      t.clock_syncs.push_back({at, at + n * 3, static_cast<std::uint16_t>(n)});
+      const auto global = static_cast<std::uint64_t>(static_cast<double>(at) * rate) + n * 1000;
+      t.clock_syncs.push_back({at, global, static_cast<std::uint16_t>(n)});
     }
   }
   return cache.emplace(n_events, std::move(t)).first->second;
@@ -299,6 +306,42 @@ void BM_Read_Seed(benchmark::State& state) {
   std::remove(bench_path());
 }
 BENCHMARK(BM_Read_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+// --- Align ----------------------------------------------------------------
+// The per-record rewrite into the global clock on the sorted trace's
+// events and samples. Restoring the node-domain timestamps is set-up,
+// so it runs with timing paused.
+
+template <bool kSeed>
+void align(benchmark::State& state) {
+  const auto& t = sorted_trace(state.range(0));
+  const auto fits = tempest::trace::fit_clocks(t);
+  std::vector<tempest::trace::FnEvent> events;
+  std::vector<tempest::trace::TempSample> samples;
+  for (auto _ : state) {
+    state.PauseTiming();
+    events = t.fn_events;
+    samples = t.temp_samples;
+    state.ResumeTiming();
+    if constexpr (kSeed) {
+      tempest::parser::reference::align_records_seed(fits, &events, &samples);
+    } else {
+      const tempest::trace::ClockMap clocks(fits);
+      clocks.align(&events);
+      clocks.align(&samples);
+    }
+    benchmark::DoNotOptimize(events.data());
+    benchmark::DoNotOptimize(samples.data());
+    benchmark::ClobberMemory();
+  }
+  set_events_rate(state);
+}
+
+void BM_Align_Fast(benchmark::State& state) { align<false>(state); }
+BENCHMARK(BM_Align_Fast)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+void BM_Align_Seed(benchmark::State& state) { align<true>(state); }
+BENCHMARK(BM_Align_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // --- Timeline -------------------------------------------------------------
 

@@ -14,7 +14,7 @@ ClockCorrelator::ClockCorrelator(double tsc_ticks_per_second,
   if (syncs.empty()) return;
 
   const auto fits = trace::fit_clocks(syncs);
-  const auto residuals = trace::fit_residuals(fits, syncs);
+  const auto residuals = trace::fit_residuals(trace::ClockMap(fits), syncs);
   std::map<std::uint16_t, std::size_t> counts;
   for (const auto& s : syncs) ++counts[s.node_id];
 

@@ -1,132 +1,142 @@
 #include "parser/timeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 namespace tempest::parser {
 namespace {
 
-/// Dense thread -> node lookup; thread ids are dense per process, so
-/// almost every lookup is one vector index. Ids beyond the dense window
-/// (possible only in corrupt traces) fall back to a hash map.
-class ThreadNodeTable {
- public:
-  explicit ThreadNodeTable(const std::vector<trace::ThreadInfo>& threads) {
-    std::uint32_t max_tid = 0;
-    for (const auto& t : threads) max_tid = std::max(max_tid, t.thread_id);
-    if (!threads.empty()) {
-      dense_.assign(std::min<std::size_t>(std::size_t{max_tid} + 1, kDenseCap), -1);
-    }
-    for (const auto& t : threads) {
-      if (t.thread_id < dense_.size()) {
-        dense_[t.thread_id] = t.node_id;
-      } else {
-        sparse_[t.thread_id] = t.node_id;
-      }
-    }
-  }
-
-  std::uint16_t node_of(std::uint32_t thread_id, std::uint16_t fallback) const {
-    const std::int32_t node = node_or_negative(thread_id);
-    return node >= 0 ? static_cast<std::uint16_t>(node) : fallback;
-  }
-
-  /// Listed node for the thread, or -1 when the thread is unknown (its
-  /// events then use each event's own node id as the fallback).
-  std::int32_t node_or_negative(std::uint32_t thread_id) const {
-    if (thread_id < dense_.size()) return dense_[thread_id];
-    const auto it = sparse_.find(thread_id);
-    return it != sparse_.end() ? it->second : -1;
-  }
-
- private:
-  static constexpr std::size_t kDenseCap = std::size_t{1} << 20;
-  std::vector<std::int32_t> dense_;
-  std::unordered_map<std::uint32_t, std::uint16_t> sparse_;
-};
+constexpr std::uint32_t kNone = UINT32_MAX;
 
 /// Squared activation length widened before the multiply overflows.
 inline unsigned __int128 squared_ticks(std::uint64_t len) {
   return static_cast<unsigned __int128>(len) * len;
 }
 
-/// Minimal open-addressing hash map from an (a, b) key pair to a dense
-/// value index. The event loop below probes these maps once or twice
-/// per event; keying on the raw (addr, thread) / (addr, node) pairs
-/// avoids both std::unordered_map's node indirection and a separate
-/// address-interning lookup. Values live in caller-owned dense vectors,
-/// which also makes the post-loop passes sequential scans.
-class FlatPairIndex {
+/// Open-addressing map from a 64-bit key to a 32-bit value, each key
+/// stored beside its value so a probe reads one bucket rather than a key
+/// array and a parallel value array. Values are never kNone.
+class FlatIndex {
  public:
-  explicit FlatPairIndex(std::size_t expected) {
+  explicit FlatIndex(std::size_t expected) {
     std::size_t cap = 16;
     while (cap < expected * 2) cap <<= 1;
-    slots_.assign(cap, kEmpty);
-    keys_.resize(cap);
-    mask_ = cap - 1;
+    buckets_.resize(cap);
+    shift_ = 64 - std::countr_zero(cap);
   }
 
-  /// Returns the dense index for (a, b), assigning the next one (== the
-  /// current id count) on first sight; `inserted` reports which.
-  std::uint32_t find_or_insert(std::uint64_t a, std::uint64_t b, bool* inserted) {
-    if ((size_ + 1) * 10 > (mask_ + 1) * 7) grow();
-    std::size_t pos = mix(a, b) & mask_;
-    while (slots_[pos] != kEmpty) {
-      if (keys_[pos].first == a && keys_[pos].second == b) {
-        *inserted = false;
-        return slots_[pos];
-      }
-      pos = (pos + 1) & mask_;
+  /// Value of `key`, or kNone when it is absent.
+  std::uint32_t find(std::uint64_t key) const {
+    const std::size_t mask = buckets_.size() - 1;
+    for (std::size_t pos = home(key);; pos = (pos + 1) & mask) {
+      const Bucket& b = buckets_[pos];
+      if (b.value == kNone || b.key == key) return b.value;
     }
-    keys_[pos] = {a, b};
-    slots_[pos] = static_cast<std::uint32_t>(size_);
-    *inserted = true;
-    return static_cast<std::uint32_t>(size_++);
   }
 
-  /// Dense index for (a, b), or UINT32_MAX when absent.
-  std::uint32_t find(std::uint64_t a, std::uint64_t b) const {
-    std::size_t pos = mix(a, b) & mask_;
-    while (slots_[pos] != kEmpty) {
-      if (keys_[pos].first == a && keys_[pos].second == b) return slots_[pos];
-      pos = (pos + 1) & mask_;
+  /// Value of `key`, storing `value` for it when it is absent.
+  std::uint32_t emplace(std::uint64_t key, std::uint32_t value) {
+    const std::size_t mask = buckets_.size() - 1;
+    std::size_t pos = home(key);
+    for (; buckets_[pos].value != kNone; pos = (pos + 1) & mask) {
+      if (buckets_[pos].key == key) return buckets_[pos].value;
     }
-    return kEmpty;
+    buckets_[pos] = {key, value};
+    if (++size_ * 10 > buckets_.size() * 7) grow();
+    return value;
   }
-
-  static constexpr std::uint32_t kEmpty = UINT32_MAX;
 
  private:
-  static std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-    // splitmix64 finaliser over the folded pair: full-avalanche, so
-    // nearby addresses and sequential thread ids spread over the table.
-    std::uint64_t x = a + b * 0xC2B2AE3D27D4EB4FULL;
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
+  struct Bucket {
+    std::uint64_t key = 0;
+    std::uint32_t value = kNone;
+  };
+
+  /// Fibonacci hashing: the product's high bits depend on every key bit,
+  /// so aligned function entry points spread over the table.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
   void grow() {
-    std::vector<std::uint32_t> old_slots = std::move(slots_);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> old_keys = std::move(keys_);
-    const std::size_t old_cap = mask_ + 1;
-    slots_.assign(old_cap * 2, kEmpty);
-    keys_.resize(old_cap * 2);
-    mask_ = old_cap * 2 - 1;
-    for (std::size_t i = 0; i < old_cap; ++i) {
-      if (old_slots[i] == kEmpty) continue;
-      std::size_t pos = mix(old_keys[i].first, old_keys[i].second) & mask_;
-      while (slots_[pos] != kEmpty) pos = (pos + 1) & mask_;
-      slots_[pos] = old_slots[i];
-      keys_[pos] = old_keys[i];
+    std::vector<Bucket> old = std::move(buckets_);
+    buckets_.assign(old.size() * 2, Bucket{});
+    --shift_;
+    const std::size_t mask = buckets_.size() - 1;
+    for (const Bucket& b : old) {
+      if (b.value == kNone) continue;
+      std::size_t pos = home(b.key);
+      while (buckets_[pos].value != kNone) pos = (pos + 1) & mask;
+      buckets_[pos] = b;
     }
   }
 
-  std::vector<std::uint32_t> slots_;  ///< dense value index per bucket
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> keys_;
-  std::size_t mask_ = 0;
+  std::vector<Bucket> buckets_;
+  int shift_ = 0;
   std::size_t size_ = 0;
+};
+
+/// Key of a (function id, thread id) slot in the pair table.
+inline std::uint64_t pair_key(std::uint32_t fn, std::uint32_t thread_id) {
+  return (std::uint64_t{fn} << 32) | thread_id;
+}
+
+/// Most entries a thread's dense fn -> slot index may hold per slot the
+/// thread owns, so the index never outgrows the slots themselves (about
+/// 160 bytes each) however many functions other threads have interned.
+constexpr std::size_t kIndexPerSlot = 8;
+
+/// Fold state of one thread listed in the trace metadata.
+struct ThreadState {
+  std::uint16_t node = 0;      ///< listed node
+  std::uint32_t slots = 0;     ///< slots this thread owns
+  std::uint32_t spilled = 0;   ///< of those, still held in the pair table
+  /// Slot of each function id below size(), kNone when unseen. Ids at or
+  /// past size() are in the pair table.
+  std::vector<std::uint32_t> slot_of;
+};
+
+/// Thread id -> fold state of the threads listed in the metadata. Thread
+/// ids are dense per process, so almost every lookup is one vector
+/// index; listed ids beyond the dense window (possible only in corrupt
+/// traces) fall back to a hash map.
+class ThreadTable {
+ public:
+  explicit ThreadTable(const std::vector<trace::ThreadInfo>& threads) {
+    std::uint32_t max_tid = 0;
+    for (const auto& t : threads) max_tid = std::max(max_tid, t.thread_id);
+    if (!threads.empty()) {
+      dense_.assign(std::min<std::size_t>(std::size_t{max_tid} + 1, kDenseCap), kNone);
+    }
+    for (const auto& t : threads) {
+      std::uint32_t& idx = t.thread_id < dense_.size()
+                               ? dense_[t.thread_id]
+                               : sparse_.try_emplace(t.thread_id, kNone).first->second;
+      if (idx == kNone) {
+        idx = static_cast<std::uint32_t>(states_.size());
+        states_.emplace_back();
+      }
+      states_[idx].node = t.node_id;  // a repeated listing overrides
+    }
+  }
+
+  /// State index of a listed thread, or kNone for a thread missing from
+  /// the metadata.
+  std::uint32_t find(std::uint32_t thread_id) const {
+    if (thread_id < dense_.size()) return dense_[thread_id];
+    if (sparse_.empty()) return kNone;
+    const auto it = sparse_.find(thread_id);
+    return it != sparse_.end() ? it->second : kNone;
+  }
+
+  ThreadState& at(std::uint32_t i) { return states_[i]; }
+
+ private:
+  static constexpr std::size_t kDenseCap = std::size_t{1} << 20;
+  std::vector<std::uint32_t> dense_;
+  std::unordered_map<std::uint32_t, std::uint32_t> sparse_;
+  std::vector<ThreadState> states_;
 };
 
 /// Append positions [lo, hi) to a range list, coalescing with the last
@@ -222,20 +232,20 @@ class NodeSamples {
   bool sorted_ = true;
 };
 
-/// What one (addr, thread) or (addr, node) slot gathers from the
-/// activations closed into it. Fields the event loop touches on every
-/// close come first.
-struct Tally {
+/// 128-bit sum held on an 8-byte boundary, so Totals has no padding
+/// and an open slot packs into 80 bytes instead of 96 (GCC and Clang
+/// honour a lowered alignment on a typedef).
+typedef unsigned __int128 PackedU128 __attribute__((aligned(8)));
+
+/// What the activations closed into one (addr, thread) or (addr, node)
+/// slot add up to.
+struct Totals {
   std::uint64_t calls = 0;
   std::uint64_t total_ticks = 0;
   std::uint64_t activations = 0;
   std::uint64_t first_begin = UINT64_MAX;
   std::uint64_t last_end = 0;
-  std::vector<Interval> parked;     ///< closed before their samples settled
-  std::vector<SampleRange> ranges;  ///< credited sample positions
-  bool keep_spans = false;
-  unsigned __int128 ticks_sq = 0;
-  std::vector<Interval> spans;      ///< every activation, span functions only
+  PackedU128 ticks_sq = 0;
 
   void close(const Interval& iv) {
     total_ticks += iv.length();
@@ -243,8 +253,25 @@ struct Tally {
     ticks_sq += squared_ticks(iv.length());
     first_begin = std::min(first_begin, iv.begin);
     last_end = std::max(last_end, iv.end);
-    if (keep_spans) spans.push_back(iv);
   }
+
+  void absorb(const Totals& other) {
+    ticks_sq += other.ticks_sq;
+    calls += other.calls;
+    total_ticks += other.total_ticks;
+    activations += other.activations;
+    first_begin = std::min(first_begin, other.first_begin);
+    last_end = std::max(last_end, other.last_end);
+  }
+};
+
+/// The lists a slot gathers. They are touched only when a sample is
+/// credited, an activation parks or a span function closes, so they live
+/// apart from the per-event state.
+struct Lists {
+  std::vector<Interval> parked;     ///< closed before their samples settled
+  std::vector<SampleRange> ranges;  ///< credited sample positions
+  std::vector<Interval> spans;      ///< every activation, span functions only
 
   /// Credit every parked activation. Parked activations of one thread
   /// are in time order, so on a sorted node one forward search serves
@@ -262,13 +289,7 @@ struct Tally {
     parked.clear();
   }
 
-  void absorb(Tally&& other) {
-    ticks_sq += other.ticks_sq;
-    calls += other.calls;
-    total_ticks += other.total_ticks;
-    activations += other.activations;
-    first_begin = std::min(first_begin, other.first_begin);
-    last_end = std::max(last_end, other.last_end);
+  void absorb(Lists&& other) {
     append(&ranges, &other.ranges);
     append(&parked, &other.parked);
     append(&spans, &other.spans);
@@ -285,7 +306,22 @@ struct Tally {
   }
 };
 
-constexpr std::size_t kUnsettled = SIZE_MAX;
+/// Per (addr, thread): everything an enter or a close touches, packed
+/// so the slots of a large trace stay in L2.
+struct OpenSlot {
+  Totals totals;
+  std::uint64_t depth = 0;
+  std::uint64_t first_enter = 0;
+  std::uint32_t enter_pos = kNone;  ///< settled sample position of first_enter
+  bool keep_spans = false;
+  bool parked = false;  ///< the slot's Lists::parked is non-empty
+};
+
+/// Per (addr, node): the slots of a node's threads, folded together.
+struct Tally {
+  Totals totals;
+  Lists lists;
+};
 
 /// Sort half-open [kBegin, kEnd) entries by start and coalesce the ones
 /// that overlap or touch, in place.
@@ -320,61 +356,173 @@ void merge_sample_ranges(std::vector<SampleRange>* ranges) {
 }
 
 /// All accumulator state lives behind the pimpl so the hot-loop helper
-/// types (FlatPairIndex, Tally, NodeSamples) stay file-local.
+/// types (FlatIndex, ThreadTable, OpenSlot, NodeSamples) stay file-local.
 struct TimelineAccumulator::Impl {
-  // Per (thread, addr): open recursion depth, the outermost entry time
-  // and its sample position, and — for threads listed in the trace
-  // metadata — the tally so far. A listed thread's node never changes,
-  // so the tallies fold into the per-(addr, node) slots once at
-  // finish() and the hot loop probes a single hash per event. Events of
-  // unknown threads (corrupt traces) take each event's own node-id
-  // fallback and go to the per-(addr, node) slot directly.
-  struct OpenState {
-    std::uint64_t depth = 0;
-    std::uint64_t first_enter = 0;
-    std::size_t enter_pos = kUnsettled;  ///< settled sample position of first_enter
-    Tally tally;
+  // Per (addr, thread): an OpenSlot in `open` (open recursion depth, the
+  // outermost entry time and its sample position, and — for threads
+  // listed in the trace metadata — the totals so far) and its Lists in
+  // the parallel `lists`. Addresses are interned as dense function ids.
+  // A listed thread finds its slots through its own dense fn -> slot
+  // index, kept within kIndexPerSlot entries per slot the thread owns;
+  // ids past that, and every slot of a thread missing from the metadata,
+  // live in the (fn, thread id) pair table, so memory grows with the
+  // pairs seen. A listed thread's node never changes, so its slots fold
+  // into the per-(addr, node) tallies once at finish().
+  // Events of unknown threads (corrupt traces) take each event's own
+  // node-id fallback and go to the per-(addr, node) tally directly.
+  struct SlotKey {
+    std::uint32_t fn = 0;    ///< interned address id
+    std::uint16_t node = 0;  ///< tally node at finish(): the listed node, else 0
   };
-
+  struct TallyKey {
+    std::uint32_t fn = 0;
+    std::uint16_t node = 0;
+  };
   Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
        SpanFilter keep)
-      : thread_node(threads),
-        open_index(hint),
-        accum_index(hint),
-        keep_spans(std::move(keep)) {
+      : threads(threads), fns(hint), pairs(0), tally_index(0), keep_spans(std::move(keep)) {
     // Every listed thread's node is indexed directly by the replay.
-    for (const auto& t : threads) samples_of(t.node_id);
+    for (const auto& t : threads) node_at(t.node_id);
   }
 
-  bool wants_spans(std::uint64_t addr) const {
-    return keep_spans && keep_spans(addr);
-  }
-
-  Tally& accum_at(std::uint64_t addr, std::uint16_t node) {
-    bool inserted = false;
-    const std::uint32_t idx = accum_index.find_or_insert(addr, node, &inserted);
-    if (inserted) {
-      accum_keys.emplace_back(addr, node);
-      accum.emplace_back();
-      accum.back().keep_spans = wants_spans(addr);
+  /// Function id of `addr`, interning it (and making its one SpanFilter
+  /// decision) on first sight.
+  std::uint32_t intern(std::uint64_t addr) {
+    const auto next = static_cast<std::uint32_t>(fn_addr.size());
+    const std::uint32_t fn = fns.emplace(addr, next);
+    if (fn == next) {
+      fn_addr.push_back(addr);
+      fn_keep.push_back(keep_spans && keep_spans(addr));
     }
-    return accum[idx];
+    return fn;
   }
 
-  NodeSamples& samples_of(std::uint16_t node) {
+  std::uint32_t new_slot(std::uint32_t fn, std::uint16_t node) {
+    const auto si = static_cast<std::uint32_t>(open.size());
+    open.emplace_back().keep_spans = fn_keep[fn];
+    lists.emplace_back();
+    open_keys.push_back({fn, node});
+    return si;
+  }
+
+  /// The (fn, thread) slot of a thread missing from the metadata,
+  /// created on first sight.
+  std::uint32_t unlisted_slot(std::uint32_t thread_id, std::uint32_t fn) {
+    const auto next = static_cast<std::uint32_t>(open.size());
+    const std::uint32_t si = pairs.emplace(pair_key(fn, thread_id), next);
+    if (si == next) new_slot(fn, 0);
+    return si;
+  }
+
+  /// The (fn, thread) slot of a listed thread, created on first sight.
+  std::uint32_t slot_at(ThreadState& th, std::uint32_t thread_id, std::uint32_t fn) {
+    if (fn >= th.slot_of.size()) return far_slot(th, thread_id, fn);
+    std::uint32_t& slot = th.slot_of[fn];
+    if (slot == kNone) {
+      slot = new_slot(fn, th.node);
+      ++th.slots;
+    }
+    return slot;
+  }
+
+  /// slot_at() for an id past the thread's dense index: widen the index
+  /// when the thread owns enough slots to pay for it, else use the pair
+  /// table.
+  std::uint32_t far_slot(ThreadState& th, std::uint32_t thread_id, std::uint32_t fn) {
+    const std::size_t size = std::min(kIndexPerSlot * (std::size_t{th.slots} + 1),
+                                      std::max(std::size_t{fn} + 1, 2 * th.slot_of.size()));
+    if (fn < size) {
+      widen(th, thread_id, size);
+      return slot_at(th, thread_id, fn);
+    }
+    const auto next = static_cast<std::uint32_t>(open.size());
+    const std::uint32_t si = pairs.emplace(pair_key(fn, thread_id), next);
+    if (si == next) {
+      new_slot(fn, th.node);
+      ++th.slots;
+      ++th.spilled;
+    }
+    return si;
+  }
+
+  /// Grow a thread's dense index to `size` entries, moving in the slots
+  /// the pair table held for the ids it now covers.
+  void widen(ThreadState& th, std::uint32_t thread_id, std::size_t size) {
+    auto fn = static_cast<std::uint32_t>(th.slot_of.size());
+    th.slot_of.resize(size, kNone);
+    for (; fn < size && th.spilled != 0; ++fn) {
+      const std::uint32_t si = pairs.find(pair_key(fn, thread_id));
+      if (si != kNone) {
+        th.slot_of[fn] = si;
+        --th.spilled;
+      }
+    }
+  }
+
+  /// The existing (addr, thread) slot of a listed thread, or kNone.
+  std::uint32_t find_slot(const ThreadState& th, std::uint32_t thread_id,
+                          std::uint64_t addr) const {
+    const std::uint32_t fn = fns.find(addr);
+    if (fn < th.slot_of.size()) return th.slot_of[fn];
+    if (fn == kNone || th.spilled == 0) return kNone;
+    return pairs.find(pair_key(fn, thread_id));
+  }
+
+  Tally& tally_at(std::uint32_t fn, std::uint16_t node) {
+    const auto next = static_cast<std::uint32_t>(tallies.size());
+    const std::uint32_t idx = tally_index.emplace(pair_key(fn, node), next);
+    if (idx == next) {
+      node_at(node);
+      tallies.emplace_back();
+      tally_keys.push_back({fn, node});
+    }
+    return tallies[idx];
+  }
+
+  NodeSamples& node_at(std::uint16_t node) {
     if (node >= nodes.size()) nodes.resize(std::size_t{node} + 1);
     return nodes[node];
   }
 
-  ThreadNodeTable thread_node;
+  /// One event of a thread missing from the metadata: its node is the
+  /// event's own node id, so calls and closes go straight to that
+  /// node's tally, and its activations settle at finish().
+  void add_unlisted(const trace::FnEvent& e) {
+    if (e.kind == trace::FnEventKind::kEnter) {
+      const std::uint32_t fn = intern(e.addr);
+      OpenSlot& st = open[unlisted_slot(e.thread_id, fn)];
+      if (st.depth++ == 0) st.first_enter = e.tsc;
+      ++tally_at(fn, e.node_id).totals.calls;
+      return;
+    }
+    const std::uint32_t fn = fns.find(e.addr);
+    const std::uint32_t si = fn == kNone ? kNone : pairs.find(pair_key(fn, e.thread_id));
+    if (si == kNone || open[si].depth == 0) {
+      ++diag.unmatched_exits;
+      return;
+    }
+    OpenSlot& st = open[si];
+    if (--st.depth != 0) return;
+    const Interval iv{st.first_enter, e.tsc};
+    Tally& t = tally_at(fn, e.node_id);
+    t.totals.close(iv);
+    if (st.keep_spans) t.lists.spans.push_back(iv);
+    t.lists.parked.push_back(iv);
+  }
+
+  ThreadTable threads;
   TimelineDiagnostics diag;
-  FlatPairIndex open_index;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> open_keys;  // (addr, thread)
-  std::vector<OpenState> open;
-  FlatPairIndex accum_index;
-  std::vector<std::pair<std::uint64_t, std::uint16_t>> accum_keys;  // (addr, node)
-  std::vector<Tally> accum;
-  std::vector<NodeSamples> nodes;  ///< indexed by node id
+  FlatIndex fns;                       ///< address -> function id
+  FlatIndex pairs;                     ///< (function id, thread id) -> slot
+  std::vector<std::uint64_t> fn_addr;  ///< function id -> address
+  std::vector<bool> fn_keep;           ///< function id -> SpanFilter decision
+  std::vector<OpenSlot> open;          ///< hot, per (addr, thread)
+  std::vector<Lists> lists;            ///< cold, parallel to `open`
+  std::vector<SlotKey> open_keys;      ///< parallel to `open`
+  FlatIndex tally_index;               ///< (function id, node) -> tally
+  std::vector<Tally> tallies;          ///< per (addr, node)
+  std::vector<TallyKey> tally_keys;    ///< parallel to `tallies`
+  std::vector<NodeSamples> nodes;      ///< indexed by node id
   SpanFilter keep_spans;
 };
 
@@ -393,7 +541,7 @@ void TimelineAccumulator::add_samples(const trace::TempSample* samples,
                                       std::size_t n) {
   Impl& im = *impl_;
   for (std::size_t i = 0; i < n; ++i) {
-    im.samples_of(samples[i].node_id).push(samples[i].tsc);
+    im.node_at(samples[i].node_id).push(samples[i].tsc);
   }
 }
 
@@ -403,66 +551,54 @@ void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n
   // a stable global order which implies per-thread order, and the
   // streaming sources only hand over batches in that same order. Exits
   // that match nothing (or only pop recursion depth) never touch any
-  // table — a slot with no activation is dropped at assembly anyway, so
-  // skipping the lookup changes nothing downstream.
+  // tally — a slot with no activation is dropped at assembly anyway, so
+  // skipping it changes nothing downstream.
   for (std::size_t i = 0; i < n; ++i) {
     const trace::FnEvent& e = events[i];
-    const std::int32_t node = im.thread_node.node_or_negative(e.thread_id);
+    const std::uint32_t ti = im.threads.find(e.thread_id);
+    if (ti == kNone) {
+      im.add_unlisted(e);
+      continue;
+    }
+    ThreadState& th = im.threads.at(ti);
+    NodeSamples& samples = im.nodes[th.node];
     if (e.kind == trace::FnEventKind::kEnter) {
-      bool inserted = false;
-      const std::uint32_t oi = im.open_index.find_or_insert(e.addr, e.thread_id, &inserted);
-      if (inserted) {
-        im.open_keys.emplace_back(e.addr, e.thread_id);
-        im.open.emplace_back();
-        im.open.back().tally.keep_spans = im.wants_spans(e.addr);
-      }
-      Impl::OpenState& st = im.open[oi];
+      OpenSlot& st = im.open[im.slot_at(th, e.thread_id, im.intern(e.addr))];
       if (st.depth == 0) {
         st.first_enter = e.tsc;
-        if (node >= 0) {
-          NodeSamples& samples = im.nodes[static_cast<std::size_t>(node)];
-          const std::size_t pos = samples.seek(e.tsc);
-          st.enter_pos = samples.settled(pos) ? pos : kUnsettled;
-        }
+        const std::size_t pos = samples.seek(e.tsc);
+        st.enter_pos = samples.settled(pos) ? static_cast<std::uint32_t>(pos) : kNone;
       }
       ++st.depth;
-      if (node >= 0) {
-        ++st.tally.calls;
-      } else {
-        ++im.accum_at(e.addr, e.node_id).calls;
-      }
+      ++st.totals.calls;
       continue;
     }
 
-    const std::uint32_t oi = im.open_index.find(e.addr, e.thread_id);
-    if (oi == FlatPairIndex::kEmpty || im.open[oi].depth == 0) {
+    const std::uint32_t si = im.find_slot(th, e.thread_id, e.addr);
+    if (si == kNone || im.open[si].depth == 0) {
       ++im.diag.unmatched_exits;
       continue;
     }
-    Impl::OpenState& st = im.open[oi];
+    OpenSlot& st = im.open[si];
     if (--st.depth != 0) continue;
-    const Interval iv{st.first_enter, e.tsc};
-    if (node < 0) {
-      Tally& fn = im.accum_at(e.addr, e.node_id);
-      fn.close(iv);
-      fn.parked.push_back(iv);  // settled against the node's samples at finish()
-      continue;
-    }
     // Credit [cursor(begin), cursor(end)) once a sample at or after the
     // end has arrived; until then the activation waits, parked.
-    Tally& tally = st.tally;
-    tally.close(iv);
-    NodeSamples& samples = im.nodes[static_cast<std::size_t>(node)];
+    const Interval iv{st.first_enter, e.tsc};
+    st.totals.close(iv);
+    if (st.keep_spans) im.lists[si].spans.push_back(iv);
     const std::size_t hi = samples.seek(iv.end);
     if (!samples.settled(hi)) {
-      tally.parked.push_back(iv);
+      im.lists[si].parked.push_back(iv);
+      st.parked = true;
       continue;
     }
-    tally.settle_parked(samples);  // earlier ones first
-    const std::size_t lo = st.enter_pos != kUnsettled
-                               ? st.enter_pos
-                               : samples.lower_bound_from(hi, iv.begin);
-    credit(&tally.ranges, lo, hi);
+    if (st.parked) {  // earlier ones first
+      im.lists[si].settle_parked(samples);
+      st.parked = false;
+    }
+    const std::size_t lo = st.enter_pos != kNone ? st.enter_pos
+                                                 : samples.lower_bound_from(hi, iv.begin);
+    credit(&im.lists[si].ranges, lo, hi);
   }
 }
 
@@ -472,49 +608,51 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
   Impl& im = *impl_;
   // Close activations still open when the trace ends (e.g. main, or a
   // run interrupted mid-function), settle everything parked against the
-  // now complete sample streams, and fold the per-(addr, thread) tallies
-  // into the per-(addr, node) slots. Unknown threads fall back to node 0
-  // here (no event in hand to borrow a node id from). Counts, sums and
+  // now complete sample streams, and fold the per-(addr, thread) slots
+  // into the per-(addr, node) tallies. Unknown threads fall back to node
+  // 0 here (no event in hand to borrow a node id from). Counts, sums and
   // range unions are all order-independent, so folding after the loop
   // matches folding per event.
-  for (std::size_t oi = 0; oi < im.open.size(); ++oi) {
-    Impl::OpenState& st = im.open[oi];
-    Tally& tally = st.tally;
+  for (std::size_t si = 0; si < im.open.size(); ++si) {
+    OpenSlot& st = im.open[si];
+    Lists& lists = im.lists[si];
     if (st.depth > 0) {
       ++im.diag.force_closed;
       const Interval iv{st.first_enter, end_tsc};
-      tally.close(iv);
-      tally.parked.push_back(iv);
+      st.totals.close(iv);
+      if (st.keep_spans) lists.spans.push_back(iv);
+      lists.parked.push_back(iv);
     }
-    if (tally.calls == 0 && tally.activations == 0) continue;
-    const auto [addr, tid] = im.open_keys[oi];
-    const std::uint16_t node = im.thread_node.node_of(tid, 0);
-    tally.settle_parked(im.samples_of(node));
-    im.accum_at(addr, node).absorb(std::move(tally));
+    if (st.totals.calls == 0 && st.totals.activations == 0) continue;
+    const auto [fn, node] = im.open_keys[si];
+    Tally& dst = im.tally_at(fn, node);
+    lists.settle_parked(im.nodes[node]);
+    dst.totals.absorb(st.totals);
+    dst.lists.absorb(std::move(lists));
   }
 
   // Assemble the ordered public map, dropping functions that produced no
   // activation at all (possible only for unmatched-exit-only addresses).
   TimelineMap result;
-  for (std::size_t i = 0; i < im.accum.size(); ++i) {
-    Tally& a = im.accum[i];
-    if (a.activations == 0 && !keep_empty) continue;
-    const auto [addr, node] = im.accum_keys[i];
-    a.settle_parked(im.samples_of(node));
-    merge_sample_ranges(&a.ranges);
-    merge_intervals(&a.spans);
+  for (std::size_t i = 0; i < im.tallies.size(); ++i) {
+    Tally& a = im.tallies[i];
+    if (a.totals.activations == 0 && !keep_empty) continue;
+    const auto [fn, node] = im.tally_keys[i];
+    a.lists.settle_parked(im.nodes[node]);
+    merge_sample_ranges(&a.lists.ranges);
+    merge_intervals(&a.lists.spans);
     FunctionActivity fa;
-    fa.addr = addr;
+    fa.addr = im.fn_addr[fn];
     fa.node_id = node;
-    fa.samples = std::move(a.ranges);
-    fa.first_begin = a.first_begin;
-    fa.last_end = a.last_end;
-    fa.spans = std::move(a.spans);
-    fa.total_ticks = a.total_ticks;
-    fa.calls = a.calls;
-    fa.activations = a.activations;
-    fa.ticks_sq = a.ticks_sq;
-    result.emplace(std::make_pair(node, addr), std::move(fa));
+    fa.samples = std::move(a.lists.ranges);
+    fa.first_begin = a.totals.first_begin;
+    fa.last_end = a.totals.last_end;
+    fa.spans = std::move(a.lists.spans);
+    fa.total_ticks = a.totals.total_ticks;
+    fa.calls = a.totals.calls;
+    fa.activations = a.totals.activations;
+    fa.ticks_sq = a.totals.ticks_sq;
+    result.emplace(std::make_pair(node, fa.addr), std::move(fa));
   }
 
   if (diag != nullptr) *diag = im.diag;
@@ -523,9 +661,6 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
 
 TimelineMap build_timeline(const trace::Trace& trace, TimelineDiagnostics* diag,
                            SpanFilter keep_spans) {
-  // Both per-event lookups probe a flat hash keyed on the raw pair —
-  // (addr, thread) for the open recursion state, (addr, node) for the
-  // accumulator — instead of a tree-map pair comparison.
   const std::size_t hint = std::min<std::size_t>(
       trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
   TimelineAccumulator acc(trace.threads, hint, std::move(keep_spans));

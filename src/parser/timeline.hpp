@@ -100,8 +100,8 @@ using SpanFilter = std::function<bool(std::uint64_t addr)>;
 /// bit-identical output to one batch of the concatenation.
 class TimelineAccumulator {
  public:
-  /// `threads` maps thread ids to nodes (copied); `hint` sizes the hash
-  /// tables (0 = small default, tables grow as needed).
+  /// `threads` maps thread ids to nodes (copied); `hint` sizes the
+  /// function-address table (0 = small default, tables grow as needed).
   explicit TimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
                                std::size_t hint = 0, SpanFilter keep_spans = {});
   ~TimelineAccumulator();

@@ -23,7 +23,7 @@ struct AnalysisOptions {
   /// Also extract the thermal time series (csv/plot/gnuplot outputs).
   bool want_series = false;
   std::vector<std::string> span_functions;
-  /// Initial (thread, addr)-table capacity hint for the timeline
+  /// Initial function-address table capacity hint for the timeline
   /// accumulator; 0 picks a small default. The batch wrapper sizes it
   /// from the known event count, matching build_timeline.
   std::size_t timeline_hint = 0;

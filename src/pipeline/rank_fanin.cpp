@@ -5,19 +5,6 @@
 
 namespace tempest::pipeline {
 
-namespace {
-
-/// Rewrite a timestamp through the per-node fit, if one exists (an
-/// empty fit map — no syncs anywhere — leaves the single clock domain
-/// untouched, matching align_clocks' early return).
-std::uint64_t aligned(const std::map<std::uint16_t, trace::ClockFit>& fits,
-                      std::uint16_t node_id, std::uint64_t tsc) {
-  const auto it = fits.find(node_id);
-  return it == fits.end() ? tsc : it->second.to_global(tsc);
-}
-
-}  // namespace
-
 Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
                                   BatchOptions options) {
   if (paths.empty()) {
@@ -54,14 +41,14 @@ Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
     fan.meta_.append(rank.reader->header());
     fan.ranks_.push_back(std::move(rank));
   }
-  fan.fits_ = trace::fit_clocks(all_syncs);
+  fan.clocks_ = trace::ClockMap(trace::fit_clocks(all_syncs));
 
   // Align the samples now, so the merge compares global timestamps, and
   // hold each rank's stream to monotone order through the fit.
   for (Rank& rank : fan.ranks_) {
     std::uint64_t last = 0;
     for (auto& s : rank.samples) {
-      s.tsc = aligned(fan.fits_, s.node_id, s.tsc);
+      s.tsc = fan.clocks_.to_global(s.node_id, s.tsc);
       if (s.tsc < last) {
         return Result<RankFanIn>::error(
             rank.path +
@@ -92,7 +79,7 @@ Status RankFanIn::fill_events(Rank* rank) {
   // Align on refill so the merge compares global timestamps directly,
   // and enforce that this rank's stream stays monotone through the fit.
   for (auto& e : rank->events) {
-    e.tsc = aligned(fits_, e.node_id, e.tsc);
+    e.tsc = clocks_.to_global(e.node_id, e.tsc);
     if (e.tsc < rank->last_event_tsc) {
       return Status::error(
           rank->path +

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,7 +70,7 @@ class RankFanIn : public Source {
 
   TraceMeta meta_;
   BatchOptions options_;
-  std::map<std::uint16_t, trace::ClockFit> fits_;
+  trace::ClockMap clocks_;
   std::vector<trace::ClockSync> syncs_;
   std::vector<Rank> ranks_;
   int phase_ = 0;  ///< 0 = merging samples, 1 = merging events, 2 = done

@@ -3,15 +3,9 @@
 namespace tempest::pipeline {
 
 Status ClockAlignStage::process(const TraceMeta& /*meta*/, EventBatch* batch) {
-  if (fits_.empty()) return Status::ok();  // single clock domain
-  for (auto& e : batch->fn_events) {
-    const auto it = fits_.find(e.node_id);
-    if (it != fits_.end()) e.tsc = it->second.to_global(e.tsc);
-  }
-  for (auto& s : batch->temp_samples) {
-    const auto it = fits_.find(s.node_id);
-    if (it != fits_.end()) s.tsc = it->second.to_global(s.tsc);
-  }
+  if (clocks_.empty()) return Status::ok();  // single clock domain
+  clocks_.align(&batch->fn_events);
+  clocks_.align(&batch->temp_samples);
   batch->clock_syncs.clear();
   return Status::ok();
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
 
 #include "pipeline/stage.hpp"
 #include "trace/align.hpp"
@@ -18,13 +17,13 @@ namespace tempest::pipeline {
 /// early return.
 class ClockAlignStage : public Stage {
  public:
-  explicit ClockAlignStage(std::map<std::uint16_t, trace::ClockFit> fits)
-      : fits_(std::move(fits)) {}
+  explicit ClockAlignStage(const std::map<std::uint16_t, trace::ClockFit>& fits)
+      : clocks_(fits) {}
 
   Status process(const TraceMeta& meta, EventBatch* batch) override;
 
  private:
-  std::map<std::uint16_t, trace::ClockFit> fits_;
+  trace::ClockMap clocks_;
 };
 
 /// Verifies the ordering contract across batches: fn_events and

@@ -16,7 +16,12 @@ SimNode::SimNode(NodeConfig config)
   settle_idle();
 }
 
-double SimNode::speed_factor() const { return package_.speed_factor(); }
+double SimNode::speed_factor() const {
+  // The governor's P-state changes inside advance_to on the sampler
+  // thread; workloads poll it from their own threads.
+  common::MutexLock lock(&advance_mu_);
+  return package_.speed_factor();
+}
 
 void SimNode::advance_to(std::uint64_t real_tsc) {
   common::MutexLock lock(&advance_mu_);

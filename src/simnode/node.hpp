@@ -41,7 +41,7 @@ class SimNode {
 
   /// Current DVFS speed factor (1.0 = full speed); workloads poll this
   /// to stretch their compute when throttled.
-  double speed_factor() const;
+  double speed_factor() const EXCLUDES(advance_mu_);
 
   /// Drive a core's utilisation from an external source instead of its
   /// activity meter (e.g. the process's measured CPU share in the
@@ -70,9 +70,10 @@ class SimNode {
   VirtualTsc clock_;
 
   // advance_mu_ serialises the sampler's thermal integration with the
-  // (rare) worker-side utilisation overrides; it also guards package_
-  // state transitively since only advance/settle mutate it post-ctor.
-  common::Mutex advance_mu_;
+  // (rare) worker-side utilisation overrides and speed-factor reads; it
+  // also guards package_ state transitively since only advance/settle
+  // mutate it post-ctor.
+  mutable common::Mutex advance_mu_;
   std::uint64_t last_advance_tsc_ GUARDED_BY(advance_mu_) = 0;
   bool advanced_once_ GUARDED_BY(advance_mu_) = false;
   /// Per core; < 0 = use meter.

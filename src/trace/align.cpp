@@ -5,10 +5,10 @@
 
 namespace tempest::trace {
 
-std::uint64_t ClockFit::to_global(std::uint64_t node_tsc) const {
-  const double dx = static_cast<double>(node_tsc) - static_cast<double>(ref);
-  const double g = a * dx + b;
-  return g <= 0.0 ? 0 : static_cast<std::uint64_t>(g);
+ClockMap::ClockMap(const std::map<std::uint16_t, ClockFit>& fits) {
+  if (fits.empty()) return;
+  table_.resize(std::size_t{fits.rbegin()->first} + 1);
+  for (const auto& [node, fit] : fits) table_[node] = {fit, true};
 }
 
 std::map<std::uint16_t, ClockFit> fit_clocks(const std::vector<ClockSync>& all_syncs) {
@@ -53,14 +53,13 @@ std::map<std::uint16_t, ClockFit> fit_clocks(const Trace& trace) {
   return fit_clocks(trace.clock_syncs);
 }
 
-std::map<std::uint16_t, double> fit_residuals(
-    const std::map<std::uint16_t, ClockFit>& fits,
-    const std::vector<ClockSync>& syncs) {
+std::map<std::uint16_t, double> fit_residuals(const ClockMap& clocks,
+                                              const std::vector<ClockSync>& syncs) {
   std::map<std::uint16_t, double> residuals;
   for (const ClockSync& s : syncs) {
-    const auto it = fits.find(s.node_id);
-    if (it == fits.end()) continue;
-    const ClockFit& fit = it->second;
+    const ClockFit* found = clocks.find(s.node_id);
+    if (found == nullptr) continue;
+    const ClockFit& fit = *found;
     // Evaluate the fit in doubles (to_global rounds to ticks, which
     // would quantise sub-tick residuals away).
     const double dx =
@@ -75,16 +74,9 @@ std::map<std::uint16_t, double> fit_residuals(
 
 Status align_clocks(Trace* trace) {
   if (trace->clock_syncs.empty()) return Status::ok();  // single clock domain
-  const auto fits = fit_clocks(*trace);
-
-  for (auto& e : trace->fn_events) {
-    const auto it = fits.find(e.node_id);
-    if (it != fits.end()) e.tsc = it->second.to_global(e.tsc);
-  }
-  for (auto& s : trace->temp_samples) {
-    const auto it = fits.find(s.node_id);
-    if (it != fits.end()) s.tsc = it->second.to_global(s.tsc);
-  }
+  const ClockMap clocks(fit_clocks(*trace));
+  clocks.align(&trace->fn_events);
+  clocks.align(&trace->temp_samples);
   trace->clock_syncs.clear();
   trace->sort_by_time();
   return Status::ok();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "common/status.hpp"
 #include "trace/trace.hpp"
@@ -22,7 +23,46 @@ struct ClockFit {
   double a = 1.0;         ///< rate ratio (captures drift)
   double b = 0.0;         ///< global value at ref (captures offset)
 
-  std::uint64_t to_global(std::uint64_t node_tsc) const;
+  std::uint64_t to_global(std::uint64_t node_tsc) const {
+    const double dx = static_cast<double>(node_tsc) - static_cast<double>(ref);
+    const double g = a * dx + b;
+    return g <= 0.0 ? 0 : static_cast<std::uint64_t>(g);
+  }
+};
+
+/// Every node's fit in one table indexed by node id, built once from a
+/// fit_clocks result: aligning a record is an index and an inline
+/// to_global instead of a tree walk. Nodes without a fit pass through
+/// unchanged; a map with no fit at all is a single clock domain.
+class ClockMap {
+ public:
+  ClockMap() = default;
+  explicit ClockMap(const std::map<std::uint16_t, ClockFit>& fits);
+
+  bool empty() const { return table_.empty(); }
+
+  /// The node's fit, or nullptr when it has none.
+  const ClockFit* find(std::uint16_t node) const {
+    return node < table_.size() && table_[node].fitted ? &table_[node].fit : nullptr;
+  }
+
+  std::uint64_t to_global(std::uint16_t node, std::uint64_t tsc) const {
+    const ClockFit* fit = find(node);
+    return fit != nullptr ? fit->to_global(tsc) : tsc;
+  }
+
+  /// Rewrite every record's tsc (FnEvent or TempSample) in place.
+  template <typename Record>
+  void align(std::vector<Record>* records) const {
+    for (Record& r : *records) r.tsc = to_global(r.node_id, r.tsc);
+  }
+
+ private:
+  struct Entry {
+    ClockFit fit;
+    bool fitted = false;
+  };
+  std::vector<Entry> table_;  ///< up to the largest fitted node id
 };
 
 /// Fit clock maps from sync records. Nodes with one sync get
@@ -39,9 +79,8 @@ std::map<std::uint16_t, ClockFit> fit_clocks(const Trace& trace);
 /// observations: a big residual means the node's clock wandered
 /// nonlinearly between barriers, so cross-node timestamps carry that
 /// much uncertainty. Nodes with no fit (or no syncs) are absent.
-std::map<std::uint16_t, double> fit_residuals(
-    const std::map<std::uint16_t, ClockFit>& fits,
-    const std::vector<ClockSync>& syncs);
+std::map<std::uint16_t, double> fit_residuals(const ClockMap& clocks,
+                                              const std::vector<ClockSync>& syncs);
 
 /// Rewrite fn_events and temp_samples into the global clock domain and
 /// re-sort. Idempotent once syncs are consumed (they are cleared).

@@ -50,6 +50,21 @@ class Cursor {
 constexpr std::uint64_t kMaxRecords = 1ULL << 32;
 constexpr std::uint64_t kReserveCap = 1ULL << 16;
 
+std::uint64_t to_global_seed(const trace::ClockFit& fit, std::uint64_t node_tsc) {
+  const double dx = static_cast<double>(node_tsc) - static_cast<double>(fit.ref);
+  const double g = fit.a * dx + fit.b;
+  return g <= 0.0 ? 0 : static_cast<std::uint64_t>(g);
+}
+
+template <typename Record>
+void align_seed(const std::map<std::uint16_t, trace::ClockFit>& fits,
+                std::vector<Record>* records) {
+  for (auto& r : *records) {
+    const auto it = fits.find(r.node_id);
+    if (it != fits.end()) r.tsc = to_global_seed(it->second, r.tsc);
+  }
+}
+
 }  // namespace
 
 bool SeedFunction::contains(std::uint64_t tsc) const {
@@ -87,6 +102,20 @@ void sort_by_time_seed(trace::Trace* trace) {
                    [](const trace::TempSample& a, const trace::TempSample& b) {
                      return a.tsc < b.tsc;
                    });
+}
+
+void align_records_seed(const std::map<std::uint16_t, trace::ClockFit>& fits,
+                        std::vector<trace::FnEvent>* events,
+                        std::vector<trace::TempSample>* samples) {
+  align_seed(fits, events);
+  align_seed(fits, samples);
+}
+
+void align_clocks_seed(trace::Trace* trace) {
+  if (trace->clock_syncs.empty()) return;
+  align_records_seed(trace::fit_clocks(*trace), &trace->fn_events, &trace->temp_samples);
+  trace->clock_syncs.clear();
+  sort_by_time_seed(trace);
 }
 
 SeedTimeline build_timeline_seed(const trace::Trace& trace,

@@ -1,8 +1,8 @@
 // Seed-pipeline reference implementations, kept verbatim from before
 // the analysis fast path landed. They are the golden oracle: the
 // equivalence tests assert the fast path (the recorder's one-pass drain
-// merge, bulk trace I/O, flat-hash timeline with online sample
-// attribution) produces
+// merge, bulk trace I/O, dense-table clock alignment, the compact
+// timeline fold with online sample attribution) produces
 // byte-identical profiles, and bench_parser measures the speedup
 // against them. Never "optimise" these — their value is that they stay
 // the slow, obviously-correct originals. Test-only: nothing in src/
@@ -20,6 +20,7 @@
 #include "common/status.hpp"
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
+#include "trace/align.hpp"
 #include "trace/trace.hpp"
 
 namespace tempest::parser::reference {
@@ -52,6 +53,17 @@ void merge_intervals_seed(std::vector<SeedInterval>* intervals);
 
 /// Seed Trace::sort_by_time: global stable_sort of events and samples.
 void sort_by_time_seed(trace::Trace* trace);
+
+/// Seed per-record clock rewrite: each record's fit found by a std::map
+/// lookup and evaluated out of line; records on nodes without a fit
+/// keep their tsc.
+void align_records_seed(const std::map<std::uint16_t, trace::ClockFit>& fits,
+                        std::vector<trace::FnEvent>* events,
+                        std::vector<trace::TempSample>* samples);
+
+/// Seed align_clocks: fit, rewrite every record through the map, drop
+/// the syncs and stable-sort (no-op without syncs).
+void align_clocks_seed(trace::Trace* trace);
 
 /// Seed build_timeline: std::map pair-key lookups per event.
 SeedTimeline build_timeline_seed(const trace::Trace& trace,

@@ -1,5 +1,5 @@
-// Golden equivalence: the analysis fast path (v2 bulk trace I/O,
-// flat-hash timeline crediting samples as it replays) must produce
+// Golden equivalence: the analysis fast path (v2 bulk trace I/O, the
+// compact timeline fold crediting samples as it replays) must produce
 // results identical to the seed pipeline preserved in tests/reference.
 // The recorder's event order is pinned separately, against the seed's
 // stable sort, by tests/test_drain.cpp.
@@ -9,12 +9,14 @@
 // sample timestamps, and functions too short to be significant.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
+#include "parser/timeline_shard.hpp"
 #include "pipeline/analysis.hpp"
 #include "reference/reference.hpp"
 #include "trace/reader.hpp"
@@ -281,21 +283,23 @@ const char* feed_name(Feed order) {
   return "?";
 }
 
-/// Feed a sorted trace's records to the fold in small batches of uneven,
+/// Feed a sorted trace's records to a fold in small batches of uneven,
 /// cycling sizes, so batch boundaries land everywhere. Interleaved hands
 /// over whichever stream is behind in time, as a live source would.
-void feed(tempest::pipeline::AnalysisPipeline* fold, const Trace& t, Feed order) {
+void feed(const Trace& t, Feed order,
+          const std::function<void(const FnEvent*, std::size_t)>& add_events,
+          const std::function<void(const TempSample*, std::size_t)>& add_samples) {
   constexpr std::size_t kSizes[] = {3, 1, 2};
   std::size_t turn = 0, e = 0, s = 0;
   const std::size_t ne = t.fn_events.size(), ns = t.temp_samples.size();
   const auto events = [&] {
     const std::size_t n = std::min(kSizes[turn++ % 3], ne - e);
-    fold->add_fn_events(t.fn_events.data() + e, n);
+    add_events(t.fn_events.data() + e, n);
     e += n;
   };
   const auto samples = [&] {
     const std::size_t n = std::min(kSizes[turn++ % 3], ns - s);
-    fold->add_temp_samples(t.temp_samples.data() + s, n);
+    add_samples(t.temp_samples.data() + s, n);
     s += n;
   };
   switch (order) {
@@ -344,8 +348,204 @@ TEST(GoldenPipeline, StreamingFoldMatchesSeedOracle) {
       options.threads = shards;
       tempest::pipeline::AnalysisPipeline fold(options);
       fold.set_metadata(t);
-      feed(&fold, t, order);
+      feed(
+          t, order,
+          [&fold](const FnEvent* e, std::size_t n) { fold.add_fn_events(e, n); },
+          [&fold](const TempSample* s, std::size_t n) { fold.add_temp_samples(s, n); });
       expect_profiles_equal(fold.finish().profile, seed);
+    }
+  }
+}
+
+constexpr std::uint64_t kFnR = 0x5000;   // recursion 200 deep
+constexpr std::uint64_t kFnX = 0x6000;   // leaf at the bottom of that recursion
+constexpr std::uint64_t kFnU = 0x8000;   // exits with no open enter
+constexpr std::uint64_t kFnK = 0x9000;   // on threads missing from the metadata
+constexpr std::uint64_t kFnZ = 0xA000;   // left open at trace end
+constexpr std::uint64_t kFnA2 = 0xB000;  // ill-nested with kFnC2
+constexpr std::uint64_t kFnC2 = 0xC000;
+constexpr std::size_t kDeepRecursion = 200;
+constexpr std::uint64_t kFnW = 0x20000;  // first of kWide functions, 0x10 apart
+constexpr std::uint64_t kWide = 64;
+
+/// The fold's edge cases in one sorted trace: a function recursing 200
+/// deep with a leaf at the bottom, exits that match no open enter, the
+/// same function open on two threads of one node, an ill-nested pair,
+/// activations left open at the end, two threads the metadata never lists (one
+/// inside the dense thread-id window, one outside it), and listed
+/// threads entering functions whose ids lie far past their own slot
+/// count, so their slots start in the pair table and move into the
+/// thread's index while open.
+Trace edge_trace() {
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  t.executable = "edge";
+  t.nodes = {{0, "n0"}, {1, "n1"}};
+  t.sensors = {{0, 0, "cpu0", 1.0}, {1, 0, "cpu1", 1.0}};
+  t.threads = {{0, 0, 0}, {1, 0, 1}, {2, 1, 0}, {5, 1, 1}};
+  const auto at = [&t](std::uint64_t tsc, std::uint64_t addr, std::uint32_t tid,
+                       std::uint16_t node, FnEventKind kind) {
+    t.fn_events.push_back({tsc, addr, tid, node, kind});
+  };
+  constexpr auto kIn = FnEventKind::kEnter;
+  constexpr auto kOut = FnEventKind::kExit;
+
+  // t0 (node 0): R recurses 200 deep, X runs at the bottom, R unwinds;
+  // then B, an exit of U (entered only on t1), a surplus exit of R, and
+  // Z left open.
+  for (std::size_t i = 0; i < kDeepRecursion; ++i) at(100 + i, kFnR, 0, 0, kIn);
+  at(300, kFnX, 0, 0, kIn);
+  at(310, kFnX, 0, 0, kOut);
+  for (std::size_t i = 0; i < kDeepRecursion; ++i) at(400 + i, kFnR, 0, 0, kOut);
+  at(610, kFnB, 0, 0, kIn);
+  at(900, kFnB, 0, 0, kOut);
+  at(950, kFnU, 0, 0, kOut);
+  at(960, kFnR, 0, 0, kOut);
+  at(980, kFnZ, 0, 0, kIn);
+  // t1 (node 0): B overlapping t0's, U with a surplus exit, and A2/C2
+  // closed out of order.
+  at(700, kFnB, 1, 0, kIn);
+  at(1000, kFnB, 1, 0, kOut);
+  at(1010, kFnU, 1, 0, kIn);
+  at(1020, kFnU, 1, 0, kOut);
+  at(1030, kFnU, 1, 0, kOut);
+  at(1040, kFnA2, 1, 0, kIn);
+  at(1050, kFnC2, 1, 0, kIn);
+  at(1060, kFnA2, 1, 0, kOut);
+  at(1070, kFnC2, 1, 0, kOut);
+  at(1080, kFnA2, 1, 0, kOut);
+  // t2 and t5 (node 1): R and B on another node, K on a listed thread.
+  at(150, kFnR, 2, 1, kIn);
+  at(450, kFnR, 2, 1, kOut);
+  at(460, kFnB, 2, 1, kIn);
+  at(470, kFnB, 2, 1, kOut);
+  at(200, kFnK, 5, 1, kIn);
+  at(300, kFnK, 5, 1, kOut);
+  // Unlisted t4 (inside the dense window) and t77 (outside it): K
+  // recursing, Z left open, B, and an exit with no enter.
+  at(210, kFnK, 4, 1, kIn);
+  at(220, kFnK, 4, 1, kIn);
+  at(230, kFnK, 4, 1, kOut);
+  at(700, kFnK, 4, 1, kOut);
+  at(710, kFnZ, 4, 1, kIn);
+  at(520, kFnB, 77, 0, kIn);
+  at(530, kFnB, 77, 0, kOut);
+  at(540, kFnK, 77, 0, kOut);
+  // t2 interns W0..W63. t5 then opens W63 while it owns one slot,
+  // opens W0..W62 inside it, re-enters W63 (recursion across the move)
+  // and closes everything first-in first-out; t1, with only its four
+  // slots, opens W63 and W62 and closes them in the same order.
+  const auto w = [](std::uint64_t i) { return kFnW + 0x10 * i; };
+  for (std::uint64_t i = 0; i < kWide; ++i) {
+    at(1100 + 2 * i, w(i), 2, 1, kIn);
+    at(1101 + 2 * i, w(i), 2, 1, kOut);
+  }
+  at(1300, w(kWide - 1), 5, 1, kIn);
+  for (std::uint64_t i = 0; i + 1 < kWide; ++i) at(1301 + i, w(i), 5, 1, kIn);
+  at(1400, w(kWide - 1), 5, 1, kIn);
+  at(1401, w(kWide - 1), 5, 1, kOut);
+  at(1402, w(kWide - 1), 5, 1, kOut);
+  for (std::uint64_t i = 0; i + 1 < kWide; ++i) at(1403 + i, w(i), 5, 1, kOut);
+  at(1500, w(kWide - 1), 1, 0, kIn);
+  at(1505, w(kWide - 2), 1, 0, kIn);
+  at(1510, w(kWide - 1), 1, 0, kOut);
+  at(1515, w(kWide - 2), 1, 0, kOut);
+
+  for (std::uint64_t tsc = 90; tsc < 1600; tsc += 37) t.temp_samples.push_back({tsc, 40.0, 0, 0});
+  for (std::uint64_t tsc = 100; tsc < 1600; tsc += 53) t.temp_samples.push_back({tsc, 50.0, 1, 0});
+  t.sort_by_time();
+  return t;
+}
+
+/// Every field of two timeline maps, spans and sample ranges included.
+void expect_same_timeline(const TimelineMap& got, const TimelineMap& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto w = want.begin();
+  for (auto g = got.begin(); g != got.end(); ++g, ++w) {
+    SCOPED_TRACE("(" + std::to_string(w->first.first) + ", " +
+                 std::to_string(w->first.second) + ")");
+    ASSERT_EQ(g->first, w->first);
+    const FunctionActivity& a = g->second;
+    const FunctionActivity& b = w->second;
+    EXPECT_EQ(a.addr, b.addr);
+    EXPECT_EQ(a.node_id, b.node_id);
+    EXPECT_EQ(a.total_ticks, b.total_ticks);
+    EXPECT_EQ(a.calls, b.calls);
+    EXPECT_EQ(a.activations, b.activations);
+    EXPECT_TRUE(a.ticks_sq == b.ticks_sq);
+    EXPECT_EQ(a.first_begin, b.first_begin);
+    EXPECT_EQ(a.last_end, b.last_end);
+    ASSERT_EQ(a.samples.size(), b.samples.size());
+    for (std::size_t i = 0; i < b.samples.size(); ++i) {
+      EXPECT_EQ(a.samples[i].first, b.samples[i].first);
+      EXPECT_EQ(a.samples[i].last, b.samples[i].last);
+    }
+    ASSERT_EQ(a.spans.size(), b.spans.size());
+    for (std::size_t i = 0; i < b.spans.size(); ++i) {
+      EXPECT_EQ(a.spans[i].begin, b.spans[i].begin);
+      EXPECT_EQ(a.spans[i].end, b.spans[i].end);
+    }
+  }
+}
+
+TEST(GoldenPipeline, FoldEdgeCasesMatchSeedOracle) {
+  // The golden and edge-case traces through the fold: a one-batch serial
+  // pass keeping every span must match the seed's interval unions, and
+  // every feed order at 1 and 4 shards, keeping spans for one function
+  // only, must reproduce the serial map field for field — ranges, spans,
+  // ticks_sq and diagnostics.
+  for (const bool edge : {false, true}) {
+    SCOPED_TRACE(edge ? "edge trace" : "golden trace");
+    Trace t = edge ? edge_trace() : golden_trace();
+    t.sort_by_time();
+    TimelineDiagnostics seed_diag;
+    const reference::SeedTimeline seed = reference::build_timeline_seed(t, &seed_diag);
+
+    TimelineDiagnostics all_diag;
+    const TimelineMap all_spans =
+        build_timeline(t, &all_diag, [](std::uint64_t) { return true; });
+    expect_timelines_equal(t, all_spans, seed);
+    EXPECT_EQ(all_diag.unmatched_exits, seed_diag.unmatched_exits);
+    EXPECT_EQ(all_diag.force_closed, seed_diag.force_closed);
+
+    const std::uint64_t span_fn = edge ? kFnR : kFnA;
+    const SpanFilter one_span = [span_fn](std::uint64_t addr) { return addr == span_fn; };
+    TimelineDiagnostics want_diag;
+    const TimelineMap want = build_timeline(t, &want_diag, one_span);
+    for (const auto& [key, fa] : want) {
+      EXPECT_EQ(fa.spans.empty(), fa.addr != span_fn);
+    }
+    if (edge) {
+      // The 200-deep recursion collapses into one activation per node.
+      const FunctionActivity& r = want.at({0, kFnR});
+      EXPECT_EQ(r.calls, kDeepRecursion);
+      EXPECT_EQ(r.activations, 1u);
+      EXPECT_EQ(r.total_ticks, 499u);
+      EXPECT_TRUE(r.ticks_sq == 499u * 499u);
+      EXPECT_EQ(want.at({0, kFnX}).activations, 1u);
+      // t5's two W63 enters collapse into one activation.
+      const FunctionActivity& w63 = want.at({1, kFnW + 0x10 * (kWide - 1)});
+      EXPECT_EQ(w63.calls, 3u);
+      EXPECT_EQ(w63.activations, 2u);
+      EXPECT_EQ(w63.total_ticks, 1u + 102u);
+      EXPECT_EQ(want_diag.unmatched_exits, 5u);
+      EXPECT_EQ(want_diag.force_closed, 2u);
+    }
+
+    for (const Feed order : {Feed::kSamplesFirst, Feed::kEventsFirst, Feed::kInterleaved}) {
+      for (const unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
+                     " shard(s)");
+        ShardedTimelineAccumulator fold(t.threads, 0, shards, one_span);
+        feed(
+            t, order,
+            [&fold](const FnEvent* e, std::size_t n) { fold.add_events(e, n); },
+            [&fold](const TempSample* s, std::size_t n) { fold.add_samples(s, n); });
+        TimelineDiagnostics diag;
+        expect_same_timeline(fold.finish(t.end_tsc(), &diag), want);
+        EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
+        EXPECT_EQ(diag.force_closed, want_diag.force_closed);
+      }
     }
   }
 }

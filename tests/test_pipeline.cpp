@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "pipeline/sinks.hpp"
 #include "pipeline/source.hpp"
 #include "pipeline/stages.hpp"
+#include "reference/reference.hpp"
 #include "report/json.hpp"
 #include "report/series.hpp"
 #include "report/stdout_format.hpp"
@@ -445,6 +448,206 @@ TEST(RankFanIn, MergesFullyDisjointTscRanges) {
             early.fn_events.size() + late.fn_events.size());
   EXPECT_EQ(counter.temp_samples(),
             early.temp_samples.size() + late.temp_samples.size());
+}
+
+/// Records equal field by field (the structs define no operator==).
+void expect_same_records(const std::vector<FnEvent>& got,
+                         const std::vector<FnEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tsc, want[i].tsc) << "event " << i;
+    EXPECT_EQ(got[i].addr, want[i].addr) << "event " << i;
+    EXPECT_EQ(got[i].thread_id, want[i].thread_id) << "event " << i;
+    EXPECT_EQ(got[i].node_id, want[i].node_id) << "event " << i;
+  }
+}
+
+void expect_same_records(const std::vector<TempSample>& got,
+                         const std::vector<TempSample>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tsc, want[i].tsc) << "sample " << i;
+    EXPECT_EQ(got[i].node_id, want[i].node_id) << "sample " << i;
+    EXPECT_EQ(got[i].temp_c, want[i].temp_c) << "sample " << i;
+  }
+}
+
+TEST(ClockMap, MatchesFitClocksOverSparseNodeIds) {
+  // Random fit sets over sparse node ids, with records on fitted and
+  // unfitted nodes at tsc values near 0 (where the fit goes negative
+  // and clamps) and near 2^63: the dense table, the streaming stage and
+  // the batch aligner must all agree with each fit_clocks entry's
+  // to_global and with the map-based oracle, and leave records on
+  // nodes without a fit untouched.
+  const std::vector<std::uint16_t> fitted_ids = {0, 1, 37, 4095, 65535};
+  const std::vector<std::uint16_t> record_ids = {0, 1, 2, 37, 38, 4095, 9000, 65535};
+  constexpr std::uint64_t kHigh = std::uint64_t{1} << 63;
+  std::mt19937_64 rng(20071);
+  std::size_t clamped = 0;  // fitted records that clamp to global 0
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  for (int set = 0; set < 1000; ++set) {
+    SCOPED_TRACE("fit set " + std::to_string(set));
+    std::vector<ClockSync> syncs;
+    for (const std::uint16_t node : fitted_ids) {
+      if (rng() % 3 == 0) continue;  // this node gets no fit
+      const double drift = uniform(-1e-4, 1e-4);
+      const double offset = uniform(-5e5, 5e5);
+      const std::size_t n = 1 + rng() % 4;
+      const bool degenerate = rng() % 8 == 0;  // every sync at one node tsc
+      // Syncs at least 1e8 ticks apart keep the fitted rate within 1e-6
+      // of 1 + drift, so every value near 2^63 stays below 2^64.
+      std::uint64_t node_tsc = 1'000'000;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!degenerate && i > 0) node_tsc += 100'000'000 + rng() % 100'000'000;
+        const double global = static_cast<double>(node_tsc) * (1.0 + drift) + offset +
+                              uniform(-50.0, 50.0);
+        syncs.push_back({node_tsc, static_cast<std::uint64_t>(global), node});
+      }
+    }
+    const std::map<std::uint16_t, ClockFit> fits = fit_clocks(syncs);
+    const ClockMap clocks(fits);
+    EXPECT_EQ(clocks.empty(), fits.empty());
+
+    Trace t;
+    t.clock_syncs = syncs;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint16_t node = record_ids[rng() % record_ids.size()];
+      const std::uint64_t tsc =
+          rng() % 2 == 0 ? rng() % 4'000'000 : kHigh - 2'000'000 + rng() % 4'000'000;
+      t.fn_events.push_back({tsc, 0x1000u + static_cast<std::uint64_t>(i),
+                             static_cast<std::uint32_t>(i), node, FnEventKind::kEnter});
+      t.temp_samples.push_back({tsc, static_cast<double>(i), node, 0});
+    }
+
+    for (const FnEvent& e : t.fn_events) {
+      const auto it = fits.find(e.node_id);
+      EXPECT_EQ(clocks.find(e.node_id) != nullptr, it != fits.end());
+      const std::uint64_t want = it != fits.end() ? it->second.to_global(e.tsc) : e.tsc;
+      EXPECT_EQ(clocks.to_global(e.node_id, e.tsc), want)
+          << "node " << e.node_id << " tsc " << e.tsc;
+      if (it != fits.end() && want == 0) ++clamped;
+    }
+
+    // The map-based oracle, record by record and as a sorted trace.
+    std::vector<FnEvent> want_events = t.fn_events;
+    std::vector<TempSample> want_samples = t.temp_samples;
+    parser::reference::align_records_seed(fits, &want_events, &want_samples);
+
+    pipeline::EventBatch batch;
+    batch.fn_events = t.fn_events;
+    batch.temp_samples = t.temp_samples;
+    batch.clock_syncs = syncs;
+    pipeline::ClockAlignStage stage(fits);
+    ASSERT_TRUE(stage.process(pipeline::TraceMeta{}, &batch));
+    expect_same_records(batch.fn_events, want_events);
+    expect_same_records(batch.temp_samples, want_samples);
+    EXPECT_TRUE(batch.clock_syncs.empty());  // consumed whenever present
+
+    Trace oracle = t;
+    parser::reference::align_clocks_seed(&oracle);
+    ASSERT_TRUE(align_clocks(&t));
+    expect_same_records(t.fn_events, oracle.fn_events);
+    expect_same_records(t.temp_samples, oracle.temp_samples);
+    EXPECT_TRUE(t.clock_syncs.empty());
+  }
+  EXPECT_GT(clamped, 0u);  // the <= 0 clamp was exercised
+}
+
+/// One rank of a drifted run on node `node`: two threads running nested
+/// calls in rank-local time, samples between them, and noisy syncs
+/// against a clock `drift` fast and `offset` ahead of the global one.
+Trace drifted_rank_trace(std::uint16_t node, std::uint32_t first_tid, double drift,
+                         double offset, std::mt19937_64* rng) {
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  t.executable = "mpi_app";
+  t.nodes = {{node, "rank" + std::to_string(node)}};
+  t.sensors = {{node, 0, "cpu", 1.0}};
+  t.threads = {{first_tid, node, 0}, {first_tid + 1, node, 1}};
+  const auto local = [&](std::uint64_t global) {
+    return static_cast<std::uint64_t>(static_cast<double>(global) * (1.0 + drift) + offset);
+  };
+  for (std::uint32_t tid = first_tid; tid < first_tid + 2; ++tid) {
+    std::uint64_t g = 10'000 + (*rng)() % 100;
+    for (int call = 0; call < 200; ++call) {
+      const std::uint64_t outer = 0x1000 + (*rng)() % 8 * 0x40;
+      const std::uint64_t inner = 0x2000 + (*rng)() % 8 * 0x40;
+      t.fn_events.push_back({local(g), outer, tid, node, FnEventKind::kEnter});
+      g += 1 + (*rng)() % 500;
+      t.fn_events.push_back({local(g), inner, tid, node, FnEventKind::kEnter});
+      g += 1 + (*rng)() % 500;
+      t.fn_events.push_back({local(g), inner, tid, node, FnEventKind::kExit});
+      g += 1 + (*rng)() % 500;
+      t.fn_events.push_back({local(g), outer, tid, node, FnEventKind::kExit});
+      g += 1 + (*rng)() % 50;
+    }
+  }
+  for (std::uint64_t g = 10'000; g < 300'000; g += 997) {
+    t.temp_samples.push_back({local(g), 40.0 + static_cast<double>(g % 13), node, 0});
+  }
+  for (std::uint64_t g = 5'000; g < 400'000; g += 50'000) {
+    const double noise = static_cast<double>((*rng)() % 41) - 20.0;
+    t.clock_syncs.push_back(
+        {local(g), static_cast<std::uint64_t>(static_cast<double>(g) + noise), node});
+  }
+  t.sort_by_time();
+  return t;
+}
+
+TEST(ClockMap, ThreeRankDriftedTraceMatchesMapOracle) {
+  // align_clocks, ClockAlignStage and RankFanIn over one drifted
+  // three-rank run (sparse node ids, noisy syncs) against the map-based
+  // oracle: the same aligned timestamps, and for the two sorting paths
+  // the same stable global order.
+  std::mt19937_64 rng(15);
+  const std::vector<Trace> ranks = {
+      drifted_rank_trace(1, 0, 2e-5, 3'000.0, &rng),
+      drifted_rank_trace(37, 2, -3e-5, 11'000.0, &rng),
+      drifted_rank_trace(4095, 4, 7e-5, 500.0, &rng)};
+  std::vector<std::string> paths;
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    paths.push_back(temp_path("drift_rank" + std::to_string(r) + ".trace"));
+    ASSERT_TRUE(write_trace_file(paths.back(), ranks[r]));
+  }
+  const Trace combined = concatenated(ranks);
+  Trace oracle = combined;
+  parser::reference::align_clocks_seed(&oracle);
+
+  Trace batch_path = combined;
+  ASSERT_TRUE(align_clocks(&batch_path));
+  expect_same_records(batch_path.fn_events, oracle.fn_events);
+  expect_same_records(batch_path.temp_samples, oracle.temp_samples);
+
+  const auto fits = fit_clocks(combined.clock_syncs);
+  std::vector<FnEvent> want_events = combined.fn_events;
+  std::vector<TempSample> want_samples = combined.temp_samples;
+  parser::reference::align_records_seed(fits, &want_events, &want_samples);
+  pipeline::EventBatch batch;
+  batch.fn_events = combined.fn_events;
+  batch.temp_samples = combined.temp_samples;
+  pipeline::ClockAlignStage stage(fits);
+  ASSERT_TRUE(stage.process(pipeline::TraceMeta{}, &batch));
+  expect_same_records(batch.fn_events, want_events);
+  expect_same_records(batch.temp_samples, want_samples);
+
+  pipeline::BatchOptions options;
+  options.batch_records = 37;  // refills mid-merge
+  auto opened = pipeline::RankFanIn::open(paths, options);
+  ASSERT_TRUE(opened.is_ok()) << opened.message();
+  auto fan = std::move(opened).value();
+  std::vector<FnEvent> fan_events;
+  std::vector<TempSample> fan_samples;
+  for (bool done = false; !done;) {
+    batch.clear();
+    ASSERT_TRUE(fan.next(&batch, &done));
+    fan_events.insert(fan_events.end(), batch.fn_events.begin(), batch.fn_events.end());
+    fan_samples.insert(fan_samples.end(), batch.temp_samples.begin(),
+                       batch.temp_samples.end());
+  }
+  expect_same_records(fan_events, oracle.fn_events);
+  expect_same_records(fan_samples, oracle.temp_samples);
 }
 
 TEST(LintSink, MatchesBatchLintReport) {

@@ -4,11 +4,68 @@
 // half-open [begin, end) boundaries — checked on which samples each
 // function is credited with, whatever order samples and events arrive.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "parser/timeline.hpp"
+
+namespace {
+
+// Live heap bytes, counted while g_track is set, so a memory bound is
+// checked on what the fold allocates rather than on process RSS. A
+// tracked allocation that would lift the live count past g_cap fails
+// instead of exhausting the machine. The scalar operator new/delete
+// family below replaces the library's; the array forms stay paired with
+// each other, as do the aligned ones.
+std::atomic<bool> g_track{false};
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak{0};
+constexpr std::int64_t g_cap = std::int64_t{512} << 20;
+
+/// malloc that counts the block while tracking; nullptr on failure or
+/// when the block would pass g_cap.
+void* counted_malloc(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr || !g_track.load(std::memory_order_relaxed)) return p;
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live = g_live.fetch_add(size) + size;
+  if (live > g_cap) {
+    g_live.fetch_sub(size);
+    std::free(p);
+    return nullptr;
+  }
+  std::int64_t peak = g_peak.load();
+  while (live > peak && !g_peak.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void counted_free(void* p) {
+  if (p != nullptr && g_track.load(std::memory_order_relaxed)) {
+    g_live.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
+  }
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = counted_malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace {
 
@@ -303,6 +360,62 @@ TEST(Timeline, MergeSampleRangesCoalesces) {
   EXPECT_EQ(ranges[1].last, 9u);
   EXPECT_EQ(ranges[2].first, 12u);
   EXPECT_EQ(ranges[2].last, 13u);
+}
+
+/// Peak live heap bytes, above the level at the start, while `run` runs.
+template <typename F>
+std::int64_t peak_heap(F&& run) {
+  g_live = 0;
+  g_peak = 0;
+  g_track = true;
+  try {
+    run();
+  } catch (...) {
+    g_track = false;
+    throw;
+  }
+  g_track = false;
+  return g_peak;
+}
+
+TEST(Timeline, FoldMemoryGrowsWithPairsSeen) {
+  // Enter i pairs address i with thread i, so every (function, thread)
+  // pair is new and threads x functions is quadratic in the events:
+  // first on threads missing from the metadata, then on listed threads
+  // spread over many nodes (the metadata is peer input too). The fold's
+  // peak heap must stay linear in the pairs seen.
+  for (const bool listed : {false, true}) {
+    std::int64_t per_event[2] = {0, 0};
+    const std::uint32_t sizes[2] = {10000, 100000};
+    for (int k = 0; k < 2; ++k) {
+      const std::uint32_t n = sizes[k];
+      std::vector<tempest::trace::ThreadInfo> threads;
+      if (listed) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          threads.push_back({i, static_cast<std::uint16_t>(i % 4096), 0});
+        }
+      }
+      std::vector<FnEvent> events;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        events.push_back(enter(i + 1, 0x1000 + 16 * std::uint64_t{i}, i));
+      }
+      TimelineDiagnostics diag;
+      std::size_t functions = 0;
+      const std::int64_t peak = peak_heap([&] {
+        TimelineAccumulator acc(threads, 4096);
+        acc.add_events(events.data(), events.size());
+        functions = acc.finish(n + 1, &diag).size();
+      });
+      EXPECT_EQ(functions, n);
+      EXPECT_EQ(diag.force_closed, n);
+      per_event[k] = peak / n;
+    }
+    // A few hundred bytes per pair: the slot, the interned address and
+    // the tally. Quadratic growth would be 10x more per event at the
+    // larger size (or hit the allocation cap first).
+    EXPECT_LT(per_event[1], 2048) << (listed ? "listed" : "unlisted");
+    EXPECT_LT(per_event[1], 2 * per_event[0]) << (listed ? "listed" : "unlisted");
+  }
 }
 
 TEST(Timeline, EmptyTrace) {
