@@ -38,19 +38,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_provenance.hpp"
 #include "common/cli.hpp"
-#include "common/worker_pool.hpp"
 #include "export/run.hpp"
-#include "pipeline/prefetch.hpp"
 #include "pipeline/sinks.hpp"
 #include "pipeline/source.hpp"
-#include "pipeline/stages.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
 
@@ -158,40 +154,17 @@ std::string bench_path(const std::string& name) {
 // ---------------------------------------------------------------- child
 
 int run_child_analyze(const std::string& trace_path, unsigned threads) {
-  auto opened = tempest::pipeline::ChunkedTraceSource::open(trace_path);
-  if (!opened.is_ok()) {
-    std::cerr << "bench_export: " << opened.message() << "\n";
-    return 1;
-  }
-  // tempest_parse's streaming composition, including the --threads
-  // fast path: pool decode on the reader, read-ahead decorator, sharded
-  // fold in the sink. threads == 1 is byte-for-byte the serial path.
-  std::optional<tempest::WorkerPool> pool;
-  tempest::pipeline::ChunkedTraceSource chunked = std::move(opened).value();
-  if (threads > 1) {
-    pool.emplace(threads);
-    chunked.set_decode_pool(&*pool);
-  }
-  auto fits = chunked.clock_fits();
-  if (!fits.is_ok()) {
-    std::cerr << "bench_export: " << fits.message() << "\n";
-    return 1;
-  }
-  tempest::pipeline::ClockAlignStage align(std::move(fits).value());
-  tempest::pipeline::OrderCheckStage order;
+  // tempest_parse's composition, including the --threads fast path:
+  // pool decode on the reader, read-ahead decorator, sharded fold in
+  // the sink. threads == 1 is byte-for-byte the serial path.
+  tempest::pipeline::TraceInput input;
   std::ofstream null_out("/dev/null", std::ios::binary);
   tempest::pipeline::TextEmitter text(null_out);
   tempest::pipeline::AnalysisOptions analysis_options;
   analysis_options.threads = threads;
   tempest::pipeline::AnalysisSink sink(analysis_options, {&text});
-  tempest::pipeline::Source* source = &chunked;
-  std::optional<tempest::pipeline::PrefetchSource> prefetch;
-  if (threads > 1) {
-    prefetch.emplace(source);
-    source = &*prefetch;
-  }
-  const Status run = tempest::pipeline::run_pipeline(
-      source, {&align, &order}, {&sink});
+  Status run = input.open({trace_path}, true, threads);
+  if (run) run = input.run({&sink});
   if (!run) {
     std::cerr << "bench_export: " << run.message() << "\n";
     return 1;
@@ -204,7 +177,6 @@ int run_child_export(const std::string& trace_path,
   std::ofstream null_out("/dev/null", std::ios::binary);
   tempest::exporter::ExportRunOptions options;
   options.format = format;
-  options.stream = true;
   options.symbolize = false;  // synthetic addresses have no symbol table
   // Spools always go to /tmp: they hold the bulk of a big speedscope
   // export, and parking them in /dev/shm would hide exactly the memory

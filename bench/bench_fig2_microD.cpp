@@ -44,8 +44,10 @@ int main() {
   micro::run_micro_d(micro::MicroParams{&bench, 0.12});  // ~7.5 s wall
   bench.detach();
 
-  tempest::trace::Trace raw;
-  const auto profile = bench_util::stop_and_parse(&raw);
+  const auto analyzed = bench_util::stop_and_analyze(
+      {"micro::(anonymous namespace)::foo1(micro::MicroParams const&)",
+       "micro::(anonymous namespace)::foo2(micro::MicroParams const&)"});
+  const auto& profile = analyzed.profile;
 
   std::cout << "\n--- Part (a): Tempest standard output ---\n\n";
   tempest::report::StdoutOptions options;
@@ -53,10 +55,7 @@ int main() {
   tempest::report::print_profile(std::cout, profile, options);
 
   std::cout << "--- Part (b): temperature profile ---\n\n";
-  (void)tempest::trace::align_clocks(&raw);
-  const auto series = tempest::report::extract_series(
-      raw, tempest::TempUnit::kFahrenheit, {"micro::(anonymous namespace)::foo1(micro::MicroParams const&)",
-                                            "micro::(anonymous namespace)::foo2(micro::MicroParams const&)"});
+  const auto& series = analyzed.series;
   tempest::report::PlotOptions plot;
   plot.sensor_filter = "CPU";
   tempest::report::plot_series(std::cout, series, plot);

@@ -27,11 +27,9 @@ int main() {
   minimpi::run(4, [&](minimpi::Comm& comm) { result = npb::ft_run(comm, config); },
                options);
 
-  tempest::trace::Trace raw;
-  const auto profile = bench_util::stop_and_parse(&raw);
-  (void)tempest::trace::align_clocks(&raw);
-  const auto series =
-      tempest::report::extract_series(raw, tempest::TempUnit::kFahrenheit);
+  const auto analyzed = bench_util::stop_and_analyze();
+  const auto& profile = analyzed.profile;
+  const auto& series = analyzed.series;
 
   std::cout << "FT " << config.nx << "x" << config.ny << "x" << config.nz << ", "
             << config.niter << " iterations, elapsed " << result.elapsed_s

@@ -43,11 +43,7 @@ int main() {
     result = bt_run(comm, config);
   }, options);
 
-  tempest::trace::Trace raw;
-  const auto profile = bench_util::stop_and_parse(&raw);
-  (void)tempest::trace::align_clocks(&raw);
-  const auto series =
-      tempest::report::extract_series(raw, tempest::TempUnit::kFahrenheit, {"adi"});
+  const auto series = bench_util::stop_and_analyze({"adi"}).series;
 
   std::cout << "BT " << config.nx << "^3, " << config.niter
             << " iterations, elapsed " << result.elapsed_s

@@ -315,7 +315,7 @@ BENCHMARK(BM_Read_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond
 template <bool kSeed>
 void align(benchmark::State& state) {
   const auto& t = sorted_trace(state.range(0));
-  const auto fits = tempest::trace::fit_clocks(t);
+  const auto fits = tempest::trace::fit_clocks(t.clock_syncs);
   std::vector<tempest::trace::FnEvent> events;
   std::vector<tempest::trace::TempSample> samples;
   for (auto _ : state) {

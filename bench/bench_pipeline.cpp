@@ -1,14 +1,16 @@
-// Streaming-vs-batch analysis bench: throughput and peak RSS.
+// In-memory vs streaming analysis bench: throughput and peak RSS.
 //
 // The streaming pipeline's claim is a memory bound, and ru_maxrss is a
-// process-wide high-water mark — once the batch path has loaded a 1e7
-// event trace, the driver process can never "unsee" those pages. So
-// this harness is a self-exec driver, not a google-benchmark suite:
-// for each {mode x size} the driver forks and execs itself in child
-// mode, measures wall time around wait4(), and reads the child's peak
-// RSS from its rusage. Each measurement sees exactly one analysis.
+// process-wide high-water mark — once a child has loaded a 1e7 event
+// trace, the driver process can never "unsee" those pages. So this
+// harness is a self-exec driver, not a google-benchmark suite: for each
+// {mode x size} the driver forks and execs itself in child mode,
+// measures wall time around wait4(), and reads the child's peak RSS
+// from its rusage. Each measurement sees exactly one analysis.
 //
-//   batch   read_trace_file -> align_clocks -> AnalysisPipeline fold
+//   batch   read_trace_file, then the in-memory entry point
+//           analyze_trace: MemoryTraceSource -> ClockAlignStage ->
+//           OrderCheckStage -> AnalysisSink
 //   stream  ChunkedTraceSource -> ClockAlignStage -> OrderCheckStage
 //           -> AnalysisSink
 //
@@ -41,8 +43,6 @@
 #include "pipeline/analysis.hpp"
 #include "pipeline/sinks.hpp"
 #include "pipeline/source.hpp"
-#include "pipeline/stages.hpp"
-#include "trace/align.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
@@ -68,10 +68,9 @@ struct Lcg {
 
 /// Synthetic run in bench_parser's shape (8 threads, 4 nodes, 64
 /// functions, samples ~= events/100), pre-sorted with identity clock
-/// syncs: the batch child still pays the full align+sort and the
-/// streaming child still runs the sync pre-pass and rewrite, but both
-/// see records already in global time order, as a coherent single run
-/// records them.
+/// syncs: both children still run the sync fit, the rewrite and the
+/// order stage, but see records already in global time order, as a
+/// coherent single run records them.
 tempest::trace::Trace make_trace(std::size_t n_events) {
   tempest::trace::Trace t;
   t.tsc_ticks_per_second = 1e9;
@@ -130,7 +129,7 @@ tempest::trace::Trace make_trace(std::size_t n_events) {
   t.sort_by_time();
   // Identity syncs (node clock == global clock): the fit regression
   // recovers slope 1 / offset 0 exactly, so alignment preserves the
-  // sorted order and streaming's OrderCheckStage holds.
+  // sorted order and OrderCheckStage takes its fast path.
   for (std::size_t n = 0; n < kNodes; ++n) {
     for (std::size_t i = 0; i < 8; ++i) {
       const std::uint64_t at = (i + 1) * (max_tsc / 9);
@@ -164,16 +163,13 @@ int run_child_batch(const std::string& trace_path, std::ostream& out) {
     std::cerr << "bench_pipeline: " << loaded.message() << "\n";
     return 1;
   }
-  tempest::trace::Trace trace = std::move(loaded).value();
-  const Status aligned = tempest::trace::align_clocks(&trace);
-  if (!aligned) {
-    std::cerr << "bench_pipeline: " << aligned.message() << "\n";
+  const auto analyzed = tempest::pipeline::analyze_trace(loaded.value());
+  if (!analyzed.is_ok()) {
+    std::cerr << "bench_pipeline: " << analyzed.message() << "\n";
     return 1;
   }
-  const tempest::pipeline::AnalysisResult result =
-      tempest::pipeline::analyze_trace(trace);
   tempest::pipeline::TextEmitter text(out);
-  const Status emitted = text.emit(result);
+  const Status emitted = text.emit(analyzed.value());
   if (!emitted) {
     std::cerr << "bench_pipeline: " << emitted.message() << "\n";
     return 1;
@@ -182,23 +178,11 @@ int run_child_batch(const std::string& trace_path, std::ostream& out) {
 }
 
 int run_child_stream(const std::string& trace_path, std::ostream& out) {
-  auto opened = tempest::pipeline::ChunkedTraceSource::open(trace_path);
-  if (!opened.is_ok()) {
-    std::cerr << "bench_pipeline: " << opened.message() << "\n";
-    return 1;
-  }
-  tempest::pipeline::ChunkedTraceSource source = std::move(opened).value();
-  auto fits = source.clock_fits();
-  if (!fits.is_ok()) {
-    std::cerr << "bench_pipeline: " << fits.message() << "\n";
-    return 1;
-  }
-  tempest::pipeline::ClockAlignStage align(std::move(fits).value());
-  tempest::pipeline::OrderCheckStage order;
+  tempest::pipeline::TraceInput input;
   tempest::pipeline::TextEmitter text(out);
   tempest::pipeline::AnalysisSink sink({}, {&text});
-  const Status run = tempest::pipeline::run_pipeline(
-      &source, {&align, &order}, {&sink});
+  Status run = input.open({trace_path});
+  if (run) run = input.run({&sink});
   if (!run) {
     std::cerr << "bench_pipeline: " << run.message() << "\n";
     return 1;
@@ -327,8 +311,9 @@ int run_driver(const char* self, std::size_t max_events,
        << "  \"build_type\": \"" << bench_prov::kBuildType << "\",\n"
        << "  \"cores\": " << bench_prov::cores() << ",\n"
        << "  \"git_sha\": \"" << bench_prov::git_sha() << "\",\n"
-       << "  \"description\": \"streaming vs batch analysis: wall time and "
-          "peak RSS per forked child; outputs byte-verified identical\",\n"
+       << "  \"description\": \"streaming vs in-memory (batch) analysis: wall "
+          "time and peak RSS per forked child; outputs byte-verified "
+          "identical\",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Measurement& r = rows[i];

@@ -60,7 +60,7 @@ int main() {
     bench.attach();
     variant.fn(micro::MicroParams{&bench, 0.01});
     bench.detach();
-    const auto profile = bench_util::stop_and_parse();
+    const auto profile = bench_util::stop_and_analyze().profile;
 
     for (const auto& fn : profile.nodes[0].functions) {
       std::printf("  %-60s calls=%-4llu total=%.4fs%s\n", fn.name.c_str(),

@@ -23,7 +23,7 @@ int main() {
   minimpi::run(4, [&](minimpi::Comm& comm) { result = npb::ft_run(comm, config); },
                options);
 
-  const auto profile = bench_util::stop_and_parse();
+  const auto profile = bench_util::stop_and_analyze().profile;
 
   // The paper prints a subset of functions for one node.
   const auto& node = profile.nodes.front();

@@ -28,7 +28,7 @@ int main() {
   minimpi::run(4, [&](minimpi::Comm& comm) { result = npb::bt_run(comm, config); },
                options);
 
-  const auto profile = bench_util::stop_and_parse();
+  const auto profile = bench_util::stop_and_analyze().profile;
   const auto& node = profile.nodes.front();
 
   std::cout << "Node " << node.node_id + 1 << " (" << node.hostname << "), run "

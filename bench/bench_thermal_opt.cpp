@@ -39,11 +39,9 @@ RunOutcome run_bt(bool throttling) {
   minimpi::run(4, [&](minimpi::Comm& comm) { result = npb::bt_run(comm, config); },
                options);
 
-  tempest::trace::Trace raw;
-  const auto profile = bench_util::stop_and_parse(&raw);
-  (void)tempest::trace::align_clocks(&raw);
-  const auto series =
-      tempest::report::extract_series(raw, tempest::TempUnit::kFahrenheit);
+  const auto analyzed = bench_util::stop_and_analyze();
+  const auto& profile = analyzed.profile;
+  const auto& series = analyzed.series;
 
   RunOutcome out;
   out.elapsed_s = result.elapsed_s;

@@ -11,16 +11,17 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/api.hpp"
 #include "core/session.hpp"
 #include "core/workbench.hpp"
 #include "parser/parse.hpp"
+#include "pipeline/analysis.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/series.hpp"
 #include "report/stdout_format.hpp"
 #include "simnode/cluster.hpp"
-#include "trace/align.hpp"
 
 namespace bench_util {
 
@@ -71,19 +72,22 @@ inline void start_session(double hz = 4.0) {
   }
 }
 
-/// Stop, parse and return the profile (exits on parse failure).
-inline tempest::parser::RunProfile stop_and_parse(
-    tempest::trace::Trace* raw_trace_out = nullptr) {
+/// Stop and analyze in one pass: the profile plus the thermal series
+/// in Fahrenheit, with `span_functions`' execution spans marked (exits
+/// on failure).
+inline tempest::pipeline::AnalysisResult stop_and_analyze(
+    const std::vector<std::string>& span_functions = {}) {
   auto& session = tempest::core::Session::instance();
   (void)session.stop();
-  tempest::trace::Trace trace = session.take_trace();
-  if (raw_trace_out != nullptr) *raw_trace_out = trace;
-  auto parsed = tempest::parser::parse_trace(std::move(trace));
-  if (!parsed.is_ok()) {
-    std::cerr << "parse failed: " << parsed.message() << "\n";
+  tempest::pipeline::AnalysisOptions options;
+  options.want_series = true;
+  options.span_functions = span_functions;
+  auto analyzed = tempest::pipeline::analyze_trace(session.take_trace(), options);
+  if (!analyzed.is_ok()) {
+    std::cerr << "parse failed: " << analyzed.message() << "\n";
     std::exit(1);
   }
-  return std::move(parsed).value();
+  return std::move(analyzed).value();
 }
 
 /// Max temperature seen by a node's given sensor across the series.

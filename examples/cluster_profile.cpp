@@ -19,13 +19,12 @@
 #include "npb/is.hpp"
 #include "npb/mg.hpp"
 #include "npb/sp.hpp"
-#include "parser/parse.hpp"
+#include "pipeline/analysis.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/json.hpp"
 #include "report/series.hpp"
 #include "report/stdout_format.hpp"
 #include "simnode/cluster.hpp"
-#include "trace/align.hpp"
 
 int main(int argc, char** argv) {
   const std::string which = argc > 1 ? argv[1] : "ft";
@@ -93,21 +92,20 @@ int main(int argc, char** argv) {
   }, options);
 
   (void)session.stop();
-  tempest::trace::Trace raw = session.take_trace();
-  auto parsed = tempest::parser::parse_trace(raw);
-  if (!parsed.is_ok()) {
-    std::cerr << "parse failed: " << parsed.message() << "\n";
+  tempest::pipeline::AnalysisOptions analysis;
+  analysis.want_series = true;  // the profile and the series in one pass
+  auto analyzed = tempest::pipeline::analyze_trace(session.take_trace(), analysis);
+  if (!analyzed.is_ok()) {
+    std::cerr << "parse failed: " << analyzed.message() << "\n";
     return 1;
   }
-  const auto& profile = parsed.value();
+  const auto& profile = analyzed.value().profile;
+  const auto& series = analyzed.value().series;
 
   std::cout << "benchmark " << which << " NP=" << nranks << " — " << verdict
             << "\n\n";
 
   // Question 3: are the thermal properties similar across machines?
-  (void)tempest::trace::align_clocks(&raw);
-  const auto series =
-      tempest::report::extract_series(raw, tempest::TempUnit::kFahrenheit);
   tempest::report::PlotOptions plot;
   plot.sensor_filter = "sensor4";
   plot.height = 8;

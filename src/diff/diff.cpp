@@ -10,9 +10,8 @@
 
 #include "common/fastwrite.hpp"
 #include "common/json.hpp"
-#include "pipeline/analysis.hpp"
-#include "trace/align.hpp"
-#include "trace/reader.hpp"
+#include "pipeline/sinks.hpp"
+#include "pipeline/source.hpp"
 
 namespace tempest::diff {
 namespace {
@@ -287,29 +286,21 @@ const char* match_status_name(MatchStatus status) {
 
 Result<RunSummary> load_run(const std::string& path,
                             const LoadOptions& options) {
-  auto loaded = trace::read_trace_file(path);
-  if (!loaded.is_ok()) {
-    return Result<RunSummary>::error(path + ": " + loaded.message());
-  }
-  trace::Trace tr = std::move(loaded).value();
-  if (options.align) {
-    const Status aligned = trace::align_clocks(&tr);
-    if (!aligned) return Result<RunSummary>::error(path + ": " + aligned.message());
-  } else {
-    tr.sort_by_time();
-  }
-
+  pipeline::TraceInput input;
+  Status ran = input.open({path}, options.align, options.threads);
   pipeline::AnalysisOptions analysis;
   analysis.profile = options.profile;
   analysis.exe_override = options.exe_override;
   analysis.threads = options.threads;
-  pipeline::AnalysisResult result = pipeline::analyze_trace(tr, std::move(analysis));
+  pipeline::AnalysisSink sink(std::move(analysis));
+  if (ran) ran = input.run({&sink});
+  if (!ran) return Result<RunSummary>::error(ran.message());
 
   RunSummary summary;
   summary.source = path;
-  summary.profile = std::move(result.profile);
-  summary.run_stats = result.run_stats;
-  summary.filter = tr.filter;
+  summary.profile = std::move(sink.result().profile);
+  summary.run_stats = sink.result().run_stats;
+  summary.filter = input.meta().filter;
   return summary;
 }
 

@@ -45,9 +45,9 @@ struct LoadOptions {
   unsigned threads = 1;
 };
 
-/// Read + align + analyze one trace file through the batch
-/// AnalysisPipeline — the same fold `tempest_parse` runs, so a diff of
-/// a run against itself is a diff of identical numbers.
+/// Stream one trace file through the one analysis path (TraceInput:
+/// align, restore global order, fold) — the path `tempest_parse` runs,
+/// so a diff of a run against itself is a diff of identical numbers.
 Result<RunSummary> load_run(const std::string& path, const LoadOptions& options);
 
 /// Welch's unequal-variance t-test between two populations described by

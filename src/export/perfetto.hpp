@@ -16,8 +16,8 @@
 // independent of event count. Sources emit samples before events, but
 // the time base is the first fn event and the counter records follow
 // every B/E record, so samples are held until on_end. Identical record
-// streams produce byte-identical files, so the --stream and batch paths
-// of tempest_parse compare equal with cmp.
+// streams produce byte-identical files, so tempest_parse --export and
+// tempest-export compare equal with cmp.
 #pragma once
 
 #include <cstdint>

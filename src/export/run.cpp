@@ -4,15 +4,9 @@
 #include <optional>
 #include <utility>
 
-#include "common/worker_pool.hpp"
 #include "export/perfetto.hpp"
 #include "export/speedscope.hpp"
-#include "pipeline/prefetch.hpp"
-#include "pipeline/rank_fanin.hpp"
 #include "pipeline/source.hpp"
-#include "pipeline/stages.hpp"
-#include "trace/align.hpp"
-#include "trace/reader.hpp"
 
 namespace tempest::exporter {
 
@@ -35,81 +29,15 @@ Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
   using Out = Result<ExportRunResult>;
 
   if (paths.empty()) return Out::error("no trace file given");
-  if (paths.size() > 1 && !options.align) {
-    return Out::error(
-        "--no-align is incompatible with multi-file fan-in "
-        "(the merge orders ranks by aligned global time)");
-  }
   if (options.format == Format::kSpeedscope && options.spool_prefix.empty()) {
     return Out::error("speedscope export needs a spool prefix");
   }
 
-  // Open the input as a pipeline source, collecting the sync records
-  // the correlator reports on. Every path delivers the same aligned,
-  // time-ordered stream, so the emitted bytes do not depend on which
-  // source ran.
-  std::optional<WorkerPool> pool;
-  std::optional<pipeline::RankFanIn> fan;
-  std::optional<pipeline::ChunkedTraceSource> chunked;
-  std::optional<trace::Trace> loaded;
-  std::optional<pipeline::MemoryTraceSource> memory;
-  std::optional<pipeline::ClockAlignStage> align_stage;
-  pipeline::OrderCheckStage order;
-  std::vector<pipeline::Stage*> stages;
-  pipeline::Source* source = nullptr;
-  std::vector<trace::ClockSync> syncs;
+  pipeline::TraceInput input;
+  const Status opened = input.open(paths, options.align, options.threads);
+  if (!opened) return Out::error(opened.message());
 
-  if (paths.size() > 1) {
-    auto opened = pipeline::RankFanIn::open(paths);
-    if (!opened.is_ok()) return Out::error(opened.message());
-    fan.emplace(std::move(opened).value());
-    syncs = fan->sync_records();
-    source = &*fan;
-  } else if (options.stream) {
-    auto opened = pipeline::ChunkedTraceSource::open(paths[0]);
-    if (!opened.is_ok()) return Out::error(opened.message());
-    chunked.emplace(std::move(opened).value());
-    if (options.align) {
-      auto ahead = chunked->clock_syncs_ahead();
-      if (!ahead.is_ok()) return Out::error(ahead.message());
-      syncs = std::move(ahead).value();
-      align_stage.emplace(trace::fit_clocks(syncs));
-      stages.push_back(&*align_stage);
-    }
-    if (options.threads > 1) {
-      pool.emplace(options.threads);
-      chunked->set_decode_pool(&*pool);
-    }
-    source = &*chunked;
-  } else {
-    auto read = trace::read_trace_file(paths[0]);
-    if (!read.is_ok()) {
-      return Out::error("cannot read trace: " + read.message());
-    }
-    loaded.emplace(std::move(read).value());
-    if (options.align) {
-      syncs = loaded->clock_syncs;  // align_clocks consumes them
-      const Status aligned = trace::align_clocks(&*loaded);
-      if (!aligned) return Out::error(aligned.message());
-    } else {
-      loaded->sort_by_time();
-    }
-    memory.emplace(*loaded);
-    source = &*memory;
-  }
-  stages.push_back(&order);
-
-  // With workers requested, overlap disk I/O + decode with emission;
-  // read-ahead only pays when the source streams from disk (the
-  // in-memory adapter's next() is a pointer bump). Declared after the
-  // sources so its producer thread joins before they tear down.
-  std::optional<pipeline::PrefetchSource> prefetch;
-  if (options.threads > 1 && !memory) {
-    prefetch.emplace(source);
-    source = &*prefetch;
-  }
-
-  const pipeline::TraceMeta& meta = source->meta();
+  const pipeline::TraceMeta& meta = input.meta();
   ExportRunResult result;
 
   std::optional<symtab::Resolver> resolver;
@@ -130,7 +58,7 @@ Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
     }
   }
 
-  ClockCorrelator correlator(meta.tsc_ticks_per_second, syncs);
+  ClockCorrelator correlator(meta.tsc_ticks_per_second, input.syncs());
 
   std::optional<PerfettoExporter> perfetto;
   std::optional<SpeedscopeExporter> speedscope;
@@ -151,7 +79,7 @@ Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
     sink = &*speedscope;
   }
 
-  const Status ran = pipeline::run_pipeline(source, stages, {sink});
+  const Status ran = input.run({sink});
   if (!ran) return Out::error(ran.message());
 
   const ExportStats& stats =

@@ -1,13 +1,11 @@
 // One-call export driver shared by the CLIs.
 //
 // tempest_parse --export and tempest-export need the same plumbing:
-// open the trace(s) as a pipeline source (ChunkedTraceSource,
-// MemoryTraceSource, or RankFanIn), recover the sync records for the
-// ClockCorrelator, build the symbol resolver, and drive the chosen
-// emitter through run_pipeline. run_export owns that plumbing so the
-// two tools stay thin and — critically — byte-identical: the streaming
-// and batch paths both feed the same exporter sink the same aligned,
-// time-ordered record stream.
+// open the trace(s) through the one analysis path (TraceInput: one file
+// or a multi-rank fan-in, clock alignment, cross-node ordering), hand
+// its sync records to the ClockCorrelator, build the symbol resolver,
+// and drive the chosen emitter through the pipeline. run_export owns
+// that plumbing so the two tools stay thin and byte-identical.
 #pragma once
 
 #include <ostream>
@@ -26,10 +24,6 @@ bool parse_format(const std::string& name, Format* format);
 
 struct ExportRunOptions {
   Format format = Format::kPerfetto;
-  /// Stream from disk in bounded batches instead of loading the trace.
-  /// Multi-file inputs always stream (RankFanIn). Output bytes are
-  /// identical either way.
-  bool stream = false;
   /// Cross-node clock alignment (single-file only; fan-in always
   /// aligns). Off also suppresses the correlation metadata — raw
   /// timestamps carry no cross-rank meaning to document.
@@ -42,10 +36,10 @@ struct ExportRunOptions {
   /// Scratch-file prefix for the speedscope emitter's per-thread
   /// spools. Required for Format::kSpeedscope.
   std::string spool_prefix;
-  /// Worker count for the streaming paths: >1 decodes trace sections on
-  /// a worker pool and prefetches batches ahead of the emitter. Output
-  /// bytes are identical at any count (emission itself stays ordered on
-  /// the consumer thread); 1 is the historical serial path.
+  /// Worker count: >1 decodes trace sections on a worker pool and
+  /// prefetches batches ahead of the emitter. Output bytes are identical
+  /// at any count (emission itself stays ordered on the consumer
+  /// thread); 1 is the historical serial path.
   unsigned threads = 1;
   /// tempest-diff findings to mark on the timeline (perfetto only; the
   /// speedscope format has no instant/metadata vocabulary for them).
@@ -60,9 +54,9 @@ struct ExportRunResult {
 };
 
 /// Export `paths` (one trace per rank; >1 requires fan-in merge) to
-/// `out` in `options.format`. Errors (unreadable trace, out-of-order
-/// stream, write failure) come back as a Status; warnings ride the
-/// result.
+/// `out` in `options.format`. Errors (unreadable trace, a node lagging
+/// past the order window, write failure) come back as a Status;
+/// warnings ride the result.
 Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
                                    std::ostream& out,
                                    const ExportRunOptions& options);

@@ -8,8 +8,6 @@
 // sample attribution -> RunProfile.
 #pragma once
 
-#include <string>
-
 #include "common/status.hpp"
 #include "parser/profile.hpp"
 #include "symtab/resolver.hpp"
@@ -22,14 +20,11 @@ struct ParseOptions {
   bool align_clocks = true;
 };
 
-/// Parse an in-memory trace. When `resolver` is null one is built from
-/// the trace's recorded executable path and load bias (and symbolisation
-/// degrades to hex addresses if that fails — the profile stays usable).
-Result<RunProfile> parse_trace(trace::Trace trace, const ParseOptions& options = {},
+/// Parse a raw in-memory trace, as recorded. When `resolver` is null one
+/// is built from the trace's recorded executable path and load bias (and
+/// symbolisation degrades to hex addresses if that fails — the profile
+/// stays usable).
+Result<RunProfile> parse_trace(const trace::Trace& trace, const ParseOptions& options = {},
                                const symtab::Resolver* resolver = nullptr);
-
-/// Read a trace file and parse it.
-Result<RunProfile> parse_trace_file(const std::string& path,
-                                    const ParseOptions& options = {});
 
 }  // namespace tempest::parser

@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "common/fastwrite.hpp"
+#include "pipeline/sinks.hpp"
+#include "pipeline/source.hpp"
 
 namespace tempest::pipeline {
 
@@ -26,19 +28,11 @@ void AnalysisPipeline::set_run_stats(const trace::RunStats& stats) {
   meta_.run_stats = stats;
 }
 
-void AnalysisPipeline::set_bounds(std::uint64_t start_tsc, std::uint64_t end_tsc) {
-  start_tsc_ = start_tsc;
-  end_tsc_ = end_tsc;
-  bounds_forced_ = true;
-}
-
 void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n) {
   if (n == 0) return;
-  if (!bounds_forced_) {
-    // Batches are time-sorted per kind, so the ends bound the batch.
-    if (!any_records_ || events[0].tsc < start_tsc_) start_tsc_ = events[0].tsc;
-    if (!any_records_ || events[n - 1].tsc > end_tsc_) end_tsc_ = events[n - 1].tsc;
-  }
+  // Batches are time-sorted per kind, so the ends bound the batch.
+  if (!any_records_ || events[0].tsc < start_tsc_) start_tsc_ = events[0].tsc;
+  if (!any_records_ || events[n - 1].tsc > end_tsc_) end_tsc_ = events[n - 1].tsc;
   any_records_ = true;
   timeline_->add_events(events, n);
 }
@@ -46,10 +40,8 @@ void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n
 void AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
                                         std::size_t n) {
   if (n == 0) return;
-  if (!bounds_forced_) {
-    if (!any_records_ || samples[0].tsc < start_tsc_) start_tsc_ = samples[0].tsc;
-    if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
-  }
+  if (!any_records_ || samples[0].tsc < start_tsc_) start_tsc_ = samples[0].tsc;
+  if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
   any_records_ = true;
   timeline_->add_samples(samples, n);
   assembler_.add_samples(samples, n);
@@ -101,16 +93,17 @@ AnalysisResult AnalysisPipeline::finish(const symtab::Resolver* resolver) {
   return result;
 }
 
-AnalysisResult analyze_trace(const trace::Trace& trace, AnalysisOptions options,
-                             const symtab::Resolver* resolver) {
+Result<AnalysisResult> analyze_trace(const trace::Trace& trace,
+                                     AnalysisOptions options,
+                                     const symtab::Resolver* resolver, bool align) {
   options.timeline_hint =
       std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  AnalysisPipeline fold(std::move(options));
-  fold.set_metadata(trace);
-  fold.set_bounds(trace.start_tsc(), trace.end_tsc());
-  fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
-  fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
-  return fold.finish(resolver);
+  TraceInput input;
+  input.open(trace, align);
+  AnalysisSink sink(std::move(options), {}, resolver);
+  const Status ran = input.run({&sink});
+  if (!ran) return Result<AnalysisResult>::error(ran.message());
+  return std::move(sink.result());
 }
 
 }  // namespace tempest::pipeline

@@ -24,8 +24,8 @@ struct AnalysisOptions {
   bool want_series = false;
   std::vector<std::string> span_functions;
   /// Initial function-address table capacity hint for the timeline
-  /// accumulator; 0 picks a small default. The batch wrapper sizes it
-  /// from the known event count, matching build_timeline.
+  /// accumulator; 0 picks a small default. analyze_trace sizes it from
+  /// the known event count, matching build_timeline.
   std::size_t timeline_hint = 0;
   /// Timeline fold workers. 1 (the default) folds inline on the calling
   /// thread — the exact pre-sharding code path; N > 1 shards the fold
@@ -43,27 +43,20 @@ struct AnalysisResult {
   trace::RunStats run_stats;
 };
 
-/// The streaming counterpart of parse_trace: metadata once, then
-/// aligned, time-sorted event/sample batches in any interleaving, then
-/// finish(). Folds into TimelineAccumulator and ProfileAssembler. With
-/// samples ahead of events — the order every Source emits — the
-/// timeline credits samples as it replays, so peak memory is
-/// O(functions + samples + open activations), not O(events); events
-/// ahead of their samples are parked until the samples arrive. Identical
-/// inputs produce bit-identical profiles to the batch path — parse_trace
-/// itself is a wrapper over this class.
+/// The analysis fold: metadata once, then aligned, time-sorted
+/// event/sample batches in any interleaving, then finish(). Folds into
+/// TimelineAccumulator and ProfileAssembler. With samples ahead of
+/// events — the order OrderCheckStage emits — the timeline credits
+/// samples as it replays, so peak memory is O(functions + samples +
+/// open activations), not O(events); events ahead of their samples are
+/// parked until the samples arrive. The run's bounds are the ends of
+/// the sorted streams.
 class AnalysisPipeline {
  public:
   explicit AnalysisPipeline(AnalysisOptions options = {});
 
   /// Must precede the first batch. Applies exe_override.
   void set_metadata(const TraceMeta& meta);
-
-  /// Override the inferred run bounds. Streaming sources emit
-  /// time-sorted batches, so the default first/last inference is exact;
-  /// the batch wrapper passes the trace's scanned bounds instead, which
-  /// also covers its one unsorted corner (align with no syncs).
-  void set_bounds(std::uint64_t start_tsc, std::uint64_t end_tsc);
 
   void add_temp_samples(const trace::TempSample* samples, std::size_t n);
   void add_fn_events(const trace::FnEvent* events, std::size_t n);
@@ -87,17 +80,14 @@ class AnalysisPipeline {
   std::uint64_t start_tsc_ = 0;  ///< over events and samples, 0 when empty
   std::uint64_t end_tsc_ = 0;
   bool any_records_ = false;
-  bool bounds_forced_ = false;
 };
 
-/// Fold a whole prepared in-memory trace (aligned, or time-sorted when
-/// alignment is off) through AnalysisPipeline: the batch entry point
-/// parse_trace, tempest_parse, tempest-diff and the benches share, so
-/// the feed order lives in one place. Samples go ahead of events, as
-/// every Source emits them. The timeline hint is sized from the event
-/// count, and the trace's scanned bounds replace the inferred ones: the
-/// aligned-but-syncless corner leaves the trace unsorted.
-AnalysisResult analyze_trace(const trace::Trace& trace, AnalysisOptions options = {},
-                             const symtab::Resolver* resolver = nullptr);
+/// Analyze a raw in-memory trace, as recorded, through the one analysis
+/// path (TraceInput): the entry point of parse_trace, the examples and
+/// the benches. `align` off orders records by their recorded tsc.
+Result<AnalysisResult> analyze_trace(const trace::Trace& trace,
+                                     AnalysisOptions options = {},
+                                     const symtab::Resolver* resolver = nullptr,
+                                     bool align = true);
 
 }  // namespace tempest::pipeline

@@ -39,17 +39,19 @@ Status run_pipeline(Source* source, const std::vector<Stage*>& stages,
     batch.clear();
     const Status produced = source->next(&batch, &done);
     if (!produced) return produced;
-    if (batch.empty()) continue;
-    telemetry::count(telemetry::Counter::kPipelineBatches);
-    telemetry::count(telemetry::Counter::kPipelineFnEvents,
-                     batch.fn_events.size());
+    if (batch.empty() && !done) continue;
+    // The empty batch that only ends the stream counts nothing.
+    telemetry::count(telemetry::Counter::kPipelineBatches, batch.empty() ? 0 : 1);
+    telemetry::count(telemetry::Counter::kPipelineFnEvents, batch.fn_events.size());
     telemetry::count(telemetry::Counter::kPipelineTempSamples,
                      batch.temp_samples.size());
+    batch.end_of_stream = done;
     for (Stage* stage : stages) {
       StageTimer timer;
       const Status staged = stage->process(meta, &batch);
       if (!staged) return staged;
     }
+    if (batch.empty()) continue;  // every record held back, or none left
     for (BatchSink* sink : sinks) {
       StageTimer timer;
       const Status consumed = sink->on_batch(meta, batch);

@@ -1,6 +1,5 @@
 #include "pipeline/rank_fanin.hpp"
 
-#include <limits>
 #include <utility>
 
 namespace tempest::pipeline {
@@ -16,8 +15,8 @@ Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
 
   // Pass 1: open every rank, combine metadata in path order, and read
   // the sample and sync sections ahead (seek-ahead, position restored)
-  // in the same order — fit_clocks then sees exactly the concatenation
-  // the batch path would fit from.
+  // in the same order — fit_clocks then sees exactly the sync stream of
+  // the concatenated trace.
   std::vector<trace::ClockSync>& all_syncs = fan.syncs_;
   for (const std::string& path : paths) {
     Rank rank;
@@ -53,8 +52,8 @@ Result<RankFanIn> RankFanIn::open(const std::vector<std::string>& paths,
         return Result<RankFanIn>::error(
             rank.path +
             ": temperature samples fall out of time order after clock "
-            "alignment; re-record the rank or analyse via the batch path, "
-            "which sorts in memory");
+            "alignment; a rank file holding several nodes can be analysed "
+            "on its own, which restores their order");
       }
       last = s.tsc;
     }
@@ -83,9 +82,9 @@ Status RankFanIn::fill_events(Rank* rank) {
     if (e.tsc < rank->last_event_tsc) {
       return Status::error(
           rank->path +
-          ": fn events fall out of time order after clock alignment; "
-          "re-record the rank or analyse via the batch path, which sorts "
-          "in memory");
+          ": fn events fall out of time order after clock alignment; a "
+          "rank file holding several nodes can be analysed on its own, "
+          "which restores their order");
     }
     rank->last_event_tsc = e.tsc;
   }
@@ -137,23 +136,23 @@ Status RankFanIn::next(EventBatch* out, bool* done) {
   if (!out->fn_events.empty()) return Status::ok();
 
   if (phase_ == 2) {
-    // Drain each rank's sample and sync sections (already consumed by
-    // the open()-time pre-pass) so the readers reach done(), then hold
-    // every rank to the single-payload rule.
+    // Step over each rank's sample and sync sections (already consumed
+    // by the open()-time pre-pass) a batch at a time so the readers
+    // reach done(), then hold every rank to the single-payload rule.
+    std::vector<trace::TempSample> samples;
+    std::vector<trace::ClockSync> syncs;
     for (Rank& rank : ranks_) {
-      std::vector<trace::TempSample> samples;
-      std::vector<trace::ClockSync> syncs;
       while (!rank.reader->done()) {
-        std::size_t appended = 0;
-        Status read = rank.reader->next_temp_samples(
-            &samples, std::numeric_limits<std::size_t>::max(), &appended);
-        if (read) {
-          read = rank.reader->next_clock_syncs(
-              &syncs, std::numeric_limits<std::size_t>::max(), &appended);
-        }
-        if (!read) return Status::error(rank.path + ": " + read.message());
         samples.clear();
         syncs.clear();
+        std::size_t appended = 0;
+        Status read = rank.reader->next_temp_samples(
+            &samples, options_.batch_records, &appended);
+        if (read && appended == 0) {
+          read = rank.reader->next_clock_syncs(&syncs, options_.batch_records,
+                                               &appended);
+        }
+        if (!read) return Status::error(rank.path + ": " + read.message());
       }
       const Status eof = rank.reader->expect_eof();
       if (!eof) return Status::error(rank.path + ": " + eof.message());

@@ -23,15 +23,16 @@ namespace tempest::pipeline {
 /// flag violations), and reads each rank's small sample and sync
 /// sections ahead (seek over the event payload and back). Clocks are
 /// fitted from the path-order concatenation of all sync records — the
-/// same input order the batch path's fit_clocks sees on a concatenated
-/// trace — and the held samples are aligned through the fits.
+/// same input order fit_clocks sees on a concatenated trace — and the
+/// held samples are aligned through the fits.
 ///
 /// next() then merges the samples, and after them the events, by
 /// aligned global timestamp, refilling one bounded event buffer per
 /// rank. Ties take the lowest path index, which makes the merge
-/// equivalent to a stable_sort of the concatenation — byte-identical
-/// reports to the batch path. Sync records are consumed by the pre-pass
-/// and never emitted; batches leave this source already aligned and
+/// equivalent to a stable_sort of the concatenation. Each rank must stay
+/// in order after alignment (a file of several skewed nodes streams on
+/// its own instead). Sync records are consumed by the pre-pass and
+/// never emitted; batches leave this source already aligned and
 /// sorted, so no ClockAlignStage is needed downstream.
 class RankFanIn : public Source {
  public:

@@ -97,6 +97,7 @@ class AnalysisSink : public BatchSink {
 
   /// Valid after a successful on_end.
   const AnalysisResult& result() const { return result_; }
+  AnalysisResult& result() { return result_; }
 
  private:
   AnalysisPipeline pipeline_;

@@ -1,8 +1,25 @@
 #include "pipeline/source.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace tempest::pipeline {
+namespace {
+
+/// Copy the next slice of at most `cap` records of `from` into `out`;
+/// false once `from` is exhausted.
+template <typename Record>
+bool take_slice(const std::vector<Record>& from, std::size_t* pos, std::size_t cap,
+                std::vector<Record>* out) {
+  if (*pos >= from.size()) return false;
+  const std::size_t n = std::min(cap, from.size() - *pos);
+  const auto first = from.begin() + static_cast<std::ptrdiff_t>(*pos);
+  out->assign(first, first + static_cast<std::ptrdiff_t>(n));
+  *pos += n;
+  return true;
+}
+
+}  // namespace
 
 Result<ChunkedTraceSource> ChunkedTraceSource::open(const std::string& path,
                                                     BatchOptions options) {
@@ -36,11 +53,7 @@ Status ChunkedTraceSource::next(EventBatch* out, bool* done) {
 
   // Samples first, from the pre-pass; released once all are out.
   std::vector<trace::TempSample>& samples = ahead_->temp_samples;
-  if (sample_pos_ < samples.size()) {
-    const std::size_t n = std::min(options_.batch_records, samples.size() - sample_pos_);
-    out->temp_samples.assign(samples.begin() + static_cast<std::ptrdiff_t>(sample_pos_),
-                             samples.begin() + static_cast<std::ptrdiff_t>(sample_pos_ + n));
-    sample_pos_ += n;
+  if (take_slice(samples, &sample_pos_, options_.batch_records, &out->temp_samples)) {
     if (sample_pos_ == samples.size()) {
       std::vector<trace::TempSample>().swap(samples);
       sample_pos_ = 0;
@@ -95,29 +108,53 @@ Result<std::vector<trace::ClockSync>> ChunkedTraceSource::clock_syncs_ahead() {
 Status MemoryTraceSource::next(EventBatch* out, bool* done) {
   const trace::Trace& t = *trace_;
   const std::size_t cap = options_.batch_records;
-
-  if (sample_pos_ < t.temp_samples.size()) {
-    const std::size_t n = std::min(cap, t.temp_samples.size() - sample_pos_);
-    out->temp_samples.assign(
-        t.temp_samples.begin() + static_cast<std::ptrdiff_t>(sample_pos_),
-        t.temp_samples.begin() + static_cast<std::ptrdiff_t>(sample_pos_ + n));
-    sample_pos_ += n;
-  } else if (event_pos_ < t.fn_events.size()) {
-    const std::size_t n = std::min(cap, t.fn_events.size() - event_pos_);
-    out->fn_events.assign(t.fn_events.begin() + static_cast<std::ptrdiff_t>(event_pos_),
-                          t.fn_events.begin() + static_cast<std::ptrdiff_t>(event_pos_ + n));
-    event_pos_ += n;
-  } else if (sync_pos_ < t.clock_syncs.size()) {
-    const std::size_t n = std::min(cap, t.clock_syncs.size() - sync_pos_);
-    out->clock_syncs.assign(
-        t.clock_syncs.begin() + static_cast<std::ptrdiff_t>(sync_pos_),
-        t.clock_syncs.begin() + static_cast<std::ptrdiff_t>(sync_pos_ + n));
-    sync_pos_ += n;
-  }
+  (void)(take_slice(t.temp_samples, &sample_pos_, cap, &out->temp_samples) ||
+         take_slice(t.fn_events, &event_pos_, cap, &out->fn_events) ||
+         take_slice(t.clock_syncs, &sync_pos_, cap, &out->clock_syncs));
   *done = event_pos_ >= t.fn_events.size() &&
           sample_pos_ >= t.temp_samples.size() &&
           sync_pos_ >= t.clock_syncs.size();
   return Status::ok();
+}
+
+Status TraceInput::open(const std::vector<std::string>& paths, bool align,
+                        unsigned threads, BatchOptions batch) {
+  if (paths.size() != 1) {
+    if (!align) {
+      return Status::error(
+          "--no-align is incompatible with multi-file fan-in "
+          "(the merge orders ranks by aligned global time)");
+    }
+    auto opened = RankFanIn::open(paths, batch);
+    if (!opened.is_ok()) return Status::error(opened.message());
+    source_ = &fan_.emplace(std::move(opened).value());
+    syncs_ = fan_->sync_records();
+  } else {
+    auto opened = ChunkedTraceSource::open(paths[0], batch);
+    if (!opened.is_ok()) return Status::error(opened.message());
+    source_ = &chunked_.emplace(std::move(opened).value());
+    if (threads > 1) chunked_->set_decode_pool(&pool_.emplace(threads));
+    if (align) {
+      auto ahead = chunked_->clock_syncs_ahead();
+      if (!ahead.is_ok()) return Status::error(ahead.message());
+      syncs_ = std::move(ahead).value();
+      align_.emplace(trace::fit_clocks(syncs_));
+    }
+  }
+  if (threads > 1) source_ = &prefetch_.emplace(source_);
+  if (align_) stages_.push_back(&*align_);
+  stages_.push_back(&order_);
+  return Status::ok();
+}
+
+void TraceInput::open(const trace::Trace& trace, bool align, BatchOptions batch) {
+  source_ = &memory_.emplace(trace, batch);
+  if (align) {
+    syncs_ = trace.clock_syncs;
+    align_.emplace(trace::fit_clocks(syncs_));
+  }
+  if (align_) stages_.push_back(&*align_);
+  stages_.push_back(&order_);
 }
 
 }  // namespace tempest::pipeline

@@ -1,4 +1,6 @@
-// Pipeline sources: incremental file reader and in-memory adapter.
+// Pipeline sources: incremental file reader, in-memory adapter, and
+// TraceInput, the one analysis path that composes a source with the
+// stages.
 #pragma once
 
 #include <fstream>
@@ -6,21 +8,26 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "common/worker_pool.hpp"
+#include "pipeline/prefetch.hpp"
+#include "pipeline/rank_fanin.hpp"
 #include "pipeline/stage.hpp"
+#include "pipeline/stages.hpp"
 #include "trace/align.hpp"
 #include "trace/reader.hpp"
 
 namespace tempest::pipeline {
 
 /// Streams a trace-v2 file through the 256 KiB staged reader, never
-/// materialising more than one batch of events — the bounded-memory
-/// replacement for read_trace_file + parse. A pre-pass reads the small
-/// sample and sync sections ahead (seeking over the event payload and
-/// back), so batches come out samples first, then the file's events,
-/// then syncs; records are in the raw recorded clock domains. Compose
-/// with ClockAlignStage (fed by clock_fits()) and OrderCheckStage to
-/// reproduce the batch parser's aligned, sorted stream.
+/// materialising more than one batch of events. A pre-pass reads the
+/// small sample and sync sections ahead (seeking over the event payload
+/// and back), so batches come out samples first, then the file's
+/// events, then syncs; records are in the raw recorded clock domains.
+/// Compose with ClockAlignStage (fed by clock_fits()) and
+/// OrderCheckStage for the aligned stream in global time order, as
+/// TraceInput does.
 class ChunkedTraceSource : public Source {
  public:
   static Result<ChunkedTraceSource> open(const std::string& path,
@@ -64,9 +71,10 @@ class ChunkedTraceSource : public Source {
 };
 
 /// Adapts an in-memory Trace to the Source interface, yielding slices
-/// of its (already prepared — aligned/sorted by the caller) vectors:
-/// samples first, then events, then syncs. Used by tests and the export
-/// tool's batch path to drive the streaming consumers.
+/// of its vectors as they stand — a raw trace, in the recorded clock
+/// domains, like a file: samples first, then events, then syncs. The
+/// in-memory entry points (analyze_trace, parse_trace) run it through
+/// the same stages as a file.
 class MemoryTraceSource : public Source {
  public:
   explicit MemoryTraceSource(const trace::Trace& trace, BatchOptions options = {})
@@ -82,6 +90,45 @@ class MemoryTraceSource : public Source {
   std::size_t sample_pos_ = 0;
   std::size_t event_pos_ = 0;
   std::size_t sync_pos_ = 0;
+};
+
+/// The one analysis path: a source, ClockAlignStage (unless alignment is
+/// off, or the fan-in aligned as it merged), then OrderCheckStage.
+class TraceInput {
+ public:
+  TraceInput() = default;
+  TraceInput(const TraceInput&) = delete;  // the read-ahead thread holds its sources
+  TraceInput& operator=(const TraceInput&) = delete;
+
+  /// One file streams through ChunkedTraceSource; several, one per
+  /// rank, merge through RankFanIn (alignment on). `align` off orders
+  /// records by their recorded tsc. Above 1 `threads`, files decode on
+  /// a worker pool and batches are read ahead of the sinks; output
+  /// bytes are identical at any count.
+  Status open(const std::vector<std::string>& paths, bool align = true,
+              unsigned threads = 1, BatchOptions batch = {});
+  /// A raw in-memory trace, as recorded; it must outlive the input.
+  void open(const trace::Trace& trace, bool align = true, BatchOptions batch = {});
+
+  const TraceMeta& meta() const { return source_->meta(); }
+  /// The sync records behind the clock fits (none with alignment off).
+  const std::vector<trace::ClockSync>& syncs() const { return syncs_; }
+
+  Status run(const std::vector<BatchSink*>& sinks) {
+    return run_pipeline(source_, stages_, sinks);
+  }
+
+ private:
+  std::optional<WorkerPool> pool_;
+  std::optional<ChunkedTraceSource> chunked_;
+  std::optional<RankFanIn> fan_;
+  std::optional<MemoryTraceSource> memory_;
+  std::optional<PrefetchSource> prefetch_;  ///< after the sources: joins first
+  std::optional<ClockAlignStage> align_;
+  OrderCheckStage order_;
+  Source* source_ = nullptr;
+  std::vector<Stage*> stages_;
+  std::vector<trace::ClockSync> syncs_;
 };
 
 }  // namespace tempest::pipeline

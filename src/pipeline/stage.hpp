@@ -6,20 +6,19 @@
 // bounded record batches, so a trace (or N per-rank traces) streams
 // through analysis with peak memory bounded by the batch size plus the
 // consumers' own aggregates — per function and per sample, not per
-// event — instead of the full event vector. The batch entry points
-// (parser/parse.hpp) are thin wrappers over the same consumer cores, so
-// both paths produce bit-identical profiles.
+// event — instead of the full event vector. Every entry point, the
+// in-memory parse_trace included, runs this one path.
 //
-// Ordering contract: a Source emits each record kind in global time
-// order across batches (events sorted, samples sorted, in separate
-// batches), and emits every temperature sample before the first fn
-// event. Samples first is what lets the analysis fold credit each
-// sample while it replays the events, in memory independent of the
-// event count; consumers stay correct for any interleaving and only
-// lose that bound. Sources that cannot guarantee order fail with a
-// Status instead of silently degrading — consumers fold batches under
-// the same assumptions Trace::sort_by_time establishes for the batch
-// path.
+// Ordering contract: a Source keeps each node's records of a kind in
+// time order and emits every temperature sample before the first fn
+// event. Clock alignment shifts the nodes against each other, so
+// OrderCheckStage then restores global time order across nodes within a
+// bounded window; downstream of it, each record kind is in global time
+// order across batches (events sorted, samples sorted), as a stable
+// sort of the aligned trace would leave them. Samples first is what
+// lets the analysis fold credit each sample while it replays the
+// events, in memory independent of the event count; consumers stay
+// correct for any interleaving and only lose that bound.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +48,10 @@ struct EventBatch {
   std::vector<trace::FnEvent> fn_events;
   std::vector<trace::TempSample> temp_samples;
   std::vector<trace::ClockSync> clock_syncs;
+  /// Set by run_pipeline on the batch that ends the stream (empty when
+  /// the source's last call brought no records), so a stage holding
+  /// records back can flush them into it.
+  bool end_of_stream = false;
 
   bool empty() const {
     return fn_events.empty() && temp_samples.empty() && clock_syncs.empty();
@@ -58,6 +61,7 @@ struct EventBatch {
     fn_events.clear();
     temp_samples.clear();
     clock_syncs.clear();
+    end_of_stream = false;
   }
 };
 
@@ -76,7 +80,7 @@ class Source {
   virtual Status next(EventBatch* out, bool* done) = 0;
 };
 
-/// Transforms batches in flight (clock alignment, order verification).
+/// Transforms batches in flight (clock alignment, cross-node ordering).
 class Stage {
  public:
   virtual ~Stage() = default;
@@ -93,8 +97,10 @@ class BatchSink {
 };
 
 /// Drive `source` to exhaustion: each batch flows through `stages` in
-/// order, then to every sink. Stops at the first error. Sinks see
-/// begin() before any batch and on_end() only if everything succeeded.
+/// order, then to every sink that still has records to see. The batch
+/// that ends the stream always runs through the stages, marked
+/// end_of_stream. Stops at the first error. Sinks see begin() before
+/// any batch and on_end() only if everything succeeded.
 Status run_pipeline(Source* source, const std::vector<Stage*>& stages,
                     const std::vector<BatchSink*>& sinks);
 

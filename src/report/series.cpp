@@ -137,19 +137,6 @@ ThermalSeries build_series(const trace::TraceHeader& meta,
   return out;
 }
 
-ThermalSeries extract_series(const trace::Trace& trace, TempUnit unit,
-                             const std::vector<std::string>& span_functions) {
-  if (span_functions.empty()) {
-    return build_series(trace, trace.temp_samples, trace.start_tsc(),
-                        trace.end_tsc(), unit);
-  }
-  // Reuse the parser's timeline, keeping the span functions' intervals.
-  const parser::TimelineMap timeline =
-      parser::build_timeline(trace, nullptr, span_filter(trace, span_functions));
-  return build_series(trace, trace.temp_samples, trace.start_tsc(),
-                      trace.end_tsc(), unit, span_functions, &timeline);
-}
-
 void write_series_csv(std::ostream& out, const ThermalSeries& series) {
   // append_general matches the default-formatted ostream doubles this
   // writer historically produced; the buffered fastwrite path turns a

@@ -1,8 +1,10 @@
 // Thermal time-series extraction (the data behind Figs 2b, 3, 4).
 //
-// Converts a (clock-aligned) trace into per-node, per-sensor temperature
-// curves plus the execution spans of named functions — the x-axis bands
-// drawn "across the top of the figure" in the paper's profile plots.
+// Builds per-node, per-sensor temperature curves from a clock-aligned,
+// time-sorted sample stream plus the execution spans of named functions
+// — the x-axis bands drawn "across the top of the figure" in the
+// paper's profile plots. The analysis pass builds the series alongside
+// the profile (AnalysisOptions::want_series).
 #pragma once
 
 #include <cstdint>
@@ -43,13 +45,6 @@ struct ThermalSeries {
   std::vector<FunctionSpan> spans;
 };
 
-/// Extract curves from an aligned, time-sorted trace. When
-/// `span_functions` names are given, their merged execution intervals
-/// are emitted as spans (names match symbolised or synthetic names).
-ThermalSeries extract_series(
-    const trace::Trace& trace, TempUnit unit,
-    const std::vector<std::string>& span_functions = {});
-
 /// The timeline filter that keeps the intervals of `span_functions`:
 /// an address matches when its synthetic symbol, else its name in the
 /// recorded executable's symtab, is listed (spans are requested by
@@ -59,12 +54,11 @@ ThermalSeries extract_series(
 parser::SpanFilter span_filter(const trace::TraceHeader& meta,
                                const std::vector<std::string>& span_functions);
 
-/// Streaming-friendly core behind extract_series: curves come from
-/// metadata plus an already-aligned, time-sorted sample stream, and
-/// spans from a timeline the caller has already built with
-/// span_filter(meta, span_functions) (required when `span_functions` is
-/// non-empty). Identical inputs produce byte-identical ThermalSeries
-/// either way.
+/// Curves come from metadata plus an already-aligned, time-sorted
+/// sample stream, and spans from a timeline the caller has already
+/// built with span_filter(meta, span_functions) (required when
+/// `span_functions` is non-empty): their merged execution intervals,
+/// named by symbolised or synthetic name.
 ThermalSeries build_series(const trace::TraceHeader& meta,
                            const std::vector<trace::TempSample>& samples,
                            std::uint64_t start_tsc, std::uint64_t end_tsc,

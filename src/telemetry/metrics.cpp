@@ -68,6 +68,7 @@ const char* const kGaugeNames[kGaugeCount] = {
     "sensor_temp_7_mc",
     "collect_sessions_active",
     "collect_queue_frames",
+    "pipeline_order_held_max",
 };
 
 const char* const kHistogramNames[kHistogramCount] = {

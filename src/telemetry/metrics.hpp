@@ -93,6 +93,7 @@ enum class Gauge : std::uint16_t {
   kSensorTemp7MilliC,
   kCollectSessionsActive,  ///< collector: live ingest sessions right now
   kCollectQueueFrames,     ///< collector: frames queued across fold shards
+  kPipelineOrderHeldMax,   ///< most records OrderCheckStage held back at once
   kCount
 };
 
@@ -194,6 +195,16 @@ class Metrics {
     gauges_[static_cast<std::size_t>(g)].store(value, std::memory_order_relaxed);
   }
 
+  /// High-water-mark gauges: raise to `value` unless already above it.
+  void raise(Gauge g, std::int64_t value) {
+    if (!enabled()) return;
+    std::atomic<std::int64_t>& slot = gauges_[static_cast<std::size_t>(g)];
+    std::int64_t seen = slot.load(std::memory_order_relaxed);
+    while (seen < value &&
+           !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
   void record(Histogram h, double value);
 
   /// Fold all shards. Safe concurrently with recording.
@@ -231,6 +242,7 @@ inline Metrics& metrics() { return Metrics::instance(); }
 
 inline void count(Counter c, std::uint64_t delta = 1) { metrics().add(c, delta); }
 inline void gauge_set(Gauge g, std::int64_t value) { metrics().set(g, value); }
+inline void gauge_raise(Gauge g, std::int64_t value) { metrics().raise(g, value); }
 inline void observe(Histogram h, double value) { metrics().record(h, value); }
 
 /// Process peak RSS in KiB from getrusage (0 where unsupported).

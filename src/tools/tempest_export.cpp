@@ -9,9 +9,9 @@
 //                       "-" writes to standard output
 //     --merge-ranks     required to fan-in several per-rank trace files
 //                       into one cross-rank timeline (clock-correlated)
-//     --stream          stream from disk in bounded batches (traces
-//                       larger than RAM); output bytes are identical
-//     --threads N       worker threads for streaming decode/read-ahead
+//     --stream          accepted for compatibility; changes nothing —
+//                       every export streams in bounded memory
+//     --threads N       worker threads for decode/read-ahead
 //                       (default hardware concurrency, or the
 //                       TEMPEST_ANALYSIS_THREADS env var); output is
 //                       byte-identical at any N
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     return Status::ok();
   });
   args.add_flag("--merge-ranks", [&] { merge_ranks = true; });
-  args.add_flag("--stream", [&] { options.stream = true; });
+  args.add_flag("--stream", [] {});  // every export streams
   args.add_value("--threads", [&](const std::string& v) {
     std::size_t n = 0;
     const Status parsed_n = cli::parse_size(v, &n);

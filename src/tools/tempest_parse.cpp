@@ -19,9 +19,8 @@
 //     --top N             print at most N functions per node
 //     --gnuplot PREFIX    write PREFIX.dat + PREFIX.gp (render with
 //                         `gnuplot PREFIX.gp` -> profile.png)
-//     --stream            analyse incrementally with bounded memory
-//                         (traces larger than RAM); needs a time-sorted
-//                         trace, which recorded files are
+//     --stream            accepted for compatibility; changes nothing —
+//                         every run streams in bounded memory
 //     --threads N         worker threads for decode + analysis (default
 //                         hardware concurrency, TEMPEST_ANALYSIS_THREADS
 //                         overrides); output is byte-identical at any N,
@@ -32,15 +31,15 @@
 //     --export FORMAT     emit an interactive timeline instead of a
 //                         profile: perfetto (Chrome trace-event JSON,
 //                         open at ui.perfetto.dev) or speedscope;
-//                         honours --stream / --no-align / --exe and
+//                         honours --threads / --no-align / --exe and
 //                         writes to standard output
 //     --version           print tool and trace-format version
 //
-// Passing several trace files (one per MPI rank) fan-ins them in a
-// single streaming pass: metadata is concatenated, clocks are fitted
-// from every file's sync records, and events merge by aligned global
-// time — the paper's parallel-hot-spot workflow without concatenating
-// the files first.
+// Every run streams in bounded memory. Passing several trace files (one
+// per MPI rank) fan-ins them in a single pass: metadata is concatenated,
+// clocks are fitted from every file's sync records, and events merge by
+// aligned global time — the paper's parallel-hot-spot workflow without
+// concatenating the files first.
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,18 +50,11 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/worker_pool.hpp"
 #include "export/run.hpp"
-#include "pipeline/prefetch.hpp"
-#include "pipeline/analysis.hpp"
-#include "pipeline/rank_fanin.hpp"
 #include "pipeline/sinks.hpp"
 #include "pipeline/source.hpp"
-#include "pipeline/stages.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/stdout_format.hpp"
-#include "trace/align.hpp"
-#include "trace/reader.hpp"
 #include "trace/writer.hpp"
 
 namespace {
@@ -90,7 +82,7 @@ int main(int argc, char** argv) {
   std::string format = "text", plot_sensor, exe_override, gnuplot_prefix;
   std::string export_format;
   std::vector<std::string> span_functions;
-  bool plot = false, align = true, stream = false, version = false;
+  bool plot = false, align = true, version = false;
   tempest::parser::ProfileOptions profile_options;
   std::size_t top = 0;
   unsigned threads = cli::default_analysis_threads();
@@ -127,7 +119,7 @@ int main(int argc, char** argv) {
     gnuplot_prefix = v;
     return Status::ok();
   });
-  args.add_flag("--stream", [&] { stream = true; });
+  args.add_flag("--stream", [] {});  // every run streams
   args.add_value("--threads", [&](const std::string& v) {
     std::size_t n = 0;
     const Status parsed_n = cli::parse_size(v, &n);
@@ -169,12 +161,9 @@ int main(int argc, char** argv) {
   }
 
   if (!export_format.empty()) {
-    // Timeline export replaces the profile emitters entirely; the
-    // streaming and batch paths produce byte-identical output, so
-    // --stream here only changes peak memory.
+    // Timeline export replaces the profile emitters entirely.
     tempest::exporter::ExportRunOptions export_options;
     tempest::exporter::parse_format(export_format, &export_options.format);
-    export_options.stream = stream;
     export_options.align = align;
     export_options.exe_override = exe_override;
     export_options.threads = threads;
@@ -200,8 +189,7 @@ int main(int argc, char** argv) {
   analysis_options.span_functions = span_functions;
   analysis_options.threads = threads;
 
-  // One emitter list serves both paths: primary format first, then the
-  // plot / gnuplot add-ons, in the order the batch tool printed them.
+  // Primary format first, then the plot / gnuplot add-ons.
   std::vector<std::unique_ptr<pipeline::ProfileEmitter>> owned;
   tempest::report::StdoutOptions stdout_options;
   stdout_options.max_functions = top;
@@ -226,101 +214,24 @@ int main(int argc, char** argv) {
   emitters.reserve(owned.size());
   for (const auto& e : owned) emitters.push_back(e.get());
 
-  const tempest::parser::RunProfile* profile = nullptr;
+  pipeline::TraceInput input;
   pipeline::AnalysisSink sink(analysis_options, emitters);
-  pipeline::AnalysisResult batch_result;
-
-  if (stream || paths.size() > 1) {
-    // Streaming path: bounded memory, optionally multi-rank.
-    pipeline::OrderCheckStage order;
-    std::vector<pipeline::Stage*> stages;
-    std::optional<tempest::WorkerPool> pool;
-    std::optional<pipeline::ChunkedTraceSource> chunked;
-    std::optional<pipeline::ClockAlignStage> align_stage;
-    std::optional<pipeline::RankFanIn> fan;
-    pipeline::Source* source = nullptr;
-    if (paths.size() > 1) {
-      auto opened = pipeline::RankFanIn::open(paths);
-      if (!opened.is_ok()) {
-        std::cerr << "tempest_parse: " << opened.message() << "\n";
-        return 1;
-      }
-      fan.emplace(std::move(opened).value());
-      source = &*fan;  // already aligned and merged; just verify order
-    } else {
-      auto opened = pipeline::ChunkedTraceSource::open(paths[0]);
-      if (!opened.is_ok()) {
-        std::cerr << "tempest_parse: " << opened.message() << "\n";
-        return 1;
-      }
-      chunked.emplace(std::move(opened).value());
-      if (threads > 1) {
-        pool.emplace(threads);
-        chunked->set_decode_pool(&*pool);
-      }
-      if (align) {
-        auto fits = chunked->clock_fits();
-        if (!fits.is_ok()) {
-          std::cerr << "tempest_parse: " << fits.message() << "\n";
-          return 1;
-        }
-        align_stage.emplace(std::move(fits).value());
-        stages.push_back(&*align_stage);
-      }
-      source = &*chunked;
-    }
-    stages.push_back(&order);
-    // Read-ahead decorator overlaps I/O + decode with the fold; declared
-    // after the sources so its producer thread joins before they die.
-    std::optional<pipeline::PrefetchSource> prefetch;
-    if (threads > 1) {
-      prefetch.emplace(source);
-      source = &*prefetch;
-    }
-    const Status ran = pipeline::run_pipeline(source, stages, {&sink});
-    if (!ran) {
-      std::cerr << "tempest_parse: " << ran.message() << "\n";
-      return 1;
-    }
-    profile = &sink.result().profile;
-  } else {
-    // Batch path: load, align (loudly — a failed fit is an error, not a
-    // silently skewed report), fold through the same analysis core.
-    auto loaded = tempest::trace::read_trace_file(paths[0]);
-    if (!loaded.is_ok()) {
-      std::cerr << "tempest_parse: cannot read trace: " << loaded.message()
-                << "\n";
-      return 1;
-    }
-    tempest::trace::Trace trace = std::move(loaded).value();
-    if (align) {
-      const Status aligned = tempest::trace::align_clocks(&trace);
-      if (!aligned) {
-        std::cerr << "tempest_parse: " << aligned.message() << "\n";
-        return 1;
-      }
-    } else {
-      trace.sort_by_time();
-    }
-    batch_result = pipeline::analyze_trace(trace, analysis_options);
-    for (pipeline::ProfileEmitter* emitter : emitters) {
-      const Status emitted = emitter->emit(batch_result);
-      if (!emitted) {
-        std::cerr << "tempest_parse: " << emitted.message() << "\n";
-        return 1;
-      }
-    }
-    profile = &batch_result.profile;
+  Status ran = input.open(paths, align, threads);
+  if (ran) ran = input.run({&sink});
+  if (!ran) {
+    std::cerr << "tempest_parse: " << ran.message() << "\n";
+    return 1;
   }
+  const tempest::parser::RunProfile& profile = sink.result().profile;
 
   if (!gnuplot_prefix.empty()) {
     std::cerr << "wrote " << gnuplot_prefix << ".dat and " << gnuplot_prefix
               << ".gp\n";
   }
-  if (profile->diagnostics.unmatched_exits > 0 ||
-      profile->diagnostics.force_closed > 0) {
-    std::cerr << "note: " << profile->diagnostics.unmatched_exits
-              << " unmatched exits, " << profile->diagnostics.force_closed
+  if (profile.diagnostics.unmatched_exits > 0 ||
+      profile.diagnostics.force_closed > 0) {
+    std::cerr << "note: " << profile.diagnostics.unmatched_exits
+              << " unmatched exits, " << profile.diagnostics.force_closed
               << " functions force-closed at trace end\n";
   }
   return 0;

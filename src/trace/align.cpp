@@ -49,10 +49,6 @@ std::map<std::uint16_t, ClockFit> fit_clocks(const std::vector<ClockSync>& all_s
   return fits;
 }
 
-std::map<std::uint16_t, ClockFit> fit_clocks(const Trace& trace) {
-  return fit_clocks(trace.clock_syncs);
-}
-
 std::map<std::uint16_t, double> fit_residuals(const ClockMap& clocks,
                                               const std::vector<ClockSync>& syncs) {
   std::map<std::uint16_t, double> residuals;
@@ -70,16 +66,6 @@ std::map<std::uint16_t, double> fit_residuals(const ClockMap& clocks,
     if (!inserted && r > slot->second) slot->second = r;
   }
   return residuals;
-}
-
-Status align_clocks(Trace* trace) {
-  if (trace->clock_syncs.empty()) return Status::ok();  // single clock domain
-  const ClockMap clocks(fit_clocks(*trace));
-  clocks.align(&trace->fn_events);
-  clocks.align(&trace->temp_samples);
-  trace->clock_syncs.clear();
-  trace->sort_by_time();
-  return Status::ok();
 }
 
 }  // namespace tempest::trace

@@ -3,16 +3,17 @@
 // Node TSCs are unsynchronised (offset + drift — the paper's §3.3
 // limitation). During a run the runtime records ClockSync observations
 // pairing each node's clock with the global clock at barriers. This
-// module fits node_tsc -> global_tsc per node (least-squares line) and
-// rewrites every event/sample into the global domain so the parser can
-// correlate temperatures with code across nodes.
+// module fits node_tsc -> global_tsc per node (least-squares line);
+// the pipeline's ClockAlignStage rewrites every event/sample into the
+// global domain through a ClockMap, and OrderCheckStage restores global
+// time order, so the parser can correlate temperatures with code across
+// nodes.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
-#include "common/status.hpp"
 #include "trace/trace.hpp"
 
 namespace tempest::trace {
@@ -67,12 +68,9 @@ class ClockMap {
 
 /// Fit clock maps from sync records. Nodes with one sync get
 /// offset-only fits; nodes with none get the identity map. The
-/// streaming pipeline fits from a pre-pass over the sync sections
-/// before any event batch flows, hence the vector overload.
+/// pipeline fits from a pre-pass over the sync sections before any
+/// event batch flows.
 std::map<std::uint16_t, ClockFit> fit_clocks(const std::vector<ClockSync>& syncs);
-
-/// Fit clock maps from the trace's sync records.
-std::map<std::uint16_t, ClockFit> fit_clocks(const Trace& trace);
 
 /// Largest |fit(node_tsc) - global_tsc| over each node's sync records,
 /// in ticks. Quantifies how well the affine fit explains the
@@ -81,9 +79,5 @@ std::map<std::uint16_t, ClockFit> fit_clocks(const Trace& trace);
 /// much uncertainty. Nodes with no fit (or no syncs) are absent.
 std::map<std::uint16_t, double> fit_residuals(const ClockMap& clocks,
                                               const std::vector<ClockSync>& syncs);
-
-/// Rewrite fn_events and temp_samples into the global clock domain and
-/// re-sort. Idempotent once syncs are consumed (they are cleared).
-Status align_clocks(Trace* trace);
 
 }  // namespace tempest::trace

@@ -433,7 +433,7 @@ Result<SectionsAhead> TraceStreamReader::read_ahead() {
   if (!in || pos == std::istream::pos_type(-1)) {
     in.clear();
     return R::error("read-ahead pre-pass needs a seekable stream "
-                    "(pipe input: use the batch path)");
+                    "(pipe input: write the trace to a file first)");
   }
 
   Cursor cur(in);

@@ -5,9 +5,10 @@
 //
 // Two entry points share one implementation:
 //
-//   * read_trace / read_trace_file materialise the whole trace (the
-//     batch path). read_trace_file additionally rejects trailing bytes
-//     after the last section — a healthy pipeline never writes them.
+//   * read_trace / read_trace_file materialise the whole trace (tests,
+//     the collector's wire frames). read_trace_file additionally rejects
+//     trailing bytes after the last section — a healthy pipeline never
+//     writes them.
 //   * TraceStreamReader streams the bulk sections in bounded batches
 //     through the same 256 KiB staged chunk reader, so a consumer can
 //     analyse a trace far larger than RAM (src/pipeline builds on it).

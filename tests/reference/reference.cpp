@@ -113,7 +113,7 @@ void align_records_seed(const std::map<std::uint16_t, trace::ClockFit>& fits,
 
 void align_clocks_seed(trace::Trace* trace) {
   if (trace->clock_syncs.empty()) return;
-  align_records_seed(trace::fit_clocks(*trace), &trace->fn_events, &trace->temp_samples);
+  align_records_seed(trace::fit_clocks(trace->clock_syncs), &trace->fn_events, &trace->temp_samples);
   trace->clock_syncs.clear();
   sort_by_time_seed(trace);
 }

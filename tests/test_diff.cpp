@@ -238,7 +238,6 @@ TEST(TimeStats, StreamingFoldMatchesBatchExactly) {
   for (const std::size_t split : {1u, 3u, 7u}) {
     pipeline::AnalysisPipeline fold(pipeline::AnalysisOptions{});
     fold.set_metadata(t);
-    fold.set_bounds(t.start_tsc(), t.end_tsc());
     for (std::size_t i = 0; i < t.fn_events.size(); i += split) {
       const std::size_t n = std::min(split, t.fn_events.size() - i);
       fold.add_fn_events(t.fn_events.data() + i, n);
@@ -270,7 +269,6 @@ TEST(TimeStats, ShardedFoldMatchesSingleThreadExactly) {
     options.threads = threads[i];
     pipeline::AnalysisPipeline fold(options);
     fold.set_metadata(t);
-    fold.set_bounds(t.start_tsc(), t.end_tsc());
     fold.add_fn_events(t.fn_events.data(), t.fn_events.size());
     results[i] = fold.finish();
   }

@@ -1,11 +1,12 @@
 // Interactive trace export: clock correlation math, the span scrubber's
 // nesting policy, Perfetto / speedscope document structure, and the
-// byte-identity of the streaming and batch export paths (single file
-// and 4-rank fan-in).
+// export path's bytes against the reference oracle's ordering (single
+// file) and the 4-rank fan-in.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "export/run.hpp"
 #include "export/speedscope.hpp"
 #include "pipeline/source.hpp"
+#include "reference/reference.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
 
@@ -67,6 +69,22 @@ Trace rank_trace(std::uint16_t rank, std::uint64_t skew) {
   t.clock_syncs = {{local(base), base, rank},
                    {local(base + 1000), base + 1000, rank}};
   return t;
+}
+
+/// Per-rank traces concatenated into one file's worth of records, in
+/// path order.
+Trace concatenated(const std::vector<Trace>& ranks) {
+  Trace combined;
+  for (const Trace& r : ranks) {
+    combined.append(r);
+    combined.fn_events.insert(combined.fn_events.end(), r.fn_events.begin(),
+                              r.fn_events.end());
+    combined.temp_samples.insert(combined.temp_samples.end(),
+                                 r.temp_samples.begin(), r.temp_samples.end());
+    combined.clock_syncs.insert(combined.clock_syncs.end(),
+                                r.clock_syncs.begin(), r.clock_syncs.end());
+  }
+  return combined;
 }
 
 /// A single-node trace exercising every scrubber branch: a force-closed
@@ -229,29 +247,45 @@ TEST(SpeedscopeExporter, BalancedEventedProfileWithSharedFrames) {
 }
 
 TEST(RunExport, StreamAndBatchBytesIdentical) {
-  Trace t = rank_trace(0, 25);
+  // One file holding four skewed nodes, written in raw-tsc order as the
+  // recorder writes it, so alignment leaves it out of order between
+  // nodes. run_export's one path must write the bytes the exporter
+  // writes when fed the reference oracle's aligned, stable-sorted
+  // records directly.
+  std::vector<Trace> ranks;
+  for (std::uint16_t r = 0; r < 4; ++r) ranks.push_back(rank_trace(r, 40 * r));
+  Trace t = concatenated(ranks);
   t.sort_by_time();
   const std::string path = temp_path("export_eq.trace");
   ASSERT_TRUE(write_trace_file(path, t));
+  Trace oracle = t;
+  parser::reference::align_clocks_seed(&oracle);
 
   for (const exporter::Format format :
        {exporter::Format::kPerfetto, exporter::Format::kSpeedscope}) {
     exporter::ExportRunOptions options;
     options.format = format;
     options.spool_prefix = temp_path("export_eq_spool");
+    std::ostringstream got;
+    auto ran = exporter::run_export({path}, got, options);
+    ASSERT_TRUE(ran.is_ok()) << ran.message();
 
-    std::ostringstream batch_out, stream_out;
-    options.stream = false;
-    auto batch = exporter::run_export({path}, batch_out, options);
-    ASSERT_TRUE(batch.is_ok()) << batch.message();
-    options.stream = true;
-    auto stream = exporter::run_export({path}, stream_out, options);
-    ASSERT_TRUE(stream.is_ok()) << stream.message();
+    std::ostringstream want;
+    pipeline::MemoryTraceSource source(oracle);
+    exporter::ClockCorrelator correlator(t.tsc_ticks_per_second, t.clock_syncs);
+    std::optional<exporter::PerfettoExporter> perfetto;
+    std::optional<exporter::SpeedscopeExporter> speedscope;
+    pipeline::BatchSink* sink = nullptr;
+    if (format == exporter::Format::kPerfetto) {
+      sink = &perfetto.emplace(want, std::move(correlator));
+    } else {
+      sink = &speedscope.emplace(want, std::move(correlator), options.spool_prefix);
+    }
+    ASSERT_TRUE(pipeline::run_pipeline(&source, {}, {sink}));
 
-    EXPECT_EQ(batch_out.str(), stream_out.str());
-    EXPECT_GT(batch.value().stats.events_exported, 0u);
-    EXPECT_EQ(batch.value().stats.bytes_written,
-              stream.value().stats.bytes_written);
+    EXPECT_EQ(got.str(), want.str());
+    EXPECT_GT(ran.value().stats.events_exported, 0u);
+    EXPECT_EQ(ran.value().stats.bytes_written, got.str().size());
   }
 }
 

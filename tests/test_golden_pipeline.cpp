@@ -12,12 +12,16 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "parser/parse.hpp"
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
 #include "parser/timeline_shard.hpp"
 #include "pipeline/analysis.hpp"
+#include "pipeline/sinks.hpp"
+#include "pipeline/source.hpp"
 #include "reference/reference.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
@@ -546,6 +550,83 @@ TEST(GoldenPipeline, FoldEdgeCasesMatchSeedOracle) {
         EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
         EXPECT_EQ(diag.force_closed, want_diag.force_closed);
       }
+    }
+  }
+}
+
+constexpr std::uint64_t kRegionA = kSyntheticAddrBase + 1;
+constexpr std::uint64_t kRegionB = kSyntheticAddrBase + 2;
+
+/// One node, two threads, 40 samples and no clock syncs: a single clock
+/// domain written out of time order. With `exit_first`, thread 0's exit
+/// is written before its enter; otherwise each thread stays in order
+/// but the threads take turns, thread 0's events all ahead of thread 1's.
+Trace syncless_trace(bool exit_first) {
+  Trace t;
+  t.tsc_ticks_per_second = 1e6;
+  t.nodes = {{0, "host"}};
+  t.sensors = {{0, 0, "cpu", 1.0}};
+  t.threads = {{0, 0, 0}, {1, 0, 1}};
+  t.synthetic_symbols = {{kRegionA, "region_a"}, {kRegionB, "region_b"}};
+  if (exit_first) {
+    t.fn_events = {{100, kRegionB, 1, 0, FnEventKind::kEnter},
+                   {300, kRegionA, 0, 0, FnEventKind::kExit},
+                   {200, kRegionA, 0, 0, FnEventKind::kEnter},
+                   {400, kRegionB, 1, 0, FnEventKind::kExit},
+                   {500, kRegionA, 0, 0, FnEventKind::kEnter},
+                   {700, kRegionA, 0, 0, FnEventKind::kExit},
+                   {600, kRegionB, 1, 0, FnEventKind::kEnter},
+                   {900, kRegionB, 1, 0, FnEventKind::kExit}};
+  } else {
+    t.fn_events = {{100, kRegionA, 0, 0, FnEventKind::kEnter},
+                   {300, kRegionA, 0, 0, FnEventKind::kExit},
+                   {500, kRegionA, 0, 0, FnEventKind::kEnter},
+                   {700, kRegionA, 0, 0, FnEventKind::kExit},
+                   {50, kRegionB, 1, 0, FnEventKind::kEnter},
+                   {450, kRegionB, 1, 0, FnEventKind::kExit},
+                   {550, kRegionB, 1, 0, FnEventKind::kEnter},
+                   {950, kRegionB, 1, 0, FnEventKind::kExit}};
+  }
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    t.temp_samples.push_back({i * 25, 40.0 + static_cast<double>(i % 7), 0, 0});
+  }
+  return t;
+}
+
+TEST(GoldenPipeline, SynclessTraceOrdersByRecordedTscInEveryMode) {
+  // Without syncs there is one clock domain. With alignment on (the
+  // default) and off, the in-memory entry point and a file streamed as
+  // tempest_parse streams it must both order records by their recorded
+  // tsc: the seed pipeline's profile of the stable-sorted trace, with
+  // no unmatched exit.
+  const std::vector<std::pair<std::uint64_t, std::string>> names = {
+      {kRegionA, "region_a"}, {kRegionB, "region_b"}};
+  for (const bool exit_first : {true, false}) {
+    SCOPED_TRACE(exit_first ? "exit written first" : "threads take turns");
+    const Trace t = syncless_trace(exit_first);
+    Trace sorted = t;
+    reference::sort_by_time_seed(&sorted);
+    TimelineDiagnostics seed_diag;
+    const reference::SeedTimeline seed_tl =
+        reference::build_timeline_seed(sorted, &seed_diag);
+    const RunProfile seed =
+        reference::build_profile_seed(sorted, seed_tl, names, seed_diag, {});
+    EXPECT_EQ(seed.diagnostics.unmatched_exits, 0u);
+
+    const std::string path = ::testing::TempDir() + "/syncless.trace";
+    ASSERT_TRUE(write_trace_file(path, t));
+    for (const bool align : {true, false}) {
+      SCOPED_TRACE(align ? "aligned" : "--no-align");
+      ParseOptions options;
+      options.align_clocks = align;
+      auto in_memory = parse_trace(t, options);
+      ASSERT_TRUE(in_memory.is_ok()) << in_memory.message();
+      expect_profiles_equal(in_memory.value(), seed);
+      tempest::pipeline::TraceInput from_file;
+      ASSERT_TRUE(from_file.open({path}, align));
+      tempest::pipeline::AnalysisSink sink;
+      ASSERT_TRUE(from_file.run({&sink}));
+      expect_profiles_equal(sink.result().profile, seed);
     }
   }
 }

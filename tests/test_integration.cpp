@@ -9,9 +9,10 @@
 #include "minimpi/runtime.hpp"
 #include "npb/ft.hpp"
 #include "parser/parse.hpp"
+#include "pipeline/sinks.hpp"
+#include "pipeline/source.hpp"
 #include "report/series.hpp"
 #include "report/stdout_format.hpp"
-#include "trace/align.hpp"
 #include "trace/reader.hpp"
 #include "simnode/cluster.hpp"
 
@@ -120,18 +121,18 @@ TEST(Integration, TraceRoundTripsThroughFileAndSeries) {
   ASSERT_TRUE(session.stop());
   expect_lint_clean(session.last_trace(), config.sample_hz);
 
-  auto profile = tempest::parser::parse_trace_file(config.output_path);
-  ASSERT_TRUE(profile.is_ok()) << profile.message();
-  EXPECT_NE(profile.value().find(node_id, "hot_phase"), nullptr);
-  EXPECT_NE(profile.value().find(node_id, "cool_phase"), nullptr);
-
-  // Series extraction has 3 sensors (x86 basic layout) with points.
-  const auto trace = tempest::trace::read_trace_file(config.output_path);
-  ASSERT_TRUE(trace.is_ok());
-  auto aligned = std::move(trace).value();
-  ASSERT_TRUE(tempest::trace::align_clocks(&aligned));
-  const auto series = tempest::report::extract_series(
-      aligned, tempest::TempUnit::kFahrenheit, {"hot_phase"});
+  // One streaming pass over the file builds the profile and, beside
+  // it, the series: 3 sensors (x86 basic layout) with points.
+  tempest::pipeline::TraceInput input;
+  ASSERT_TRUE(input.open({config.output_path}));
+  tempest::pipeline::AnalysisOptions options;
+  options.want_series = true;
+  options.span_functions = {"hot_phase"};
+  tempest::pipeline::AnalysisSink sink(options);
+  ASSERT_TRUE(input.run({&sink}));
+  EXPECT_NE(sink.result().profile.find(node_id, "hot_phase"), nullptr);
+  EXPECT_NE(sink.result().profile.find(node_id, "cool_phase"), nullptr);
+  const tempest::report::ThermalSeries& series = sink.result().series;
   EXPECT_EQ(series.sensors.size(), 3u);
   ASSERT_FALSE(series.sensors.empty());
   EXPECT_GT(series.sensors[0].points.size(), 5u);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
 
 #include "minimpi/runtime.hpp"
 #include "npb/bt.hpp"
@@ -131,7 +132,10 @@ TEST(MgLevels, MoreLevelsConvergeFasterPerCycle) {
 TEST(MgParallel, ScalesToEightRanks) {
   MgConfig config{32, 2, 2};
   MgResult result;
-  minimpi::run(8, [&](minimpi::Comm& comm) { result = mg_run(comm, config); });
+  minimpi::run(8, [&](minimpi::Comm& comm) {
+    MgResult mine = mg_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = mg_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
 }
@@ -139,7 +143,10 @@ TEST(MgParallel, ScalesToEightRanks) {
 TEST(FtParallel, ScalesToEightRanks) {
   FtConfig config{32, 32, 32, 2};
   FtResult result;
-  minimpi::run(8, [&](minimpi::Comm& comm) { result = ft_run(comm, config); });
+  minimpi::run(8, [&](minimpi::Comm& comm) {
+    FtResult mine = ft_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   EXPECT_TRUE(ft_verify(result, config).passed);
 }
 

@@ -1,16 +1,20 @@
 // Streaming pipeline: source/stage/sink plumbing, bounded batches,
-// multi-rank fan-in, and byte-identical equivalence with the batch
-// path. The multi-rank golden test is the paper's parallel-hot-spot
-// workflow: four per-rank traces, one streaming pass, output pinned
-// against the batch parser run over the concatenated, aligned trace.
+// multi-rank fan-in, cross-node ordering against the seed oracle, and
+// byte-identical equivalence of the file, in-memory and fan-in sources.
+// The multi-rank golden test is the paper's parallel-hot-spot workflow:
+// four per-rank traces, one streaming pass, output pinned against the
+// in-memory parser run over the concatenated raw trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.hpp"
@@ -24,6 +28,7 @@
 #include "report/json.hpp"
 #include "report/series.hpp"
 #include "report/stdout_format.hpp"
+#include "telemetry/metrics.hpp"
 #include "trace/align.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
@@ -77,7 +82,7 @@ Trace rank_trace(std::uint16_t rank, std::uint64_t skew) {
   return t;
 }
 
-/// The batch-path reference for a multi-rank run: concatenate the
+/// The in-memory reference for a multi-rank run: concatenate the
 /// per-rank traces in path order (metadata via TraceHeader::append,
 /// record vectors appended) — what `cat`-style merging would produce.
 Trace concatenated(const std::vector<Trace>& ranks) {
@@ -102,6 +107,49 @@ Trace sorted_single_trace() {
   t.sort_by_time();
   return t;
 }
+
+/// Records equal field by field (the structs define no operator==).
+void expect_same_records(const std::vector<FnEvent>& got,
+                         const std::vector<FnEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tsc, want[i].tsc) << "event " << i;
+    EXPECT_EQ(got[i].addr, want[i].addr) << "event " << i;
+    EXPECT_EQ(got[i].thread_id, want[i].thread_id) << "event " << i;
+    EXPECT_EQ(got[i].node_id, want[i].node_id) << "event " << i;
+  }
+}
+
+void expect_same_records(const std::vector<TempSample>& got,
+                         const std::vector<TempSample>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tsc, want[i].tsc) << "sample " << i;
+    EXPECT_EQ(got[i].node_id, want[i].node_id) << "sample " << i;
+    EXPECT_EQ(got[i].temp_c, want[i].temp_c) << "sample " << i;
+  }
+}
+
+/// The reference order: the seed aligner's rewrite and stable sort. A
+/// trace without syncs is one clock domain, stable-sorted as recorded.
+Trace oracle_of(Trace t) {
+  parser::reference::align_clocks_seed(&t);
+  parser::reference::sort_by_time_seed(&t);
+  return t;
+}
+
+/// Every record a run delivers, in order.
+class CollectingSink : public pipeline::BatchSink {
+ public:
+  Status on_batch(const pipeline::TraceMeta& /*meta*/,
+                  const pipeline::EventBatch& batch) override {
+    events.insert(events.end(), batch.fn_events.begin(), batch.fn_events.end());
+    samples.insert(samples.end(), batch.temp_samples.begin(), batch.temp_samples.end());
+    return Status::ok();
+  }
+  std::vector<FnEvent> events;
+  std::vector<TempSample> samples;
+};
 
 TEST(ChunkedTraceSource, StreamsWholeTraceInBoundedBatches) {
   const Trace t = sorted_single_trace();
@@ -171,6 +219,8 @@ TEST(ChunkedTraceSource, TrailingBytesRejected) {
 }
 
 TEST(OrderCheckStage, RejectsOutOfOrderStream) {
+  // A stream out of time order within the window is restored, not
+  // rejected: the swapped trace comes out as the oracle's stable sort.
   Trace t = sorted_single_trace();
   std::swap(t.fn_events.front(), t.fn_events.back());  // break the order
   const std::string path = temp_path("unsorted.trace");
@@ -180,10 +230,340 @@ TEST(OrderCheckStage, RejectsOutOfOrderStream) {
   ASSERT_TRUE(opened.is_ok()) << opened.message();
   auto source = std::move(opened).value();
   pipeline::OrderCheckStage order;
+  CollectingSink collected;
+  const Status ran = pipeline::run_pipeline(&source, {&order}, {&collected});
+  ASSERT_TRUE(ran) << ran.message();
+  const Trace oracle = oracle_of(t);
+  expect_same_records(collected.events, oracle.fn_events);
+  expect_same_records(collected.samples, oracle.temp_samples);
+}
+
+/// First index where two record runs differ, field by field; the run
+/// length when one is a prefix of the other; -1 when equal.
+template <typename Record>
+long first_difference(const std::vector<Record>& got, const std::vector<Record>& want) {
+  const auto same = [](const Record& a, const Record& b) {
+    if constexpr (std::is_same_v<Record, FnEvent>) {
+      return a.tsc == b.tsc && a.addr == b.addr && a.thread_id == b.thread_id &&
+             a.node_id == b.node_id && a.kind == b.kind;
+    } else {
+      return a.tsc == b.tsc && a.temp_c == b.temp_c && a.node_id == b.node_id &&
+             a.sensor_id == b.sensor_id;
+    }
+  };
+  const std::size_t n = std::min(got.size(), want.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!same(got[i], want[i])) return static_cast<long>(i);
+  }
+  return got.size() == want.size() ? -1 : static_cast<long>(n);
+}
+
+/// Runs `source` through `stages` and holds the output to `oracle`.
+void expect_oracle_order(pipeline::Source* source,
+                         const std::vector<pipeline::Stage*>& stages,
+                         const Trace& oracle) {
+  CollectingSink collected;
+  const Status ran = pipeline::run_pipeline(source, stages, {&collected});
+  ASSERT_TRUE(ran) << ran.message();
+  EXPECT_EQ(first_difference(collected.events, oracle.fn_events), -1);
+  EXPECT_EQ(first_difference(collected.samples, oracle.temp_samples), -1);
+}
+
+/// A random run for the ordering property: per recording node, its
+/// metadata, clock syncs and records in its own time order.
+///
+/// Each node's clock runs against the global one with a pure offset (an
+/// exact fit, so records on the shared 8-tick grid tie exactly across
+/// nodes after alignment) or an offset plus drift with noisy syncs. Two
+/// threads per node run nested calls; samples fall on the same grid.
+/// Optionally a listed node never records, and a node missing from the
+/// metadata (no syncs: one clock with the global) records from global
+/// tick 0, ahead of every other node in any order.
+std::vector<Trace> random_ordering_nodes(std::mt19937_64* rng, int nodes, bool silent,
+                                         bool unlisted) {
+  std::vector<Trace> out;
+  const auto pick = [rng](std::uint64_t n) { return (*rng)() % n; };
+  for (int n = 0; n < nodes; ++n) {
+    const auto node = static_cast<std::uint16_t>(n);
+    Trace t;
+    t.tsc_ticks_per_second = 1e9;
+    t.nodes = {{node, "n" + std::to_string(n)}};
+    t.sensors = {{node, 0, "cpu", 1.0}};
+    const std::uint32_t tid = 2u * static_cast<std::uint32_t>(n);
+    t.threads = {{tid, node, 0}, {tid + 1, node, 1}};
+    const bool pure = pick(2) == 0;
+    const double offset = static_cast<double>(pick(64) * 80);
+    const double drift = pure ? 0.0 : static_cast<double>(pick(201)) * 1e-6 - 1e-4;
+    const auto local = [&](std::uint64_t g) {
+      return static_cast<std::uint64_t>(static_cast<double>(g) * (1.0 + drift) + offset);
+    };
+    for (std::uint64_t g = 0; g <= 40'000; g += 10'000) {
+      t.clock_syncs.push_back({local(g), g + (pure ? 0 : pick(3)), node});
+    }
+    std::vector<std::pair<std::uint64_t, FnEvent>> events;  // (global, record)
+    for (std::uint32_t th = tid; th < tid + 2; ++th) {
+      std::uint64_t g = 96 + 8 * pick(4);
+      for (int call = 0; call < 40; ++call) {
+        const std::uint64_t outer = 0x1000 + pick(4) * 0x40, inner = 0x2000 + pick(4) * 0x40;
+        const std::pair<std::uint64_t, FnEventKind> steps[] = {
+            {outer, FnEventKind::kEnter}, {inner, FnEventKind::kEnter},
+            {inner, FnEventKind::kExit}, {outer, FnEventKind::kExit}};
+        for (const auto& [addr, kind] : steps) {
+          events.push_back({g, {local(g), addr, th, node, kind}});
+          g += 8 * (1 + pick(3));
+        }
+      }
+    }
+    std::stable_sort(events.begin(), events.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [g, e] : events) t.fn_events.push_back(e);
+    for (std::uint64_t g = 96 + 8 * pick(8); g < 4'000; g += 8 * (4 + pick(4))) {
+      t.temp_samples.push_back({local(g), 40.0 + static_cast<double>(pick(100)), node, 0});
+    }
+    out.push_back(std::move(t));
+  }
+  if (silent) {
+    Trace t;
+    t.tsc_ticks_per_second = 1e9;
+    t.nodes = {{100, "silent"}};
+    t.sensors = {{100, 0, "cpu", 1.0}};
+    t.threads = {{100, 100, 0}};
+    out.push_back(std::move(t));
+  }
+  if (unlisted) {
+    Trace t;  // records only: no node, thread or sensor entry
+    t.tsc_ticks_per_second = 1e9;
+    for (std::uint64_t g = 0; g < 2'000; g += 16) {
+      t.fn_events.push_back({g, 0x3000, 200, 200,
+                             g % 32 == 0 ? FnEventKind::kEnter : FnEventKind::kExit});
+    }
+    for (std::uint64_t g = 0; g < 4'000; g += 200) {
+      t.temp_samples.push_back({g, 50.0, 200, 0});
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+enum class Interleave { kRawTsc, kAligned, kRandom };
+
+/// One file's records from per-node runs: in raw-tsc order (as the
+/// recorder writes them), in aligned order, or in a random order that
+/// keeps each node in order and starts with the unlisted node.
+template <typename Record>
+std::vector<Record> interleave(const std::vector<std::vector<Record>>& per_node,
+                               const ClockMap& clocks, Interleave mode,
+                               std::mt19937_64* rng) {
+  std::vector<Record> out;
+  if (mode == Interleave::kRandom) {
+    std::vector<std::size_t> next(per_node.size(), 0);
+    std::vector<std::size_t> live;
+    for (std::size_t n = 0; n < per_node.size(); ++n) {
+      if (!per_node[n].empty()) live.push_back(n);
+    }
+    bool first = true;
+    while (!live.empty()) {
+      // The unlisted node is last in per_node and must open its lane
+      // before another node's release can pass it.
+      const std::size_t slot =
+          first && per_node.back().size() > 0 && per_node.back().front().node_id == 200
+              ? live.size() - 1
+              : (*rng)() % live.size();
+      first = false;
+      const std::size_t n = live[slot];
+      out.push_back(per_node[n][next[n]++]);
+      if (next[n] == per_node[n].size()) live.erase(live.begin() + static_cast<long>(slot));
+    }
+    return out;
+  }
+  for (const auto& records : per_node) out.insert(out.end(), records.begin(), records.end());
+  const auto key = [&](const Record& r) {
+    return mode == Interleave::kAligned ? clocks.to_global(r.node_id, r.tsc) : r.tsc;
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&](const Record& a, const Record& b) { return key(a) < key(b); });
+  return out;
+}
+
+TEST(OrderCheckStage, MatchesSeedOrderAcrossSourcesAndBatchSizes) {
+  // The property behind the one analysis path: whatever order a source
+  // delivers (raw tsc as recorded, already aligned, or any order that
+  // keeps each node in order) and however it is batched, the aligned
+  // stream leaves OrderCheckStage as the seed aligner's stable sort,
+  // field by field — through ChunkedTraceSource, MemoryTraceSource and,
+  // one file per node, RankFanIn.
+  std::mt19937_64 rng(2007);
+  std::size_t cross_node_ties = 0;
+  for (int run = 0; run < 18; ++run) {
+    const int nodes = 1 + run % 8;
+    const bool silent = run % 3 == 1, unlisted = run % 2 == 1;
+    const std::vector<Trace> parts = random_ordering_nodes(&rng, nodes, silent, unlisted);
+
+    Trace file;
+    std::vector<std::vector<FnEvent>> events;
+    std::vector<std::vector<TempSample>> samples;
+    for (const Trace& part : parts) {
+      file.append(part);
+      file.clock_syncs.insert(file.clock_syncs.end(), part.clock_syncs.begin(),
+                              part.clock_syncs.end());
+      events.push_back(part.fn_events);
+      samples.push_back(part.temp_samples);
+    }
+    const ClockMap clocks(fit_clocks(file.clock_syncs));
+    for (const Interleave mode :
+         {Interleave::kRawTsc, Interleave::kAligned, Interleave::kRandom}) {
+      SCOPED_TRACE("run " + std::to_string(run) + ", " + std::to_string(nodes) +
+                   " node(s), order " + std::to_string(static_cast<int>(mode)));
+      file.fn_events = interleave(events, clocks, mode, &rng);
+      file.temp_samples = interleave(samples, clocks, mode, &rng);
+      const Trace oracle = oracle_of(file);
+      for (std::size_t i = 1; i < oracle.fn_events.size(); ++i) {
+        cross_node_ties += oracle.fn_events[i].tsc == oracle.fn_events[i - 1].tsc &&
+                           oracle.fn_events[i].node_id != oracle.fn_events[i - 1].node_id;
+      }
+      const std::string path = temp_path("ordering.trace");
+      ASSERT_TRUE(write_trace_file(path, file));
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{37},
+                                      pipeline::kDefaultBatchRecords}) {
+        SCOPED_TRACE("batch_records " + std::to_string(batch));
+        pipeline::TraceInput from_file;
+        ASSERT_TRUE(from_file.open({path}, true, 1, {batch}));
+        CollectingSink got;
+        ASSERT_TRUE(from_file.run({&got}));
+        EXPECT_EQ(first_difference(got.events, oracle.fn_events), -1);
+        EXPECT_EQ(first_difference(got.samples, oracle.temp_samples), -1);
+
+        pipeline::TraceInput in_memory;
+        in_memory.open(file, true, {batch});
+        CollectingSink got_memory;
+        ASSERT_TRUE(in_memory.run({&got_memory}));
+        EXPECT_EQ(first_difference(got_memory.events, oracle.fn_events), -1);
+        EXPECT_EQ(first_difference(got_memory.samples, oracle.temp_samples), -1);
+      }
+    }
+
+    // One file per node, merged by the fan-in: ties go to the lower
+    // path, as in a stable sort of the concatenation.
+    std::vector<std::string> paths;
+    for (std::size_t r = 0; r < parts.size(); ++r) {
+      paths.push_back(temp_path("ordering_rank" + std::to_string(r) + ".trace"));
+      ASSERT_TRUE(write_trace_file(paths.back(), parts[r]));
+    }
+    const Trace fan_oracle = oracle_of(concatenated(parts));
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{37},
+                                    pipeline::kDefaultBatchRecords}) {
+      SCOPED_TRACE("run " + std::to_string(run) + " fan-in, batch_records " +
+                   std::to_string(batch));
+      auto opened = pipeline::RankFanIn::open(paths, {batch});
+      ASSERT_TRUE(opened.is_ok()) << opened.message();
+      auto fan = std::move(opened).value();
+      pipeline::OrderCheckStage order;
+      expect_oracle_order(&fan, {&order}, fan_oracle);
+    }
+  }
+  EXPECT_GT(cross_node_ties, 0u);  // exact ties between nodes were exercised
+}
+
+TEST(OrderCheckStage, HoldsBackEachNodesLatestRecord) {
+  // One node whose thread 0 exit (tsc 300) is written before its enter
+  // (200). Release is strictly below W, so each node's latest record
+  // stays held and the enter, arriving next, still sorts ahead of it —
+  // even one record per batch.
+  Trace t = sorted_single_trace();
+  t.clock_syncs.clear();
+  t.fn_events = {{100, 0x2000, 1, 0, FnEventKind::kEnter},
+                 {300, 0x1000, 0, 0, FnEventKind::kExit},
+                 {200, 0x1000, 0, 0, FnEventKind::kEnter},
+                 {400, 0x2000, 1, 0, FnEventKind::kExit}};
+  const Trace oracle = oracle_of(t);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                  pipeline::kDefaultBatchRecords}) {
+    SCOPED_TRACE("batch_records " + std::to_string(batch));
+    pipeline::MemoryTraceSource source(t, {batch});
+    pipeline::OrderCheckStage order;
+    expect_oracle_order(&source, {&order}, oracle);
+  }
+}
+
+TEST(OrderCheckStage, BoundStopsASilentListedNode) {
+  // Node 1 is listed but never records, so it pins W at zero. Past
+  // 2^20 held records it stops counting and node 0's events flow; the
+  // window never holds more than the bound. A record from node 1 that
+  // then lands behind released output fails the run and names it.
+  constexpr std::size_t kBound = pipeline::OrderCheckStage::kMaxHeldRecords;
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  t.nodes = {{0, "busy"}, {1, "silent"}};
+  t.threads = {{0, 0, 0}, {1, 1, 0}};
+  const std::size_t n = kBound + 2 * pipeline::kDefaultBatchRecords;
+  t.fn_events.reserve(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.fn_events.push_back({1000 + i, 0x1000, 0, 0,
+                           i % 2 == 0 ? FnEventKind::kEnter : FnEventKind::kExit});
+  }
+  {
+    tempest::telemetry::metrics().reset();
+    pipeline::MemoryTraceSource source(t);
+    pipeline::OrderCheckStage order;
+    pipeline::CountingSink counter;
+    const Status ran = pipeline::run_pipeline(&source, {&order}, {&counter});
+    ASSERT_TRUE(ran) << ran.message();
+    EXPECT_EQ(counter.fn_events(), n);
+    const std::int64_t held = tempest::telemetry::metrics().snapshot().gauge(
+        tempest::telemetry::Gauge::kPipelineOrderHeldMax);
+    EXPECT_LE(held, static_cast<std::int64_t>(kBound));
+    EXPECT_GT(held, static_cast<std::int64_t>(kBound / 2));  // held until the bound
+  }
+  t.fn_events.push_back({1500, 0x2000, 1, 1, FnEventKind::kEnter});
+  pipeline::MemoryTraceSource source(t);
+  pipeline::OrderCheckStage order;
   pipeline::CountingSink counter;
   const Status ran = pipeline::run_pipeline(&source, {&order}, {&counter});
   ASSERT_FALSE(ran);
-  EXPECT_NE(ran.message().find("time order"), std::string::npos) << ran.message();
+  EXPECT_NE(ran.message().find("node 1 "), std::string::npos) << ran.message();
+  EXPECT_NE(ran.message().find(" s behind"), std::string::npos) << ran.message();
+  EXPECT_NE(ran.message().find(std::to_string(kBound)), std::string::npos)
+      << ran.message();
+}
+
+/// Four nodes, one thread each, taking turns on a 10-tick grid, with
+/// node n's clock 1000 * n ticks ahead of the global one; `raw` writes
+/// them in recorded-tsc order, otherwise in global order.
+Trace round_robin_trace(bool raw) {
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  for (std::uint16_t n = 0; n < 4; ++n) {
+    t.nodes.push_back({n, "n" + std::to_string(n)});
+    t.sensors.push_back({n, 0, "cpu", 1.0});
+    t.threads.push_back({n, n, 0});
+    t.clock_syncs.push_back({1000u * n, 0, n});
+    t.clock_syncs.push_back({1000u * n + 100'000, 100'000, n});
+  }
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    for (std::uint16_t n = 0; n < 4; ++n) {
+      const std::uint64_t g = 100 + 40 * i + 10 * n;
+      t.fn_events.push_back({g + 1000u * n, 0x1000, n, n,
+                             i % 2 == 0 ? FnEventKind::kEnter : FnEventKind::kExit});
+      if (i % 10 == 0) t.temp_samples.push_back({g + 1000u * n, 45.0, n, 0});
+    }
+  }
+  if (raw) t.sort_by_time();  // by recorded tsc
+  return t;
+}
+
+TEST(OrderCheckStage, HeldGaugeTracksTheWindow) {
+  namespace telemetry = tempest::telemetry;
+  const auto held_max = [](const Trace& t) {
+    telemetry::metrics().reset();
+    pipeline::TraceInput input;
+    input.open(t, true, {256});
+    pipeline::CountingSink counter;
+    EXPECT_TRUE(input.run({&counter}));
+    return telemetry::metrics().snapshot().gauge(telemetry::Gauge::kPipelineOrderHeldMax);
+  };
+  EXPECT_LE(held_max(round_robin_trace(false)), 64);
+  EXPECT_GT(held_max(round_robin_trace(true)), 64);
 }
 
 TEST(MemoryTraceSource, MatchesChunkedSource) {
@@ -208,7 +588,7 @@ TEST(MemoryTraceSource, MatchesChunkedSource) {
 }
 
 /// Render a profile + series exactly as tempest_parse does, for byte
-/// comparison between the batch and streaming paths.
+/// comparison between the in-memory and streaming sources.
 struct Rendered {
   std::string text, json, csv;
 };
@@ -237,22 +617,25 @@ Rendered render_streaming(pipeline::Source* source,
   return render(sink.result().profile, sink.result().series);
 }
 
+/// The in-memory entry point over a whole loaded trace, with the series.
+Rendered render_in_memory(const Trace& t) {
+  pipeline::AnalysisOptions options;
+  options.want_series = true;
+  auto analyzed = pipeline::analyze_trace(t, options);
+  EXPECT_TRUE(analyzed.is_ok()) << analyzed.message();
+  if (!analyzed.is_ok()) return {};
+  return render(analyzed.value().profile, analyzed.value().series);
+}
+
 TEST(StreamingEquivalence, SingleFileMatchesBatchPath) {
   const Trace t = sorted_single_trace();
   const std::string path = temp_path("equiv.trace");
   ASSERT_TRUE(write_trace_file(path, t));
 
-  // Batch: the tool's load + parse + extract_series path.
+  // In memory: the whole file loaded, then analyze_trace.
   auto loaded = read_trace_file(path);
   ASSERT_TRUE(loaded.is_ok());
-  Trace batch_trace = std::move(loaded).value();
-  const Status aligned = align_clocks(&batch_trace);
-  ASSERT_TRUE(aligned) << aligned.message();
-  auto parsed = parser::parse_trace(batch_trace);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
-  const Rendered batch = render(
-      parsed.value(),
-      report::extract_series(batch_trace, TempUnit::kFahrenheit));
+  const Rendered batch = render_in_memory(loaded.value());
 
   // Streaming: chunked source (tiny batches) + align + order check.
   pipeline::BatchOptions options;
@@ -331,16 +714,10 @@ TEST(StreamingEquivalence, FourRankFanInMatchesConcatenatedBatch) {
     ASSERT_TRUE(write_trace_file(paths.back(), ranks.back()));
   }
 
-  // Batch reference: concatenate, align (fits from the concatenated
-  // sync stream), sort, parse — the workflow the fan-in replaces.
-  Trace combined = concatenated(ranks);
-  const Status aligned = align_clocks(&combined);
-  ASSERT_TRUE(aligned) << aligned.message();
-  auto parsed = parser::parse_trace(combined);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
-  const Rendered batch = render(
-      parsed.value(),
-      report::extract_series(combined, TempUnit::kFahrenheit));
+  // In-memory reference: the concatenated raw trace (fits from the
+  // concatenated sync stream), aligned and ordered by the in-memory
+  // path — the workflow the fan-in replaces.
+  const Rendered batch = render_in_memory(concatenated(ranks));
 
   // Streaming: one pass over the four files.
   pipeline::BatchOptions options;
@@ -440,43 +817,20 @@ TEST(RankFanIn, MergesFullyDisjointTscRanges) {
   ASSERT_TRUE(opened.is_ok()) << opened.message();
   auto fan = std::move(opened).value();
 
-  pipeline::OrderCheckStage order;  // fails on any cross-rank inversion
-  pipeline::CountingSink counter;
+  pipeline::OrderCheckStage order;
+  CollectingSink counter;
   const Status ran = pipeline::run_pipeline(&fan, {&order}, {&counter});
   ASSERT_TRUE(ran) << ran.message();
-  EXPECT_EQ(counter.fn_events(),
-            early.fn_events.size() + late.fn_events.size());
-  EXPECT_EQ(counter.temp_samples(),
-            early.temp_samples.size() + late.temp_samples.size());
-}
-
-/// Records equal field by field (the structs define no operator==).
-void expect_same_records(const std::vector<FnEvent>& got,
-                         const std::vector<FnEvent>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].tsc, want[i].tsc) << "event " << i;
-    EXPECT_EQ(got[i].addr, want[i].addr) << "event " << i;
-    EXPECT_EQ(got[i].thread_id, want[i].thread_id) << "event " << i;
-    EXPECT_EQ(got[i].node_id, want[i].node_id) << "event " << i;
-  }
-}
-
-void expect_same_records(const std::vector<TempSample>& got,
-                         const std::vector<TempSample>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].tsc, want[i].tsc) << "sample " << i;
-    EXPECT_EQ(got[i].node_id, want[i].node_id) << "sample " << i;
-    EXPECT_EQ(got[i].temp_c, want[i].temp_c) << "sample " << i;
-  }
+  const Trace oracle = oracle_of(concatenated({early, late}));
+  expect_same_records(counter.events, oracle.fn_events);
+  expect_same_records(counter.samples, oracle.temp_samples);
 }
 
 TEST(ClockMap, MatchesFitClocksOverSparseNodeIds) {
   // Random fit sets over sparse node ids, with records on fitted and
   // unfitted nodes at tsc values near 0 (where the fit goes negative
-  // and clamps) and near 2^63: the dense table, the streaming stage and
-  // the batch aligner must all agree with each fit_clocks entry's
+  // and clamps) and near 2^63: the dense table, the align stage and the
+  // in-memory analysis path must all agree with each fit_clocks entry's
   // to_global and with the map-based oracle, and leave records on
   // nodes without a fit untouched.
   const std::vector<std::uint16_t> fitted_ids = {0, 1, 37, 4095, 65535};
@@ -545,12 +899,14 @@ TEST(ClockMap, MatchesFitClocksOverSparseNodeIds) {
     expect_same_records(batch.temp_samples, want_samples);
     EXPECT_TRUE(batch.clock_syncs.empty());  // consumed whenever present
 
-    Trace oracle = t;
-    parser::reference::align_clocks_seed(&oracle);
-    ASSERT_TRUE(align_clocks(&t));
-    expect_same_records(t.fn_events, oracle.fn_events);
-    expect_same_records(t.temp_samples, oracle.temp_samples);
-    EXPECT_TRUE(t.clock_syncs.empty());
+    const Trace oracle = oracle_of(t);
+    pipeline::MemoryTraceSource source(t);
+    pipeline::ClockAlignStage align(fits);
+    pipeline::OrderCheckStage order;
+    CollectingSink collected;
+    ASSERT_TRUE(pipeline::run_pipeline(&source, {&align, &order}, {&collected}));
+    expect_same_records(collected.events, oracle.fn_events);
+    expect_same_records(collected.samples, oracle.temp_samples);
   }
   EXPECT_GT(clamped, 0u);  // the <= 0 clamp was exercised
 }
@@ -597,9 +953,9 @@ Trace drifted_rank_trace(std::uint16_t node, std::uint32_t first_tid, double dri
 }
 
 TEST(ClockMap, ThreeRankDriftedTraceMatchesMapOracle) {
-  // align_clocks, ClockAlignStage and RankFanIn over one drifted
+  // The in-memory path, ClockAlignStage and RankFanIn over one drifted
   // three-rank run (sparse node ids, noisy syncs) against the map-based
-  // oracle: the same aligned timestamps, and for the two sorting paths
+  // oracle: the same aligned timestamps, and for the two ordering paths
   // the same stable global order.
   std::mt19937_64 rng(15);
   const std::vector<Trace> ranks = {
@@ -612,13 +968,14 @@ TEST(ClockMap, ThreeRankDriftedTraceMatchesMapOracle) {
     ASSERT_TRUE(write_trace_file(paths.back(), ranks[r]));
   }
   const Trace combined = concatenated(ranks);
-  Trace oracle = combined;
-  parser::reference::align_clocks_seed(&oracle);
+  const Trace oracle = oracle_of(combined);
 
-  Trace batch_path = combined;
-  ASSERT_TRUE(align_clocks(&batch_path));
-  expect_same_records(batch_path.fn_events, oracle.fn_events);
-  expect_same_records(batch_path.temp_samples, oracle.temp_samples);
+  pipeline::TraceInput in_memory;
+  in_memory.open(combined);
+  CollectingSink collected;
+  ASSERT_TRUE(in_memory.run({&collected}));
+  expect_same_records(collected.events, oracle.fn_events);
+  expect_same_records(collected.samples, oracle.temp_samples);
 
   const auto fits = fit_clocks(combined.clock_syncs);
   std::vector<FnEvent> want_events = combined.fn_events;

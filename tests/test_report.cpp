@@ -1,9 +1,12 @@
-// Report formats: the Fig 2a standard output layout, CSV series,
-// ASCII plots, JSON.
+// Report formats: the Fig 2a standard output layout, CSV series (built
+// by the analysis pass), ASCII plots, JSON.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "pipeline/analysis.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/json.hpp"
 #include "report/series.hpp"
@@ -108,8 +111,20 @@ trace::Trace series_trace() {
   return t;
 }
 
+/// The thermal series the analysis pass builds beside the profile.
+ThermalSeries series_of(const trace::Trace& t, TempUnit unit,
+                        const std::vector<std::string>& span_functions = {}) {
+  pipeline::AnalysisOptions options;
+  options.profile.unit = unit;
+  options.want_series = true;
+  options.span_functions = span_functions;
+  auto analyzed = pipeline::analyze_trace(t, options);
+  EXPECT_TRUE(analyzed.is_ok()) << analyzed.message();
+  return analyzed.is_ok() ? std::move(analyzed).value().series : ThermalSeries{};
+}
+
 TEST(Series, ExtractsPerNodeCurvesAndSpans) {
-  const auto series = extract_series(series_trace(), TempUnit::kCelsius, {"phase1"});
+  const auto series = series_of(series_trace(), TempUnit::kCelsius, {"phase1"});
   ASSERT_EQ(series.sensors.size(), 2u);
   EXPECT_EQ(series.sensors[0].node_name, "node1");
   EXPECT_EQ(series.sensors[0].points.size(), 8u);
@@ -122,13 +137,13 @@ TEST(Series, ExtractsPerNodeCurvesAndSpans) {
 }
 
 TEST(Series, FahrenheitConversionAppliesToPoints) {
-  const auto series = extract_series(series_trace(), TempUnit::kFahrenheit);
+  const auto series = series_of(series_trace(), TempUnit::kFahrenheit);
   EXPECT_DOUBLE_EQ(series.sensors[0].points.front().temp, 86.0);
   EXPECT_TRUE(series.spans.empty());  // no names requested
 }
 
 TEST(Series, CsvHasHeaderRowsAndSpans) {
-  const auto series = extract_series(series_trace(), TempUnit::kCelsius, {"phase1"});
+  const auto series = series_of(series_trace(), TempUnit::kCelsius, {"phase1"});
   std::ostringstream out;
   write_series_csv(out, series);
   const std::string text = out.str();
@@ -138,7 +153,7 @@ TEST(Series, CsvHasHeaderRowsAndSpans) {
 }
 
 TEST(AsciiPlot, RendersChartsPerNode) {
-  const auto series = extract_series(series_trace(), TempUnit::kFahrenheit, {"phase1"});
+  const auto series = series_of(series_trace(), TempUnit::kFahrenheit, {"phase1"});
   std::ostringstream out;
   plot_series(out, series);
   const std::string text = out.str();
