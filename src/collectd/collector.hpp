@@ -1,37 +1,35 @@
 // The tempest-collectd collector: sharded live ingestion of recording
 // sessions plus an HTTP/1.0 JSON query plane.
 //
-// Architecture (DESIGN.md §14):
+// Architecture (DESIGN.md §14). Each decision about peer bytes is a
+// pure function, testable without a socket, in one of three planes:
+// ingest (wire.hpp's read_frame cuts frames), fold (session_fold.hpp's
+// SessionFold runs the session protocol) and query (net.hpp parses
+// HTTP). This file keeps the rest:
 //
-//   * One non-blocking poll() IO thread owns every socket: the ingest
-//     and HTTP listeners, accepted connections, and a self-pipe the
-//     fold shards use to wake it. It parses frames off ingest
-//     connections and enqueues them — it never folds, so a slow fold
-//     cannot stall accept/heartbeat traffic.
-//   * K fold shards, each a worker thread with a bounded frame queue.
-//     A session is pinned to shard (session_id % K), so all of a
-//     session's frames fold on one thread with no fold-side locking.
-//     Each session folds through its own AnalysisPipeline — the same
-//     incremental TimelineAccumulator/ProfileAssembler core the offline
-//     parser uses — so collector memory is O(timeline + samples) per
+//   * One non-blocking poll() IO thread owns every socket: listeners,
+//     accepted connections, and a self-pipe the fold shards wake it
+//     with. It enqueues frames and never folds, so a slow fold cannot
+//     stall accept/heartbeat traffic.
+//   * K fold shards, each a thread with a bounded frame queue and one
+//     unpack scratch. A session is pinned to shard (session_id % K), so
+//     its frames fold in FIFO order on one thread with no fold-side
+//     locking, through the incremental analysis core the offline
+//     parser uses: O(functions + samples + open activations) per
 //     session, never O(events).
 //   * Backpressure: when a session's shard queue is full, the IO
 //     thread stops reading that connection (kernel socket buffers push
 //     back to the sender) and resumes once the shard drains below half.
-//   * Disconnect semantics: only a session that completed its BYE is
-//     folded into the fleet rollup. A connection lost, timed out, or
+//   * Disconnects: only a session that completed its BYE is folded
+//     into the fleet rollup. A connection lost, timed out, or
 //     protocol-errored before BYE aborts the session — its partial fold
 //     is discarded and counted, never silently merged.
-//   * Sessions fold in their own clock domain (the fleet shape is one
-//     single-clock session per host). Sync records are accepted and
-//     retained for skew diagnostics but timestamps are not rewritten:
-//     re-sorting an aligned multi-node stream would need unbounded
-//     buffering, and per-function totals are alignment-invariant (calls
-//     exactly, times to the fitted-drift ppm). This mirrors the
-//     offline `tempest_parse --no-align` fold.
+//   * The session table: after each frame the shard publishes the
+//     session's counters, HELLO and parsed last heartbeat, which
+//     /sessions and /top render.
 //
 // The query plane serves /healthz, /sessions, /profile?top=N,
-// /runstats, /metrics (the PR-4 registry snapshot), and /top (a
+// /runstats, /metrics (the registry snapshot), and /top (a
 // heartbeat-schema aggregate across live sessions for
 // `tempest-top --connect`).
 #pragma once
@@ -41,6 +39,7 @@
 #include <memory>
 #include <string>
 
+#include "collectd/net.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "parser/profile.hpp"
@@ -70,7 +69,8 @@ struct CollectorOptions {
   /// Reap connections idle this long (slow-loris guard; also applies
   /// to ingest sessions that stop sending without BYE). Connections
   /// paused for shard backpressure are exempt — they are waiting on
-  /// us, not silent.
+  /// us, not silent. start() refuses a value outside
+  /// cli::check_seconds's range.
   double idle_timeout_s = 30.0;
   /// Retain at most this many folded/aborted sessions in the /sessions
   /// detail map; the oldest beyond the cap are reaped so a long-running
@@ -131,17 +131,11 @@ class Collector {
   /// Current fleet rollup (folded sessions only).
   FleetSnapshot fleet() const;
 
-  /// Serve one query-plane target (e.g. "/profile?top=5") without a
-  /// socket. Returns the HTTP status code and fills *body.
-  int handle_query(const std::string& target, std::string* body) const;
-
-  /// As above with content negotiation: `accept` is the request's
-  /// Accept header value ("" = any), and *content_type receives the
-  /// media type of the response (/metrics serves Prometheus text when
-  /// the query says format=prometheus or the Accept header prefers
-  /// text/plain; everything else is application/json).
-  int handle_query(const std::string& target, const std::string& accept,
-                   std::string* body, std::string* content_type) const;
+  /// Serve one query-plane request (e.g. {"/profile?top=5"}) without a
+  /// socket: the reply the HTTP listener would send. /metrics serves
+  /// Prometheus text when the target says format=prometheus or the
+  /// Accept value prefers text/plain; everything else is JSON.
+  HttpReply handle_query(const HttpRequest& request) const;
 
  private:
   struct Impl;

@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,8 +17,39 @@
 namespace tempest::collectd {
 namespace {
 
+constexpr std::string_view kHeadEnd = "\r\n\r\n";
+
 Status errno_status(const std::string& what) {
   return Status::error(what + ": " + std::strerror(errno));
+}
+
+/// Close `fd` after a failed call; the error names `what` and errno.
+Result<int> close_failed(int fd, const std::string& what) {
+  const Status s = errno_status(what);
+  ::close(fd);
+  return Result<int>::error(s.message());
+}
+
+/// Value of the first `name:` header in an HTTP head (the start line,
+/// then CRLF-separated headers, without the blank line), trimmed of
+/// blanks; "" when absent.
+std::string_view header_value(std::string_view head, std::string_view name) {
+  constexpr auto npos = std::string_view::npos;
+  for (std::size_t eol = head.find("\r\n"); eol != npos;) {
+    const std::size_t begin = eol + 2;
+    eol = head.find("\r\n", begin);
+    const std::string_view line =
+        head.substr(begin, eol == npos ? npos : eol - begin);
+    if (line.find(':') != name.size() ||
+        ::strncasecmp(line.data(), name.data(), name.size()) != 0) {
+      continue;
+    }
+    const std::string_view value = line.substr(name.size() + 1);
+    const std::size_t first = value.find_first_not_of(" \t");
+    if (first == npos) return {};
+    return value.substr(first, value.find_last_not_of(" \t") + 1 - first);
+  }
+  return {};
 }
 
 Result<int> finish_connect(int fd, double timeout_s, const std::string& what) {
@@ -95,9 +127,7 @@ Result<int> connect_endpoint(const Endpoint& ep, double timeout_s) {
     }
     if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 &&
         errno != EINPROGRESS && errno != EAGAIN) {
-      const Status s = errno_status("uds connect " + ep.path);
-      ::close(fd);
-      return Result<int>::error(s.message());
+      return close_failed(fd, "uds connect " + ep.path);
     }
     return finish_connect(fd, timeout_s, "uds connect " + ep.path);
   }
@@ -121,9 +151,7 @@ Result<int> connect_endpoint(const Endpoint& ep, double timeout_s) {
   const int rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
   ::freeaddrinfo(res);
   if (rc != 0 && errno != EINPROGRESS && errno != EAGAIN) {
-    const Status s = errno_status("tcp connect " + ep.host + ":" + port_str);
-    ::close(fd);
-    return Result<int>::error(s.message());
+    return close_failed(fd, "tcp connect " + ep.host + ":" + port_str);
   }
   return finish_connect(fd, timeout_s, "tcp connect " + ep.host + ":" + port_str);
 }
@@ -140,15 +168,9 @@ Result<int> listen_endpoint(const Endpoint& ep, int backlog) {
     if (fd < 0) return Result<int>::error("socket: " + std::string(std::strerror(errno)));
     (void)::unlink(ep.path.c_str());  // stale socket from a dead daemon
     if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const Status s = errno_status("bind " + ep.path);
-      ::close(fd);
-      return Result<int>::error(s.message());
+      return close_failed(fd, "bind " + ep.path);
     }
-    if (::listen(fd, backlog) != 0) {
-      const Status s = errno_status("listen " + ep.path);
-      ::close(fd);
-      return Result<int>::error(s.message());
-    }
+    if (::listen(fd, backlog) != 0) return close_failed(fd, "listen " + ep.path);
     return fd;
   }
 
@@ -166,15 +188,9 @@ Result<int> listen_endpoint(const Endpoint& ep, int backlog) {
   const int one = 1;
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = errno_status("bind " + ep.host + ":" + std::to_string(ep.port));
-    ::close(fd);
-    return Result<int>::error(s.message());
+    return close_failed(fd, "bind " + ep.host + ":" + std::to_string(ep.port));
   }
-  if (::listen(fd, backlog) != 0) {
-    const Status s = errno_status("listen");
-    ::close(fd);
-    return Result<int>::error(s.message());
-  }
+  if (::listen(fd, backlog) != 0) return close_failed(fd, "listen");
   return fd;
 }
 
@@ -236,16 +252,67 @@ Result<std::string> http_get(const std::string& spec, const std::string& target,
     if (response.size() > (std::size_t{16} << 20)) break;  // runaway guard
   }
   ::close(fd);
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
+  HttpReply reply;
+  std::string_view status_line;
+  if (!parse_http_response(response, &reply, &status_line)) {
     return Result<std::string>::error("malformed HTTP response from " + spec);
   }
-  const std::size_t line_end = response.find("\r\n");
-  const std::string status_line = response.substr(0, line_end);
-  if (status_line.find(" 200") == std::string::npos) {
-    return Result<std::string>::error("HTTP error from " + spec + ": " + status_line);
+  if (reply.status != 200) {
+    return Result<std::string>::error("HTTP error from " + spec + ": " +
+                                      std::string(status_line));
   }
-  return response.substr(header_end + 4);
+  return std::move(reply.body);
+}
+
+HttpParse parse_http_request(std::string_view in, HttpRequest* out) {
+  const std::size_t end = in.find(kHeadEnd);
+  if (end == std::string_view::npos) {
+    return in.size() > kMaxHttpRequestBytes ? HttpParse::kTooLarge
+                                            : HttpParse::kIncomplete;
+  }
+  if (end + kHeadEnd.size() > kMaxHttpRequestBytes) return HttpParse::kTooLarge;
+  const std::string_view head = in.substr(0, end);
+  const std::string_view line = head.substr(0, head.find("\r\n"));
+  if (line.substr(0, 4) != "GET ") return HttpParse::kBadMethod;
+  const std::string_view target = line.substr(4);
+  out->target = std::string(target.substr(0, target.find(' ')));
+  out->accept = std::string(header_value(head, "accept"));
+  return HttpParse::kOk;
+}
+
+std::string format_http_response(const HttpReply& reply) {
+  const int code = reply.status;
+  const char* reason = code == 200   ? "OK"
+                       : code == 400 ? "Bad Request"
+                       : code == 405 ? "Method Not Allowed"
+                                     : "Not Found";
+  std::string out = "HTTP/1.0 " + std::to_string(code) + " " + reason +
+                    "\r\nContent-Type: " + reply.content_type +
+                    "\r\nContent-Length: " + std::to_string(reply.body.size()) +
+                    "\r\nConnection: close\r\n\r\n";
+  out += reply.body;
+  return out;
+}
+
+bool parse_http_response(std::string_view in, HttpReply* out,
+                         std::string_view* status_line) {
+  const std::size_t end = in.find(kHeadEnd);
+  if (end == std::string_view::npos) return false;
+  const std::string_view head = in.substr(0, end);
+  const std::string_view line = head.substr(0, head.find("\r\n"));
+  *status_line = line;
+  // "HTTP/1.x" SP 3DIGIT, then SP or the end of the line.
+  const std::size_t at = line.find(' ') + 1;  // 0 when there is none
+  const std::string_view code = line.substr(at, 3);
+  if (line.substr(0, 5) != "HTTP/" || at == 0 || code.size() != 3 ||
+      code.find_first_not_of("0123456789") != std::string_view::npos ||
+      (line.size() > at + 3 && line[at + 3] != ' ')) {
+    return false;
+  }
+  out->status = (code[0] - '0') * 100 + (code[1] - '0') * 10 + (code[2] - '0');
+  out->content_type = std::string(header_value(head, "content-type"));
+  out->body = std::string(in.substr(end + kHeadEnd.size()));
+  return true;
 }
 
 }  // namespace tempest::collectd

@@ -52,17 +52,21 @@ void encode_frame_header(char out[kFrameHeaderBytes], FrameType type,
   }
 }
 
-HeaderParse decode_frame_header(const char* in, FrameType* type,
-                                std::uint32_t* payload_len) {
-  if (in[0] != kFrameMagic0 || in[1] != kFrameMagic1) return HeaderParse::kBadMagic;
+FrameRead read_frame(std::string_view in, std::size_t max_payload, Frame* out) {
+  if (in.size() < kFrameHeaderBytes) return FrameRead::kNeedMore;
+  if (in[0] != kFrameMagic0 || in[1] != kFrameMagic1) return FrameRead::kBadMagic;
   const auto t = static_cast<unsigned char>(in[2]);
   if (t < static_cast<unsigned char>(FrameType::kHello) ||
       t > static_cast<unsigned char>(FrameType::kBye)) {
-    return HeaderParse::kBadType;
+    return FrameRead::kBadType;
   }
-  *type = static_cast<FrameType>(t);
-  *payload_len = get_u32(in + 4);
-  return HeaderParse::kOk;
+  const std::uint32_t len = get_u32(in.data() + 4);
+  if (len > max_payload) return FrameRead::kOversized;
+  if (in.size() - kFrameHeaderBytes < len) return FrameRead::kNeedMore;
+  out->type = static_cast<FrameType>(t);
+  out->payload = in.substr(kFrameHeaderBytes, len);
+  out->size = kFrameHeaderBytes + len;
+  return FrameRead::kFrame;
 }
 
 std::string pack_hello(const Hello& hello) {
@@ -132,16 +136,6 @@ bool unpack_temp_samples(std::string_view payload,
   const std::size_t base = out->size();
   out->resize(base + n);
   if (n > 0) trace::codec::unpack_temp_samples(payload.data(), n, out->data() + base);
-  return true;
-}
-
-bool unpack_clock_syncs(std::string_view payload,
-                        std::vector<trace::ClockSync>* out) {
-  if (payload.size() % trace::kClockSyncRecordSize != 0) return false;
-  const std::size_t n = payload.size() / trace::kClockSyncRecordSize;
-  const std::size_t base = out->size();
-  out->resize(base + n);
-  if (n > 0) trace::codec::unpack_clock_syncs(payload.data(), n, out->data() + base);
   return true;
 }
 

@@ -12,26 +12,14 @@
 //
 // Payloads reuse the trace-v2 packed record layout (trace/codec.hpp),
 // so the collector unpacks sections with the same SIMD converters the
-// file reader uses. A session's frame order is
-//
-//   HELLO, HEARTBEAT*, META, SYNCS?, SAMPLES*, EVENTS*, BYE
-//
-// — heartbeats stream live during the run at the configured cadence;
-// the bulk sections ship once the trace is sealed at session stop
-// (buffers drain at stop, so that is when events exist to ship). META
-// is a full metadata-only trace-v2 image including the RUNSTATS and
-// FLTR trailers, sent BEFORE any bulk section: the collector's
-// AnalysisPipeline needs final thread/synthetic-symbol metadata to
-// start folding, and re-sending metadata would reset the fold.
-//
-// SAMPLES before EVENTS is the preferred order: the fold then credits
-// each sample while it replays the events, and its state stays
-// independent of the event count. The collector accepts EVENTS before
-// (or interleaved with) SAMPLES too, with the same result; it then
-// parks every activation until the samples arrive.
-//
-// DESIGN.md §14 documents the protocol and the collector's shard/fold,
-// backpressure and disconnect semantics.
+// file reader uses. Heartbeats stream live during the run; the bulk
+// sections ship once the trace is sealed at session stop, after a META
+// frame: a full metadata-only trace-v2 image with the RUNSTATS and
+// FLTR trailers, which the fold needs before any record. SAMPLES ahead
+// of EVENTS is the preferred order: the fold then credits each sample
+// while it replays the events, and its state stays independent of the
+// event count. session_fold.hpp states and enforces the frame order;
+// DESIGN.md §14 documents the protocol.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +58,20 @@ inline constexpr std::size_t kRecordsPerFrame = std::size_t{1} << 16;
 void encode_frame_header(char out[kFrameHeaderBytes], FrameType type,
                          std::uint32_t payload_len);
 
-enum class HeaderParse { kOk, kBadMagic, kBadType };
-HeaderParse decode_frame_header(const char* in, FrameType* type,
-                                std::uint32_t* payload_len);
+struct Frame {
+  FrameType type = FrameType::kHello;
+  std::string_view payload;  ///< points into the decoded bytes
+  std::size_t size = 0;      ///< header plus payload bytes
+};
+
+/// kFrame, kNeedMore (`in` ends inside a frame), or a protocol error
+/// after which the stream cannot be resynchronised.
+enum class FrameRead { kFrame, kNeedMore, kBadMagic, kBadType, kOversized };
+
+/// The frame decoder: checks the header's magic, type and length (the
+/// length against `max_payload` before any payload byte arrives), then
+/// whether the whole payload is in `in`. Reads nothing outside `in`.
+FrameRead read_frame(std::string_view in, std::size_t max_payload, Frame* out);
 
 // -- payload codecs ----------------------------------------------------
 
@@ -100,8 +99,6 @@ std::string pack_clock_syncs(const trace::ClockSync* syncs, std::size_t n);
 bool unpack_fn_events(std::string_view payload, std::vector<trace::FnEvent>* out);
 bool unpack_temp_samples(std::string_view payload,
                          std::vector<trace::TempSample>* out);
-bool unpack_clock_syncs(std::string_view payload,
-                        std::vector<trace::ClockSync>* out);
 
 /// Serialise `header` as a metadata-only trace-v2 image (empty bulk
 /// sections, RUNSTATS/FLTR trailers included when present).

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <thread>
@@ -135,6 +136,21 @@ Status parse_double(const std::string& value, double* out) {
   }
   *out = parsed;
   return Status::ok();
+}
+
+Status check_seconds(double seconds) {
+  if (seconds > 0.0 && seconds <= kMaxSeconds) return Status::ok();
+  char shown[32];
+  std::snprintf(shown, sizeof(shown), "%g", seconds);
+  return Status::error(std::string("expected seconds in (0, 1e9], got ") + shown);
+}
+
+Status parse_seconds(const std::string& value, double* out) {
+  double seconds = 0.0;
+  Status parsed = parse_double(value, &seconds);
+  if (parsed) parsed = check_seconds(seconds);
+  if (parsed) *out = seconds;
+  return parsed;
 }
 
 unsigned default_analysis_threads() {

@@ -73,6 +73,16 @@ Status parse_size(const std::string& value, std::size_t* out);
 /// values are accepted (callers range-check their own options).
 Status parse_double(const std::string& value, double* out);
 
+/// Longest duration a seconds-valued option takes (~31.7 years): clocks
+/// and sleeps count int64 nanoseconds, which overflow past ~9.2e9 s.
+inline constexpr double kMaxSeconds = 1e9;
+
+/// The range of every seconds-valued option, from a command line or
+/// code: finite, positive and at most kMaxSeconds.
+Status check_seconds(double seconds);
+/// parse_double, then check_seconds.
+Status parse_seconds(const std::string& value, double* out);
+
 /// Default worker count for --threads: TEMPEST_ANALYSIS_THREADS when
 /// set to a positive value, else the hardware concurrency (minimum 1,
 /// also the floor when the runtime cannot report a count). Shared by

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "collectd/profile_client.hpp"
+#include "common/cli.hpp"
 #include "common/fastwrite.hpp"
 #include "common/json.hpp"
 
@@ -94,9 +95,11 @@ Status write_trend(const std::vector<std::string>& paths, std::ostream& out,
 
 Status write_trend_poll(const PollOptions& options, std::ostream& out) {
   if (options.count < 1) return Status::error("poll count must be at least 1");
+  const Status interval = cli::check_seconds(options.interval_s);
+  if (!interval) return Status::error("poll interval: " + interval.message());
   write_header(out, "poll", options.count);
   for (std::size_t i = 0; i < options.count; ++i) {
-    if (i > 0 && options.interval_s > 0.0) {
+    if (i > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options.interval_s));
     }

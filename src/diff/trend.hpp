@@ -38,7 +38,7 @@ Status write_trend(const std::vector<std::string>& paths, std::ostream& out,
 
 struct PollOptions {
   std::string endpoint;    ///< collector spec ("uds:/path" | "host:port")
-  double interval_s = 1.0;
+  double interval_s = 1.0; ///< in cli::check_seconds's range
   std::size_t count = 3;   ///< number of polls (runs in the series)
   std::size_t top = 0;     ///< /profile?top=N (0 = server default)
   double timeout_s = 5.0;

@@ -12,7 +12,8 @@
 //     --max-frame BYTES      reject larger ingest frames (default 8 MiB)
 //     --queue-frames N       per-shard queue frame bound (default 256)
 //     --queue-bytes BYTES    per-shard queue byte bound (default 32 MiB)
-//     --idle-timeout SECS    reap silent connections (default 30)
+//     --idle-timeout SECS    reap silent connections (default 30; a
+//                            duration in seconds, 0 < SECS <= 1e9)
 //     --retain-sessions N    keep at most N finished sessions in the
 //                            /sessions detail map (default 512); fleet
 //                            rollups survive reaping
@@ -54,7 +55,8 @@ constexpr const char* kUsage =
     "[--uds PATH] [--tcp HOST:PORT] [--http HOST:PORT] [--port-file PATH] "
     "[--shards N] [--max-frame BYTES] [--queue-frames N] "
     "[--queue-bytes BYTES] [--idle-timeout SECS] [--retain-sessions N] "
-    "[--unit C|F] [--version]";
+    "[--unit C|F] [--version]\n"
+    "       SECS is a duration in seconds, 0 < SECS <= 1e9";
 
 }  // namespace
 
@@ -90,37 +92,21 @@ int main(int argc, char** argv) {
     options.shards = static_cast<unsigned>(n);
     return Status::ok();
   });
-  args.add_value("--max-frame", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status st = tempest::cli::parse_size(v, &n);
-    if (!st.is_ok()) return st;
-    if (n == 0) return Status::error("--max-frame must be positive");
-    options.max_frame_bytes = n;
-    return Status::ok();
-  });
-  args.add_value("--queue-frames", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status st = tempest::cli::parse_size(v, &n);
-    if (!st.is_ok()) return st;
-    if (n == 0) return Status::error("--queue-frames must be positive");
-    options.max_queue_frames = n;
-    return Status::ok();
-  });
-  args.add_value("--queue-bytes", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status st = tempest::cli::parse_size(v, &n);
-    if (!st.is_ok()) return st;
-    if (n == 0) return Status::error("--queue-bytes must be positive");
-    options.max_queue_bytes = n;
-    return Status::ok();
-  });
+  // --max-frame, --queue-frames and --queue-bytes take a positive size.
+  const auto positive = [&args](const std::string& name, std::size_t* out) {
+    args.add_value(name, [name, out](const std::string& v) {
+      std::size_t n = 0;
+      Status st = tempest::cli::parse_size(v, &n);
+      if (st && n == 0) st = Status::error(name + " must be positive");
+      if (st) *out = n;
+      return st;
+    });
+  };
+  positive("--max-frame", &options.max_frame_bytes);
+  positive("--queue-frames", &options.max_queue_frames);
+  positive("--queue-bytes", &options.max_queue_bytes);
   args.add_value("--idle-timeout", [&](const std::string& v) {
-    const Status st = tempest::cli::parse_double(v, &options.idle_timeout_s);
-    if (!st.is_ok()) return st;
-    if (options.idle_timeout_s <= 0.0) {
-      return Status::error("--idle-timeout must be positive");
-    }
-    return Status::ok();
+    return tempest::cli::parse_seconds(v, &options.idle_timeout_s);
   });
   args.add_value("--retain-sessions", [&](const std::string& v) {
     std::size_t n = 0;

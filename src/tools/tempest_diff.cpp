@@ -28,6 +28,7 @@
 //   tempest-diff --trend [options] RUN1 RUN2 RUN3...
 //   tempest-diff --trend --trend-dir DIR
 //   tempest-diff --trend --poll ENDPOINT [--interval S] [--count N]
+//     --interval S         seconds between polls (default 1; 0 < S <= 1e9)
 //     --top N              keep top-N functions per run (0 = all)
 //     emits schema-versioned JSONL: a header line, then one series
 //     entry per run per surviving function (DESIGN.md §15).
@@ -53,7 +54,8 @@ constexpr const char* kUsage =
     "       [--threads N] [--perfetto OUT] [--fail-on-regression]\n"
     "       [--version] BASELINE CURRENT\n"
     "       --trend [--top N] RUN1 RUN2 RUN3... | --trend-dir DIR |\n"
-    "       --poll ENDPOINT [--interval S] [--count N]";
+    "       --poll ENDPOINT [--interval S] [--count N]\n"
+    "       S is a duration in seconds, 0 < S <= 1e9";
 
 int fail_usage(const tempest::cli::ArgParser& args, const char* argv0,
                const std::string& message) {
@@ -149,7 +151,7 @@ int main(int argc, char** argv) {
     return Status::ok();
   });
   args.add_value("--interval", [&](const std::string& v) {
-    return cli::parse_double(v, &poll_interval);
+    return cli::parse_seconds(v, &poll_interval);
   });
   args.add_value("--count", [&](const std::string& v) {
     return cli::parse_size(v, &poll_count);

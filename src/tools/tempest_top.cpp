@@ -3,7 +3,8 @@
 //   tempest-top [options] <trace file or .telemetry.jsonl>
 //   tempest-top --connect HOST:PORT|uds:PATH [options]
 //     --once                 render the latest snapshot and exit
-//     --interval SECS        refresh period (default 1.0)
+//     --interval SECS        refresh period (default 1.0; a duration
+//                            in seconds, 0 < SECS <= 1e9)
 //     --no-clear             append frames instead of redrawing in place
 //     --connect ENDPOINT     read snapshots from a tempest-collectd
 //                            query plane (/top — the fleet aggregate of
@@ -40,7 +41,8 @@ namespace {
 
 constexpr const char* kUsage =
     "[--once] [--interval SECS] [--no-clear] [--assert-tempd-below PCT] "
-    "[--connect ENDPOINT] [--version] <trace file or .telemetry.jsonl>";
+    "[--connect ENDPOINT] [--version] <trace file or .telemetry.jsonl>\n"
+    "       SECS is a duration in seconds, 0 < SECS <= 1e9";
 
 /// Last two complete snapshot lines of the heartbeat file (previous may
 /// be empty when only one snapshot exists yet). Re-reads the whole
@@ -183,10 +185,7 @@ int main(int argc, char** argv) {
   args.add_flag("--once", [&] { once = true; });
   args.add_flag("--no-clear", [&] { no_clear = true; });
   args.add_value("--interval", [&](const std::string& v) {
-    const Status st = tempest::cli::parse_double(v, &interval_s);
-    if (!st.is_ok()) return st;
-    if (interval_s <= 0.0) return Status::error("--interval must be positive");
-    return Status::ok();
+    return tempest::cli::parse_seconds(v, &interval_s);
   });
   args.add_value("--assert-tempd-below", [&](const std::string& v) {
     const Status st = tempest::cli::parse_double(v, &assert_below_pct);

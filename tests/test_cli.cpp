@@ -489,18 +489,32 @@ TEST_F(CliTest, NonFiniteFloatOptionsAreUsageErrors) {
                        "--once --assert-tempd-below " + v + " \"" + jsonl + "\"",
                        nullptr),
               2);
+    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--hz " + v + trace, nullptr), 2);
+    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--tolerance " + v + trace, nullptr), 2);
+  }
+  // Seconds-valued options also reject durations an int64 nanosecond
+  // clock cannot hold (past ~9.2e9 s) and non-positive ones.
+  for (const char* value : {"nan", "inf", "1e10", "1e300", "-5"}) {
+    SCOPED_TRACE(value);
+    const std::string v = value;
     EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
                        "--once --interval " + v + " \"" + jsonl + "\"", nullptr),
               2);
     // --version makes a tool that accepts the value exit at once
-    // instead of starting the daemon.
+    // instead of starting the daemon or polling.
     EXPECT_EQ(run_tool(TEMPEST_COLLECTD_BIN,
                        "--idle-timeout " + v + " --uds /nonexistent --version",
                        nullptr),
               2);
-    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--hz " + v + trace, nullptr), 2);
-    EXPECT_EQ(run_tool(TEMPEST_LINT_BIN, "--tolerance " + v + trace, nullptr), 2);
+    EXPECT_EQ(run_tool(TEMPEST_DIFF_BIN,
+                       "--poll uds:/nonexistent --count 3 --interval " + v +
+                           " --version",
+                       nullptr),
+              2);
   }
+  EXPECT_EQ(run_tool(TEMPEST_COLLECTD_BIN,
+                     "--idle-timeout 1e9 --uds /nonexistent --version", nullptr),
+            0);
   // The range checks still hold for finite values.
   EXPECT_EQ(run_tool(TEMPEST_TOP_BIN,
                      "--once --assert-tempd-below -1 \"" + jsonl + "\"", nullptr),

@@ -18,11 +18,10 @@
 #include "collectd/net.hpp"
 #include "collectd/profile_client.hpp"
 #include "collectd/wire.hpp"
+#include "common/cli.hpp"
 #include "common/json.hpp"
+#include "collectd_session.hpp"
 #include "parser/profile.hpp"
-#include "pipeline/rank_fanin.hpp"
-#include "pipeline/sinks.hpp"
-#include "pipeline/stage.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
 
@@ -30,9 +29,10 @@ namespace {
 
 using namespace tempest;
 using namespace tempest::trace;
+using tempest::collectd_test::offline_fleet;
+using tempest::collectd_test::session_trace;
 namespace collectd = tempest::collectd;
 namespace json = tempest::json;
-namespace pipeline = tempest::pipeline;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -53,43 +53,13 @@ bool wait_until(const std::function<bool()>& pred, double timeout_s = 10.0) {
   return pred();
 }
 
-/// One session's synthetic trace: its own node/thread/sensor ids
-/// (disjoint across sessions, like real per-rank recordings), no clock
-/// syncs (single clock domain — the collector folds raw timestamps, so
-/// sync-free sessions make the offline comparison exact), time-sorted.
-Trace session_trace(std::uint16_t id, std::size_t pairs) {
-  Trace t;
-  t.tsc_ticks_per_second = 1e9;
-  t.executable = "fleet_app";  // nonexistent: synthetic names resolve
-  t.nodes = {{id, "host" + std::to_string(id)}};
-  t.sensors = {{id, 0, "cpu", 0.0}};
-  t.threads = {{id, id, 0}};
-  const std::uint64_t kShared = kSyntheticAddrBase + 1;
-  const std::uint64_t kOwn = kSyntheticAddrBase + 100 + id;
-  t.synthetic_symbols = {{kShared, "shared_fn"},
-                         {kOwn, "own_fn_" + std::to_string(id)}};
-
-  const std::uint64_t base = 1000 + id * 7;
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const std::uint64_t at = base + p * 1000;
-    const std::uint64_t fn = (p % 2 == 0) ? kShared : kOwn;
-    t.fn_events.push_back({at, fn, id, id, FnEventKind::kEnter});
-    t.fn_events.push_back({at + 400 + id, fn, id, id, FnEventKind::kExit});
-  }
-  for (std::size_t s = 0; s < pairs / 4 + 1; ++s) {
-    t.temp_samples.push_back(
-        {base + s * 4000, 40.0 + id * 0.1 + s * 0.5, id, 0});
-  }
-  t.sort_by_time();
-
-  t.run_stats.present = true;
-  t.run_stats.events_recorded = t.fn_events.size();
-  t.run_stats.calls_observed = t.fn_events.size();
-  t.run_stats.tempd_samples = t.temp_samples.size();
-  t.run_stats.threads_registered = 1;
-  t.run_stats.wall_seconds = 0.5;
-  t.run_stats.tempd_cpu_seconds = 0.001;
-  return t;
+/// GET `target` through the socket-free query path: the status code,
+/// with the body in *body.
+int query(const collectd::Collector& collector, const std::string& target,
+          std::string* body) {
+  collectd::HttpReply reply = collector.handle_query({target, ""});
+  *body = std::move(reply.body);
+  return reply.status;
 }
 
 /// Streams a whole sealed session — by default in the recording side's
@@ -117,40 +87,29 @@ bool stream_session(collectd::CollectClient* client, const Trace& t,
   return ok;
 }
 
-/// Offline reference: RankFanIn over the written session files, folded
-/// with the same fleet fold the collector applies.
-std::map<std::string, collectd::FleetFunction> offline_fleet(
-    const std::vector<std::string>& paths) {
-  auto opened = pipeline::RankFanIn::open(paths);
-  EXPECT_TRUE(opened.is_ok()) << opened.message();
-  auto fan = std::move(opened).value();
-  pipeline::AnalysisSink sink;
-  const Status ran = pipeline::run_pipeline(&fan, {}, {&sink});
-  EXPECT_TRUE(ran) << ran.message();
-  std::map<std::string, collectd::FleetFunction> fleet;
-  collectd::fold_profile(sink.result().profile, &fleet);
-  return fleet;
-}
-
 // -- wire codec --------------------------------------------------------
 
 TEST(Wire, FrameHeaderRoundTrip) {
-  char header[collectd::kFrameHeaderBytes];
-  collectd::encode_frame_header(header, collectd::FrameType::kEvents, 12345);
-  collectd::FrameType type;
-  std::uint32_t len = 0;
-  EXPECT_EQ(collectd::decode_frame_header(header, &type, &len),
-            collectd::HeaderParse::kOk);
-  EXPECT_EQ(type, collectd::FrameType::kEvents);
-  EXPECT_EQ(len, 12345u);
+  std::string bytes(collectd::kFrameHeaderBytes, '\0');
+  collectd::encode_frame_header(bytes.data(), collectd::FrameType::kEvents, 5);
+  bytes += "abcde";
+  collectd::Frame frame;
+  EXPECT_EQ(collectd::read_frame(bytes, 1024, &frame), collectd::FrameRead::kFrame);
+  EXPECT_EQ(frame.type, collectd::FrameType::kEvents);
+  EXPECT_EQ(frame.payload, "abcde");
+  EXPECT_EQ(frame.size, bytes.size());
+  EXPECT_EQ(collectd::read_frame(bytes.substr(0, 12), 1024, &frame),
+            collectd::FrameRead::kNeedMore);
+  EXPECT_EQ(collectd::read_frame(bytes, 4, &frame),
+            collectd::FrameRead::kOversized);
 
-  header[0] = 'X';
-  EXPECT_EQ(collectd::decode_frame_header(header, &type, &len),
-            collectd::HeaderParse::kBadMagic);
-  collectd::encode_frame_header(header, collectd::FrameType::kEvents, 1);
-  header[2] = 99;
-  EXPECT_EQ(collectd::decode_frame_header(header, &type, &len),
-            collectd::HeaderParse::kBadType);
+  bytes[0] = 'X';
+  EXPECT_EQ(collectd::read_frame(bytes, 1024, &frame),
+            collectd::FrameRead::kBadMagic);
+  collectd::encode_frame_header(bytes.data(), collectd::FrameType::kEvents, 5);
+  bytes[2] = 99;
+  EXPECT_EQ(collectd::read_frame(bytes, 1024, &frame),
+            collectd::FrameRead::kBadType);
 }
 
 TEST(Wire, HelloAndByeRoundTrip) {
@@ -424,6 +383,76 @@ TEST(Collector, RejectsOversizedFrame) {
   collector.stop();
 }
 
+bool send_raw_frame(int fd, collectd::FrameType type, const std::string& payload) {
+  char header[collectd::kFrameHeaderBytes];
+  collectd::encode_frame_header(header, type,
+                                static_cast<std::uint32_t>(payload.size()));
+  return collectd::send_all(fd, header, sizeof(header)).is_ok() &&
+         collectd::send_all(fd, payload.data(), payload.size()).is_ok();
+}
+
+TEST(Collector, HelloOpensTheSessionOnce) {
+  // A stream that starts without HELLO, or sends a second one, is a
+  // protocol error: it never folds and never shows up as a nameless
+  // session in the fleet.
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("hello_first");
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+  const Trace t = session_trace(7, 10);
+
+  collectd::Endpoint ep;
+  ASSERT_TRUE(collectd::parse_endpoint("uds:" + options.ingest_uds, &ep));
+  auto fd = collectd::connect_endpoint(ep, 2.0);
+  ASSERT_TRUE(fd.is_ok()) << fd.message();
+  // Sends after the collector hung up may fail; the outcome is what counts.
+  (void)(send_raw_frame(fd.value(), collectd::FrameType::kMeta,
+                        collectd::pack_meta(t)) &&
+         send_raw_frame(fd.value(), collectd::FrameType::kEvents,
+                        collectd::pack_fn_events(t.fn_events.data(),
+                                                 t.fn_events.size())) &&
+         send_raw_frame(fd.value(), collectd::FrameType::kBye,
+                        collectd::pack_bye({t.fn_events.size(), 0})));
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.fleet().sessions_aborted == 1; }));
+  ::close(fd.value());
+
+  collectd::CollectClient twice;
+  ASSERT_TRUE(twice.connect("uds:" + options.ingest_uds, 2.0));
+  twice.send_hello(70, "first_name");
+  stream_session(&twice, t, 71);  // opens with a second HELLO
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.fleet().sessions_aborted == 2; }));
+  EXPECT_EQ(collector.fleet().sessions_folded, 0u);
+
+  std::string body;
+  ASSERT_EQ(query(collector, "/sessions", &body), 200);
+  EXPECT_EQ(body.find("\"state\":\"folded\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"name\":\"first_name\",\"pid\":70"), std::string::npos)
+      << body;
+  collector.stop();
+}
+
+TEST(Collector, IdleTimeoutPastTheClockRangeIsRefused) {
+  // 1e10 s overflows an int64 nanosecond duration; the daemon used to
+  // reap every connection at once instead of answering.
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("idle_range");
+  options.idle_timeout_s = 1e10;
+  {
+    collectd::Collector refused(options);
+    EXPECT_FALSE(refused.start());
+  }
+  options.idle_timeout_s = cli::kMaxSeconds;
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+  auto health = collectd::http_get(
+      "127.0.0.1:" + std::to_string(collector.http_port()), "/healthz", 2.0);
+  ASSERT_TRUE(health.is_ok()) << health.message();
+  EXPECT_NE(health.value().find("\"status\":\"ok\""), std::string::npos);
+  collector.stop();
+}
+
 TEST(Collector, SlowLorisIsReapedWhileOthersFold) {
   collectd::CollectorOptions options;
   options.ingest_uds = sock_path("loris");
@@ -468,7 +497,7 @@ TEST(Collector, HeartbeatSeqGapsAndRestartsAreCounted) {
   std::string body;
   ASSERT_TRUE(wait_until([&] {
     body.clear();
-    return collector.handle_query("/sessions", &body) == 200 &&
+    return query(collector, "/sessions", &body) == 200 &&
            body.find("\"heartbeats\":3") != std::string::npos;
   }));
   EXPECT_NE(body.find("\"heartbeat_gaps\":3"), std::string::npos) << body;
@@ -501,14 +530,14 @@ TEST(Collector, TopFadesOutFinishedSessions) {
                       "\"events_recorded\":10}");
   ASSERT_TRUE(wait_until([&] {
     std::string body;
-    return collector.handle_query("/sessions", &body) == 200 &&
+    return query(collector, "/sessions", &body) == 200 &&
            body.find("\"last_t\":1.5") != std::string::npos;
   }));
 
   // The dead session's final heartbeat must not be double-counted into
   // the live fleet view: only the live session contributes.
   std::string top;
-  ASSERT_EQ(collector.handle_query("/top", &top), 200);
+  ASSERT_EQ(query(collector, "/top", &top), 200);
   EXPECT_NE(top.find("\"events_recorded\":10"), std::string::npos) << top;
   live.close();
   collector.stop();
@@ -536,7 +565,7 @@ TEST(Collector, TerminalSessionsAreReapedBeyondRetentionCap) {
   // still remembers every fold.
   ASSERT_TRUE(wait_until([&] {
     std::string body;
-    if (collector.handle_query("/sessions", &body) != 200) return false;
+    if (query(collector, "/sessions", &body) != 200) return false;
     std::size_t entries = 0;
     for (std::size_t pos = body.find("\"id\":"); pos != std::string::npos;
          pos = body.find("\"id\":", pos + 1)) {
@@ -574,7 +603,7 @@ TEST(Collector, QueryPlaneServesAllEndpoints) {
                       "\"events_recorded\":10}");
   ASSERT_TRUE(wait_until([&] {
     std::string body;
-    return collector.handle_query("/sessions", &body) == 200 &&
+    return query(collector, "/sessions", &body) == 200 &&
            body.find("\"last_t\":2.5") != std::string::npos;
   }));
 
@@ -617,9 +646,9 @@ TEST(Collector, QueryPlaneServesAllEndpoints) {
 
   // The socket-free path used by tests and the daemon's own plumbing.
   std::string body;
-  EXPECT_EQ(collector.handle_query("/sessions", &body), 200);
+  EXPECT_EQ(query(collector, "/sessions", &body), 200);
   EXPECT_NE(body.find("\"state\":\"folded\""), std::string::npos);
-  EXPECT_EQ(collector.handle_query("/bogus", &body), 404);
+  EXPECT_EQ(query(collector, "/bogus", &body), 404);
   collector.stop();
 }
 
@@ -709,38 +738,35 @@ TEST(Collector, MetricsServesPrometheusOnRequest) {
   collectd::Collector collector(options);
   ASSERT_TRUE(collector.start());
 
-  std::string body, content_type;
-  // Default stays JSON (existing scrapers and the 2-arg overload).
-  EXPECT_EQ(collector.handle_query("/metrics", "", &body, &content_type), 200);
-  EXPECT_EQ(content_type, "application/json");
-  EXPECT_EQ(body.front(), '{');
+  // Default stays JSON.
+  collectd::HttpReply reply = collector.handle_query({"/metrics", ""});
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.content_type, "application/json");
+  EXPECT_EQ(reply.body.front(), '{');
 
   // Explicit query parameter wins regardless of Accept.
-  EXPECT_EQ(collector.handle_query("/metrics?format=prometheus",
-                                   "application/json", &body, &content_type),
-            200);
-  EXPECT_EQ(content_type, "text/plain; version=0.0.4; charset=utf-8");
-  EXPECT_NE(body.find("# TYPE tempest_collect_sessions_folded counter"),
+  reply = collector.handle_query({"/metrics?format=prometheus", "application/json"});
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.content_type, "text/plain; version=0.0.4; charset=utf-8");
+  EXPECT_NE(reply.body.find("# TYPE tempest_collect_sessions_folded counter"),
             std::string::npos);
-  EXPECT_NE(body.find("tempest_uptime_seconds "), std::string::npos);
+  EXPECT_NE(reply.body.find("tempest_uptime_seconds "), std::string::npos);
   // Histograms expose cumulative buckets with the canonical +Inf bound.
-  EXPECT_NE(body.find("_bucket{le=\"+Inf\"}"), std::string::npos);
-  EXPECT_NE(body.find("# TYPE tempest_collect_fold_us histogram"),
+  EXPECT_NE(reply.body.find("_bucket{le=\"+Inf\"}"), std::string::npos);
+  EXPECT_NE(reply.body.find("# TYPE tempest_collect_fold_us histogram"),
             std::string::npos);
 
   // Accept-header negotiation picks Prometheus for text/plain scrapers…
-  EXPECT_EQ(collector.handle_query("/metrics", "text/plain;version=0.0.4",
-                                   &body, &content_type),
-            200);
-  EXPECT_EQ(content_type, "text/plain; version=0.0.4; charset=utf-8");
-  EXPECT_EQ(body.compare(0, 7, "# TYPE "), 0);
+  reply = collector.handle_query({"/metrics", "text/plain;version=0.0.4"});
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.content_type, "text/plain; version=0.0.4; charset=utf-8");
+  EXPECT_EQ(reply.body.compare(0, 7, "# TYPE "), 0);
 
   // …and ?format=json forces JSON back even for such a scraper.
-  EXPECT_EQ(collector.handle_query("/metrics?format=json", "text/plain", &body,
-                                   &content_type),
-            200);
-  EXPECT_EQ(content_type, "application/json");
-  EXPECT_EQ(body.front(), '{');
+  reply = collector.handle_query({"/metrics?format=json", "text/plain"});
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.content_type, "application/json");
+  EXPECT_EQ(reply.body.front(), '{');
   collector.stop();
 }
 
@@ -758,7 +784,7 @@ TEST(Collector, ProfileServesPooledTimeStats) {
       [&] { return collector.fleet().sessions_folded == 1; }));
 
   std::string body;
-  ASSERT_EQ(collector.handle_query("/profile", &body), 200);
+  ASSERT_EQ(query(collector, "/profile", &body), 200);
   EXPECT_NE(body.find("\"activations\":"), std::string::npos) << body;
   EXPECT_NE(body.find("\"time_mean_s\":"), std::string::npos) << body;
   EXPECT_NE(body.find("\"time_var_s2\":"), std::string::npos) << body;
@@ -803,7 +829,7 @@ TEST(Collector, ProfileParsesBraceNamedFunctions) {
   const collectd::FleetFunction want = collector.fleet().functions.at(lambda);
   ASSERT_GT(want.calls, 0u);
   std::string body;
-  ASSERT_EQ(collector.handle_query("/profile", &body), 200);
+  ASSERT_EQ(query(collector, "/profile", &body), 200);
   auto view = collectd::parse_fleet_profile(body);
   ASSERT_TRUE(view.is_ok()) << view.message();
   bool seen = false;
@@ -833,7 +859,7 @@ TEST(Collector, TopEscapesHeartbeatKeys) {
   client.send_heartbeat("{\"t\":1,\"a\\\"b\":2}");
   std::string top;
   ASSERT_TRUE(wait_until([&] {
-    return collector.handle_query("/top", &top) == 200 && top != "{}";
+    return query(collector, "/top", &top) == 200 && top != "{}";
   }));
   EXPECT_NE(top.find("\"a\\\"b\":2"), std::string::npos) << top;
   const json::NumberFields back = json::read_numbers(top);

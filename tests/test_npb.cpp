@@ -5,6 +5,7 @@
 #include <cmath>
 #include <complex>
 #include <random>
+#include <utility>
 
 #include "minimpi/runtime.hpp"
 #include "npb/bt.hpp"
@@ -103,7 +104,10 @@ TEST_P(NpbParallel, EpMatchesSerialExactly) {
   EpConfig config;
   config.log2_pairs = 14;
   EpResult result;
-  minimpi::run(np, [&](minimpi::Comm& comm) { result = ep_run(comm, config); });
+  minimpi::run(np, [&](minimpi::Comm& comm) {
+    EpResult mine = ep_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = ep_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
   EXPECT_GT(result.accepted, 0);
@@ -114,7 +118,10 @@ TEST_P(NpbParallel, CgMatchesSerial) {
   CgConfig config = CgConfig::for_class(ProblemClass::S);
   config.outer_iters = 5;
   CgResult result;
-  minimpi::run(np, [&](minimpi::Comm& comm) { result = cg_run(comm, config); });
+  minimpi::run(np, [&](minimpi::Comm& comm) {
+    CgResult mine = cg_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = cg_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
   EXPECT_GT(result.zeta, config.shift);  // shift + positive reciprocal
@@ -124,7 +131,10 @@ TEST_P(NpbParallel, FtMatchesSerial) {
   const int np = GetParam();
   FtConfig config{16, 16, 16, 3};
   FtResult result;
-  minimpi::run(np, [&](minimpi::Comm& comm) { result = ft_run(comm, config); });
+  minimpi::run(np, [&](minimpi::Comm& comm) {
+    FtResult mine = ft_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = ft_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
   ASSERT_EQ(result.checksums.size(), 3u);
@@ -135,7 +145,10 @@ TEST_P(NpbParallel, MgMatchesSerialAndConverges) {
   const int np = GetParam();
   MgConfig config{16, 3, 2};
   MgResult result;
-  minimpi::run(np, [&](minimpi::Comm& comm) { result = mg_run(comm, config); });
+  minimpi::run(np, [&](minimpi::Comm& comm) {
+    MgResult mine = mg_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = mg_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
 }
@@ -144,7 +157,10 @@ TEST_P(NpbParallel, BtMatchesSerialAndConverges) {
   const int np = GetParam();
   BtConfig config{8, 8, 8, 4, 0.02};
   BtResult result;
-  minimpi::run(np, [&](minimpi::Comm& comm) { result = bt_run(comm, config); });
+  minimpi::run(np, [&](minimpi::Comm& comm) {
+    BtResult mine = bt_run(comm, config);
+    if (comm.rank() == 0) result = std::move(mine);  // one writer
+  });
   const VerifyResult v = bt_verify(result, config);
   EXPECT_TRUE(v.passed) << v.detail;
   ASSERT_EQ(result.rhs_norms.size(), 4u);
