@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
@@ -85,12 +84,12 @@ struct LintEngine::Impl {
   Bucket runstats;
   Bucket trailing;
 
-  // RUNSTATS trailer (absent unless set_run_stats was called).
+  // RUNSTATS trailer (absent in pre-RUNSTATS traces).
   trace::RunStats run_stats;
 
-  // FLTR trailer (absent unless set_filter_decl was called with a
-  // present declaration). filtered_names indexes the suppressed list
-  // for the instrumentation-unused exemption.
+  // FLTR trailer (absent when no filter was active). filtered_names
+  // indexes the suppressed list for the instrumentation-unused
+  // exemption.
   trace::FilterDecl filter;
   std::set<std::string> filtered_names;
 
@@ -170,6 +169,11 @@ LintEngine::LintEngine(const trace::TraceHeader& header, const LintOptions& opti
   im.n_threads = header.threads.size();
   im.n_nodes = header.nodes.size();
   im.n_sensors = header.sensors.size();
+  im.run_stats = header.run_stats;
+  im.filter = header.filter;
+  if (im.filter.present) {
+    im.filtered_names.insert(im.filter.suppressed.begin(), im.filter.suppressed.end());
+  }
 
   // Metadata checks that need no record data run up front; the
   // has-data-dependent pair (tsc-rate, empty-trace) waits for finish().
@@ -339,20 +343,6 @@ void LintEngine::add_clock_syncs(const trace::ClockSync* syncs, std::size_t n) {
       it->second = {std::max(it->second.first, c.node_tsc),
                     std::max(it->second.second, c.global_tsc)};
     }
-  }
-}
-
-void LintEngine::set_run_stats(const trace::RunStats& stats) {
-  impl_->run_stats = stats;
-}
-
-void LintEngine::set_filter_decl(const trace::FilterDecl& filter) {
-  Impl& im = *impl_;
-  im.filter = filter;
-  im.filtered_names.clear();
-  if (filter.present) {
-    im.filtered_names.insert(filter.suppressed.begin(),
-                             filter.suppressed.end());
   }
 }
 
@@ -621,64 +611,36 @@ LintReport lint_trace(const trace::Trace& trace, const LintOptions& options,
   engine.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
   engine.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
   engine.add_clock_syncs(trace.clock_syncs.data(), trace.clock_syncs.size());
-  engine.set_run_stats(trace.run_stats);
-  engine.set_filter_decl(trace.filter);
   return engine.finish();
 }
 
 Result<LintReport> lint_trace_file(const std::string& path,
                                    const LintOptions& options,
                                    const CoverageInventory* coverage) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Result<LintReport>::error(path + ": cannot open trace file: " + path);
-  }
-  auto opened = trace::TraceStreamReader::open(in);
-  if (!opened.is_ok()) {
-    return Result<LintReport>::error(path + ": " + opened.message());
-  }
+  auto opened = trace::TraceStreamReader::open_file(path);
+  if (!opened.is_ok()) return Result<LintReport>::error(opened.message());
   trace::TraceStreamReader reader = std::move(opened).value();
   LintEngine engine(reader.header(), options);
   if (coverage != nullptr) engine.set_coverage_inventory(*coverage);
 
-  // Stream the bulk sections through in bounded batches; lint wants the
-  // raw file order (no alignment, no sorting — sortedness is itself one
-  // of the checks).
+  // Lint wants the raw file order (no alignment, no sorting —
+  // sortedness is itself one of the checks): the pre-pass's samples and
+  // syncs, then the events in bounded batches.
+  const std::vector<trace::TempSample>& samples = reader.temp_samples();
+  const std::vector<trace::ClockSync>& syncs = reader.clock_syncs();
+  engine.add_temp_samples(samples.data(), samples.size());
+  engine.add_clock_syncs(syncs.data(), syncs.size());
+  // Trailing bytes mean concatenation or partial overwrite — something
+  // no healthy pipeline writes, so the file fails the lint even though
+  // the leading trace parsed.
+  if (reader.trailing_bytes() > 0) engine.note_trailing_bytes(reader.trailing_bytes());
   constexpr std::size_t kBatch = std::size_t{1} << 16;
   std::vector<trace::FnEvent> events;
-  std::vector<trace::TempSample> samples;
-  std::vector<trace::ClockSync> syncs;
-  std::size_t appended = 0;
-  while (!reader.done()) {
+  for (std::size_t appended = 1; appended > 0;) {
     events.clear();
-    samples.clear();
-    syncs.clear();
-    Status s = reader.next_fn_events(&events, kBatch, &appended);
-    if (s) {
-      engine.add_fn_events(events.data(), events.size());
-      s = reader.next_temp_samples(&samples, kBatch, &appended);
-    }
-    if (s) {
-      engine.add_temp_samples(samples.data(), samples.size());
-      s = reader.next_clock_syncs(&syncs, kBatch, &appended);
-    }
-    if (s) engine.add_clock_syncs(syncs.data(), syncs.size());
-    if (!s) return Result<LintReport>::error(path + ": " + s.message());
-  }
-  // The RUNSTATS and FLTR trailers materialise in the reader's header
-  // once the last bulk section drains.
-  engine.set_run_stats(reader.header().run_stats);
-  engine.set_filter_decl(reader.header().filter);
-
-  // The reader stops after the last section; a well-formed file ends
-  // there. Trailing bytes mean concatenation or partial overwrite —
-  // something no healthy pipeline writes, so the file fails the lint
-  // even though the leading trace parsed.
-  if (in.peek() != std::char_traits<char>::eof()) {
-    const auto consumed = in.tellg();
-    in.seekg(0, std::ios::end);
-    const auto total = in.tellg();
-    engine.note_trailing_bytes(static_cast<std::uint64_t>(total - consumed));
+    const Status read = reader.next_fn_events(&events, kBatch, &appended);
+    if (!read) return Result<LintReport>::error(read.message());
+    engine.add_fn_events(events.data(), events.size());
   }
   return engine.finish();
 }

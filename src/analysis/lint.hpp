@@ -89,16 +89,30 @@ struct LintReport {
   bool clean() const { return error_count == 0; }
 };
 
-/// Incremental lint engine: the streaming core behind lint_trace.
-/// Metadata checks run at construction; records arrive in trace/file
-/// order via the add_* calls (any interleaving of the three kinds is
-/// fine — only each kind's own order matters); finish() runs the
-/// end-of-stream checks (unclosed activations, time conservation,
-/// cadence) and assembles the report. Feeding N batches produces the
-/// same report as one batch of the concatenation, with findings in the
-/// batch path's canonical check order, so lint can ride the streaming
-/// pipeline with memory bounded by open activations and sample gaps
-/// instead of the whole trace.
+/// Incremental lint engine: the streaming core behind lint_trace and
+/// lint_trace_file. It takes the complete header, trailers included,
+/// as the trace reader has it before the first record. Metadata checks
+/// run at construction; records arrive in trace/file order via the
+/// add_* calls (any interleaving of the three kinds is fine — only each
+/// kind's own order matters); finish() runs the end-of-stream checks
+/// (unclosed activations, time conservation, cadence) and assembles
+/// the report. Feeding N batches produces the same report as one batch
+/// of the concatenation, with findings in the batch path's canonical
+/// check order, so a file lints with memory bounded by open activations
+/// and sample gaps instead of the whole trace.
+///
+/// A RUNSTATS trailer makes finish() cross-check the recorder's own
+/// counters against what the trace actually contains: recorded-event
+/// count vs fn events read, tempd sample count vs samples read, samples
+/// vs ticks x sensors — a mismatch means the trace and its runtime
+/// accounting disagree, i.e. one of them lies. With admission counters
+/// present it also checks the conservation invariant
+///   calls_observed == recorded + suppressed + throttled
+///                     + dropped + overwritten.
+/// A FLTR trailer makes suppression legitimate: suppressed counts stop
+/// looking like data loss, and instrumented functions named by the
+/// filter are exempt from the "instrumentation-unused" warning (their
+/// silence is the filter working, not missing coverage).
 class LintEngine {
  public:
   explicit LintEngine(const trace::TraceHeader& header,
@@ -129,25 +143,6 @@ class LintEngine {
   /// through the trace header's load_bias.
   void set_coverage_inventory(CoverageInventory inventory);
 
-  /// Provide the trace's RUNSTATS trailer (no-op when absent). finish()
-  /// then cross-checks the recorder's own counters against what the
-  /// trace actually contains: recorded-event count vs fn events read,
-  /// tempd sample count vs samples read, samples vs ticks x sensors —
-  /// a mismatch means the trace and its runtime accounting disagree,
-  /// i.e. one of them lies. With admission counters present it also
-  /// checks the conservation invariant
-  ///   calls_observed == recorded + suppressed + throttled
-  ///                     + dropped + overwritten.
-  /// Callable any time before finish().
-  void set_run_stats(const trace::RunStats& stats);
-
-  /// Provide the trace's filter declaration (the FLTR trailer). A
-  /// declared filter makes suppression legitimate: suppressed counts
-  /// stop looking like data loss, and instrumented functions named by
-  /// the filter are exempt from the "instrumentation-unused" warning
-  /// (their silence is the filter working, not missing coverage).
-  void set_filter_decl(const trace::FilterDecl& filter);
-
   /// Run end-of-stream checks and return the report. The engine is
   /// spent afterwards.
   LintReport finish();
@@ -164,9 +159,10 @@ LintReport lint_trace(const trace::Trace& trace, const LintOptions& options = {}
                       const CoverageInventory* coverage = nullptr);
 
 /// Read a trace file and lint it; unreadable/corrupt files are an error
-/// Result (distinct from a readable trace with violations). Streams the
-/// file through LintEngine in bounded batches — traces larger than RAM
-/// lint fine. A non-null `coverage` enables the trace<->binary
+/// Result naming the path (distinct from a readable trace with
+/// violations; trailing bytes are a finding). Streams the file's events
+/// through LintEngine in bounded batches — traces larger than RAM lint
+/// fine. A non-null `coverage` enables the trace<->binary
 /// cross-check.
 Result<LintReport> lint_trace_file(const std::string& path,
                                    const LintOptions& options = {},

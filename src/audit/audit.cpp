@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 
@@ -306,15 +305,11 @@ OverheadReport rank(const Inventory& inventory, bool from_trace,
 
 Result<OverheadReport> predict_overhead(Inventory* inventory,
                                         const std::string& trace_path) {
-  std::ifstream in(trace_path, std::ios::binary);
-  if (!in) {
-    return Result<OverheadReport>::error(trace_path + ": cannot open trace file");
-  }
-  auto opened = trace::TraceStreamReader::open(in);
-  if (!opened.is_ok()) {
-    return Result<OverheadReport>::error(trace_path + ": " + opened.message());
-  }
+  auto opened = trace::TraceStreamReader::open_file(trace_path);
+  if (!opened.is_ok()) return Result<OverheadReport>::error(opened.message());
   trace::TraceStreamReader reader = std::move(opened).value();
+  const Status eof = reader.expect_eof();
+  if (!eof) return Result<OverheadReport>::error(eof.message());
   const std::uint64_t load_bias = reader.header().load_bias;
 
   for (FunctionRecord& fn : inventory->functions) fn.trace_calls = 0;
@@ -322,17 +317,10 @@ Result<OverheadReport> predict_overhead(Inventory* inventory,
 
   constexpr std::size_t kBatch = std::size_t{1} << 16;
   std::vector<trace::FnEvent> events;
-  std::vector<trace::TempSample> samples;
-  std::vector<trace::ClockSync> syncs;
-  std::size_t appended = 0;
-  while (!reader.done()) {
+  for (std::size_t appended = 1; appended > 0;) {
     events.clear();
-    samples.clear();
-    syncs.clear();
-    Status s = reader.next_fn_events(&events, kBatch, &appended);
-    if (s) s = reader.next_temp_samples(&samples, kBatch, &appended);
-    if (s) s = reader.next_clock_syncs(&syncs, kBatch, &appended);
-    if (!s) return Result<OverheadReport>::error(trace_path + ": " + s.message());
+    const Status read = reader.next_fn_events(&events, kBatch, &appended);
+    if (!read) return Result<OverheadReport>::error(read.message());
     for (const trace::FnEvent& e : events) {
       if (e.kind != trace::FnEventKind::kEnter) continue;
       // Synthetic region addresses never came from the cyg probes.

@@ -125,8 +125,9 @@ struct OverheadReport {
 
 /// Join observed per-function call counts from a recorded trace
 /// (events unbias through the trace's own load_bias) into
-/// `inventory->functions[].trace_calls` and rank. Unreadable or corrupt
-/// traces are an error Result.
+/// `inventory->functions[].trace_calls` and rank. An unreadable or
+/// damaged trace, trailing bytes included, is an error Result naming
+/// the path.
 Result<OverheadReport> predict_overhead(Inventory* inventory,
                                         const std::string& trace_path);
 

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -150,6 +151,14 @@ Status parse_seconds(const std::string& value, double* out) {
   Status parsed = parse_double(value, &seconds);
   if (parsed) parsed = check_seconds(seconds);
   if (parsed) *out = seconds;
+  return parsed;
+}
+
+Status parse_threads(const std::string& value, unsigned* out) {
+  std::size_t n = 0;
+  Status parsed = parse_size(value, &n);
+  if (parsed && n == 0) parsed = Status::error("--threads must be at least 1");
+  if (parsed) *out = static_cast<unsigned>(std::min(n, kMaxThreads));
   return parsed;
 }
 

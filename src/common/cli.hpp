@@ -83,6 +83,12 @@ Status check_seconds(double seconds);
 /// parse_double, then check_seconds.
 Status parse_seconds(const std::string& value, double* out);
 
+/// Most workers a --threads option asks for; larger counts clamp to it.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// A --threads value: parse_size, at least 1, clamped to kMaxThreads.
+Status parse_threads(const std::string& value, unsigned* out);
+
 /// Default worker count for --threads: TEMPEST_ANALYSIS_THREADS when
 /// set to a positive value, else the hardware concurrency (minimum 1,
 /// also the floor when the runtime cannot report a count). Shared by

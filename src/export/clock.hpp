@@ -1,7 +1,7 @@
 // Cross-rank clock correlation for the interactive trace exporters.
 //
-// The pipeline's sources already rewrite every record into the global
-// tsc domain (ClockAlignStage / RankFanIn's refill-time alignment).
+// The pipeline already rewrites every record into the global tsc domain
+// (ClockAlignStage, also inside RankFanIn for each rank).
 // What the viewers need on top is (a) a shared human timebase —
 // microseconds since the run start, which is what Perfetto's `ts` and
 // speedscope's `at` fields mean — and (b) an honest account of how
@@ -43,10 +43,10 @@ struct RankClock {
 /// timebase and summarises the per-rank fits behind the alignment.
 class ClockCorrelator {
  public:
-  /// `syncs` is the same record stream the aligning source consumed
-  /// (ChunkedTraceSource::clock_syncs_ahead, RankFanIn::sync_records,
-  /// or a copy of Trace::clock_syncs taken before align_clocks). An
-  /// empty vector means a single clock domain: no rank metadata, zero
+  /// `syncs` is the record stream the alignment was fitted from
+  /// (ChunkedTraceSource::clock_syncs_ahead, RankFanIn::sync_records or
+  /// Trace::clock_syncs, as TraceInput::syncs hands them on). An empty
+  /// vector means a single clock domain: no rank metadata, zero
   /// residual.
   ClockCorrelator(double tsc_ticks_per_second,
                   const std::vector<trace::ClockSync>& syncs);

@@ -24,9 +24,9 @@ bool parse_format(const std::string& name, Format* format);
 
 struct ExportRunOptions {
   Format format = Format::kPerfetto;
-  /// Cross-node clock alignment (single-file only; fan-in always
-  /// aligns). Off also suppresses the correlation metadata — raw
-  /// timestamps carry no cross-rank meaning to document.
+  /// Cross-node clock alignment, for one file or a fan-in. Off also
+  /// suppresses the correlation metadata — raw timestamps carry no
+  /// cross-rank meaning to document.
   bool align = true;
   /// Resolve addresses through the ELF symtab (demangled). Off renders
   /// hex; synthetic region names resolve regardless.

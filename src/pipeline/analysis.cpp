@@ -24,10 +24,6 @@ void AnalysisPipeline::set_metadata(const TraceMeta& meta) {
   assembler_.set_metadata(meta_);
 }
 
-void AnalysisPipeline::set_run_stats(const trace::RunStats& stats) {
-  meta_.run_stats = stats;
-}
-
 void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n) {
   if (n == 0) return;
   // Batches are time-sorted per kind, so the ends bound the batch.

@@ -61,12 +61,6 @@ class AnalysisPipeline {
   void add_temp_samples(const trace::TempSample* samples, std::size_t n);
   void add_fn_events(const trace::FnEvent* events, std::size_t n);
 
-  /// Refresh the RUNSTATS trailer after set_metadata. Streaming sources
-  /// only materialise the trailer once the last bulk section drains —
-  /// after the sink copied the metadata — so AnalysisSink re-feeds it
-  /// at on_end for stream/batch parity.
-  void set_run_stats(const trace::RunStats& stats);
-
   /// Symbolise, attribute, assemble. When `resolver` is null one is
   /// built from the recorded executable (falling back to hex addresses,
   /// same as parse_trace). The pipeline is spent afterwards.

@@ -5,7 +5,7 @@
 namespace tempest::pipeline {
 
 PrefetchSource::PrefetchSource(Source* inner, std::size_t depth)
-    : inner_(inner), meta_(inner->meta()), depth_(depth == 0 ? 1 : depth) {
+    : inner_(inner), depth_(depth == 0 ? 1 : depth) {
   producer_ = std::thread([this] { producer_loop(); });
 }
 
@@ -52,13 +52,6 @@ Status PrefetchSource::next(EventBatch* out, bool* done) {
     queue_.pop_front();
   }
   cv_.notify_all();
-  if (item.done) {
-    // Producer exited right after pushing this item (the push/pop pair
-    // orders its writes before us); fold the finished header — now
-    // carrying the RUNSTATS trailer — into the copy sinks reference.
-    if (producer_.joinable()) producer_.join();
-    meta_ = inner_->meta();
-  }
   std::swap(*out, item.batch);
   {
     // Recycle the caller's previous buffers into the producer's pool.

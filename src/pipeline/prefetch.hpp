@@ -11,11 +11,9 @@
 // recycle through a spare list, keeping steady-state allocation at zero.
 //
 // The wrapped source must not be touched by anyone else while the
-// decorator exists. Metadata is served from a copy taken at
-// construction and refreshed when the stream finishes — that refresh is
-// what delivers the RUNSTATS trailer (which the reader can only
-// materialise at the last section) to sinks at on_end, same as the
-// undecorated source.
+// decorator exists. meta() reads the inner source's metadata while the
+// producer runs: it is complete before the first batch and never
+// written afterwards (stage.hpp), so no copy or lock is needed.
 #pragma once
 
 #include <condition_variable>
@@ -38,7 +36,7 @@ class PrefetchSource : public Source {
   PrefetchSource(const PrefetchSource&) = delete;
   PrefetchSource& operator=(const PrefetchSource&) = delete;
 
-  const TraceMeta& meta() const override { return meta_; }
+  const TraceMeta& meta() const override { return inner_->meta(); }
   Status next(EventBatch* out, bool* done) override;
 
  private:
@@ -51,7 +49,6 @@ class PrefetchSource : public Source {
   void producer_loop();
 
   Source* inner_;
-  TraceMeta meta_;
   std::size_t depth_;
 
   common::Mutex mu_;

@@ -64,10 +64,7 @@ Status AnalysisSink::on_batch(const TraceMeta& /*meta*/, const EventBatch& batch
   return Status::ok();
 }
 
-Status AnalysisSink::on_end(const TraceMeta& meta) {
-  // Streaming sources materialise the RUNSTATS trailer only after the
-  // last bulk section drains — re-feed it so stream == batch.
-  pipeline_.set_run_stats(meta.run_stats);
+Status AnalysisSink::on_end(const TraceMeta& /*meta*/) {
   result_ = pipeline_.finish(resolver_);
   for (ProfileEmitter* emitter : emitters_) {
     const Status emitted = emitter->emit(result_);
@@ -76,29 +73,9 @@ Status AnalysisSink::on_end(const TraceMeta& meta) {
   return Status::ok();
 }
 
-Status LintSink::begin(const TraceMeta& meta) {
-  engine_.emplace(meta, options_);
-  return Status::ok();
-}
-
-Status LintSink::on_batch(const TraceMeta& /*meta*/, const EventBatch& batch) {
-  engine_->add_fn_events(batch.fn_events.data(), batch.fn_events.size());
-  engine_->add_temp_samples(batch.temp_samples.data(), batch.temp_samples.size());
-  engine_->add_clock_syncs(batch.clock_syncs.data(), batch.clock_syncs.size());
-  return Status::ok();
-}
-
-Status LintSink::on_end(const TraceMeta& meta) {
-  engine_->set_run_stats(meta.run_stats);
-  engine_->set_filter_decl(meta.filter);
-  report_ = engine_->finish();
-  return Status::ok();
-}
-
 Status CountingSink::on_batch(const TraceMeta& /*meta*/, const EventBatch& batch) {
   fn_events_ += batch.fn_events.size();
   temp_samples_ += batch.temp_samples.size();
-  clock_syncs_ += batch.clock_syncs.size();
   ++batches_;
   return Status::ok();
 }

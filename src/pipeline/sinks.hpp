@@ -1,14 +1,12 @@
-// Batch sinks: analysis fold, lint fold, and report emitters.
+// Batch sinks: analysis fold, report emitters, and a record counter.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/lint.hpp"
 #include "pipeline/analysis.hpp"
 #include "pipeline/stage.hpp"
 #include "report/ascii_plot.hpp"
@@ -106,28 +104,6 @@ class AnalysisSink : public BatchSink {
   AnalysisResult result_;
 };
 
-/// Runs the invariant checker over the stream; the report is available
-/// after on_end. Note: sources consume clock syncs during alignment, so
-/// a LintSink downstream of a fan-in or align stage lints the merged,
-/// aligned stream — to lint a raw file as tempest-lint does, use
-/// lint_trace_file, which shares LintEngine.
-class LintSink : public BatchSink {
- public:
-  explicit LintSink(analysis::LintOptions options = {}) : options_(options) {}
-
-  Status begin(const TraceMeta& meta) override;
-  Status on_batch(const TraceMeta& meta, const EventBatch& batch) override;
-  Status on_end(const TraceMeta& meta) override;
-
-  /// Valid after a successful on_end.
-  const analysis::LintReport& report() const { return report_; }
-
- private:
-  analysis::LintOptions options_;
-  std::optional<analysis::LintEngine> engine_;
-  analysis::LintReport report_;
-};
-
 /// Counts records and batches; the bench harness's no-op consumer
 /// (isolates source/stage throughput from analysis cost).
 class CountingSink : public BatchSink {
@@ -136,13 +112,11 @@ class CountingSink : public BatchSink {
 
   std::uint64_t fn_events() const { return fn_events_; }
   std::uint64_t temp_samples() const { return temp_samples_; }
-  std::uint64_t clock_syncs() const { return clock_syncs_; }
   std::uint64_t batches() const { return batches_; }
 
  private:
   std::uint64_t fn_events_ = 0;
   std::uint64_t temp_samples_ = 0;
-  std::uint64_t clock_syncs_ = 0;
   std::uint64_t batches_ = 0;
 };
 

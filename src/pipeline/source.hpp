@@ -3,7 +3,6 @@
 // stages.
 #pragma once
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,12 +19,13 @@
 
 namespace tempest::pipeline {
 
-/// Streams a trace-v2 file through the 256 KiB staged reader, never
-/// materialising more than one batch of events. A pre-pass reads the
-/// small sample and sync sections ahead (seeking over the event payload
-/// and back), so batches come out samples first, then the file's
-/// events, then syncs; records are in the raw recorded clock domains.
-/// Compose with ClockAlignStage (fed by clock_fits()) and
+/// Streams a trace-v2 file: samples first, from the reader's pre-pass,
+/// then the file's events in bounded batches, never materialising more
+/// than one batch of events. open() rejects a damaged file — cut,
+/// corrupt framing, a bad trailer or trailing bytes — before the first
+/// batch, so meta() is complete, trailers included, from the start.
+/// Records are in the raw recorded clock domains and the syncs are not
+/// streamed: compose with ClockAlignStage (fed by clock_fits()) and
 /// OrderCheckStage for the aligned stream in global time order, as
 /// TraceInput does.
 class ChunkedTraceSource : public Source {
@@ -33,48 +33,38 @@ class ChunkedTraceSource : public Source {
   static Result<ChunkedTraceSource> open(const std::string& path,
                                          BatchOptions options = {});
 
-  const TraceMeta& meta() const override { return reader_->header(); }
+  const TraceMeta& meta() const override { return reader_.header(); }
 
-  /// Runs the pre-pass on the first call unless clock_fits() or
-  /// clock_syncs_ahead() already did.
   Status next(EventBatch* out, bool* done) override;
 
-  /// Whole-trace clock fits from the pre-pass. Must run before the
-  /// first next(). Returns an empty map when the trace has no syncs — a
-  /// single clock domain.
+  /// Whole-trace clock fits from the pre-pass. Empty when the trace has
+  /// no syncs — a single clock domain.
   Result<std::map<std::uint16_t, trace::ClockFit>> clock_fits();
 
-  /// The raw sync records behind clock_fits(), same pre-pass contract.
-  /// The exporters' ClockCorrelator consumes these to report per-rank
+  /// The raw sync records behind clock_fits(). The exporters'
+  /// ClockCorrelator consumes these to report per-rank
   /// skew/drift/residual metadata alongside the fits.
   Result<std::vector<trace::ClockSync>> clock_syncs_ahead();
 
   /// Decode staged record chunks on `pool`'s workers (see
   /// TraceStreamReader::set_decode_pool). Batches stay byte-identical
   /// to serial decode; nullptr restores serial.
-  void set_decode_pool(WorkerPool* pool) { reader_->set_decode_pool(pool); }
+  void set_decode_pool(WorkerPool* pool) { reader_.set_decode_pool(pool); }
 
  private:
-  ChunkedTraceSource() = default;
+  ChunkedTraceSource(trace::TraceStreamReader reader, BatchOptions options)
+      : reader_(std::move(reader)), options_(options) {}
 
-  /// The pre-pass; a no-op once it has run.
-  Status read_ahead();
-
-  std::string path_;
+  trace::TraceStreamReader reader_;
   BatchOptions options_;
-  /// Heap-allocated so TraceStreamReader's stream pointer survives
-  /// moves of the source.
-  std::unique_ptr<std::ifstream> in_;
-  std::optional<trace::TraceStreamReader> reader_;
-  std::optional<trace::SectionsAhead> ahead_;
-  std::size_t sample_pos_ = 0;  ///< samples of ahead_ already emitted
+  std::size_t sample_pos_ = 0;  ///< pre-pass samples already emitted
 };
 
 /// Adapts an in-memory Trace to the Source interface, yielding slices
 /// of its vectors as they stand — a raw trace, in the recorded clock
-/// domains, like a file: samples first, then events, then syncs. The
-/// in-memory entry points (analyze_trace, parse_trace) run it through
-/// the same stages as a file.
+/// domains, like a file: samples first, then events. The in-memory entry
+/// points (analyze_trace, parse_trace) run it through the same stages
+/// as a file.
 class MemoryTraceSource : public Source {
  public:
   explicit MemoryTraceSource(const trace::Trace& trace, BatchOptions options = {})
@@ -89,11 +79,11 @@ class MemoryTraceSource : public Source {
   BatchOptions options_;
   std::size_t sample_pos_ = 0;
   std::size_t event_pos_ = 0;
-  std::size_t sync_pos_ = 0;
 };
 
 /// The one analysis path: a source, ClockAlignStage (unless alignment is
-/// off, or the fan-in aligned as it merged), then OrderCheckStage.
+/// off, or the fan-in aligned each rank before it merged), then
+/// OrderCheckStage.
 class TraceInput {
  public:
   TraceInput() = default;
@@ -101,8 +91,8 @@ class TraceInput {
   TraceInput& operator=(const TraceInput&) = delete;
 
   /// One file streams through ChunkedTraceSource; several, one per
-  /// rank, merge through RankFanIn (alignment on). `align` off orders
-  /// records by their recorded tsc. Above 1 `threads`, files decode on
+  /// rank, merge through RankFanIn. `align` off orders records by their
+  /// recorded tsc. Above 1 `threads`, files decode on
   /// a worker pool and batches are read ahead of the sinks; output
   /// bytes are identical at any count.
   Status open(const std::vector<std::string>& paths, bool align = true,

@@ -11,7 +11,9 @@
 //
 // Ordering contract: a Source keeps each node's records of a kind in
 // time order and emits every temperature sample before the first fn
-// event. Clock alignment shifts the nodes against each other, so
+// event. Clock syncs are not streamed: the trace reader reads them
+// ahead, with the samples and the trailers, and they reach
+// ClockAlignStage as whole-trace fits. Clock alignment shifts the nodes against each other, so
 // OrderCheckStage then restores global time order across nodes within a
 // bounded window; downstream of it, each record kind is in global time
 // order across batches (events sorted, samples sorted), as a stable
@@ -47,20 +49,16 @@ struct BatchOptions {
 struct EventBatch {
   std::vector<trace::FnEvent> fn_events;
   std::vector<trace::TempSample> temp_samples;
-  std::vector<trace::ClockSync> clock_syncs;
   /// Set by run_pipeline on the batch that ends the stream (empty when
   /// the source's last call brought no records), so a stage holding
   /// records back can flush them into it.
   bool end_of_stream = false;
 
-  bool empty() const {
-    return fn_events.empty() && temp_samples.empty() && clock_syncs.empty();
-  }
+  bool empty() const { return fn_events.empty() && temp_samples.empty(); }
   /// Clears contents, keeps capacity — run_pipeline recycles one batch.
   void clear() {
     fn_events.clear();
     temp_samples.clear();
-    clock_syncs.clear();
     end_of_stream = false;
   }
 };
@@ -71,7 +69,8 @@ class Source {
  public:
   virtual ~Source() = default;
 
-  /// Combined run metadata, valid for the source's lifetime.
+  /// Combined run metadata, complete (trailers included) before the
+  /// first batch and unchanged for the source's lifetime.
   virtual const TraceMeta& meta() const = 0;
 
   /// Fill `out` (cleared by the caller) with the next batch. Sets

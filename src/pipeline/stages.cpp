@@ -12,7 +12,6 @@ Status ClockAlignStage::process(const TraceMeta& /*meta*/, EventBatch* batch) {
   if (clocks_.empty()) return Status::ok();  // single clock domain
   clocks_.align(&batch->fn_events);
   clocks_.align(&batch->temp_samples);
-  batch->clock_syncs.clear();
   return Status::ok();
 }
 

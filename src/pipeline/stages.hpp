@@ -12,9 +12,9 @@
 namespace tempest::pipeline {
 
 /// Rewrites event/sample timestamps into the global clock domain using
-/// fits from a sync pre-pass (ChunkedTraceSource::clock_fits), then
-/// drops the consumed sync records. With an empty fit map (no syncs: a
-/// single clock domain) batches pass through untouched.
+/// fits from the reader's sync pre-pass (ChunkedTraceSource::clock_fits).
+/// With an empty fit map (no syncs: a single clock domain) batches pass
+/// through untouched.
 class ClockAlignStage : public Stage {
  public:
   explicit ClockAlignStage(const std::map<std::uint16_t, trace::ClockFit>& fits)

@@ -126,12 +126,7 @@ int main(int argc, char** argv) {
     return Status::ok();
   });
   args.add_value("--threads", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status parsed = cli::parse_size(v, &n);
-    if (!parsed) return parsed;
-    if (n == 0) return Status::error("--threads must be at least 1");
-    threads = static_cast<unsigned>(std::min<std::size_t>(n, 1024));
-    return Status::ok();
+    return cli::parse_threads(v, &threads);
   });
   args.add_value("--perfetto", [&](const std::string& v) {
     perfetto_out = v;

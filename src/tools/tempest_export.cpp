@@ -29,7 +29,6 @@
 // <out>.telemetry.jsonl so `tempest-top --once` can show export runs.
 #include <unistd.h>
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -92,12 +91,7 @@ int main(int argc, char** argv) {
   args.add_flag("--merge-ranks", [&] { merge_ranks = true; });
   args.add_flag("--stream", [] {});  // every export streams
   args.add_value("--threads", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status parsed_n = cli::parse_size(v, &n);
-    if (!parsed_n) return parsed_n;
-    if (n == 0) return Status::error("--threads must be at least 1");
-    options.threads = static_cast<unsigned>(std::min<std::size_t>(n, 1024));
-    return Status::ok();
+    return cli::parse_threads(v, &options.threads);
   });
   args.add_flag("--no-align", [&] { options.align = false; });
   args.add_flag("--no-symbolize", [&] { options.symbolize = false; });

@@ -36,13 +36,13 @@
 //     --version           print tool and trace-format version
 //
 // Every run streams in bounded memory. Passing several trace files (one
-// per MPI rank) fan-ins them in a single pass: metadata is concatenated,
-// clocks are fitted from every file's sync records, and events merge by
-// aligned global time — the paper's parallel-hot-spot workflow without
-// concatenating the files first.
+// per MPI rank) fan-ins them in a single pass: headers and trailers are
+// joined, clocks are fitted from every file's sync records, and records
+// merge by aligned global time (recorded time with --no-align) — the
+// paper's parallel-hot-spot workflow without concatenating the files
+// first.
 #include <unistd.h>
 
-#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -121,12 +121,7 @@ int main(int argc, char** argv) {
   });
   args.add_flag("--stream", [] {});  // every run streams
   args.add_value("--threads", [&](const std::string& v) {
-    std::size_t n = 0;
-    const Status parsed_n = cli::parse_size(v, &n);
-    if (!parsed_n) return parsed_n;
-    if (n == 0) return Status::error("--threads must be at least 1");
-    threads = static_cast<unsigned>(std::min<std::size_t>(n, 1024));
-    return Status::ok();
+    return cli::parse_threads(v, &threads);
   });
   args.add_flag("--no-align", [&] { align = false; });
   args.add_value("--exe", [&](const std::string& v) {
@@ -154,11 +149,6 @@ int main(int argc, char** argv) {
   if (args.help_requested()) return fail_usage(args, argv[0], "");
   const std::vector<std::string>& paths = args.positional();
   if (paths.empty()) return fail_usage(args, argv[0], "no trace file given");
-  if (paths.size() > 1 && !align) {
-    return fail_usage(args, argv[0],
-                      "--no-align is incompatible with multi-file fan-in "
-                      "(the merge orders ranks by aligned global time)");
-  }
 
   if (!export_format.empty()) {
     // Timeline export replaces the profile emitters entirely.

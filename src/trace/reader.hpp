@@ -3,15 +3,16 @@
 // Truncated or corrupt files come back as Status errors, never UB —
 // the parser is routinely pointed at files from interrupted runs.
 //
-// Two entry points share one implementation:
-//
-//   * read_trace / read_trace_file materialise the whole trace (tests,
-//     the collector's wire frames). read_trace_file additionally rejects
-//     trailing bytes after the last section — a healthy pipeline never
-//     writes them.
-//   * TraceStreamReader streams the bulk sections in bounded batches
-//     through the same 256 KiB staged chunk reader, so a consumer can
-//     analyse a trace far larger than RAM (src/pipeline builds on it).
+// TraceStreamReader is the one place that knows the file layout. Every
+// consumer runs the same sequence: open() reads the header and the
+// metadata, then one pre-pass reads everything but the event payload —
+// the sample and clock-sync sections, the optional RUNSTATS and FLTR
+// trailers, and the count of bytes left after them. So the header is
+// complete, or the input rejected, before the first event batch; after
+// that only the events stream, in bounded batches through the same
+// 256 KiB staged section decoder the pre-pass used, so a consumer can
+// analyse a trace far larger than RAM (src/pipeline builds on it).
+// read_trace / read_trace_file materialise a whole trace through it.
 #pragma once
 
 #include <istream>
@@ -28,43 +29,47 @@ class WorkerPool;
 
 namespace tempest::trace {
 
-/// The two small bulk sections, read ahead of the event section.
-struct SectionsAhead {
-  std::vector<TempSample> temp_samples;
-  std::vector<ClockSync> clock_syncs;
-};
-
-/// Incremental trace-v2 reader. `open` consumes the fixed header and
-/// the (small) metadata sections eagerly; the three bulk sections are
-/// then drained strictly in file order — fn events, temp samples,
-/// clock syncs — in caller-bounded batches. Each next_* call appends
-/// up to `max_records` records of its section to `out` and returns the
-/// number appended; 0 means the section is exhausted (or not yet
-/// reached / already passed — the calls are safe to issue in the
-/// canonical order with no extra bookkeeping).
+/// Incremental trace-v2 reader. The pre-pass seeks over the event
+/// payload (its framing gives the exact byte size) and back, so the
+/// input must be seekable: a file or a string stream, not a pipe.
 ///
 /// The reader never allocates more than one staging chunk plus the
-/// caller's batch, regardless of the counts claimed by the file.
+/// caller's batch for the events, and never more than the bytes the
+/// input holds for the small sections, whatever counts the file claims.
 class TraceStreamReader {
  public:
   TraceStreamReader(TraceStreamReader&&) = default;
   TraceStreamReader& operator=(TraceStreamReader&&) = default;
 
+  /// Read from `in`, which must outlive the reader.
   static Result<TraceStreamReader> open(std::istream& in);
+  /// Read the file at `path`. The reader owns the stream, and every
+  /// error it reports, from here or from a later batch, starts with
+  /// "<path>: " — an unopenable file is "<path>: cannot open trace
+  /// file".
+  static Result<TraceStreamReader> open_file(const std::string& path);
 
+  /// Metadata and trailers, complete from open() on.
   const TraceHeader& header() const { return header_; }
 
+  /// The sample and clock-sync sections, read by the pre-pass in file
+  /// order. Callers may move them out.
+  std::vector<TempSample>& temp_samples() { return temp_samples_; }
+  std::vector<ClockSync>& clock_syncs() { return clock_syncs_; }
+
+  /// Bytes after the last section and trailer. A healthy recorder
+  /// writes none; tempest-lint reports them as a finding.
+  std::uint64_t trailing_bytes() const { return trailing_bytes_; }
+  /// OK without trailing bytes, else an error naming their count
+  /// (concatenated or partially overwritten file).
+  Status expect_eof() const;
+
+  /// Append up to `max_records` fn events to `out` in file order and
+  /// set *appended to their count; 0 once the section is exhausted.
   Status next_fn_events(std::vector<FnEvent>* out, std::size_t max_records,
                         std::size_t* appended);
-  Status next_temp_samples(std::vector<TempSample>* out, std::size_t max_records,
-                           std::size_t* appended);
-  Status next_clock_syncs(std::vector<ClockSync>* out, std::size_t max_records,
-                          std::size_t* appended);
 
-  /// True once every bulk section has been drained.
-  bool done() const;
-
-  /// Decode the staged record chunks on `pool`'s workers instead of the
+  /// Decode the staged event chunks on `pool`'s workers instead of the
   /// calling thread (nullptr restores serial decode). Purely a decode
   /// fan-out: stream reads stay on the caller and records land in `out`
   /// at the same positions, so the produced batches are byte-identical
@@ -72,50 +77,42 @@ class TraceStreamReader {
   /// worker count so each slice stays worth a hand-off.
   void set_decode_pool(WorkerPool* pool) { decode_pool_ = pool; }
 
-  /// Read the whole sample and clock-sync sections without consuming the
-  /// stream position, by seeking over the event payload (its framing
-  /// gives the exact byte size) and back. Only valid on seekable streams
-  /// and before any bulk section has been touched. The streaming
-  /// pipeline's pre-pass uses it to fit clocks and to emit the samples
-  /// ahead of the events; both sections are small next to the events.
-  Result<SectionsAhead> read_ahead();
-
-  /// After done(): OK on clean EOF, error naming the trailing byte
-  /// count otherwise (concatenated or partially overwritten file).
-  Status expect_eof();
-
  private:
-  explicit TraceStreamReader(std::istream& in) : in_(&in) {}
+  TraceStreamReader() = default;
 
-  /// `unpack_bulk(src, n, dst)` converts `n` packed records at once
-  /// (src/trace/codec.hpp) and returns false on a corrupt record.
+  Status read_header();
+  Status read_ahead();
+  std::uint64_t bytes_left();
+  /// Reads one section's framing; rejects a count above the cap or
+  /// beyond the bytes left.
+  Status read_section_frame(std::uint32_t record_size, const char* what,
+                            std::uint64_t* count);
+  /// Decodes the next `n` records of the current section into `out`
+  /// through the staging chunks. `unpack_bulk(src, n, dst)` converts
+  /// `n` packed records at once (src/trace/codec.hpp) and returns false
+  /// on a corrupt record.
   template <typename Record, typename UnpackFn>
-  Status next_section(int section, std::uint32_t record_size, const char* what,
-                      std::vector<Record>* out, std::size_t max_records,
-                      std::size_t* appended, UnpackFn unpack_bulk);
-  Status read_section_frame(std::uint32_t expected_record_size, const char* what);
-
-  /// Invoked once when the last bulk section completes: parse the
-  /// optional trailers (RUNSTATS into header_.run_stats, FLTR into
-  /// header_.filter), dispatching on their 4-byte markers until the
-  /// peeked bytes match none. A missing marker is not an error
-  /// (pre-RUNSTATS trace, or unrelated trailing bytes — the stream
-  /// position is restored so expect_eof still counts them exactly); a
-  /// present marker with bad framing is. Non-seekable streams skip the
-  /// probe and report the trailers absent, because a failed match could
-  /// not give the bytes back.
-  Status try_read_runstats();
+  Status decode(std::uint64_t n, std::uint32_t record_size, const char* what,
+                std::vector<Record>* out, UnpackFn unpack_bulk);
+  /// Each optional trailer is self-describing by its 4-byte marker;
+  /// reading stops at the first bytes that are no marker, which then
+  /// count as trailing bytes. A marker with bad framing is an error.
+  Status read_trailers();
   Status read_runstats_trailer();
   Status read_filter_trailer();
+  /// `message`, prefixed with the path for file readers.
+  Status fail(const std::string& message) const;
 
-  std::istream* in_;
+  std::unique_ptr<std::istream> owned_;  ///< open_file's stream
+  std::istream* in_ = nullptr;
+  std::string name_;  ///< "<path>: " for file readers, else empty
   TraceHeader header_;
+  std::vector<TempSample> temp_samples_;
+  std::vector<ClockSync> clock_syncs_;
+  std::uint64_t trailing_bytes_ = 0;
   WorkerPool* decode_pool_ = nullptr;  ///< optional parallel record decode
-  std::uint64_t stream_bound_ = 0;  ///< byte bound for reserve sizing
-  int section_ = 0;                 ///< 0 events, 1 samples, 2 syncs, 3 done
-  bool frame_read_ = false;         ///< current section's framing consumed
-  std::uint64_t remaining_ = 0;     ///< records left in the current section
-  std::uint64_t section_count_ = 0; ///< declared record count (diagnostics)
+  std::istream::pos_type end_ = 0;     ///< the input's size
+  std::uint64_t events_left_ = 0;      ///< fn events not yet read
 };
 
 /// Materialise a whole trace from a stream. Tolerates trailing bytes

@@ -240,6 +240,25 @@ TEST(Lint, FindingsAreCappedButCountsExact) {
   EXPECT_EQ(recorded, 5u);  // cap + one suppression marker
 }
 
+TEST(Lint, FileLongerThanOneBatchLintsLikeTheTrace) {
+  // More events than lint_trace_file's 64 Ki-record batch: the file's
+  // events stream in several batches and lint as the in-memory trace.
+  Trace t = good_trace();
+  t.fn_events.clear();
+  for (std::uint64_t i = 0; i < 40'000; ++i) {
+    t.fn_events.push_back({250'000'000 + 2 * i, 0x2000, 0, 0, FnEventKind::kEnter});
+    t.fn_events.push_back({250'000'001 + 2 * i, 0x2000, 0, 0, FnEventKind::kExit});
+  }
+  const std::string path = ::testing::TempDir() + "/lint_long.trace";
+  ASSERT_TRUE(tempest::trace::write_trace_file(path, t));
+  const auto report = tempest::analysis::lint_trace_file(path);
+  ASSERT_TRUE(report.is_ok()) << report.message();
+  EXPECT_EQ(report.value().fn_events, t.fn_events.size());
+  EXPECT_EQ(tempest::analysis::to_json(report.value()),
+            tempest::analysis::to_json(lint_trace(t)));
+  std::remove(path.c_str());
+}
+
 TEST(Lint, JsonOutputCarriesVerdictAndFindings) {
   Trace t = good_trace();
   t.temp_samples[5].sensor_id = 42;

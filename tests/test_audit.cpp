@@ -370,6 +370,30 @@ TEST_F(AuditOverheadJoin, TraceCallCountsDriveRanking) {
   EXPECT_DOUBLE_EQ(report.ranked[0].share, 0.75);
 }
 
+TEST_F(AuditOverheadJoin, TraceLongerThanOneBatchJoinsEveryCall) {
+  // More events than predict_overhead's 64 Ki-record batch.
+  using namespace tempest::trace;
+  constexpr std::uint64_t kBias = 0x555500000000ULL;
+  Trace t;
+  t.tsc_ticks_per_second = 1e9;
+  t.executable = "fake-pie";
+  t.load_bias = kBias;
+  t.nodes.push_back({0, "node0"});
+  t.threads.push_back({0, 0, 0});
+  for (std::uint64_t i = 0; i < 40'000; ++i) {
+    t.fn_events.push_back({2 * i, kBias + 0x1000, 0, 0, FnEventKind::kEnter});
+    t.fn_events.push_back({2 * i + 1, kBias + 0x1000, 0, 0, FnEventKind::kExit});
+  }
+  const std::string path = ::testing::TempDir() + "audit_join_long.trace";
+  ASSERT_TRUE(write_trace_file(path, t));
+  Inventory inv = analyze_image(build_dyn_image(), "fake-pie");
+  auto overhead = predict_overhead(&inv, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(overhead.is_ok()) << overhead.message();
+  EXPECT_EQ(inv.functions[0].trace_calls, 40'000u);
+  EXPECT_EQ(overhead.value().unattributed_events, 0u);
+}
+
 TEST_F(AuditOverheadJoin, UnreadableTraceIsError) {
   Inventory inv = analyze_image(build_dyn_image(), "fake-pie");
   auto overhead = predict_overhead(&inv, "/nonexistent/never.trace");

@@ -14,6 +14,8 @@
 #include "core/api.hpp"
 #include "core/workbench.hpp"
 #include "simnode/cluster.hpp"
+#include "trace/reader.hpp"
+#include "trace/writer.hpp"
 
 #ifndef TEMPEST_PARSE_BIN
 #define TEMPEST_PARSE_BIN "tools/tempest_parse"
@@ -159,6 +161,17 @@ int run_exit_code(const std::string& args) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+/// Run an arbitrary tool binary; returns the exit code, captures stdout.
+int run_tool(const char* bin, const std::string& args, std::string* output) {
+  const std::string out_path = ::testing::TempDir() + "/cli_tool." +
+                               std::to_string(getpid()) + ".out";
+  const std::string cmd =
+      std::string(bin) + " " + args + " > " + out_path + " 2>/dev/null";
+  const int rc = std::system(cmd.c_str());
+  if (output != nullptr) *output = slurp(out_path);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
 TEST_F(CliTest, UnknownFlagIsUsageError) {
   EXPECT_EQ(run_exit_code("--bogus \"" + *trace_path_ + "\""), 2);
 }
@@ -173,6 +186,15 @@ TEST_F(CliTest, BadFormatIsUsageError) {
 
 TEST_F(CliTest, NonNumericTopIsUsageError) {
   EXPECT_EQ(run_exit_code("--top banana \"" + *trace_path_ + "\""), 2);
+  // --threads takes a strict count of at least 1, in every tool.
+  const std::string trace = " \"" + *trace_path_ + "\"";
+  for (const char* value : {"0", "x"}) {
+    SCOPED_TRACE(value);
+    const std::string threads = std::string("--threads ") + value;
+    EXPECT_EQ(run_tool(TEMPEST_PARSE_BIN, threads + trace, nullptr), 2);
+    EXPECT_EQ(run_tool(TEMPEST_EXPORT_BIN, threads + trace, nullptr), 2);
+    EXPECT_EQ(run_tool(TEMPEST_DIFF_BIN, threads + trace + trace, nullptr), 2);
+  }
 }
 
 TEST_F(CliTest, MissingOptionValueIsUsageError) {
@@ -230,6 +252,58 @@ TEST_F(CliTest, ExportToolMatchesParseExport) {
             std::string::npos);
 }
 
+TEST_F(CliTest, FanInReportsEveryRanksRunStats) {
+  // The recorded trace as rank 0, declaring drops, and a copy moved to
+  // the next node id (thread ids + 100), declaring fewer; each declares
+  // a filter naming a different function. Both tools fold the two
+  // RUNSTATS trailers.
+  auto loaded = tempest::trace::read_trace_file(*trace_path_);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.message();
+  tempest::trace::Trace rank0 = loaded.value();
+  ASSERT_TRUE(rank0.run_stats.present);
+  ASSERT_EQ(rank0.nodes.size(), 1u);
+  rank0.run_stats.events_dropped = 5;
+  rank0.filter.present = true;
+  rank0.filter.suppressed = {"alpha_fn"};
+  tempest::trace::Trace rank1 = loaded.value();
+  rank1.run_stats.events_dropped = 2;
+  rank1.filter.present = true;
+  rank1.filter.suppressed = {"beta_fn"};
+  const auto node = static_cast<std::uint16_t>(rank0.nodes[0].node_id + 1);
+  for (auto& n : rank1.nodes) n.node_id = node;
+  for (auto& s : rank1.sensors) s.node_id = node;
+  for (auto& t : rank1.threads) {
+    t.thread_id += 100;
+    t.node_id = node;
+  }
+  for (auto& e : rank1.fn_events) {
+    e.thread_id += 100;
+    e.node_id = node;
+  }
+  for (auto& s : rank1.temp_samples) s.node_id = node;
+  for (auto& c : rank1.clock_syncs) c.node_id = node;
+  const std::string base =
+      ::testing::TempDir() + "/cli_fanin." + std::to_string(getpid());
+  ASSERT_TRUE(tempest::trace::write_trace_file(base + ".rank0.trace", rank0));
+  ASSERT_TRUE(tempest::trace::write_trace_file(base + ".rank1.trace", rank1));
+  const std::string ranks =
+      " \"" + base + ".rank0.trace\" \"" + base + ".rank1.trace\"";
+
+  std::string out;
+  ASSERT_EQ(run_tool(TEMPEST_PARSE_BIN, "--format json" + ranks, &out), 0);
+  EXPECT_NE(out.find("\"run_stats\":{"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"events_dropped\":7"), std::string::npos) << out;
+
+  const std::string json = base + ".perfetto.json";
+  ASSERT_EQ(run_tool(TEMPEST_EXPORT_BIN,
+                     "--merge-ranks --format perfetto --out \"" + json + "\"" + ranks,
+                     nullptr),
+            0);
+  EXPECT_NE(slurp(json).find(
+                "\"name\":\"recorder: events dropped\",\"args\":{\"count\":7}"),
+            std::string::npos);
+}
+
 TEST_F(CliTest, BadExportFormatIsUsageError) {
   EXPECT_EQ(run_exit_code("--export svg \"" + *trace_path_ + "\""), 2);
 }
@@ -278,17 +352,6 @@ TEST_F(CliTest, TopToleratesTruncatedHeartbeatTail) {
   const int rc = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(rc));
   EXPECT_EQ(WEXITSTATUS(rc), 2);
-}
-
-/// Run an arbitrary tool binary; returns the exit code, captures stdout.
-int run_tool(const char* bin, const std::string& args, std::string* output) {
-  const std::string out_path = ::testing::TempDir() + "/cli_tool." +
-                               std::to_string(getpid()) + ".out";
-  const std::string cmd =
-      std::string(bin) + " " + args + " > " + out_path + " 2>/dev/null";
-  const int rc = std::system(cmd.c_str());
-  if (output != nullptr) *output = slurp(out_path);
-  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 TEST_F(CliTest, LintSymtabMissingBinaryIsUsageError) {

@@ -214,8 +214,7 @@ TEST(ParallelPipeline, PrefetchSourcePreservesBatchSequence) {
   while (!done) {
     batch.clear();
     ASSERT_TRUE(direct.next(&batch, &done));
-    direct_sizes.push_back(batch.fn_events.size() + batch.temp_samples.size() +
-                           batch.clock_syncs.size());
+    direct_sizes.push_back(batch.fn_events.size() + batch.temp_samples.size());
   }
 
   pipeline::MemoryTraceSource inner(t, options);
@@ -225,9 +224,7 @@ TEST(ParallelPipeline, PrefetchSourcePreservesBatchSequence) {
   while (!done) {
     batch.clear();
     ASSERT_TRUE(prefetch.next(&batch, &done));
-    prefetch_sizes.push_back(batch.fn_events.size() +
-                             batch.temp_samples.size() +
-                             batch.clock_syncs.size());
+    prefetch_sizes.push_back(batch.fn_events.size() + batch.temp_samples.size());
   }
   EXPECT_EQ(prefetch_sizes, direct_sizes);
 }

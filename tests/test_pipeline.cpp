@@ -167,7 +167,6 @@ TEST(ChunkedTraceSource, StreamsWholeTraceInBoundedBatches) {
   ASSERT_TRUE(ran) << ran.message();
   EXPECT_EQ(counter.fn_events(), t.fn_events.size());
   EXPECT_EQ(counter.temp_samples(), t.temp_samples.size());
-  EXPECT_EQ(counter.clock_syncs(), 0u);
   EXPECT_GE(counter.batches(),
             (t.fn_events.size() + 1) / 2 + (t.temp_samples.size() + 1) / 2);
 }
@@ -191,14 +190,11 @@ TEST(ChunkedTraceSource, TruncatedSectionSurfacesActionableError) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 10));
   out.close();
 
+  // The reader's pre-pass rejects the cut at open, before any batch.
   auto opened = pipeline::ChunkedTraceSource::open(cut);
-  ASSERT_TRUE(opened.is_ok()) << opened.message();
-  auto source = std::move(opened).value();
-  pipeline::CountingSink counter;
-  const Status ran = pipeline::run_pipeline(&source, {}, {&counter});
-  ASSERT_FALSE(ran);
-  EXPECT_NE(ran.message().find("truncated"), std::string::npos) << ran.message();
-  EXPECT_NE(ran.message().find(cut), std::string::npos) << ran.message();
+  ASSERT_FALSE(opened.is_ok());
+  EXPECT_NE(opened.message().find("truncated"), std::string::npos) << opened.message();
+  EXPECT_EQ(opened.message().rfind(cut + ": ", 0), 0u) << opened.message();
 }
 
 TEST(ChunkedTraceSource, TrailingBytesRejected) {
@@ -209,13 +205,11 @@ TEST(ChunkedTraceSource, TrailingBytesRejected) {
   out << "junk";
   out.close();
 
+  // Rejected at open, before any batch.
   auto opened = pipeline::ChunkedTraceSource::open(path);
-  ASSERT_TRUE(opened.is_ok()) << opened.message();
-  auto source = std::move(opened).value();
-  pipeline::CountingSink counter;
-  const Status ran = pipeline::run_pipeline(&source, {}, {&counter});
-  ASSERT_FALSE(ran);
-  EXPECT_NE(ran.message().find("trailing"), std::string::npos) << ran.message();
+  ASSERT_FALSE(opened.is_ok());
+  EXPECT_NE(opened.message().find("trailing"), std::string::npos) << opened.message();
+  EXPECT_EQ(opened.message().rfind(path + ": ", 0), 0u) << opened.message();
 }
 
 TEST(OrderCheckStage, RejectsOutOfOrderStream) {
@@ -442,23 +436,36 @@ TEST(OrderCheckStage, MatchesSeedOrderAcrossSourcesAndBatchSizes) {
       }
     }
 
-    // One file per node, merged by the fan-in: ties go to the lower
-    // path, as in a stable sort of the concatenation.
-    std::vector<std::string> paths;
-    for (std::size_t r = 0; r < parts.size(); ++r) {
-      paths.push_back(temp_path("ordering_rank" + std::to_string(r) + ".trace"));
-      ASSERT_TRUE(write_trace_file(paths.back(), parts[r]));
-    }
-    const Trace fan_oracle = oracle_of(concatenated(parts));
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{37},
-                                    pipeline::kDefaultBatchRecords}) {
-      SCOPED_TRACE("run " + std::to_string(run) + " fan-in, batch_records " +
-                   std::to_string(batch));
-      auto opened = pipeline::RankFanIn::open(paths, {batch});
-      ASSERT_TRUE(opened.is_ok()) << opened.message();
-      auto fan = std::move(opened).value();
-      pipeline::OrderCheckStage order;
-      expect_oracle_order(&fan, {&order}, fan_oracle);
+    // One file per node, and one per pair of nodes (a rank then holds
+    // two skewed nodes, in recorded order), merged by the fan-in with
+    // alignment on and off: ties go to the lower path, as in a stable
+    // sort of the concatenation, aligned or raw.
+    for (const std::size_t per_rank : {std::size_t{1}, std::size_t{2}}) {
+      std::vector<Trace> ranks;
+      std::vector<std::string> paths;
+      for (std::size_t r = 0; r < parts.size(); r += per_rank) {
+        const auto first = parts.begin() + static_cast<std::ptrdiff_t>(r);
+        const auto last = first + static_cast<std::ptrdiff_t>(std::min(per_rank, parts.size() - r));
+        ranks.push_back(concatenated(std::vector<Trace>(first, last)));
+        ranks.back().sort_by_time();  // by recorded tsc
+        paths.push_back(temp_path("ordering_rank" + std::to_string(paths.size()) + ".trace"));
+        ASSERT_TRUE(write_trace_file(paths.back(), ranks.back()));
+      }
+      for (const bool align : {true, false}) {
+        Trace fan_oracle = concatenated(ranks);
+        if (align) parser::reference::align_clocks_seed(&fan_oracle);
+        parser::reference::sort_by_time_seed(&fan_oracle);
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{37},
+                                        pipeline::kDefaultBatchRecords}) {
+          SCOPED_TRACE("run " + std::to_string(run) + " fan-in, " +
+                       std::to_string(per_rank) + " node(s) per rank, align " +
+                       std::to_string(align) + ", batch_records " + std::to_string(batch));
+          auto opened = pipeline::RankFanIn::open(paths, {batch}, align);
+          ASSERT_TRUE(opened.is_ok()) << opened.message();
+          auto fan = std::move(opened).value();
+          expect_oracle_order(&fan, {}, fan_oracle);
+        }
+      }
     }
   }
   EXPECT_GT(cross_node_ties, 0u);  // exact ties between nodes were exercised
@@ -753,6 +760,74 @@ TEST(RankFanIn, CombinedMetadataKeepsPathOrder) {
   EXPECT_EQ(meta.executable, "mpi_app");
 }
 
+/// The metadata every sink sees at begin().
+class MetaAtBeginSink : public pipeline::BatchSink {
+ public:
+  Status begin(const pipeline::TraceMeta& meta) override {
+    meta_at_begin = meta;
+    return Status::ok();
+  }
+  Status on_batch(const pipeline::TraceMeta& /*meta*/,
+                  const pipeline::EventBatch& /*batch*/) override {
+    return Status::ok();
+  }
+  pipeline::TraceMeta meta_at_begin;
+};
+
+TEST(RankFanIn, JoinsCompleteHeadersBeforeTheFirstBatch) {
+  // Two ranks on nodes 0 and 1, each with a RUNSTATS trailer (one with
+  // drops) and a FLTR trailer naming a different function: the fan-in's
+  // metadata is the two headers joined by TraceHeader::append, trailers
+  // included, already when sinks begin.
+  std::vector<Trace> ranks = {rank_trace(0, 0), rank_trace(1, 0)};
+  std::vector<std::string> paths;
+  for (std::uint16_t r = 0; r < 2; ++r) {
+    Trace& t = ranks[r];
+    t.sort_by_time();
+    t.run_stats.present = true;
+    t.run_stats.events_recorded = t.fn_events.size();
+    t.run_stats.events_dropped = r == 0 ? 5 : 0;
+    t.run_stats.tempd_samples = t.temp_samples.size();
+    t.run_stats.wall_seconds = 1.5 + r;
+    t.filter.present = true;
+    t.filter.source = "rank" + std::to_string(r) + ".filter";
+    t.filter.resolved = 1;
+    t.filter.suppressed = {r == 0 ? "alpha" : "beta"};
+    paths.push_back(temp_path("trailer_rank" + std::to_string(r) + ".trace"));
+    ASSERT_TRUE(write_trace_file(paths.back(), t));
+  }
+  TraceHeader want = ranks[0];
+  want.append(ranks[1]);
+  ASSERT_EQ(want.run_stats.events_dropped, 5u);
+  ASSERT_EQ(want.run_stats.wall_seconds, 2.5);
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+    pipeline::TraceInput input;
+    ASSERT_TRUE(input.open(paths, true, threads));
+    MetaAtBeginSink sink;
+    ASSERT_TRUE(input.run({&sink}));
+    const TraceHeader& got = sink.meta_at_begin;
+    // Every RunStats field, through the JSON the reports print.
+    std::ostringstream got_json, want_json;
+    report::write_profile_json(got_json, parser::RunProfile{}, &got.run_stats);
+    report::write_profile_json(want_json, parser::RunProfile{}, &want.run_stats);
+    EXPECT_EQ(got_json.str(), want_json.str());
+    EXPECT_TRUE(got.run_stats.present);
+    EXPECT_EQ(got.run_stats.events_dropped, 5u);
+    EXPECT_EQ(got.run_stats.events_recorded,
+              ranks[0].fn_events.size() + ranks[1].fn_events.size());
+    EXPECT_EQ(got.run_stats.wall_seconds, 2.5);  // the longest rank
+    EXPECT_TRUE(got.filter.present);
+    EXPECT_EQ(got.filter.source, want.filter.source);
+    EXPECT_EQ(got.filter.resolved, want.filter.resolved);
+    EXPECT_EQ(got.filter.suppressed, (std::vector<std::string>{"alpha", "beta"}));
+    EXPECT_EQ(got.nodes.size(), want.nodes.size());
+    EXPECT_EQ(got.threads.size(), want.threads.size());
+    EXPECT_EQ(got.sensors.size(), want.sensors.size());
+  }
+}
+
 TEST(RankFanIn, RejectsEmptyPathListAndMissingFile) {
   auto none = pipeline::RankFanIn::open({});
   ASSERT_FALSE(none.is_ok());
@@ -892,12 +967,10 @@ TEST(ClockMap, MatchesFitClocksOverSparseNodeIds) {
     pipeline::EventBatch batch;
     batch.fn_events = t.fn_events;
     batch.temp_samples = t.temp_samples;
-    batch.clock_syncs = syncs;
     pipeline::ClockAlignStage stage(fits);
     ASSERT_TRUE(stage.process(pipeline::TraceMeta{}, &batch));
     expect_same_records(batch.fn_events, want_events);
     expect_same_records(batch.temp_samples, want_samples);
-    EXPECT_TRUE(batch.clock_syncs.empty());  // consumed whenever present
 
     const Trace oracle = oracle_of(t);
     pipeline::MemoryTraceSource source(t);
@@ -1010,8 +1083,9 @@ TEST(ClockMap, ThreeRankDriftedTraceMatchesMapOracle) {
 TEST(LintSink, MatchesBatchLintReport) {
   // A clean trace, and one whose events and samples both reference an
   // undeclared node — more findings of that one check than the cap
-  // keeps. The source feeds samples first, lint_trace events first; the
-  // reports must not differ in which findings survive or their order.
+  // keeps. lint_trace_file feeds the reader's samples and syncs first,
+  // lint_trace events first; the reports must not differ in which
+  // findings survive or their order.
   Trace clean = rank_trace(0, 0);
   clean.sort_by_time();
   Trace dangling = clean;
@@ -1025,14 +1099,12 @@ TEST(LintSink, MatchesBatchLintReport) {
     options.max_findings_per_check = 4;
     const analysis::LintReport batch = analysis::lint_trace(t, options);
 
-    pipeline::BatchOptions batch_options;
-    batch_options.batch_records = 2;
-    pipeline::MemoryTraceSource source(t, batch_options);
-    pipeline::LintSink sink(options);
-    const Status ran = pipeline::run_pipeline(&source, {}, {&sink});
-    ASSERT_TRUE(ran) << ran.message();
+    const std::string path = temp_path("lint_order.trace");
+    ASSERT_TRUE(write_trace_file(path, t));
+    const auto from_file = analysis::lint_trace_file(path, options);
+    ASSERT_TRUE(from_file.is_ok()) << from_file.message();
 
-    EXPECT_EQ(analysis::to_json(sink.report()), analysis::to_json(batch));
+    EXPECT_EQ(analysis::to_json(from_file.value()), analysis::to_json(batch));
   }
   const analysis::LintReport dangling_report = [&] {
     analysis::LintOptions options;

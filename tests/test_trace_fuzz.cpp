@@ -4,10 +4,14 @@
 // fail with a Status.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <random>
 #include <sstream>
 
+#include "export/run.hpp"
 #include "pipeline/analysis.hpp"
+#include "pipeline/source.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 
@@ -137,5 +141,129 @@ TEST_P(TraceFuzz, BitFlipsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzz, ::testing::Range(0, 10));
+
+/// A trace shaped like a recorded one: events, samples and syncs, then
+/// the RUNSTATS and FLTR trailers.
+Trace trace_with_trailers() {
+  std::mt19937 rng(18);
+  Trace t = random_trace(rng);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    t.fn_events.push_back({1000 + i, 0x1000 + i % 3, 0, 0,
+                           i % 2 == 0 ? FnEventKind::kEnter : FnEventKind::kExit});
+  }
+  for (std::uint64_t i = 0; i < 8; ++i) t.temp_samples.push_back({1000 + 5 * i, 40.0, 0, 0});
+  t.clock_syncs.push_back({1000, 1000, 0});
+  t.clock_syncs.push_back({2000, 2000, 0});
+  t.run_stats.present = true;
+  t.run_stats.events_recorded = t.fn_events.size();
+  t.run_stats.events_dropped = 3;
+  t.run_stats.wall_seconds = 1.25;
+  t.filter.present = true;
+  t.filter.source = "hot.filter";
+  t.filter.resolved = 1;
+  t.filter.suppressed = {"slow_fn", "other_fn"};
+  return t;
+}
+
+std::string trace_bytes(const Trace& t) {
+  std::stringstream buffer;
+  EXPECT_TRUE(write_trace(buffer, t));
+  return buffer.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every record a run delivers, and how many batches carried them.
+class RecordingSink : public tempest::pipeline::BatchSink {
+ public:
+  tempest::Status on_batch(const tempest::pipeline::TraceMeta& /*meta*/,
+                           const tempest::pipeline::EventBatch& batch) override {
+    ++batches;
+    for (const FnEvent& e : batch.fn_events) events.push_back({e.tsc, e.addr});
+    for (const TempSample& s : batch.temp_samples) samples.push_back({s.tsc, s.temp_c});
+    return tempest::Status::ok();
+  }
+  std::size_t batches = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> events;
+  std::vector<std::pair<std::uint64_t, double>> samples;
+};
+
+TEST(TraceCut, EveryCutFailsBeforeTheFirstBatchOrDropsOnlyATrailer) {
+  // Cut the file at every offset. A cut exactly where an optional
+  // trailer starts is a whole trace without that trailer (and any after
+  // it); every other cut must fail before the first batch, naming the
+  // path.
+  const Trace original = trace_with_trailers();
+  const std::string full = trace_bytes(original);
+  std::size_t filter_bytes = 4 + 8 + 4 + original.filter.source.size() + 4;
+  for (const std::string& name : original.filter.suppressed) filter_bytes += 4 + name.size();
+  const std::size_t filter_at = full.size() - filter_bytes;
+  const std::size_t runstats_at = filter_at - (4 + 4 + kRunStatsRecordSize);
+  ASSERT_EQ(full.substr(runstats_at, 4), "RSTA");
+  ASSERT_EQ(full.substr(filter_at, 4), "FLTR");
+
+  const std::string path = ::testing::TempDir() + "/trace_cut.trace";
+  write_bytes(path, full);
+  RecordingSink want;
+  {
+    tempest::pipeline::TraceInput input;
+    ASSERT_TRUE(input.open({path}));
+    ASSERT_TRUE(input.run({&want}));
+    ASSERT_EQ(want.events.size(), original.fn_events.size());
+  }
+  std::size_t streamed = 0;
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut) + "/" + std::to_string(full.size()));
+    write_bytes(path, full.substr(0, cut));
+    tempest::pipeline::TraceInput input;
+    RecordingSink got;
+    tempest::Status ran = input.open({path});
+    if (ran) ran = input.run({&got});
+    if (cut == runstats_at || cut == filter_at) {
+      ASSERT_TRUE(ran) << ran.message();
+      EXPECT_EQ(input.meta().run_stats.present, cut == filter_at);
+      EXPECT_FALSE(input.meta().filter.present);
+      EXPECT_EQ(got.events, want.events);
+      EXPECT_EQ(got.samples, want.samples);
+      ++streamed;
+      continue;
+    }
+    ASSERT_FALSE(ran);
+    EXPECT_EQ(got.batches, 0u) << "failed after its first batch: " << ran.message();
+    EXPECT_EQ(ran.message().rfind(path + ": ", 0), 0u) << ran.message();
+  }
+  EXPECT_EQ(streamed, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCut, ExportOfADamagedTraceWritesNothing) {
+  // A cut inside the RUNSTATS trailer, and 7 bytes appended: both were
+  // only noticed after the export had streamed every event.
+  const std::string full = trace_bytes(trace_with_trailers());
+  const std::size_t runstats_at = full.rfind("RSTA");
+  ASSERT_NE(runstats_at, std::string::npos);
+  const std::string path = ::testing::TempDir() + "/trace_damaged.trace";
+  for (const std::string& damaged :
+       {full.substr(0, runstats_at + 20), full + "garbage"}) {
+    write_bytes(path, damaged);
+    for (const auto format :
+         {tempest::exporter::Format::kPerfetto, tempest::exporter::Format::kSpeedscope}) {
+      SCOPED_TRACE(std::to_string(damaged.size()) + " bytes, format " +
+                   std::to_string(static_cast<int>(format)));
+      tempest::exporter::ExportRunOptions options;
+      options.format = format;
+      options.spool_prefix = ::testing::TempDir() + "/trace_damaged.spool";
+      std::ostringstream out;
+      const auto ran = tempest::exporter::run_export({path}, out, options);
+      ASSERT_FALSE(ran.is_ok());
+      EXPECT_EQ(ran.message().rfind(path + ": ", 0), 0u) << ran.message();
+      EXPECT_EQ(out.str().size(), 0u);
+    }
+  }
+  std::remove(path.c_str());
+}
 
 }  // namespace
