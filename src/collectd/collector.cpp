@@ -560,6 +560,9 @@ struct Collector::Impl {
                    accept.find("application/openmetrics-text") !=
                        std::string::npos;
     }
+    // The daemon's own high-water mark, read when asked for: the one
+    // place its memory is visible from outside.
+    telemetry::gauge_set(Gauge::kPeakRssKb, telemetry::read_peak_rss_kb());
     std::ostringstream os;
     if (prometheus) {
       telemetry::write_snapshot_prometheus(os, telemetry::metrics().snapshot(),

@@ -15,8 +15,8 @@
 //     unpack scratch. A session is pinned to shard (session_id % K), so
 //     its frames fold in FIFO order on one thread with no fold-side
 //     locking, through the incremental analysis core the offline
-//     parser uses: O(functions + samples + open activations) per
-//     session, never O(events).
+//     parser uses, folding calls and time only: O(functions + open
+//     activations) per session, never O(events).
 //   * Backpressure: when a session's shard queue is full, the IO
 //     thread stops reading that connection (kernel socket buffers push
 //     back to the sender) and resumes once the shard drains below half.

@@ -55,6 +55,7 @@ Status SessionFold::apply(FrameType type, std::string_view payload) {
       pipeline::AnalysisOptions options;
       options.profile = profile_;
       options.timeline_hint = 1u << 12;
+      options.thermal = false;  // no endpoint serves thermal data
       pipeline_ = std::make_unique<pipeline::AnalysisPipeline>(options);
       pipeline_->set_metadata(meta);  // RUNSTATS trailer included
       return Status::ok();

@@ -12,6 +12,10 @@
 // session and its fold is discarded. Sessions fold in their own clock
 // domain: SYNCS are checked and counted, not applied (per-function
 // totals are alignment-invariant, as in `tempest_parse --no-align`).
+// The fold keeps calls and time only (AnalysisOptions::thermal off):
+// SAMPLES are unpacked, order-checked and counted and widen the run's
+// bounds, but are not attributed, so a session's state is O(functions +
+// open activations) whichever of SAMPLES and EVENTS comes first.
 //
 // No sockets, threads or atomics: the collector runs each fold on one
 // shard thread and publishes counters(), hello() and heartbeat().

@@ -112,7 +112,7 @@ void Tempd::run_loop(double hz) {
         Gauge::kTempdCpuUs,
         static_cast<std::int64_t>(std::llround(thread_cpu_seconds() * 1e6)));
     // Piggyback the RSS high-water mark on the tick so live heartbeats
-    // carry it; one getrusage per period is noise.
+    // carry it; one status read per period is noise.
     telemetry::gauge_set(Gauge::kPeakRssKb, telemetry::read_peak_rss_kb());
 
     next += period;

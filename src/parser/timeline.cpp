@@ -379,8 +379,13 @@ struct TimelineAccumulator::Impl {
     std::uint16_t node = 0;
   };
   Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-       SpanFilter keep)
-      : threads(threads), fns(hint), pairs(0), tally_index(0), keep_spans(std::move(keep)) {
+       SpanFilter keep, bool attribute)
+      : threads(threads),
+        fns(hint),
+        pairs(0),
+        tally_index(0),
+        keep_spans(std::move(keep)),
+        attribute_samples(attribute) {
     // Every listed thread's node is indexed directly by the replay.
     for (const auto& t : threads) node_at(t.node_id);
   }
@@ -507,7 +512,7 @@ struct TimelineAccumulator::Impl {
     Tally& t = tally_at(fn, e.node_id);
     t.totals.close(iv);
     if (st.keep_spans) t.lists.spans.push_back(iv);
-    t.lists.parked.push_back(iv);
+    if (attribute_samples) t.lists.parked.push_back(iv);
   }
 
   ThreadTable threads;
@@ -524,13 +529,14 @@ struct TimelineAccumulator::Impl {
   std::vector<TallyKey> tally_keys;    ///< parallel to `tallies`
   std::vector<NodeSamples> nodes;      ///< indexed by node id
   SpanFilter keep_spans;
+  bool attribute_samples;  ///< false: no samples come, nothing ever parks
 };
 
 TimelineAccumulator::TimelineAccumulator(
     const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-    SpanFilter keep_spans)
+    SpanFilter keep_spans, bool attribute_samples)
     : impl_(std::make_unique<Impl>(threads, hint == 0 ? 16 : hint,
-                                   std::move(keep_spans))) {}
+                                   std::move(keep_spans), attribute_samples)) {}
 
 TimelineAccumulator::~TimelineAccumulator() = default;
 TimelineAccumulator::TimelineAccumulator(TimelineAccumulator&&) noexcept = default;
@@ -540,6 +546,7 @@ TimelineAccumulator& TimelineAccumulator::operator=(TimelineAccumulator&&) noexc
 void TimelineAccumulator::add_samples(const trace::TempSample* samples,
                                       std::size_t n) {
   Impl& im = *impl_;
+  if (!im.attribute_samples) return;
   for (std::size_t i = 0; i < n; ++i) {
     im.node_at(samples[i].node_id).push(samples[i].tsc);
   }
@@ -588,6 +595,7 @@ void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n
     if (st.keep_spans) im.lists[si].spans.push_back(iv);
     const std::size_t hi = samples.seek(iv.end);
     if (!samples.settled(hi)) {
+      if (!im.attribute_samples) continue;  // no sample will ever settle it
       im.lists[si].parked.push_back(iv);
       st.parked = true;
       continue;
@@ -621,7 +629,7 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
       const Interval iv{st.first_enter, end_tsc};
       st.totals.close(iv);
       if (st.keep_spans) lists.spans.push_back(iv);
-      lists.parked.push_back(iv);
+      if (im.attribute_samples) lists.parked.push_back(iv);
     }
     if (st.totals.calls == 0 && st.totals.activations == 0) continue;
     const auto [fn, node] = im.open_keys[si];

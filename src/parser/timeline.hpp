@@ -20,6 +20,9 @@
 // activation that closes before any sample at or after its end has
 // arrived (events-first feeds) is parked as an interval and resolved by
 // a later close or by finish(), so any interleaving gives the same map.
+// A fold told at construction that no samples will come keeps calls and
+// time only: every activation settles as it closes, none parks, and its
+// state is O(functions + open activations) whatever the event order.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +105,12 @@ class TimelineAccumulator {
  public:
   /// `threads` maps thread ids to nodes (copied); `hint` sizes the
   /// function-address table (0 = small default, tables grow as needed).
+  /// `attribute_samples` false promises that no samples will come:
+  /// add_samples() is then a no-op, FunctionActivity::samples stays
+  /// empty, and every other field is what the sampled fold gives.
   explicit TimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
-                               std::size_t hint = 0, SpanFilter keep_spans = {});
+                               std::size_t hint = 0, SpanFilter keep_spans = {},
+                               bool attribute_samples = true);
   ~TimelineAccumulator();
   TimelineAccumulator(TimelineAccumulator&&) noexcept;
   TimelineAccumulator& operator=(TimelineAccumulator&&) noexcept;

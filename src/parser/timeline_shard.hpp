@@ -38,11 +38,13 @@ TimelineMap merge_timeline_maps(std::vector<TimelineMap>* parts);
 
 class ShardedTimelineAccumulator {
  public:
-  /// `threads`/`hint`/`keep_spans` as TimelineAccumulator; `shards` is
-  /// the worker count (<= 1 means inline serial).
+  /// `threads`/`hint`/`keep_spans`/`attribute_samples` as
+  /// TimelineAccumulator; `shards` is the worker count (<= 1 means
+  /// inline serial).
   ShardedTimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
                              std::size_t hint, unsigned shards,
-                             SpanFilter keep_spans = {});
+                             SpanFilter keep_spans = {},
+                             bool attribute_samples = true);
   ~ShardedTimelineAccumulator();
 
   ShardedTimelineAccumulator(const ShardedTimelineAccumulator&) = delete;

@@ -20,7 +20,8 @@ void AnalysisPipeline::set_metadata(const TraceMeta& meta) {
                     std::max(1u, options_.threads),
                     options_.want_series
                         ? report::span_filter(meta_, options_.span_functions)
-                        : parser::SpanFilter{});
+                        : parser::SpanFilter{},
+                    options_.thermal);
   assembler_.set_metadata(meta_);
 }
 
@@ -39,6 +40,7 @@ void AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
   if (!any_records_ || samples[0].tsc < start_tsc_) start_tsc_ = samples[0].tsc;
   if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
   any_records_ = true;
+  if (!options_.thermal) return;  // calls and time only: samples just bound the run
   timeline_->add_samples(samples, n);
   assembler_.add_samples(samples, n);
 }

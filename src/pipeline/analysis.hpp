@@ -32,6 +32,14 @@ struct AnalysisOptions {
   /// across N worker threads with bit-identical results (the ordering
   /// and merge guarantees live in parser/timeline_shard.hpp).
   unsigned threads = 1;
+  /// Attribute temperature samples to functions: the thermal profile
+  /// (per-sensor stats, significance, the series). Off, the fold keeps
+  /// calls and time only — samples still widen the run's bounds, so an
+  /// activation open at the end closes where it would have, but reach
+  /// neither the timeline nor the assembler, and no activation waits
+  /// for a sample. The collector, which serves no thermal data, turns
+  /// it off; every offline tool keeps it on, and want_series needs it.
+  bool thermal = true;
 };
 
 struct AnalysisResult {
@@ -49,8 +57,9 @@ struct AnalysisResult {
 /// events — the order OrderCheckStage emits — the timeline credits
 /// samples as it replays, so peak memory is O(functions + samples +
 /// open activations), not O(events); events ahead of their samples are
-/// parked until the samples arrive. The run's bounds are the ends of
-/// the sorted streams.
+/// parked until the samples arrive. With `thermal` off nothing parks
+/// and no sample is kept: O(functions + open activations) in any
+/// order. The run's bounds are the ends of the sorted streams.
 class AnalysisPipeline {
  public:
   explicit AnalysisPipeline(AnalysisOptions options = {});

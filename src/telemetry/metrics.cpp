@@ -6,6 +6,13 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__linux__)
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <cstring>
+#endif
 
 #include "common/env.hpp"
 
@@ -211,6 +218,26 @@ void Metrics::reset() {
 }
 
 std::int64_t read_peak_rss_kb() {
+#if defined(__linux__)
+  // VmHWM is this process's own high-water mark. getrusage's ru_maxrss
+  // is not: Linux carries it across fork+exec and posix_spawn, so a
+  // tool started by a large parent would report the parent's peak.
+  const int fd = ::open("/proc/self/status", O_RDONLY | O_CLOEXEC);
+  if (fd >= 0) {
+    char buf[8192];
+    std::size_t len = 0;
+    ssize_t n = 0;
+    while (len + 1 < sizeof(buf) &&
+           (n = ::read(fd, buf + len, sizeof(buf) - 1 - len)) > 0) {
+      len += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    buf[len] = '\0';
+    if (const char* line = std::strstr(buf, "\nVmHWM:")) {
+      return std::strtoll(line + 7, nullptr, 10);  // "  1234 kB"
+    }
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;

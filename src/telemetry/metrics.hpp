@@ -80,7 +80,7 @@ enum class Counter : std::uint16_t {
 };
 
 enum class Gauge : std::uint16_t {
-  kPeakRssKb = 0,        ///< getrusage high-water mark (analysis side)
+  kPeakRssKb = 0,        ///< process high-water mark (read_peak_rss_kb)
   kTempdCpuUs,           ///< tempd thread CPU time so far, microseconds
   kActiveThreads,        ///< live registered recorder threads
   kSensorTemp0MilliC,    ///< last reading of the first 8 sensors, milli-°C
@@ -245,7 +245,9 @@ inline void gauge_set(Gauge g, std::int64_t value) { metrics().set(g, value); }
 inline void gauge_raise(Gauge g, std::int64_t value) { metrics().raise(g, value); }
 inline void observe(Histogram h, double value) { metrics().record(h, value); }
 
-/// Process peak RSS in KiB from getrusage (0 where unsupported).
+/// This process's peak RSS in KiB: VmHWM from /proc/self/status on
+/// Linux, getrusage elsewhere (0 where neither works). ru_maxrss is not
+/// used on Linux because it carries the parent's peak across exec.
 /// Cold-path: callers feed it into Gauge::kPeakRssKb at checkpoints.
 std::int64_t read_peak_rss_kb();
 

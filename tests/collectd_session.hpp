@@ -56,6 +56,43 @@ inline trace::Trace session_trace(std::uint16_t id, std::size_t pairs) {
   return t;
 }
 
+/// Leave one activation open at BYE, then take one more sample: the
+/// last sample comes after the last event, so the open activation closes
+/// at that sample. A fold whose run bounds ignore samples closes it at
+/// its own enter instead and reports a different time.
+inline void leave_open_at_bye(trace::Trace* t) {
+  using namespace trace;
+  const ThreadInfo& th = t->threads.front();
+  const std::uint64_t kOpen = kSyntheticAddrBase + 50;
+  const std::uint64_t last = t->fn_events.back().tsc;
+  t->synthetic_symbols.push_back({kOpen, "open_at_bye"});
+  t->fn_events.push_back({last + 100, kOpen, th.thread_id, th.node_id, FnEventKind::kEnter});
+  t->temp_samples.push_back({last + 5000, 45.0, th.node_id, 0});
+  t->run_stats.events_recorded = t->fn_events.size();
+  t->run_stats.calls_observed = t->fn_events.size();
+  t->run_stats.tempd_samples = t->temp_samples.size();
+  t->sort_by_time();  // refreshes the cached bounds
+}
+
+/// Every field of two fleet rollups, doubles compared exactly: the
+/// collector's calls-and-time fold must give the offline fold's numbers,
+/// not numbers near them.
+inline void expect_same_fleet(const std::map<std::string, collectd::FleetFunction>& got,
+                              const std::map<std::string, collectd::FleetFunction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, fn] : want) {
+    const auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    const collectd::FleetFunction& g = it->second;
+    EXPECT_EQ(g.calls, fn.calls) << name;
+    EXPECT_EQ(g.total_time_s, fn.total_time_s) << name;
+    EXPECT_EQ(g.sessions, fn.sessions) << name;
+    EXPECT_EQ(g.time.count, fn.time.count) << name;
+    EXPECT_EQ(g.time.mean, fn.time.mean) << name;
+    EXPECT_EQ(g.time.variance(), fn.time.variance()) << name;
+  }
+}
+
 /// Offline reference: RankFanIn over the written session files, folded
 /// with the same fleet fold the collector applies.
 inline std::map<std::string, collectd::FleetFunction> offline_fleet(

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/json.hpp"
 #include "core/api.hpp"
 #include "core/workbench.hpp"
 #include "simnode/cluster.hpp"
@@ -38,6 +43,8 @@
 #ifndef TEMPEST_COLLECTD_BIN
 #define TEMPEST_COLLECTD_BIN "tools/tempest-collectd"
 #endif
+
+extern char** environ;
 
 namespace {
 
@@ -172,6 +179,24 @@ int run_tool(const char* bin, const std::string& args, std::string* output) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+/// Run `args` by posix_spawn from this process with its output
+/// discarded; its exit code, or -1.
+int spawn_quietly(const std::vector<std::string>& args) {
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+  posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+  std::vector<char*> argv;
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  const int rc = posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  int status = 0;
+  if (rc != 0 || waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST_F(CliTest, UnknownFlagIsUsageError) {
   EXPECT_EQ(run_exit_code("--bogus \"" + *trace_path_ + "\""), 2);
 }
@@ -250,6 +275,28 @@ TEST_F(CliTest, ExportToolMatchesParseExport) {
   // The sidecar snapshot lets tempest-top show what the export did.
   EXPECT_NE(slurp(out_path + ".telemetry.jsonl").find("export_events_exported"),
             std::string::npos);
+}
+
+TEST_F(CliTest, ToolReportsItsOwnPeakRssNotItsParents) {
+  // Linux carries getrusage's ru_maxrss across posix_spawn and
+  // fork+exec, so a tool started by a large process would report that
+  // process's peak as its own. Hold 192 MiB, every page touched, and
+  // spawn tempest-export straight from this process (no shell between):
+  // the peak its telemetry sidecar reports must be the tool's.
+  constexpr std::size_t kHeld = std::size_t{192} << 20;
+  const std::vector<char> held(kHeld, 1);
+  const std::string out_path =
+      ::testing::TempDir() + "/cli_rss." + std::to_string(getpid()) + ".json";
+  ASSERT_EQ(spawn_quietly({TEMPEST_EXPORT_BIN, "--format", "perfetto", "--out",
+                           out_path, *trace_path_}),
+            0);
+  const std::string sidecar = slurp(out_path + ".telemetry.jsonl");
+  std::remove(out_path.c_str());
+  std::remove((out_path + ".telemetry.jsonl").c_str());
+  const double peak_kb = tempest::json::read_numbers(sidecar).get("peak_rss_kb");
+  EXPECT_GT(peak_kb, 0.0) << sidecar;
+  EXPECT_LT(peak_kb, static_cast<double>(kHeld / 1024 / 2)) << sidecar;
+  EXPECT_EQ(held[kHeld / 2], 1);
 }
 
 TEST_F(CliTest, FanInReportsEveryRanksRunStats) {

@@ -22,6 +22,7 @@
 #include "common/json.hpp"
 #include "collectd_session.hpp"
 #include "parser/profile.hpp"
+#include "telemetry/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/writer.hpp"
 
@@ -204,7 +205,9 @@ TEST(Net, EndpointParsing) {
 
 TEST(Collector, SingleSessionMatchesOfflineFold) {
   // Both wire orders: samples ahead of events (what Session::stop
-  // sends) and behind them (older senders); the fold must not care.
+  // sends) and behind them (older senders); the fold must not care. The
+  // session ends with an activation open at BYE and a sample after its
+  // last event, so the rollup pins where the open activation closes.
   for (const bool samples_first : {true, false}) {
     SCOPED_TRACE(samples_first ? "samples first" : "events first");
     collectd::CollectorOptions options;
@@ -212,7 +215,8 @@ TEST(Collector, SingleSessionMatchesOfflineFold) {
     collectd::Collector collector(options);
     ASSERT_TRUE(collector.start());
 
-    const Trace t = session_trace(1, 50);
+    Trace t = session_trace(1, 50);
+    collectd_test::leave_open_at_bye(&t);
     const std::string path = temp_path("single_session.trace");
     ASSERT_TRUE(write_trace_file(path, t));
 
@@ -225,16 +229,8 @@ TEST(Collector, SingleSessionMatchesOfflineFold) {
     const collectd::FleetSnapshot fleet = collector.fleet();
     EXPECT_EQ(fleet.sessions_aborted, 0u);
 
-    const auto offline = offline_fleet({path});
-    ASSERT_EQ(fleet.functions.size(), offline.size());
-    for (const auto& [name, fn] : offline) {
-      auto it = fleet.functions.find(name);
-      ASSERT_NE(it, fleet.functions.end()) << name;
-      EXPECT_EQ(it->second.calls, fn.calls) << name;
-      EXPECT_NEAR(it->second.total_time_s, fn.total_time_s,
-                  1e-9 * (1.0 + std::abs(fn.total_time_s)))
-          << name;
-    }
+    collectd_test::expect_same_fleet(fleet.functions, offline_fleet({path}));
+    EXPECT_EQ(fleet.functions.at("open_at_bye").total_time_s, 4900 / 1e9);
 
     // RunStats ride through the fold with the conservation invariant.
     EXPECT_TRUE(fleet.run_stats.present);
@@ -738,11 +734,13 @@ TEST(Collector, MetricsServesPrometheusOnRequest) {
   collectd::Collector collector(options);
   ASSERT_TRUE(collector.start());
 
-  // Default stays JSON.
+  // Default stays JSON. The daemon reads its own peak RSS as it serves.
+  telemetry::gauge_set(telemetry::Gauge::kPeakRssKb, 0);
   collectd::HttpReply reply = collector.handle_query({"/metrics", ""});
   EXPECT_EQ(reply.status, 200);
   EXPECT_EQ(reply.content_type, "application/json");
   EXPECT_EQ(reply.body.front(), '{');
+  EXPECT_GT(json::read_numbers(reply.body).get("peak_rss_kb"), 0.0);
 
   // Explicit query parameter wins regardless of Accept.
   reply = collector.handle_query({"/metrics?format=prometheus", "application/json"});

@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <random>
@@ -110,6 +109,7 @@ class CollectdFuzz : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     trace_ = new trace::Trace(collectd_test::session_trace(7, 40));
+    collectd_test::leave_open_at_bye(trace_);
     path_ = new std::string(::testing::TempDir() + "/collectd_fuzz." +
                             std::to_string(::getpid()) + ".trace");
     ASSERT_TRUE(trace::write_trace_file(*path_, *trace_));
@@ -124,19 +124,11 @@ class CollectdFuzz : public ::testing::Test {
     delete oracle_;
   }
 
-  /// A folded session reproduces the offline oracle.
+  /// A folded session reproduces the offline oracle exactly.
   static void expect_oracle(const collectd::SessionFold& f) {
     std::map<std::string, collectd::FleetFunction> fleet;
     collectd::fold_profile(f.result().profile, &fleet);
-    ASSERT_EQ(fleet.size(), oracle_->size());
-    for (const auto& [name, fn] : *oracle_) {
-      auto it = fleet.find(name);
-      ASSERT_NE(it, fleet.end()) << name;
-      EXPECT_EQ(it->second.calls, fn.calls) << name;
-      EXPECT_NEAR(it->second.total_time_s, fn.total_time_s,
-                  1e-9 * (1.0 + std::abs(fn.total_time_s)))
-          << name;
-    }
+    collectd_test::expect_same_fleet(fleet, *oracle_);
     EXPECT_TRUE(f.result().run_stats.present);
     EXPECT_EQ(f.result().run_stats.calls_observed, trace_->fn_events.size());
   }

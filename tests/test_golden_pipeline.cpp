@@ -554,6 +554,85 @@ TEST(GoldenPipeline, FoldEdgeCasesMatchSeedOracle) {
   }
 }
 
+TEST(GoldenPipeline, CallsAndTimeFoldMatchesFullFold) {
+  // The collector folds calls and time only. Told that no samples will
+  // come, the timeline settles every activation as it closes; in every
+  // feed order at 1 and 4 shards it must give the sampled fold's calls,
+  // ticks, activations, ticks_sq, bounds and diagnostics, crediting no
+  // sample. AnalysisPipeline with `thermal` off still lets samples widen
+  // the run's bounds, so the edge trace's activations left open close
+  // where the sampled fold closes them: its last sample (1590) comes
+  // after its last event (1515).
+  Trace t = edge_trace();
+  t.sort_by_time();
+  ASSERT_GT(t.temp_samples.back().tsc, t.fn_events.back().tsc);
+  TimelineDiagnostics want_diag;
+  const TimelineMap want = build_timeline(t, &want_diag);
+  const RunProfile want_profile = tempest::pipeline::analyze_trace(t).value().profile;
+
+  for (const Feed order : {Feed::kSamplesFirst, Feed::kEventsFirst, Feed::kInterleaved}) {
+    for (const unsigned shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
+                   " shard(s)");
+      ShardedTimelineAccumulator fold(t.threads, 0, shards, {},
+                                      /*attribute_samples=*/false);
+      feed(
+          t, order,
+          [&fold](const FnEvent* e, std::size_t n) { fold.add_events(e, n); },
+          [&fold](const TempSample* s, std::size_t n) { fold.add_samples(s, n); });
+      TimelineDiagnostics diag;
+      const TimelineMap got = fold.finish(t.end_tsc(), &diag);
+      EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
+      EXPECT_EQ(diag.force_closed, want_diag.force_closed);
+      ASSERT_EQ(got.size(), want.size());
+      for (auto g = got.begin(), w = want.begin(); w != want.end(); ++g, ++w) {
+        ASSERT_EQ(g->first, w->first);
+        const FunctionActivity& a = g->second;
+        const FunctionActivity& b = w->second;
+        EXPECT_EQ(a.calls, b.calls) << b.addr;
+        EXPECT_EQ(a.total_ticks, b.total_ticks) << b.addr;
+        EXPECT_EQ(a.activations, b.activations) << b.addr;
+        EXPECT_TRUE(a.ticks_sq == b.ticks_sq) << b.addr;
+        EXPECT_EQ(a.first_begin, b.first_begin) << b.addr;
+        EXPECT_EQ(a.last_end, b.last_end) << b.addr;
+        EXPECT_TRUE(a.samples.empty()) << b.addr;
+      }
+
+      tempest::pipeline::AnalysisOptions options;
+      options.threads = shards;
+      options.thermal = false;
+      tempest::pipeline::AnalysisPipeline pipeline(options);
+      pipeline.set_metadata(t);
+      feed(
+          t, order,
+          [&pipeline](const FnEvent* e, std::size_t n) { pipeline.add_fn_events(e, n); },
+          [&pipeline](const TempSample* s, std::size_t n) {
+            pipeline.add_temp_samples(s, n);
+          });
+      const RunProfile got_profile = pipeline.finish().profile;
+      EXPECT_EQ(got_profile.duration_s, want_profile.duration_s);
+      EXPECT_EQ(got_profile.diagnostics.unmatched_exits,
+                want_profile.diagnostics.unmatched_exits);
+      EXPECT_EQ(got_profile.diagnostics.force_closed, want_profile.diagnostics.force_closed);
+      ASSERT_EQ(got_profile.nodes.size(), want_profile.nodes.size());
+      for (std::size_t n = 0; n < want_profile.nodes.size(); ++n) {
+        const auto& gf = got_profile.nodes[n].functions;
+        const auto& wf = want_profile.nodes[n].functions;
+        ASSERT_EQ(gf.size(), wf.size());
+        for (std::size_t f = 0; f < wf.size(); ++f) {
+          EXPECT_EQ(gf[f].name, wf[f].name);
+          EXPECT_EQ(gf[f].calls, wf[f].calls) << wf[f].name;
+          EXPECT_EQ(gf[f].total_time_s, wf[f].total_time_s) << wf[f].name;
+          EXPECT_EQ(gf[f].time.count, wf[f].time.count) << wf[f].name;
+          EXPECT_EQ(gf[f].time.mean_s, wf[f].time.mean_s) << wf[f].name;
+          EXPECT_EQ(gf[f].time.var_s2, wf[f].time.var_s2) << wf[f].name;
+          EXPECT_TRUE(gf[f].sensors.empty()) << wf[f].name;
+        }
+      }
+    }
+  }
+}
+
 constexpr std::uint64_t kRegionA = kSyntheticAddrBase + 1;
 constexpr std::uint64_t kRegionB = kSyntheticAddrBase + 2;
 
