@@ -15,15 +15,17 @@
 //           -> AnalysisSink
 //
 // Both children emit the text profile to a scratch file; the driver
-// byte-compares batch vs stream per size, so the numbers below are for
-// provably identical outputs. Results go to BENCH_pipeline.json; the
-// committed copy holds a full 1e5..1e7 run and CI smoke re-runs the
-// 1e5 point (--max-events 100000).
+// byte-compares batch vs stream per input, so the numbers below are for
+// provably identical outputs. The inputs are the trace at 1e5, 1e6 and
+// 1e7 events, then the 1e7 trace again with no samples. Results go to
+// BENCH_pipeline.json; the committed copy and CI hold a full run.
 //
-// Gate (exit 1 on failure): the streaming child's peak RSS at 1e7
-// events stays under kStreamRssBoundMib — a fixed bound, because the
-// fold credits samples while it replays and keeps no per-activation
-// state. Runs capped below 1e7 print SKIP instead of passing.
+// Gate (exit 1 on failure): the streaming child's peak RSS on both 1e7
+// inputs stays under kStreamRssBoundMib — a fixed bound, because every
+// sample reaches the fold before the first event and each activation
+// is credited as it closes, so the fold keeps no per-activation state,
+// with samples or without. Runs capped below 1e7 print SKIP instead of
+// passing.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -36,6 +38,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_provenance.hpp"
@@ -195,6 +198,7 @@ int run_child_stream(const std::string& trace_path, std::ostream& out) {
 struct Measurement {
   std::string mode;
   std::size_t events = 0;
+  std::size_t samples = 0;
   double wall_s = 0.0;
   double events_per_s = 0.0;
   long max_rss_kib = 0;
@@ -264,14 +268,23 @@ int run_driver(const char* self, std::size_t max_events,
     return 2;
   }
 
+  // Every size with its samples; at full size, the same trace without.
+  const bool full = sizes.back() == all_sizes.back();
+  std::vector<std::pair<std::size_t, bool>> inputs;
+  for (std::size_t n : sizes) inputs.emplace_back(n, true);
+  if (full) inputs.emplace_back(all_sizes.back(), false);
+
   std::vector<Measurement> rows;
   std::vector<std::string> scratch;
-  for (std::size_t n : sizes) {
-    const std::string trace_path =
-        bench_path("bench_pipeline_" + std::to_string(n) + ".trace");
+  for (const auto& [n, sampled] : inputs) {
+    const std::string trace_path = bench_path(
+        "bench_pipeline_" + std::to_string(n) + (sampled ? "" : "_nosamples") + ".trace");
     scratch.push_back(trace_path);
+    std::size_t n_samples = 0;
     {
       tempest::trace::Trace t = make_trace(n);
+      if (!sampled) t.temp_samples.clear();
+      n_samples = t.temp_samples.size();
       const Status written = tempest::trace::write_trace_file(trace_path, t);
       if (!written) {
         std::cerr << "bench_pipeline: " << written.message() << "\n";
@@ -289,14 +302,17 @@ int run_driver(const char* self, std::size_t max_events,
       if (!run_measured(self, modes[m], trace_path, emit_path, n, &row)) {
         return 1;
       }
+      row.samples = n_samples;
       rows.push_back(row);
       emits[m] = slurp(emit_path);
-      std::fprintf(stderr, "%-6s %9zu events  %7.3f s  %12.0f ev/s  %8ld KiB\n",
-                   modes[m], n, row.wall_s, row.events_per_s, row.max_rss_kib);
+      std::fprintf(stderr,
+                   "%-6s %9zu events %7zu samples  %7.3f s  %12.0f ev/s  %8ld KiB\n",
+                   modes[m], n, n_samples, row.wall_s, row.events_per_s, row.max_rss_kib);
     }
     if (emits[0] != emits[1] || emits[0].empty()) {
       std::cerr << "bench_pipeline: batch and stream outputs differ at " << n
-                << " events — refusing to report numbers for divergent paths\n";
+                << " events, " << n_samples
+                << " samples — refusing to report numbers for divergent paths\n";
       return 1;
     }
   }
@@ -319,14 +335,14 @@ int run_driver(const char* self, std::size_t max_events,
     const Measurement& r = rows[i];
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"mode\": \"%s\", \"events\": %zu, \"wall_s\": %.4f, "
-                  "\"events_per_s\": %.0f, \"max_rss_kib\": %ld}%s\n",
-                  r.mode.c_str(), r.events, r.wall_s, r.events_per_s,
+                  "    {\"mode\": \"%s\", \"events\": %zu, \"samples\": %zu, "
+                  "\"wall_s\": %.4f, \"events_per_s\": %.0f, \"max_rss_kib\": %ld}%s\n",
+                  r.mode.c_str(), r.events, r.samples, r.wall_s, r.events_per_s,
                   r.max_rss_kib, i + 1 < rows.size() ? "," : "");
     json << buf;
   }
   json << "  ],\n  \"summary\": [\n";
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
     const Measurement& batch = rows[i * 2];
     const Measurement& stream = rows[i * 2 + 1];
     const double rss_ratio = batch.max_rss_kib > 0
@@ -337,33 +353,33 @@ int run_driver(const char* self, std::size_t max_events,
         : 0.0;
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"events\": %zu, \"stream_rss_over_batch\": %.3f, "
-                  "\"stream_speed_over_batch\": %.3f}%s\n",
-                  sizes[i], rss_ratio, speed_ratio,
-                  i + 1 < sizes.size() ? "," : "");
+                  "    {\"events\": %zu, \"samples\": %zu, \"stream_rss_over_batch\": "
+                  "%.3f, \"stream_speed_over_batch\": %.3f}%s\n",
+                  stream.events, stream.samples, rss_ratio, speed_ratio,
+                  i + 1 < inputs.size() ? "," : "");
     json << buf;
   }
   json << "  ]\n}\n";
   std::cerr << "bench_pipeline: wrote " << out_path << "\n";
 
-  // Acceptance gate: the streaming child's peak RSS at 1e7 events.
-  if (sizes.back() != all_sizes.back()) {
+  // Acceptance gate: the streaming child's peak RSS on both 1e7 inputs.
+  if (!full) {
     std::cerr << "bench_pipeline: SKIP: needs the 1e7 point (streaming RSS "
                  "gate; run capped at "
               << sizes.back() << " events)\n";
     return 0;
   }
-  const Measurement& stream = rows.back();
-  if (stream.max_rss_kib > kStreamRssBoundMib * 1024) {
-    std::cerr << "bench_pipeline: FAIL streaming RSS " << stream.max_rss_kib
-              << " KiB exceeds " << kStreamRssBoundMib << " MiB at "
-              << sizes.back() << " events\n";
-    return 1;
+  int failed = 0;
+  for (const Measurement& stream : rows) {
+    if (stream.mode != "stream" || stream.events != all_sizes.back()) continue;
+    const bool pass = stream.max_rss_kib <= kStreamRssBoundMib * 1024;
+    failed += pass ? 0 : 1;
+    std::cerr << "bench_pipeline: " << (pass ? "PASS" : "FAIL") << " streaming RSS "
+              << stream.max_rss_kib << " KiB " << (pass ? "within " : "exceeds ")
+              << kStreamRssBoundMib << " MiB at " << stream.events << " events, "
+              << stream.samples << " samples\n";
   }
-  std::cerr << "bench_pipeline: PASS streaming RSS " << stream.max_rss_kib
-            << " KiB within " << kStreamRssBoundMib << " MiB at " << sizes.back()
-            << " events\n";
-  return 0;
+  return failed == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -15,11 +15,12 @@ bool unpack(std::string_view payload, std::vector<trace::FnEvent>* out) {
 bool unpack(std::string_view payload, std::vector<trace::TempSample>* out) {
   return unpack_temp_samples(payload, out);
 }
-void add(pipeline::AnalysisPipeline* p, const std::vector<trace::FnEvent>& v) {
+Status add(pipeline::AnalysisPipeline* p, const std::vector<trace::FnEvent>& v) {
   p->add_fn_events(v.data(), v.size());
+  return Status::ok();
 }
-void add(pipeline::AnalysisPipeline* p, const std::vector<trace::TempSample>& v) {
-  p->add_temp_samples(v.data(), v.size());
+Status add(pipeline::AnalysisPipeline* p, const std::vector<trace::TempSample>& v) {
+  return p->add_temp_samples(v.data(), v.size());
 }
 
 }  // namespace
@@ -128,9 +129,9 @@ Status SessionFold::fold_records(const char* what, std::string_view payload,
     last = r.tsc;
   }
   *last_tsc = last;
-  add(pipeline_.get(), *scratch);
-  *folded += scratch->size();
-  return Status::ok();
+  const Status added = add(pipeline_.get(), *scratch);
+  if (added) *folded += scratch->size();
+  return added;
 }
 
 }  // namespace tempest::collectd

@@ -8,12 +8,11 @@
 namespace tempest::parser {
 namespace {
 
-/// One node's samples in arrival order — the stream the timeline's
-/// sample positions index — plus per-sensor time-sorted streams for the
-/// nearest-sample fallback.
+/// One node's samples in time order — the stream the timeline's sample
+/// positions index — plus per-sensor streams for the nearest-sample
+/// fallback.
 struct NodeSamples {
   std::vector<const trace::TempSample*> by_time;
-  bool sorted = true;  ///< false only for hand-built unsorted traces
   /// Built lazily: the fallback runs only for insignificant functions.
   std::map<std::uint16_t, std::vector<const trace::TempSample*>> by_sensor;
   bool by_sensor_built = false;
@@ -99,15 +98,9 @@ RunProfile ProfileAssembler::assemble(
   std::map<std::pair<std::uint16_t, std::uint16_t>, const trace::SensorMeta*> sensor_meta;
   for (const auto& s : sensors_) sensor_meta[{s.node_id, s.sensor_id}] = &s;
 
-  // Samples grouped per node in arrival order (an unsorted hand-built
-  // trace is detected; its fallback uses the legacy linear scan so
-  // results never depend on sortedness).
+  // Samples grouped per node, in time order.
   std::map<std::uint16_t, NodeSamples> node_samples;
-  for (const auto& s : samples_) {
-    NodeSamples& ns = node_samples[s.node_id];
-    if (!ns.by_time.empty() && s.tsc < ns.by_time.back()->tsc) ns.sorted = false;
-    ns.by_time.push_back(&s);
-  }
+  for (const auto& s : samples_) node_samples[s.node_id].by_time.push_back(&s);
 
   const double ticks_per_s =
       tsc_ticks_per_second_ > 0.0 ? tsc_ticks_per_second_ : 1.0;
@@ -188,22 +181,9 @@ RunProfile ProfileAssembler::assemble(
       // function's first activation, via binary search on the sensor's
       // time-sorted stream (legacy tie-breaking preserved).
       per_sensor.clear();
-      const std::uint64_t at = activity.first_begin;
-      if (samples->sorted) {
-        for (const auto& [sid, stream] : samples->sensor_streams()) {
-          const trace::TempSample* s = nearest_in_stream(stream, at);
-          if (s != nullptr) per_sensor[sid].add(to_unit(s->temp_c, options_.unit));
-        }
-      } else {
-        std::map<std::uint16_t, std::pair<std::uint64_t, double>> best;
-        for (const trace::TempSample* s : samples->by_time) {
-          const std::uint64_t dist = s->tsc > at ? s->tsc - at : at - s->tsc;
-          const auto it = best.find(s->sensor_id);
-          if (it == best.end() || dist < it->second.first) {
-            best[s->sensor_id] = {dist, to_unit(s->temp_c, options_.unit)};
-          }
-        }
-        for (const auto& [sid, dt] : best) per_sensor[sid].add(dt.second);
+      for (const auto& [sid, stream] : samples->sensor_streams()) {
+        const trace::TempSample* s = nearest_in_stream(stream, activity.first_begin);
+        if (s != nullptr) per_sensor[sid].add(to_unit(s->temp_c, options_.unit));
       }
     }
 
@@ -228,11 +208,9 @@ RunProfile ProfileAssembler::assemble(
     // Node duration: span of this node's events and samples.
     std::uint64_t lo = UINT64_MAX, hi = 0;
     const auto samples_it = node_samples.find(id);
-    if (samples_it != node_samples.end()) {
-      for (const trace::TempSample* s : samples_it->second.by_time) {
-        lo = std::min(lo, s->tsc);
-        hi = std::max(hi, s->tsc);
-      }
+    if (samples_it != node_samples.end()) {  // never empty once created
+      lo = samples_it->second.by_time.front()->tsc;
+      hi = samples_it->second.by_time.back()->tsc;
     }
     const auto span_it = node_span.find(id);
     if (span_it != node_span.end()) {

@@ -90,10 +90,10 @@ struct ProfileOptions {
 };
 
 /// Incremental profile assembly. Metadata arrives once (set_metadata),
-/// temperature samples arrive in batches (add_samples — owned copies,
-/// batches are transient in the pipeline), and assemble() reads a
-/// finished timeline's credited sample ranges back into per-sensor
-/// statistics.
+/// temperature samples arrive in batches, each node's in time order
+/// (add_samples — owned copies, batches are transient in the pipeline),
+/// and assemble() reads a finished timeline's credited sample ranges
+/// back into per-sensor statistics.
 /// Sample storage is the only O(samples) state; samples are ~1% of
 /// events in practice.
 class ProfileAssembler {

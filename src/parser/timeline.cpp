@@ -154,14 +154,11 @@ void credit(std::vector<SampleRange>* ranges, std::size_t lo, std::size_t hi) {
   }
 }
 
-/// One node's sample timestamps in arrival order, and the cursor the
-/// replay moves over them.
+/// One node's sample timestamps, complete and in time order before the
+/// replay starts, and the cursor the replay moves over them.
 class NodeSamples {
  public:
-  void push(std::uint64_t tsc) {
-    if (!tsc_.empty() && tsc < tsc_.back()) sorted_ = false;
-    tsc_.push_back(tsc);
-  }
+  void push(std::uint64_t tsc) { tsc_.push_back(tsc); }
 
   /// Position of the first sample at or after `t`. The cursor walks on
   /// from where the previous lookup left it — usually zero steps, since
@@ -176,60 +173,20 @@ class NodeSamples {
     return c;
   }
 
-  /// True when `pos`, a seek() result, is final: a sample at or after
-  /// its tsc has arrived, and later samples arrive in time order.
-  bool settled(std::size_t pos) const { return sorted_ && pos < tsc_.size(); }
-
-  bool sorted() const { return sorted_; }
-
-  /// Position of the first sample at or after `t`, searched outward
-  /// from `from` (doubling steps, then a binary search inside the last
-  /// step): O(log distance), so consecutive activations of one function
-  /// cost little however long the stream.
-  std::size_t lower_bound_from(std::size_t from, std::uint64_t t) const {
-    const auto first = tsc_.begin();
-    if (from > 0 && tsc_[from - 1] >= t) {
-      return static_cast<std::size_t>(std::lower_bound(first, first + from, t) - first);
-    }
-    std::size_t lo = from, hi = from;
-    for (std::size_t step = 1; hi < tsc_.size() && tsc_[hi] < t; step *= 2) {
-      lo = hi + 1;
-      hi += step;
-    }
-    hi = std::min(hi, tsc_.size());
-    return static_cast<std::size_t>(std::lower_bound(first + lo, first + hi, t) - first);
-  }
-
-  /// Credit the samples inside `iv` on a sorted node, searching from
-  /// position `from`; returns where the next, later activation's search
-  /// should start. Exact once the stream is complete, and before that
-  /// for any activation whose end has settled.
-  std::size_t credit_inside(const Interval& iv, std::size_t from,
-                            std::vector<SampleRange>* ranges) const {
-    const std::size_t lo = lower_bound_from(from, iv.begin);
-    const std::size_t hi = lower_bound_from(lo, iv.end);
-    credit(ranges, lo, hi);
-    return hi;
-  }
-
-  /// Credit the samples inside any interval of `merged` (sorted and
-  /// disjoint, as merge_intervals leaves it) on an unsorted node (a
-  /// hand-built batch trace): one scan in arrival order, one binary
-  /// search per sample.
-  void credit_scan(const std::vector<Interval>& merged,
-                   std::vector<SampleRange>* ranges) const {
-    const auto after = [](std::uint64_t t, const Interval& iv) { return t < iv.begin; };
-    for (std::size_t i = 0; i < tsc_.size(); ++i) {
-      // Only the last interval beginning at or before the sample can hold it.
-      const auto it = std::upper_bound(merged.begin(), merged.end(), tsc_[i], after);
-      if (it != merged.begin() && tsc_[i] < std::prev(it)->end) credit(ranges, i, i + 1);
-    }
+  /// The samples inside `iv`, found by binary search without moving the
+  /// cursor: for closes off the replay's path (threads missing from the
+  /// metadata, activations still open at the end).
+  void credit_inside(const Interval& iv, std::vector<SampleRange>* ranges) const {
+    const auto lower = [this](std::uint64_t t) {
+      return static_cast<std::size_t>(std::lower_bound(tsc_.begin(), tsc_.end(), t) -
+                                      tsc_.begin());
+    };
+    credit(ranges, lower(iv.begin), lower(iv.end));
   }
 
  private:
   std::vector<std::uint64_t> tsc_;
   std::size_t cursor_ = 0;
-  bool sorted_ = true;
 };
 
 /// 128-bit sum held on an 8-byte boundary, so Totals has no padding
@@ -266,32 +223,14 @@ struct Totals {
 };
 
 /// The lists a slot gathers. They are touched only when a sample is
-/// credited, an activation parks or a span function closes, so they live
-/// apart from the per-event state.
+/// credited or a span function closes, so they live apart from the
+/// per-event state.
 struct Lists {
-  std::vector<Interval> parked;     ///< closed before their samples settled
   std::vector<SampleRange> ranges;  ///< credited sample positions
   std::vector<Interval> spans;      ///< every activation, span functions only
 
-  /// Credit every parked activation. Parked activations of one thread
-  /// are in time order, so on a sorted node one forward search serves
-  /// them all; an unsorted node scans its samples once against their
-  /// union.
-  void settle_parked(const NodeSamples& samples) {
-    if (parked.empty()) return;
-    if (samples.sorted()) {
-      std::size_t from = 0;
-      for (const Interval& iv : parked) from = samples.credit_inside(iv, from, &ranges);
-    } else {
-      merge_intervals(&parked);
-      samples.credit_scan(parked, &ranges);
-    }
-    parked.clear();
-  }
-
   void absorb(Lists&& other) {
     append(&ranges, &other.ranges);
-    append(&parked, &other.parked);
     append(&spans, &other.spans);
   }
 
@@ -312,9 +251,8 @@ struct OpenSlot {
   Totals totals;
   std::uint64_t depth = 0;
   std::uint64_t first_enter = 0;
-  std::uint32_t enter_pos = kNone;  ///< settled sample position of first_enter
+  std::uint32_t enter_pos = 0;  ///< sample position of first_enter
   bool keep_spans = false;
-  bool parked = false;  ///< the slot's Lists::parked is non-empty
 };
 
 /// Per (addr, node): the slots of a node's threads, folded together.
@@ -378,14 +316,12 @@ struct TimelineAccumulator::Impl {
     std::uint32_t fn = 0;
     std::uint16_t node = 0;
   };
-  Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-       SpanFilter keep, bool attribute)
+  Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint, SpanFilter keep)
       : threads(threads),
         fns(hint),
         pairs(0),
         tally_index(0),
-        keep_spans(std::move(keep)),
-        attribute_samples(attribute) {
+        keep_spans(std::move(keep)) {
     // Every listed thread's node is indexed directly by the replay.
     for (const auto& t : threads) node_at(t.node_id);
   }
@@ -491,7 +427,7 @@ struct TimelineAccumulator::Impl {
 
   /// One event of a thread missing from the metadata: its node is the
   /// event's own node id, so calls and closes go straight to that
-  /// node's tally, and its activations settle at finish().
+  /// node's tally.
   void add_unlisted(const trace::FnEvent& e) {
     if (e.kind == trace::FnEventKind::kEnter) {
       const std::uint32_t fn = intern(e.addr);
@@ -512,7 +448,7 @@ struct TimelineAccumulator::Impl {
     Tally& t = tally_at(fn, e.node_id);
     t.totals.close(iv);
     if (st.keep_spans) t.lists.spans.push_back(iv);
-    if (attribute_samples) t.lists.parked.push_back(iv);
+    nodes[e.node_id].credit_inside(iv, &t.lists.ranges);
   }
 
   ThreadTable threads;
@@ -529,14 +465,12 @@ struct TimelineAccumulator::Impl {
   std::vector<TallyKey> tally_keys;    ///< parallel to `tallies`
   std::vector<NodeSamples> nodes;      ///< indexed by node id
   SpanFilter keep_spans;
-  bool attribute_samples;  ///< false: no samples come, nothing ever parks
 };
 
-TimelineAccumulator::TimelineAccumulator(
-    const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-    SpanFilter keep_spans, bool attribute_samples)
+TimelineAccumulator::TimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
+                                         std::size_t hint, SpanFilter keep_spans)
     : impl_(std::make_unique<Impl>(threads, hint == 0 ? 16 : hint,
-                                   std::move(keep_spans), attribute_samples)) {}
+                                   std::move(keep_spans))) {}
 
 TimelineAccumulator::~TimelineAccumulator() = default;
 TimelineAccumulator::TimelineAccumulator(TimelineAccumulator&&) noexcept = default;
@@ -546,7 +480,6 @@ TimelineAccumulator& TimelineAccumulator::operator=(TimelineAccumulator&&) noexc
 void TimelineAccumulator::add_samples(const trace::TempSample* samples,
                                       std::size_t n) {
   Impl& im = *impl_;
-  if (!im.attribute_samples) return;
   for (std::size_t i = 0; i < n; ++i) {
     im.node_at(samples[i].node_id).push(samples[i].tsc);
   }
@@ -573,8 +506,7 @@ void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n
       OpenSlot& st = im.open[im.slot_at(th, e.thread_id, im.intern(e.addr))];
       if (st.depth == 0) {
         st.first_enter = e.tsc;
-        const std::size_t pos = samples.seek(e.tsc);
-        st.enter_pos = samples.settled(pos) ? static_cast<std::uint32_t>(pos) : kNone;
+        st.enter_pos = static_cast<std::uint32_t>(samples.seek(e.tsc));
       }
       ++st.depth;
       ++st.totals.calls;
@@ -588,25 +520,13 @@ void TimelineAccumulator::add_events(const trace::FnEvent* events, std::size_t n
     }
     OpenSlot& st = im.open[si];
     if (--st.depth != 0) continue;
-    // Credit [cursor(begin), cursor(end)) once a sample at or after the
-    // end has arrived; until then the activation waits, parked.
+    // Credit [cursor(begin), cursor(end)): the node's samples are all in.
+    // The cold list is touched only when a sample falls inside.
     const Interval iv{st.first_enter, e.tsc};
     st.totals.close(iv);
     if (st.keep_spans) im.lists[si].spans.push_back(iv);
     const std::size_t hi = samples.seek(iv.end);
-    if (!samples.settled(hi)) {
-      if (!im.attribute_samples) continue;  // no sample will ever settle it
-      im.lists[si].parked.push_back(iv);
-      st.parked = true;
-      continue;
-    }
-    if (st.parked) {  // earlier ones first
-      im.lists[si].settle_parked(samples);
-      st.parked = false;
-    }
-    const std::size_t lo = st.enter_pos != kNone ? st.enter_pos
-                                                 : samples.lower_bound_from(hi, iv.begin);
-    credit(&im.lists[si].ranges, lo, hi);
+    if (st.enter_pos < hi) credit(&im.lists[si].ranges, st.enter_pos, hi);
   }
 }
 
@@ -615,8 +535,7 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
                                         bool keep_empty) {
   Impl& im = *impl_;
   // Close activations still open when the trace ends (e.g. main, or a
-  // run interrupted mid-function), settle everything parked against the
-  // now complete sample streams, and fold the per-(addr, thread) slots
+  // run interrupted mid-function) and fold the per-(addr, thread) slots
   // into the per-(addr, node) tallies. Unknown threads fall back to node
   // 0 here (no event in hand to borrow a node id from). Counts, sums and
   // range unions are all order-independent, so folding after the loop
@@ -624,17 +543,16 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
   for (std::size_t si = 0; si < im.open.size(); ++si) {
     OpenSlot& st = im.open[si];
     Lists& lists = im.lists[si];
+    const auto [fn, node] = im.open_keys[si];
     if (st.depth > 0) {
       ++im.diag.force_closed;
       const Interval iv{st.first_enter, end_tsc};
       st.totals.close(iv);
       if (st.keep_spans) lists.spans.push_back(iv);
-      if (im.attribute_samples) lists.parked.push_back(iv);
+      im.node_at(node).credit_inside(iv, &lists.ranges);
     }
     if (st.totals.calls == 0 && st.totals.activations == 0) continue;
-    const auto [fn, node] = im.open_keys[si];
     Tally& dst = im.tally_at(fn, node);
-    lists.settle_parked(im.nodes[node]);
     dst.totals.absorb(st.totals);
     dst.lists.absorb(std::move(lists));
   }
@@ -646,7 +564,6 @@ TimelineMap TimelineAccumulator::finish(std::uint64_t end_tsc,
     Tally& a = im.tallies[i];
     if (a.totals.activations == 0 && !keep_empty) continue;
     const auto [fn, node] = im.tally_keys[i];
-    a.lists.settle_parked(im.nodes[node]);
     merge_sample_ranges(&a.lists.ranges);
     merge_intervals(&a.lists.spans);
     FunctionActivity fa;

@@ -11,18 +11,15 @@
 // function's nested activations collapse into one activation per
 // outermost call, so neither time nor samples are double-counted.
 //
-// Attribution happens during the replay, not after it. Each node keeps
-// its samples' timestamps and a cursor; at every outermost enter and
-// exit the cursor moves to the first sample at or after that tsc, and an
-// activation [b, e) credits the sample positions [cursor(b), cursor(e)).
-// Fold state is O(functions + samples + open activations) when samples
-// arrive before events — the order every pipeline Source emits. An
-// activation that closes before any sample at or after its end has
-// arrived (events-first feeds) is parked as an interval and resolved by
-// a later close or by finish(), so any interleaving gives the same map.
-// A fold told at construction that no samples will come keeps calls and
-// time only: every activation settles as it closes, none parks, and its
-// state is O(functions + open activations) whatever the event order.
+// Attribution happens during the replay, not after it. The fold takes
+// every sample before the first event, each node's samples in time
+// order — the order every pipeline Source emits. Each node keeps its
+// samples' timestamps and a cursor; at every outermost enter and exit
+// the cursor moves to the first sample at or after that tsc, and an
+// activation [b, e) credits the sample positions [cursor(b), cursor(e))
+// as it closes. Fold state is O(functions + samples + open activations)
+// for every trace; a fold given no samples credits none and keeps calls
+// and time only.
 #pragma once
 
 #include <cstdint>
@@ -96,34 +93,29 @@ using TimelineMap = std::map<std::pair<std::uint16_t, std::uint64_t>, FunctionAc
 using SpanFilter = std::function<bool(std::uint64_t addr)>;
 
 /// Incremental timeline builder: the streaming core behind
-/// build_timeline. Feed time-sorted sample and event batches in any
-/// interleaving (per-thread event order and per-node sample order are
-/// what actually matter), then finish() closes still-open activations at
-/// `end_tsc` and assembles the map. Folding N batches produces
-/// bit-identical output to one batch of the concatenation.
+/// build_timeline. Feed every sample batch, then the event batches
+/// (per-thread event order is what the replay needs), then finish()
+/// closes still-open activations at `end_tsc` and assembles the map.
+/// Folding N batches produces bit-identical output to one batch of the
+/// concatenation.
 class TimelineAccumulator {
  public:
   /// `threads` maps thread ids to nodes (copied); `hint` sizes the
   /// function-address table (0 = small default, tables grow as needed).
-  /// `attribute_samples` false promises that no samples will come:
-  /// add_samples() is then a no-op, FunctionActivity::samples stays
-  /// empty, and every other field is what the sampled fold gives.
   explicit TimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
-                               std::size_t hint = 0, SpanFilter keep_spans = {},
-                               bool attribute_samples = true);
+                               std::size_t hint = 0, SpanFilter keep_spans = {});
   ~TimelineAccumulator();
   TimelineAccumulator(TimelineAccumulator&&) noexcept;
   TimelineAccumulator& operator=(TimelineAccumulator&&) noexcept;
 
-  /// Append samples to their nodes' streams. Each node's samples must
-  /// arrive time-sorted, unless every sample precedes every event (the
-  /// batch wrappers' order), in which case an unsorted node is attributed
-  /// by a scan at finish().
+  /// Append samples to their nodes' streams. Every sample must arrive
+  /// before the first event, and each node's samples in time order:
+  /// activations credit the streams as they close.
   void add_samples(const trace::TempSample* samples, std::size_t n);
   void add_events(const trace::FnEvent* events, std::size_t n);
 
-  /// Force-close open activations at `end_tsc`, settle parked ones and
-  /// return the finished map. The accumulator is spent afterwards.
+  /// Force-close open activations at `end_tsc` and return the finished
+  /// map. The accumulator is spent afterwards.
   ///
   /// `keep_empty` retains entries with no activation (call counts
   /// recorded under one node while the activations landed on another —

@@ -59,8 +59,8 @@ TimelineMap merge_timeline_maps(std::vector<TimelineMap>* parts) {
 struct ShardedTimelineAccumulator::Impl {
   struct Shard {
     Shard(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-          SpanFilter keep_spans, bool attribute_samples)
-        : acc(threads, hint, std::move(keep_spans), attribute_samples) {}
+          SpanFilter keep_spans)
+        : acc(threads, hint, std::move(keep_spans)) {}
 
     TimelineAccumulator acc;  ///< touched only by the shard's worker
     TimelineMap result;
@@ -77,12 +77,11 @@ struct ShardedTimelineAccumulator::Impl {
   };
 
   Impl(const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-       unsigned n_shards, const SpanFilter& keep_spans, bool attribute_samples) {
+       unsigned n_shards, const SpanFilter& keep_spans) {
     shards.reserve(n_shards);
     const std::size_t shard_hint = hint / n_shards + 16;
     for (unsigned i = 0; i < n_shards; ++i) {
-      shards.push_back(
-          std::make_unique<Shard>(threads, shard_hint, keep_spans, attribute_samples));
+      shards.push_back(std::make_unique<Shard>(threads, shard_hint, keep_spans));
     }
     for (auto& s : shards) {
       Shard* shard = s.get();
@@ -157,11 +156,11 @@ struct ShardedTimelineAccumulator::Impl {
 
 ShardedTimelineAccumulator::ShardedTimelineAccumulator(
     const std::vector<trace::ThreadInfo>& threads, std::size_t hint,
-    unsigned shards, SpanFilter keep_spans, bool attribute_samples) {
+    unsigned shards, SpanFilter keep_spans) {
   if (shards > 1) {
-    impl_ = std::make_unique<Impl>(threads, hint, shards, keep_spans, attribute_samples);
+    impl_ = std::make_unique<Impl>(threads, hint, shards, keep_spans);
   } else {
-    serial_.emplace(threads, hint, std::move(keep_spans), attribute_samples);
+    serial_.emplace(threads, hint, std::move(keep_spans));
   }
 }
 

@@ -8,8 +8,9 @@
 // sharded fold routes each trace thread to a fixed shard
 // (thread_id % shards), hands every shard the whole sample stream (each
 // shard credits against identical per-node sample positions), feeds
-// shards from bounded per-shard queues so the reader never races ahead
-// of the fold by more than a few batches, and merges the per-shard maps
+// shards from bounded per-shard FIFO queues so the reader never races
+// ahead of the fold by more than a few batches and every shard takes
+// the samples before the events, and merges the per-shard maps
 // deterministically. The result is bit-identical to the serial
 // accumulator: same map, same stats, same diagnostics — which is what
 // lets `--threads=N` guarantee byte-equal output against `--threads=1`.
@@ -38,13 +39,11 @@ TimelineMap merge_timeline_maps(std::vector<TimelineMap>* parts);
 
 class ShardedTimelineAccumulator {
  public:
-  /// `threads`/`hint`/`keep_spans`/`attribute_samples` as
-  /// TimelineAccumulator; `shards` is the worker count (<= 1 means
-  /// inline serial).
+  /// `threads`/`hint`/`keep_spans` as TimelineAccumulator; `shards` is
+  /// the worker count (<= 1 means inline serial).
   ShardedTimelineAccumulator(const std::vector<trace::ThreadInfo>& threads,
                              std::size_t hint, unsigned shards,
-                             SpanFilter keep_spans = {},
-                             bool attribute_samples = true);
+                             SpanFilter keep_spans = {});
   ~ShardedTimelineAccumulator();
 
   ShardedTimelineAccumulator(const ShardedTimelineAccumulator&) = delete;

@@ -20,8 +20,7 @@ void AnalysisPipeline::set_metadata(const TraceMeta& meta) {
                     std::max(1u, options_.threads),
                     options_.want_series
                         ? report::span_filter(meta_, options_.span_functions)
-                        : parser::SpanFilter{},
-                    options_.thermal);
+                        : parser::SpanFilter{});
   assembler_.set_metadata(meta_);
 }
 
@@ -31,18 +30,37 @@ void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n
   if (!any_records_ || events[0].tsc < start_tsc_) start_tsc_ = events[0].tsc;
   if (!any_records_ || events[n - 1].tsc > end_tsc_) end_tsc_ = events[n - 1].tsc;
   any_records_ = true;
+  any_events_ = true;
   timeline_->add_events(events, n);
 }
 
-void AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
-                                        std::size_t n) {
-  if (n == 0) return;
+Status AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
+                                          std::size_t n) {
+  if (n == 0) return Status::ok();
+  if (options_.thermal) {
+    if (any_events_) {
+      return Status::error(
+          "temperature samples arrived after fn events: the analysis fold credits "
+          "samples while it replays the events, so every sample must come first");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (samples[i].tsc < last_sample_tsc_) {
+        return Status::error(
+            "temperature sample at tsc " + std::to_string(samples[i].tsc) +
+            " arrived after one at tsc " + std::to_string(last_sample_tsc_) +
+            ": the analysis fold needs samples in time order");
+      }
+      last_sample_tsc_ = samples[i].tsc;
+    }
+  }
   if (!any_records_ || samples[0].tsc < start_tsc_) start_tsc_ = samples[0].tsc;
   if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
   any_records_ = true;
-  if (!options_.thermal) return;  // calls and time only: samples just bound the run
+  // Calls and time only: samples just bound the run.
+  if (!options_.thermal) return Status::ok();
   timeline_->add_samples(samples, n);
   assembler_.add_samples(samples, n);
+  return Status::ok();
 }
 
 AnalysisResult AnalysisPipeline::finish(const symtab::Resolver* resolver) {

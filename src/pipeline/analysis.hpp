@@ -36,9 +36,9 @@ struct AnalysisOptions {
   /// (per-sensor stats, significance, the series). Off, the fold keeps
   /// calls and time only — samples still widen the run's bounds, so an
   /// activation open at the end closes where it would have, but reach
-  /// neither the timeline nor the assembler, and no activation waits
-  /// for a sample. The collector, which serves no thermal data, turns
-  /// it off; every offline tool keeps it on, and want_series needs it.
+  /// neither the timeline nor the assembler, and may arrive in any
+  /// order. The collector, which serves no thermal data, turns it off;
+  /// every offline tool keeps it on, and want_series needs it.
   bool thermal = true;
 };
 
@@ -51,15 +51,15 @@ struct AnalysisResult {
   trace::RunStats run_stats;
 };
 
-/// The analysis fold: metadata once, then aligned, time-sorted
-/// event/sample batches in any interleaving, then finish(). Folds into
-/// TimelineAccumulator and ProfileAssembler. With samples ahead of
-/// events — the order OrderCheckStage emits — the timeline credits
-/// samples as it replays, so peak memory is O(functions + samples +
-/// open activations), not O(events); events ahead of their samples are
-/// parked until the samples arrive. With `thermal` off nothing parks
-/// and no sample is kept: O(functions + open activations) in any
-/// order. The run's bounds are the ends of the sorted streams.
+/// The analysis fold: metadata once, then aligned, time-sorted sample
+/// batches, then time-sorted event batches, then finish() — the order
+/// OrderCheckStage emits. Folds into TimelineAccumulator and
+/// ProfileAssembler; the timeline credits samples as it replays the
+/// events, so peak memory is O(functions + samples + open activations),
+/// not O(events). This is the one place that checks the fold's sample
+/// order. With `thermal` off no sample is kept: O(functions + open
+/// activations), with samples and events in any order. The run's
+/// bounds are the ends of the sorted streams.
 class AnalysisPipeline {
  public:
   explicit AnalysisPipeline(AnalysisOptions options = {});
@@ -67,7 +67,9 @@ class AnalysisPipeline {
   /// Must precede the first batch. Applies exe_override.
   void set_metadata(const TraceMeta& meta);
 
-  void add_temp_samples(const trace::TempSample* samples, std::size_t n);
+  /// With `thermal` on, a sample after the first event or behind the
+  /// sample before it is an error, and the pipeline must not be fed on.
+  Status add_temp_samples(const trace::TempSample* samples, std::size_t n);
   void add_fn_events(const trace::FnEvent* events, std::size_t n);
 
   /// Symbolise, attribute, assemble. When `resolver` is null one is
@@ -82,7 +84,9 @@ class AnalysisPipeline {
   parser::ProfileAssembler assembler_;
   std::uint64_t start_tsc_ = 0;  ///< over events and samples, 0 when empty
   std::uint64_t end_tsc_ = 0;
+  std::uint64_t last_sample_tsc_ = 0;
   bool any_records_ = false;
+  bool any_events_ = false;
 };
 
 /// Analyze a raw in-memory trace, as recorded, through the one analysis

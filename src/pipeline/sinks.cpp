@@ -59,9 +59,10 @@ Status AnalysisSink::begin(const TraceMeta& meta) {
 }
 
 Status AnalysisSink::on_batch(const TraceMeta& /*meta*/, const EventBatch& batch) {
-  pipeline_.add_temp_samples(batch.temp_samples.data(), batch.temp_samples.size());
-  pipeline_.add_fn_events(batch.fn_events.data(), batch.fn_events.size());
-  return Status::ok();
+  const Status added =
+      pipeline_.add_temp_samples(batch.temp_samples.data(), batch.temp_samples.size());
+  if (added) pipeline_.add_fn_events(batch.fn_events.data(), batch.fn_events.size());
+  return added;
 }
 
 Status AnalysisSink::on_end(const TraceMeta& /*meta*/) {

@@ -17,10 +17,10 @@
 // OrderCheckStage then restores global time order across nodes within a
 // bounded window; downstream of it, each record kind is in global time
 // order across batches (events sorted, samples sorted), as a stable
-// sort of the aligned trace would leave them. Samples first is what
-// lets the analysis fold credit each sample while it replays the
-// events, in memory independent of the event count; consumers stay
-// correct for any interleaving and only lose that bound.
+// sort of the aligned trace would leave them. Samples first is the
+// analysis fold's requirement: it credits each sample while it replays
+// the events, in memory independent of the event count, and
+// AnalysisPipeline rejects a sample that arrives after an event.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,11 @@
 #include "symtab/elf.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 
 namespace tempest::symtab {
 namespace {
@@ -138,18 +142,40 @@ Result<std::vector<FuncSymbol>> extract(const std::vector<char>& file,
   return out;
 }
 
-Result<std::vector<char>> slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Result<std::vector<char>>::error("cannot open " + path);
-  // Whole blocks, not one istreambuf_iterator step per byte: that loop
-  // cost ~4 ns a byte (milliseconds per executable) and its speed swung
-  // by a fifth with the code alignment the link happened to give it.
-  std::vector<char> bytes;
-  std::vector<char> block(64 * 1024);
-  while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
-         in.gcount() > 0) {
-    bytes.insert(bytes.end(), block.data(), block.data() + in.gcount());
+/// Owns an open file descriptor.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  ~FileDescriptor() {
+    if (fd_ >= 0) ::close(fd_);
   }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// The whole of a regular file, read at its size into one buffer. The
+/// path may come from a peer's trace metadata, so anything else — a FIFO
+/// that would block, a device that never ends — is refused unread.
+Result<std::vector<char>> slurp_file(const std::string& path) {
+  const FileDescriptor fd(::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC));
+  if (fd.get() < 0) return Result<std::vector<char>>::error("cannot open " + path);
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return Result<std::vector<char>>::error(path + ": not a regular file");
+  }
+  std::vector<char> bytes(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);  // the file shrank while it was read
   return bytes;
 }
 

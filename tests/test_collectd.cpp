@@ -3,11 +3,13 @@
 // abrupt disconnects, slow-loris stalls, and oversized-frame rejection.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
@@ -243,6 +245,41 @@ TEST(Collector, SingleSessionMatchesOfflineFold) {
               fleet.run_stats.calls_observed);
     collector.stop();
   }
+}
+
+TEST(Collector, FifoExecutableFoldsWithHexNames) {
+  // A session's META names the executable the fold symbolises against.
+  // Naming a FIFO once blocked the shard thread at BYE for good; now the
+  // path is refused, the session folds with hex names, and the session
+  // after it on the same shard folds too.
+  const std::string fifo = temp_path("collectd_fifo_exe");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("fifo_exe");
+  options.shards = 1;
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+  for (const std::uint16_t id : {1, 2}) {
+    Trace t = session_trace(id, 10);
+    if (id == 1) {
+      t.executable = fifo;
+      const std::uint64_t last = t.fn_events.back().tsc;
+      t.fn_events.push_back({last + 100, 0x401000, id, id, FnEventKind::kEnter});
+      t.fn_events.push_back({last + 200, 0x401000, id, id, FnEventKind::kExit});
+    }
+    collectd::CollectClient client;
+    ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
+    ASSERT_TRUE(stream_session(&client, t, 100 + id));
+  }
+  ASSERT_TRUE(wait_until([&] { return collector.fleet().sessions_folded == 2; }));
+  const collectd::FleetSnapshot fleet = collector.fleet();
+  EXPECT_EQ(fleet.sessions_aborted, 0u);
+  ASSERT_EQ(fleet.functions.count("0x401000"), 1u);
+  EXPECT_EQ(fleet.functions.at("0x401000").calls, 1u);
+  EXPECT_EQ(fleet.functions.count("own_fn_2"), 1u);
+  collector.stop();
+  std::remove(fifo.c_str());
 }
 
 TEST(Collector, HammerManySessionsWithDisconnects) {

@@ -238,11 +238,11 @@ TEST(TimeStats, StreamingFoldMatchesBatchExactly) {
   for (const std::size_t split : {1u, 3u, 7u}) {
     pipeline::AnalysisPipeline fold(pipeline::AnalysisOptions{});
     fold.set_metadata(t);
+    ASSERT_TRUE(fold.add_temp_samples(t.temp_samples.data(), t.temp_samples.size()));
     for (std::size_t i = 0; i < t.fn_events.size(); i += split) {
       const std::size_t n = std::min(split, t.fn_events.size() - i);
       fold.add_fn_events(t.fn_events.data() + i, n);
     }
-    fold.add_temp_samples(t.temp_samples.data(), t.temp_samples.size());
     const pipeline::AnalysisResult streamed = fold.finish();
 
     for (const char* name : {"hot", "cold"}) {

@@ -329,9 +329,8 @@ void feed(const Trace& t, Feed order,
 
 TEST(GoldenPipeline, StreamingFoldMatchesSeedOracle) {
   // The streaming pipeline's consumer core, fed the sorted golden trace
-  // in deliberately small, uneven batches — samples ahead of events (the
-  // order every Source emits), behind them (activations park until the
-  // samples arrive), or interleaved — serially and over 4 shards, must
+  // in deliberately small, uneven batches, samples ahead of events (the
+  // order every Source emits), serially and over 4 shards, must
   // reproduce the seed pipeline's profile exactly. The seed gets hex
   // names because the fold's symboliser falls back to hex when the
   // recorded executable ("golden", which doesn't exist) has no symtab.
@@ -344,20 +343,19 @@ TEST(GoldenPipeline, StreamingFoldMatchesSeedOracle) {
   const RunProfile seed =
       reference::build_profile_seed(t, seed_tl, hex_names, seed_diag, {});
 
-  for (const Feed order : {Feed::kSamplesFirst, Feed::kEventsFirst, Feed::kInterleaved}) {
-    for (const unsigned shards : {1u, 4u}) {
-      SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
-                   " shard(s)");
-      tempest::pipeline::AnalysisOptions options;
-      options.threads = shards;
-      tempest::pipeline::AnalysisPipeline fold(options);
-      fold.set_metadata(t);
-      feed(
-          t, order,
-          [&fold](const FnEvent* e, std::size_t n) { fold.add_fn_events(e, n); },
-          [&fold](const TempSample* s, std::size_t n) { fold.add_temp_samples(s, n); });
-      expect_profiles_equal(fold.finish().profile, seed);
-    }
+  for (const unsigned shards : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    tempest::pipeline::AnalysisOptions options;
+    options.threads = shards;
+    tempest::pipeline::AnalysisPipeline fold(options);
+    fold.set_metadata(t);
+    feed(
+        t, Feed::kSamplesFirst,
+        [&fold](const FnEvent* e, std::size_t n) { fold.add_fn_events(e, n); },
+        [&fold](const TempSample* s, std::size_t n) {
+          ASSERT_TRUE(fold.add_temp_samples(s, n));
+        });
+    expect_profiles_equal(fold.finish().profile, seed);
   }
 }
 
@@ -495,9 +493,9 @@ void expect_same_timeline(const TimelineMap& got, const TimelineMap& want) {
 TEST(GoldenPipeline, FoldEdgeCasesMatchSeedOracle) {
   // The golden and edge-case traces through the fold: a one-batch serial
   // pass keeping every span must match the seed's interval unions, and
-  // every feed order at 1 and 4 shards, keeping spans for one function
-  // only, must reproduce the serial map field for field — ranges, spans,
-  // ticks_sq and diagnostics.
+  // a samples-first feed in small, uneven batches at 1 and 4 shards,
+  // keeping spans for one function only, must reproduce the serial map
+  // field for field — ranges, spans, ticks_sq and diagnostics.
   for (const bool edge : {false, true}) {
     SCOPED_TRACE(edge ? "edge trace" : "golden trace");
     Trace t = edge ? edge_trace() : golden_trace();
@@ -536,33 +534,29 @@ TEST(GoldenPipeline, FoldEdgeCasesMatchSeedOracle) {
       EXPECT_EQ(want_diag.force_closed, 2u);
     }
 
-    for (const Feed order : {Feed::kSamplesFirst, Feed::kEventsFirst, Feed::kInterleaved}) {
-      for (const unsigned shards : {1u, 4u}) {
-        SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
-                     " shard(s)");
-        ShardedTimelineAccumulator fold(t.threads, 0, shards, one_span);
-        feed(
-            t, order,
-            [&fold](const FnEvent* e, std::size_t n) { fold.add_events(e, n); },
-            [&fold](const TempSample* s, std::size_t n) { fold.add_samples(s, n); });
-        TimelineDiagnostics diag;
-        expect_same_timeline(fold.finish(t.end_tsc(), &diag), want);
-        EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
-        EXPECT_EQ(diag.force_closed, want_diag.force_closed);
-      }
+    for (const unsigned shards : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+      ShardedTimelineAccumulator fold(t.threads, 0, shards, one_span);
+      feed(
+          t, Feed::kSamplesFirst,
+          [&fold](const FnEvent* e, std::size_t n) { fold.add_events(e, n); },
+          [&fold](const TempSample* s, std::size_t n) { fold.add_samples(s, n); });
+      TimelineDiagnostics diag;
+      expect_same_timeline(fold.finish(t.end_tsc(), &diag), want);
+      EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
+      EXPECT_EQ(diag.force_closed, want_diag.force_closed);
     }
   }
 }
 
 TEST(GoldenPipeline, CallsAndTimeFoldMatchesFullFold) {
-  // The collector folds calls and time only. Told that no samples will
-  // come, the timeline settles every activation as it closes; in every
-  // feed order at 1 and 4 shards it must give the sampled fold's calls,
+  // The collector folds calls and time only. Given the events alone, the
+  // timeline at 1 and 4 shards must give the sampled fold's calls,
   // ticks, activations, ticks_sq, bounds and diagnostics, crediting no
   // sample. AnalysisPipeline with `thermal` off still lets samples widen
-  // the run's bounds, so the edge trace's activations left open close
-  // where the sampled fold closes them: its last sample (1590) comes
-  // after its last event (1515).
+  // the run's bounds, in every feed order, so the edge trace's
+  // activations left open close where the sampled fold closes them: its
+  // last sample (1590) comes after its last event (1515).
   Trace t = edge_trace();
   t.sort_by_time();
   ASSERT_GT(t.temp_samples.back().tsc, t.fn_events.back().tsc);
@@ -574,12 +568,11 @@ TEST(GoldenPipeline, CallsAndTimeFoldMatchesFullFold) {
     for (const unsigned shards : {1u, 4u}) {
       SCOPED_TRACE(std::string(feed_name(order)) + ", " + std::to_string(shards) +
                    " shard(s)");
-      ShardedTimelineAccumulator fold(t.threads, 0, shards, {},
-                                      /*attribute_samples=*/false);
+      ShardedTimelineAccumulator fold(t.threads, 0, shards);
       feed(
           t, order,
           [&fold](const FnEvent* e, std::size_t n) { fold.add_events(e, n); },
-          [&fold](const TempSample* s, std::size_t n) { fold.add_samples(s, n); });
+          [](const TempSample*, std::size_t) {});
       TimelineDiagnostics diag;
       const TimelineMap got = fold.finish(t.end_tsc(), &diag);
       EXPECT_EQ(diag.unmatched_exits, want_diag.unmatched_exits);
@@ -607,7 +600,7 @@ TEST(GoldenPipeline, CallsAndTimeFoldMatchesFullFold) {
           t, order,
           [&pipeline](const FnEvent* e, std::size_t n) { pipeline.add_fn_events(e, n); },
           [&pipeline](const TempSample* s, std::size_t n) {
-            pipeline.add_temp_samples(s, n);
+            EXPECT_TRUE(pipeline.add_temp_samples(s, n));
           });
       const RunProfile got_profile = pipeline.finish().profile;
       EXPECT_EQ(got_profile.duration_s, want_profile.duration_s);

@@ -231,10 +231,9 @@ TEST(ParallelPipeline, PrefetchSourcePreservesBatchSequence) {
 
 /// Sharded timeline fold vs the serial accumulator over a hostile
 /// stream: unmatched exits, frames left open, events on thread ids the
-/// metadata never declared, recursion, and samples split around the
-/// events (half settle activations as they close, half arrive after
-/// them) — everything the drop-empty and range-union merge rules have
-/// to get right.
+/// metadata never declared, recursion, and samples in two batches
+/// ahead of the events — everything the drop-empty and range-union
+/// merge rules have to get right.
 TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
   for (const std::uint32_t seed : {1u, 2u, 3u, 4u}) {
     std::mt19937_64 rng(seed);
@@ -274,8 +273,10 @@ TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
     for (const unsigned shards : {2u, 4u, 8u}) {
       parser::TimelineDiagnostics diag;
       parser::ShardedTimelineAccumulator sharded(threads, 0, shards, keep_all);
+      // Samples in two batches, then events in uneven chunks to exercise
+      // the queue hand-off.
       sharded.add_samples(samples.data(), early);
-      // Feed in uneven chunks to exercise the queue hand-off.
+      sharded.add_samples(samples.data() + early, samples.size() - early);
       std::size_t pos = 0;
       while (pos < events.size()) {
         const std::size_t n = std::min<std::size_t>(
@@ -283,7 +284,6 @@ TEST(ParallelPipeline, ShardedTimelineMatchesSerialOnFuzzedStreams) {
         sharded.add_events(events.data() + pos, n);
         pos += n;
       }
-      sharded.add_samples(samples.data() + early, samples.size() - early);
       const parser::TimelineMap got = sharded.finish(end_tsc, &diag);
 
       EXPECT_EQ(diag.unmatched_exits, serial_diag.unmatched_exits)

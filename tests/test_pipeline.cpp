@@ -1133,4 +1133,48 @@ TEST(AnalysisPipeline, EmptyRunProducesEmptyProfile) {
   EXPECT_FALSE(result.has_series);
 }
 
+TEST(AnalysisPipeline, SamplesAfterEventsAreAContractError) {
+  // The fold credits samples while it replays the events, so with
+  // `thermal` on every sample must come before the first event and in
+  // time order. The pipeline says so, directly and through
+  // AnalysisSink; with `thermal` off samples only widen the run's
+  // bounds, in any order.
+  const Trace t = rank_trace(0, 0);
+  const auto has = [](const Status& s, const std::string& what) {
+    return !s && s.message().find(what) != std::string::npos;
+  };
+  const std::string after = "after fn events";
+  {
+    pipeline::AnalysisPipeline fold;
+    fold.set_metadata(t);
+    fold.add_fn_events(t.fn_events.data(), 1);
+    EXPECT_TRUE(has(fold.add_temp_samples(t.temp_samples.data(), 1), after));
+  }
+  {
+    pipeline::AnalysisPipeline fold;
+    fold.set_metadata(t);
+    ASSERT_TRUE(fold.add_temp_samples(t.temp_samples.data() + 1, 1));
+    EXPECT_TRUE(has(fold.add_temp_samples(t.temp_samples.data(), 1), "time order"));
+  }
+  {
+    pipeline::AnalysisSink sink;
+    ASSERT_TRUE(sink.begin(t));
+    pipeline::EventBatch events;
+    events.fn_events = t.fn_events;
+    ASSERT_TRUE(sink.on_batch(t, events));
+    pipeline::EventBatch samples;
+    samples.temp_samples = t.temp_samples;
+    EXPECT_TRUE(has(sink.on_batch(t, samples), after));
+  }
+  {
+    pipeline::AnalysisOptions options;
+    options.thermal = false;
+    pipeline::AnalysisPipeline fold(options);
+    fold.set_metadata(t);
+    fold.add_fn_events(t.fn_events.data(), t.fn_events.size());
+    EXPECT_TRUE(fold.add_temp_samples(t.temp_samples.data() + 1, 1));
+    EXPECT_TRUE(fold.add_temp_samples(t.temp_samples.data(), 1));
+  }
+}
+
 }  // namespace

@@ -1,7 +1,9 @@
 // ELF symbol-table parsing and address resolution, exercised against
 // this test binary itself.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cstdio>
 #include <string>
 
 #include "symtab/elf.hpp"
@@ -24,6 +26,21 @@ using tempest::symtab::Resolver;
 TEST(Elf, RejectsNonElfAndMissingFiles) {
   EXPECT_FALSE(tempest::symtab::read_function_symbols("/nonexistent").is_ok());
   EXPECT_FALSE(tempest::symtab::read_function_symbols("/etc/hostname").is_ok());
+}
+
+TEST(Elf, RefusesFifoAndDeviceAtOnce) {
+  // A FIFO would block the read and /dev/zero never ends: both fail
+  // before a byte is read, naming the path.
+  const std::string fifo = ::testing::TempDir() + "/symtab_fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string("/dev/zero")}) {
+    const auto symbols = tempest::symtab::read_function_symbols(path);
+    ASSERT_FALSE(symbols.is_ok()) << path;
+    EXPECT_EQ(symbols.message(), path + ": not a regular file");
+    EXPECT_FALSE(tempest::symtab::read_elf_image(path).is_ok()) << path;
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(Elf, ReadsOwnSymbols) {

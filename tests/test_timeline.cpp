@@ -2,7 +2,8 @@
 // replay: the Table 1 conditions (single function, multiple,
 // interleaving, recursion + interleaving), unbalanced traces, and the
 // half-open [begin, end) boundaries — checked on which samples each
-// function is credited with, whatever order samples and events arrive.
+// function is credited with, however the samples-first feed is split —
+// and the fold's memory bounds.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -251,25 +252,30 @@ TEST(Timeline, ThreadsAreIndependent) {
 
 TEST(Timeline, ThreadsOfOneNodeCreditEachSampleOnce) {
   // Two threads of node 0 run f over overlapping spans: the union, not
-  // the sum, decides which samples f is credited with.
+  // the sum, decides which samples f is credited with. So do threads 5
+  // and 6, which the metadata does not list: g's activations on them
+  // land in one (g, node) tally, the inner [50, 90) closing first.
   Trace t = trace_with({enter(0, 5, 0), enter(50, 5, 2), exit_(100, 5, 0),
-                        exit_(200, 5, 2)},
+                        exit_(200, 5, 2), enter(10, 6, 5), enter(50, 6, 6),
+                        exit_(90, 6, 6), exit_(180, 6, 5)},
                        {25, 75, 150, 250});
   t.threads.push_back({2, 0, 1});
   const auto tl = build_timeline(t);
   EXPECT_EQ(tl.at({0, 5}).total_ticks, 250u);
   EXPECT_EQ(credited(t, tl.at({0, 5})), (Ticks{25, 75, 150}));
+  EXPECT_EQ(tl.at({0, 6}).activations, 2u);
+  EXPECT_EQ(credited(t, tl.at({0, 6})), (Ticks{25, 75, 150}));
 }
 
 TEST(Timeline, AnyFeedOrderCreditsTheSameSamples) {
-  // Samples ahead of events settle each activation as it closes; events
-  // ahead of samples park their activations until the samples arrive
-  // (or finish()); an interleaved feed mixes both.
+  // Every sample comes before the first event, whole or in uneven
+  // batches, and the events follow likewise: each feed credits every
+  // activation as it closes, with the same samples.
   const Trace t = trace_with(
       {enter(10, 1), enter(20, 2), exit_(40, 2), exit_(90, 1), enter(95, 2),
        exit_(120, 2)},
       {5, 30, 60, 100, 110, 130});
-  const auto feed = [&t](int order) {
+  const auto feed = [&t](int split) {
     TimelineAccumulator acc(t.threads);
     const auto samples = [&](std::size_t b, std::size_t e) {
       acc.add_samples(t.temp_samples.data() + b, e - b);
@@ -278,66 +284,26 @@ TEST(Timeline, AnyFeedOrderCreditsTheSameSamples) {
       acc.add_events(t.fn_events.data() + b, e - b);
     };
     const std::size_t ns = t.temp_samples.size(), ne = t.fn_events.size();
-    if (order == 0) {
+    if (split == 0) {
       samples(0, ns);
       events(0, ne);
-    } else if (order == 1) {
-      events(0, ne);
-      samples(0, ns);
     } else {
       samples(0, 2);
-      events(0, 3);
       samples(2, 4);
-      events(3, ne);
       samples(4, ns);
+      events(0, 3);
+      events(3, ne);
     }
     return acc.finish(t.end_tsc());
   };
-  for (int order = 0; order < 3; ++order) {
-    SCOPED_TRACE(order);
-    const TimelineMap tl = feed(order);
+  for (int split = 0; split < 2; ++split) {
+    SCOPED_TRACE(split);
+    const TimelineMap tl = feed(split);
     EXPECT_EQ(credited(t, tl.at({0, 1})), (Ticks{30, 60}));
     EXPECT_EQ(credited(t, tl.at({0, 2})), (Ticks{30, 100, 110}));
     EXPECT_EQ(tl.at({0, 2}).first_begin, 20u);
     EXPECT_EQ(tl.at({0, 2}).last_end, 120u);
   }
-}
-
-TEST(Timeline, UnsortedSamplesAttributeInArrivalOrder) {
-  // A hand-built trace whose node samples are out of time order, with
-  // several activations of one function: adjacent ([100,200) then
-  // [200,300)), separate ([350,400)) and overlapping across two threads
-  // of the node ([150,250) on thread 2). Each sample inside any of them
-  // is credited once, at its arrival position, and the half-open
-  // boundaries hold. Function 2 runs on threads 5 and 6,
-  // missing from the metadata, so both activations land in one slot and
-  // close out of begin order: [10,180) and then [50,90) inside it.
-  Trace t;
-  t.tsc_ticks_per_second = 1e9;
-  t.threads = {{0, 0, 0}, {2, 0, 1}};
-  t.fn_events = {enter(100, 1),    enter(150, 1, 2), exit_(200, 1),
-                 enter(200, 1),    exit_(250, 1, 2), exit_(300, 1),
-                 enter(350, 1),    exit_(400, 1),
-                 enter(10, 2, 5),  exit_(180, 2, 5), enter(50, 2, 6),
-                 exit_(90, 2, 6)};
-  for (const std::uint64_t at : {500, 150, 350, 300, 99, 200, 399, 340}) {
-    t.temp_samples.push_back({at, 40.0, 0, 0});
-  }
-  const auto tl = build_timeline(t);
-  const auto& fn = tl.at({0, 1});
-  EXPECT_EQ(fn.activations, 4u);
-  ASSERT_EQ(fn.samples.size(), 2u);
-  EXPECT_EQ(fn.samples[0].first, 1u);  // 150, 350
-  EXPECT_EQ(fn.samples[0].last, 3u);
-  EXPECT_EQ(fn.samples[1].first, 5u);  // 200, 399
-  EXPECT_EQ(fn.samples[1].last, 7u);
-  const auto& nested = tl.at({0, 2});
-  EXPECT_EQ(nested.activations, 2u);
-  ASSERT_EQ(nested.samples.size(), 2u);
-  EXPECT_EQ(nested.samples[0].first, 1u);  // 150
-  EXPECT_EQ(nested.samples[0].last, 2u);
-  EXPECT_EQ(nested.samples[1].first, 4u);  // 99
-  EXPECT_EQ(nested.samples[1].last, 5u);
 }
 
 TEST(Timeline, MergeIntervalsCoalesces) {
@@ -415,6 +381,38 @@ TEST(Timeline, FoldMemoryGrowsWithPairsSeen) {
     // larger size (or hit the allocation cap first).
     EXPECT_LT(per_event[1], 2048) << (listed ? "listed" : "unlisted");
     EXPECT_LT(per_event[1], 2 * per_event[0]) << (listed ? "listed" : "unlisted");
+  }
+}
+
+TEST(Timeline, FoldMemoryDoesNotGrowWithActivations) {
+  // One function's N enter/exit pairs on one thread, folded with no
+  // samples and with 64 samples that all come before the first event
+  // (a node whose samples end before its activations do). Each
+  // activation is credited as it closes, so nothing is kept per
+  // activation: the fold's peak heap is the same at N = 1e4 and 1e6.
+  // Keeping 16 bytes per activation would add 15.8 MB at 1e6.
+  const std::vector<tempest::trace::ThreadInfo> threads = {{0, 0, 0}};
+  std::vector<TempSample> early;
+  for (std::uint64_t at = 0; at < 64; ++at) early.push_back({at, 40.0, 0, 0});
+  for (const bool sampled : {false, true}) {
+    std::int64_t peak[2] = {0, 0};
+    const std::uint32_t sizes[2] = {10000, 1000000};
+    for (int k = 0; k < 2; ++k) {
+      std::vector<FnEvent> events;
+      for (std::uint64_t i = 0; i < sizes[k]; ++i) {
+        events.push_back(enter(100 + 2 * i, 0x1000));
+        events.push_back(exit_(101 + 2 * i, 0x1000));
+      }
+      std::uint64_t activations = 0;
+      peak[k] = peak_heap([&] {
+        TimelineAccumulator acc(threads, 16);
+        if (sampled) acc.add_samples(early.data(), early.size());
+        acc.add_events(events.data(), events.size());
+        activations = acc.finish(events.back().tsc).at({0, 0x1000}).activations;
+      });
+      EXPECT_EQ(activations, sizes[k]);
+    }
+    EXPECT_LE(peak[1], peak[0] + 4096) << (sampled ? "sampled" : "no samples");
   }
 }
 
