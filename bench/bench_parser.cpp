@@ -441,7 +441,7 @@ void end_to_end(benchmark::State& state) {
           loaded, timeline, names, diag, options);
     } else {
       p.registry->drain_into(&p.trace);
-      p.trace.sort_by_time();  // as Session::stop: samples, bounds
+      p.trace.sort_samples_by_time();  // as Session::stop: samples, bounds
       (void)tempest::trace::write_trace_file(bench_path(), p.trace).is_ok();
       auto rt = tempest::trace::read_trace_file(bench_path());
       tempest::trace::Trace loaded = std::move(rt).value();

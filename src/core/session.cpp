@@ -286,12 +286,12 @@ Status Session::stop() {
     trace_.filter = filter_decl_;
   }
   // The drain merges the events in time order and frees the buffers as
-  // it goes; sort_by_time then only checks them and orders the samples.
+  // it goes, so only the samples need sorting.
   DrainTotals totals;
   registry_.drain_into(&trace_, ring_trim_ticks_, &totals);
   trace_.temp_samples = std::move(tempd_.samples());
   trace_.clock_syncs = std::move(tempd_.clock_syncs());
-  trace_.sort_by_time();
+  trace_.sort_samples_by_time();
 
   // Stop the heartbeat after the drain published exact event totals, so
   // its final JSONL line is the run's true summary; then fold the same
@@ -623,7 +623,7 @@ void Session::write_snapshot(const char* trigger) {
   // vectors between start and join — copying them here is race-free.
   snap.temp_samples = tempd_.samples();
   snap.clock_syncs = tempd_.clock_syncs();
-  snap.sort_by_time();
+  snap.sort_samples_by_time();
   assemble_run_stats(&snap.run_stats, totals);
   snap.run_stats.ring_snapshots =
       snapshots_written_.load(std::memory_order_relaxed) + 1;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -61,36 +62,122 @@ struct Elf64Rela {
 
 constexpr std::uint32_t kShtNobits = 8;  // .bss: sh_offset is meaningless
 
-/// Overflow-safe "does [offset, offset+size) fit inside the file?".
-/// `offset + size > file.size()` alone wraps for hostile 64-bit values.
-bool range_in_file(const std::vector<char>& file, std::uint64_t offset,
-                   std::uint64_t size) {
-  return offset <= file.size() && size <= file.size() - offset;
+/// The bytes of one ELF image, fetched a range at a time: from a
+/// caller's buffer (parse_elf_image) or by pread from a regular file
+/// (the path entry points), so the parser reads only the header, the
+/// section table and the sections it uses, never the whole file. Every
+/// range is checked against the image's size before it is read.
+class ElfBytes {
+ public:
+  explicit ElfBytes(const std::vector<char>& memory)
+      : memory_(memory.data()), size_(memory.size()) {}
+
+  /// Open `path` for pread. The path may come from a peer's trace
+  /// metadata, so anything but a regular file — a FIFO that would
+  /// block, a device that never ends — is refused unread; opened() says
+  /// why. Not mapped: a file cut while mapped would raise SIGBUS.
+  explicit ElfBytes(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC)) {
+    struct stat st {};
+    if (fd_ < 0) {
+      opened_ = Status::error("cannot open " + path);
+    } else if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
+      opened_ = Status::error(path + ": not a regular file");
+    } else {
+      size_ = static_cast<std::uint64_t>(st.st_size);
+    }
+  }
+  ~ElfBytes() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ElfBytes(const ElfBytes&) = delete;
+  ElfBytes& operator=(const ElfBytes&) = delete;
+
+  const Status& opened() const { return opened_; }
+
+  /// Overflow-safe "does [offset, offset+size) fit inside the image?".
+  /// `offset + size > size_` alone wraps for hostile 64-bit values.
+  bool contains(std::uint64_t offset, std::uint64_t size) const {
+    return offset <= size_ && size <= size_ - offset;
+  }
+
+  /// Copy [offset, offset+size) into `dst`. A file that ends before
+  /// the range does (it shrank after it was opened) is an error.
+  Status read(std::uint64_t offset, std::uint64_t size, void* dst) const {
+    if (!contains(offset, size)) return Status::error("read beyond end of file");
+    if (size == 0) return Status::ok();
+    char* out = static_cast<char*>(dst);
+    if (fd_ < 0) {
+      std::memcpy(out, memory_ + offset, size);
+      return Status::ok();
+    }
+    while (size > 0) {
+      const auto want =
+          static_cast<std::size_t>(std::min<std::uint64_t>(size, std::uint64_t{1} << 30));
+      const ssize_t n = ::pread(fd_, out, want, static_cast<off_t>(offset));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        return Status::error("short read at offset " + std::to_string(offset));
+      }
+      out += n;
+      offset += static_cast<std::uint64_t>(n);
+      size -= static_cast<std::uint64_t>(n);
+    }
+    return Status::ok();
+  }
+
+ private:
+  const char* memory_ = nullptr;
+  int fd_ = -1;
+  std::uint64_t size_ = 0;
+  Status opened_;
+};
+
+bool contains(const ElfBytes& bytes, const Elf64ShdrFull& sec) {
+  return bytes.contains(sec.sh_offset, sec.sh_size);
 }
 
-/// Read a NUL-terminated name out of a string-table section. Returns
-/// false (never reads out of bounds) when the offset is outside the
-/// table or the table ends before a terminator.
-bool read_name(const std::vector<char>& file, const Elf64ShdrFull& strtab,
-               std::uint32_t name_off, std::string* out) {
-  if (!range_in_file(file, strtab.sh_offset, strtab.sh_size)) return false;
-  if (name_off >= strtab.sh_size) return false;
-  const char* base = file.data() + strtab.sh_offset + name_off;
-  const std::size_t max_len = strtab.sh_size - name_off;
+/// The whole entries of a section that fits the image, as `Entry`
+/// records (a trailing partial entry is ignored).
+template <typename Entry>
+Status read_entries(const ElfBytes& bytes, const Elf64ShdrFull& sec,
+                    std::vector<Entry>* out) {
+  out->resize(sec.sh_size / sizeof(Entry));
+  return bytes.read(sec.sh_offset, out->size() * sizeof(Entry), out->data());
+}
+
+/// A string table's bytes; empty when the section does not fit the
+/// image, so every name read through it comes back empty.
+Status read_string_table(const ElfBytes& bytes, const Elf64ShdrFull& sec,
+                         std::vector<char>* out) {
+  out->clear();
+  if (!contains(bytes, sec)) return Status::ok();
+  return read_entries(bytes, sec, out);
+}
+
+/// Read a NUL-terminated name out of a string table. Returns false
+/// (never reads out of bounds) when the offset is outside the table or
+/// the table ends before a terminator.
+bool read_name(const std::vector<char>& table, std::uint32_t name_off,
+               std::string* out) {
+  if (name_off >= table.size()) return false;
+  const char* base = table.data() + name_off;
+  const std::size_t max_len = table.size() - name_off;
   const std::size_t len = strnlen(base, max_len);
   if (len == max_len) return false;  // table not NUL-terminated here
   out->assign(base, len);
   return true;
 }
 
-/// Parse and validate the ELF header plus the section-header table.
-/// Shared front end of both public entry points.
-Status read_sections(const std::vector<char>& file, Elf64Ehdr* ehdr,
-                     std::vector<Elf64ShdrFull>* sections) {
-  if (file.size() < sizeof(Elf64Ehdr)) {
+/// Read and validate the ELF header plus the section-header table: the
+/// front end of every entry point.
+Status read_headers(const ElfBytes& bytes, Elf64Ehdr* ehdr,
+                    std::vector<Elf64ShdrFull>* sections) {
+  if (!bytes.contains(0, sizeof(Elf64Ehdr))) {
     return Status::error("file too small for ELF header");
   }
-  std::memcpy(ehdr, file.data(), sizeof(*ehdr));
+  const Status read = bytes.read(0, sizeof(Elf64Ehdr), ehdr);
+  if (!read) return read;
   if (std::memcmp(ehdr->e_ident, "\x7f" "ELF", 4) != 0) {
     return Status::error("not an ELF file");
   }
@@ -105,126 +192,39 @@ Status read_sections(const std::vector<char>& file, Elf64Ehdr* ehdr,
   }
   const std::uint64_t table_bytes =
       static_cast<std::uint64_t>(ehdr->e_shnum) * sizeof(Elf64ShdrFull);
-  if (!range_in_file(file, ehdr->e_shoff, table_bytes)) {
+  if (!bytes.contains(ehdr->e_shoff, table_bytes)) {
     return Status::error("section headers beyond end of file");
   }
   sections->resize(ehdr->e_shnum);
-  for (std::size_t i = 0; i < sections->size(); ++i) {
-    std::memcpy(&(*sections)[i],
-                file.data() + ehdr->e_shoff + i * sizeof(Elf64ShdrFull),
-                sizeof(Elf64ShdrFull));
-  }
-  return Status::ok();
+  return bytes.read(ehdr->e_shoff, table_bytes, sections->data());
 }
 
-Result<std::vector<FuncSymbol>> extract(const std::vector<char>& file,
-                                        const Elf64ShdrFull& symtab,
-                                        const Elf64ShdrFull& strtab) {
-  if (!range_in_file(file, symtab.sh_offset, symtab.sh_size) ||
-      !range_in_file(file, strtab.sh_offset, strtab.sh_size)) {
-    return Result<std::vector<FuncSymbol>>::error("ELF: section beyond end of file");
-  }
-  if (symtab.sh_entsize != sizeof(Elf64Sym)) {
-    return Result<std::vector<FuncSymbol>>::error("ELF: unexpected symbol entry size");
-  }
-  const std::size_t count = symtab.sh_size / sizeof(Elf64Sym);
-
-  std::vector<FuncSymbol> out;
-  out.reserve(count / 4);
-  for (std::size_t i = 0; i < count; ++i) {
-    Elf64Sym sym;
-    std::memcpy(&sym, file.data() + symtab.sh_offset + i * sizeof(Elf64Sym), sizeof(sym));
-    if ((sym.st_info & 0x0f) != kSttFunc || sym.st_value == 0) continue;
-    std::string name;
-    if (!read_name(file, strtab, sym.st_name, &name) || name.empty()) continue;
-    out.push_back({sym.st_value, sym.st_size, std::move(name)});
-  }
-  return out;
-}
-
-/// Owns an open file descriptor.
-class FileDescriptor {
- public:
-  explicit FileDescriptor(int fd) : fd_(fd) {}
-  ~FileDescriptor() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  FileDescriptor(const FileDescriptor&) = delete;
-  FileDescriptor& operator=(const FileDescriptor&) = delete;
-  int get() const { return fd_; }
-
- private:
-  int fd_;
-};
-
-/// The whole of a regular file, read at its size into one buffer. The
-/// path may come from a peer's trace metadata, so anything else — a FIFO
-/// that would block, a device that never ends — is refused unread.
-Result<std::vector<char>> slurp_file(const std::string& path) {
-  const FileDescriptor fd(::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC));
-  if (fd.get() < 0) return Result<std::vector<char>>::error("cannot open " + path);
-  struct stat st {};
-  if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
-    return Result<std::vector<char>>::error(path + ": not a regular file");
-  }
-  std::vector<char> bytes(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  bytes.resize(got);  // the file shrank while it was read
-  return bytes;
-}
-
-}  // namespace
-
-Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
-  auto file = slurp_file(path);
-  if (!file.is_ok()) return Result<std::vector<FuncSymbol>>::error(file.message());
-
-  Elf64Ehdr ehdr;
-  std::vector<Elf64ShdrFull> sections;
-  const Status parsed = read_sections(file.value(), &ehdr, &sections);
-  if (!parsed) {
-    return Result<std::vector<FuncSymbol>>::error(parsed.message() + ": " + path);
-  }
-
-  // Prefer the full .symtab; fall back to .dynsym.
-  for (std::uint32_t want : {kShtSymtab, kShtDynsym}) {
-    for (const auto& sec : sections) {
-      if (sec.sh_type != want) continue;
-      if (sec.sh_link >= sections.size()) continue;
-      auto result = extract(file.value(), sec, sections[sec.sh_link]);
-      if (result.is_ok() && !result.value().empty()) return result;
-    }
-  }
-  return Result<std::vector<FuncSymbol>>::error("no function symbols found in " + path);
-}
-
-Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
+/// Everything parse_elf_image and read_elf_image return: the section
+/// table, .shstrtab, the executable sections' bytes, the chosen symbol
+/// table with its string table, and the RELA sections that patch
+/// executable sections. Nothing else in the image is read.
+Result<ElfImage> read_image(const ElfBytes& bytes) {
+  using R = Result<ElfImage>;
   Elf64Ehdr ehdr;
   std::vector<Elf64ShdrFull> raw_sections;
-  const Status parsed = read_sections(file, &ehdr, &raw_sections);
-  if (!parsed) return Result<ElfImage>::error(parsed.message());
+  Status read = read_headers(bytes, &ehdr, &raw_sections);
+  if (!read) return R::error(read.message());
 
   ElfImage image;
   image.elf_type = ehdr.e_type;
 
   // Section names resolve through .shstrtab; a bogus e_shstrndx just
   // leaves names empty (the audit keys on types and flags, not names).
-  const Elf64ShdrFull* shstr = ehdr.e_shstrndx < raw_sections.size()
-                                   ? &raw_sections[ehdr.e_shstrndx]
-                                   : nullptr;
+  std::vector<char> shstrtab;
+  if (ehdr.e_shstrndx < raw_sections.size()) {
+    read = read_string_table(bytes, raw_sections[ehdr.e_shstrndx], &shstrtab);
+    if (!read) return R::error(read.message());
+  }
 
   image.sections.reserve(raw_sections.size());
   for (const auto& raw : raw_sections) {
     SectionInfo sec;
-    if (shstr != nullptr) {
-      (void)read_name(file, *shstr, raw.sh_name, &sec.name);
-    }
+    (void)read_name(shstrtab, raw.sh_name, &sec.name);
     sec.type = raw.sh_type;
     sec.flags = raw.sh_flags;
     sec.addr = raw.sh_addr;
@@ -234,12 +234,11 @@ Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
     sec.info = raw.sh_info;
     sec.entsize = raw.sh_entsize;
     if (sec.executable() && raw.sh_type != kShtNobits && raw.sh_size > 0) {
-      if (!range_in_file(file, raw.sh_offset, raw.sh_size)) {
-        return Result<ElfImage>::error("executable section beyond end of file");
+      if (!contains(bytes, raw)) {
+        return R::error("executable section beyond end of file");
       }
-      const auto* base =
-          reinterpret_cast<const unsigned char*>(file.data() + raw.sh_offset);
-      sec.bytes.assign(base, base + raw.sh_size);
+      read = read_entries(bytes, raw, &sec.bytes);
+      if (!read) return R::error(read.message());
     }
     image.sections.push_back(std::move(sec));
   }
@@ -258,22 +257,20 @@ Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
   }
   if (sym_index >= 0) {
     const Elf64ShdrFull& symtab = raw_sections[static_cast<std::size_t>(sym_index)];
-    if (!range_in_file(file, symtab.sh_offset, symtab.sh_size)) {
-      return Result<ElfImage>::error("symbol table beyond end of file");
-    }
+    if (!contains(bytes, symtab)) return R::error("symbol table beyond end of file");
     if (symtab.sh_entsize != sizeof(Elf64Sym)) {
-      return Result<ElfImage>::error("unexpected symbol entry size");
+      return R::error("unexpected symbol entry size");
     }
     if (symtab.sh_link >= raw_sections.size()) {
-      return Result<ElfImage>::error("symbol table links to missing string table");
+      return R::error("symbol table links to missing string table");
     }
-    const Elf64ShdrFull& strtab = raw_sections[symtab.sh_link];
-    const std::size_t count = symtab.sh_size / sizeof(Elf64Sym);
-    image.symbols.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Elf64Sym raw;
-      std::memcpy(&raw, file.data() + symtab.sh_offset + i * sizeof(Elf64Sym),
-                  sizeof(raw));
+    std::vector<Elf64Sym> raw_symbols;
+    std::vector<char> strtab;
+    read = read_entries(bytes, symtab, &raw_symbols);
+    if (read) read = read_string_table(bytes, raw_sections[symtab.sh_link], &strtab);
+    if (!read) return R::error(read.message());
+    image.symbols.reserve(raw_symbols.size());
+    for (const Elf64Sym& raw : raw_symbols) {
       SymbolInfo sym;
       sym.value = raw.st_value;
       sym.size = raw.st_size;
@@ -282,7 +279,7 @@ Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
       sym.bind = static_cast<unsigned char>(raw.st_info >> 4);
       // An unreadable name is an empty name, not a parse failure — the
       // rest of the table is still useful.
-      (void)read_name(file, strtab, raw.st_name, &sym.name);
+      (void)read_name(strtab, raw.st_name, &sym.name);
       image.symbols.push_back(std::move(sym));
     }
   }
@@ -290,21 +287,20 @@ Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
   // RELA sections whose sh_info names an executable section: .rela.text
   // in relocatable objects, .rela.plt in linked binaries. SHT_REL (no
   // addend) does not occur on x86-64.
+  std::vector<Elf64Rela> relas;
   for (const auto& raw : raw_sections) {
     if (raw.sh_type != kShtRela) continue;
     if (raw.sh_info >= image.sections.size()) continue;
     if (!image.sections[raw.sh_info].executable()) continue;
-    if (!range_in_file(file, raw.sh_offset, raw.sh_size)) {
-      return Result<ElfImage>::error("relocation section beyond end of file");
+    if (!contains(bytes, raw)) {
+      return R::error("relocation section beyond end of file");
     }
     if (raw.sh_entsize != sizeof(Elf64Rela)) {
-      return Result<ElfImage>::error("unexpected relocation entry size");
+      return R::error("unexpected relocation entry size");
     }
-    const std::size_t count = raw.sh_size / sizeof(Elf64Rela);
-    for (std::size_t i = 0; i < count; ++i) {
-      Elf64Rela rela;
-      std::memcpy(&rela, file.data() + raw.sh_offset + i * sizeof(Elf64Rela),
-                  sizeof(rela));
+    read = read_entries(bytes, raw, &relas);
+    if (!read) return R::error(read.message());
+    for (const Elf64Rela& rela : relas) {
       RelocInfo reloc;
       reloc.offset = rela.r_offset;
       reloc.type = static_cast<std::uint32_t>(rela.r_info & 0xffffffffu);
@@ -319,10 +315,59 @@ Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
   return image;
 }
 
+}  // namespace
+
+Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
+  using R = Result<std::vector<FuncSymbol>>;
+  const ElfBytes bytes(path);
+  if (!bytes.opened()) return R::error(bytes.opened().message());
+
+  Elf64Ehdr ehdr;
+  std::vector<Elf64ShdrFull> sections;
+  Status read = read_headers(bytes, &ehdr, &sections);
+  if (!read) return R::error(read.message() + ": " + path);
+
+  // The first .symtab; failing that, the first .dynsym. A table that
+  // does not fit the file, or links nowhere, is passed over. Two tables
+  // at most, however many the section table lists, so a crafted file
+  // cannot multiply what is read.
+  std::vector<Elf64Sym> symbols;
+  std::vector<char> strtab;
+  for (std::uint32_t want : {kShtSymtab, kShtDynsym}) {
+    const auto sec = std::find_if(
+        sections.begin(), sections.end(),
+        [want](const Elf64ShdrFull& s) { return s.sh_type == want; });
+    if (sec == sections.end() || sec->sh_link >= sections.size()) continue;
+    const Elf64ShdrFull& names = sections[sec->sh_link];
+    if (!contains(bytes, *sec) || !contains(bytes, names) ||
+        sec->sh_entsize != sizeof(Elf64Sym)) {
+      continue;
+    }
+    read = read_entries(bytes, *sec, &symbols);
+    if (read) read = read_entries(bytes, names, &strtab);
+    if (!read) return R::error(read.message() + ": " + path);
+
+    std::vector<FuncSymbol> out;
+    out.reserve(symbols.size() / 4);
+    for (const Elf64Sym& sym : symbols) {
+      if ((sym.st_info & 0x0f) != kSttFunc || sym.st_value == 0) continue;
+      std::string name;
+      if (!read_name(strtab, sym.st_name, &name) || name.empty()) continue;
+      out.push_back({sym.st_value, sym.st_size, std::move(name)});
+    }
+    if (!out.empty()) return out;
+  }
+  return R::error("no function symbols found in " + path);
+}
+
+Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
+  return read_image(ElfBytes(file));
+}
+
 Result<ElfImage> read_elf_image(const std::string& path) {
-  auto file = slurp_file(path);
-  if (!file.is_ok()) return Result<ElfImage>::error(file.message());
-  auto image = parse_elf_image(file.value());
+  const ElfBytes bytes(path);
+  if (!bytes.opened()) return Result<ElfImage>::error(bytes.opened().message());
+  auto image = read_image(bytes);
   if (!image.is_ok()) {
     return Result<ElfImage>::error(image.message() + ": " + path);
   }

@@ -3,19 +3,30 @@
 // The Tempest parser "reads the symbol table of the executable to map
 // addresses of functions to their names". This is that component,
 // implemented directly against the ELF64 layout (no libelf dependency).
-// Two entry points share one bounds-checked core:
+// Every entry point runs one bounds-checked reader core, which reads
+// the ELF header, the section table and then only the sections its
+// caller uses:
 //
 //   * read_function_symbols — STT_FUNC entries from .symtab (falling
 //     back to .dynsym for stripped-but-dynamic binaries); what the
-//     runtime Resolver needs.
+//     Resolver needs. Reads the first .symtab (else the first .dynsym)
+//     and its string table, however many tables the file lists.
 //   * read_elf_image — the full static inventory the audit pass needs:
 //     every section header (with raw bytes for executable sections),
 //     the complete symbol table in original index order, and all RELA
 //     relocations that patch executable sections (.rela.text of
-//     relocatable objects, .rela.plt of linked binaries).
+//     relocatable objects, .rela.plt of linked binaries). Reads
+//     .shstrtab, the executable sections, the symbol table with its
+//     string table, and those RELA sections.
+//   * parse_elf_image — read_elf_image over bytes already in memory.
 //
-// Every offset/size/index from the file is validated before use;
-// malformed input returns a Status error, never an out-of-bounds read.
+// A path is opened non-blocking and read by pread only if it names a
+// regular file (it may come from a peer's trace metadata). Debug info
+// and every other section stay unread, so memory is bounded by the
+// sections above, not by the file's size. Every offset/size/index from
+// the file is validated before use, and every range is checked against
+// the file's size before it is read: malformed input, or a file cut
+// while it is read, returns a Status error, never an out-of-bounds read.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +42,8 @@ struct FuncSymbol {
   std::uint64_t value = 0;  ///< st_value (link-time address)
   std::uint64_t size = 0;   ///< st_size; 0 when the assembler omitted it
   std::string name;         ///< raw (possibly mangled) name
+
+  bool operator==(const FuncSymbol&) const = default;
 };
 
 // ELF constants the audit layer keys on (System V ABI / x86-64 psABI).
@@ -63,6 +76,7 @@ struct SectionInfo {
   std::vector<unsigned char> bytes;  ///< populated iff executable()
 
   bool executable() const { return (flags & kShfExecinstr) != 0; }
+  bool operator==(const SectionInfo&) const = default;
 };
 
 /// One symbol, kept in original symtab index order so relocation
@@ -77,6 +91,7 @@ struct SymbolInfo {
 
   bool is_function() const { return type == kSttFunc; }
   bool is_defined() const { return shndx != 0; }
+  bool operator==(const SymbolInfo&) const = default;
 };
 
 /// One RELA relocation patching an executable section.
@@ -87,6 +102,8 @@ struct RelocInfo {
   std::uint32_t sym_index = 0;     ///< into ElfImage::symbols
   std::int64_t addend = 0;
   std::uint32_t target_section = 0;  ///< section index the fixup lands in
+
+  bool operator==(const RelocInfo&) const = default;
 };
 
 /// Everything the static audit needs from one object or executable.
@@ -96,10 +113,13 @@ struct ElfImage {
   std::vector<SymbolInfo> symbols;   ///< full table, original index order
   bool symbols_from_dynsym = false;  ///< .symtab absent, fell back
   std::vector<RelocInfo> relocations;  ///< only those hitting exec sections
+
+  bool operator==(const ElfImage&) const = default;
 };
 
 /// Parse function symbols from an ELF64 file. Errors cover missing
-/// files, non-ELF input, wrong class/endianness, and truncation.
+/// files, anything but a regular file, non-ELF input, wrong
+/// class/endianness, truncation and a short read, and name the path.
 Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path);
 
 /// Parse the full static inventory from an ELF64 file (see ElfImage).
@@ -108,7 +128,8 @@ Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path);
 Result<ElfImage> read_elf_image(const std::string& path);
 
 /// In-memory variant of read_elf_image for callers that already hold
-/// the file bytes (fuzz tests craft images directly).
+/// the file bytes (fuzz tests craft images directly). Same reader core,
+/// so the same image or error; messages omit the path.
 Result<ElfImage> parse_elf_image(const std::vector<char>& file);
 
 }  // namespace tempest::symtab

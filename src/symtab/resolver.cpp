@@ -75,7 +75,11 @@ Result<Resolver> Resolver::for_current_process() {
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (n <= 0) return Result<Resolver>::error("cannot readlink /proc/self/exe");
   buf[n] = '\0';
-  return for_executable(buf, current_load_bias());
+  auto built = for_executable(buf, current_load_bias());
+  if (!built.is_ok()) return built;
+  Resolver resolver = std::move(built).value();
+  resolver.in_process_ = true;
+  return resolver;
 #else
   return Result<Resolver>::error("self-resolution requires Linux");
 #endif
@@ -101,7 +105,8 @@ bool Resolver::resolve_checked(std::uint64_t addr, std::string* name) const {
   }
 #if defined(__linux__)
   Dl_info info;
-  if (dladdr(reinterpret_cast<void*>(addr), &info) != 0 && info.dli_sname != nullptr) {
+  if (in_process_ && dladdr(reinterpret_cast<void*>(addr), &info) != 0 &&
+      info.dli_sname != nullptr) {
     *name = demangle(info.dli_sname);
     return true;
   }

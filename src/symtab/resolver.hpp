@@ -1,10 +1,13 @@
 // Runtime address -> function name resolution.
 //
-// Combines the ELF symbol table with the process load bias (PIE
-// executables relocate), producing sorted [start, end) ranges for
-// binary-searched lookup. dladdr is the fallback for addresses the
-// table misses (e.g. shared-library functions); unresolvable addresses
-// render as hex so the profile is still usable.
+// Combines the ELF symbol table with the load bias (PIE executables
+// relocate), producing sorted [start, end) ranges for binary-searched
+// lookup. Addresses the table misses render as hex so the profile is
+// still usable. A resolver for the running process (for_current_process)
+// first asks dladdr about them, e.g. for shared-library functions.
+// dladdr looks in this process's own address space, which says nothing
+// about addresses another process recorded, so every other resolver (a
+// trace's executable and bias) renders them as hex.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +41,8 @@ class Resolver {
   /// Resolve a runtime address to a demangled function name.
   std::string resolve(std::uint64_t addr) const;
 
-  /// Resolve, reporting whether the symbol table contained the address
-  /// (tests and the parser's unresolved-count diagnostics use this).
+  /// Resolve, reporting whether the address was named (by the symbol
+  /// table, or by dladdr for the running process); false means hex.
   bool resolve_checked(std::uint64_t addr, std::string* name) const;
 
   std::size_t symbol_count() const { return ranges_.size(); }
@@ -51,6 +54,7 @@ class Resolver {
     std::string name;
   };
   std::vector<Range> ranges_;  ///< sorted by start
+  bool in_process_ = false;    ///< set by for_current_process: dladdr may help
 };
 
 }  // namespace tempest::symtab

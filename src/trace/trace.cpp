@@ -79,7 +79,10 @@ void Trace::sort_by_time() {
   if (!std::is_sorted(fn_events.begin(), fn_events.end(), event_before)) {
     std::stable_sort(fn_events.begin(), fn_events.end(), event_before);
   }
+  sort_samples_by_time();
+}
 
+void Trace::sort_samples_by_time() {
   const auto sample_before = [](const TempSample& a, const TempSample& b) {
     return a.tsc < b.tsc;
   };

@@ -163,13 +163,17 @@ struct Trace : TraceHeader {
   std::vector<TempSample> temp_samples;
   std::vector<ClockSync> clock_syncs;
 
-  /// Sort events and samples by timestamp, ties kept stable. A recorded
-  /// trace's events arrive already merged (ThreadRegistry::drain_into),
-  /// so this is an O(n) is_sorted check, with a stable_sort for anything
-  /// out of order. Also caches start/end timestamps; mutating events or
-  /// samples afterwards requires calling sort_by_time again (true
-  /// anyway, since mutation breaks the order).
+  /// Sort events and samples by timestamp, ties kept stable: an O(n)
+  /// is_sorted check each, with a stable_sort for anything out of order.
+  /// Also caches start/end timestamps; mutating events or samples
+  /// afterwards requires calling sort_by_time again (true anyway, since
+  /// mutation breaks the order).
   void sort_by_time();
+
+  /// sort_by_time for events already in time order, as the recorder's
+  /// drain merges them (ThreadRegistry::drain_into): sorts the samples
+  /// only and caches the bounds from the ends of both.
+  void sort_samples_by_time();
 
   /// Earliest timestamp across events and samples (0 when empty).
   /// O(1) after sort_by_time, O(n) scan otherwise.

@@ -6,6 +6,7 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -266,6 +267,58 @@ TEST(Session, RunStatsMatchTheAssembledTrace) {
   EXPECT_GE(rs.threads_registered, 1u);
   EXPECT_GT(rs.wall_seconds, 0.0);
   EXPECT_GE(rs.tempd_ticks, 2u);  // immediate tick + final tick minimum
+  session.clear_nodes();
+}
+
+TEST(Session, StoppedTraceIsTimeOrderedAcrossAClockRebind) {
+  // A thread that moves to a node whose clock runs behind steps its own
+  // timestamps back, splitting its run in two. Stop trusts the drain's
+  // merge for event order and takes the bounds from its ends, so the
+  // trace must come out time-ordered with the bounds a scan finds.
+  auto& session = Session::instance();
+  session.clear_nodes();
+  auto ahead_config = fast_node();
+  ahead_config.tsc_offset_ticks = std::int64_t{1} << 40;
+  simnode::SimNode ahead(ahead_config);
+  simnode::SimNode behind(fast_node());
+  const auto ahead_id = session.register_sim_node(&ahead);
+  const auto behind_id = session.register_sim_node(&behind);
+  ASSERT_TRUE(session.start(test_config()));
+  const auto pairs = [&](std::uint64_t addr) {
+    for (int i = 0; i < 100; ++i) {
+      session.record_enter(addr);
+      session.record_exit(addr);
+    }
+  };
+  std::thread other([&] {
+    (void)session.attach_current_thread(behind_id, 1);
+    pairs(0x3000);
+  });
+  ASSERT_TRUE(session.attach_current_thread(ahead_id, 0));
+  pairs(0x1000);
+  ASSERT_TRUE(session.attach_current_thread(behind_id, 0));  // steps back
+  pairs(0x2000);
+  other.join();
+  ASSERT_TRUE(session.stop());
+
+  const trace::Trace& t = session.last_trace();
+  ASSERT_EQ(t.fn_events.size(), 600u);
+  ASSERT_FALSE(t.temp_samples.empty());
+  const auto by_tsc = [](const auto& a, const auto& b) { return a.tsc < b.tsc; };
+  EXPECT_TRUE(std::is_sorted(t.fn_events.begin(), t.fn_events.end(), by_tsc));
+  EXPECT_TRUE(std::is_sorted(t.temp_samples.begin(), t.temp_samples.end(), by_tsc));
+  EXPECT_GT(t.fn_events.back().tsc, std::uint64_t{1} << 40);  // the split held
+  std::uint64_t start = UINT64_MAX, end = 0;
+  for (const auto& e : t.fn_events) {
+    start = std::min(start, e.tsc);
+    end = std::max(end, e.tsc);
+  }
+  for (const auto& s : t.temp_samples) {
+    start = std::min(start, s.tsc);
+    end = std::max(end, s.tsc);
+  }
+  EXPECT_EQ(t.start_tsc(), start);
+  EXPECT_EQ(t.end_tsc(), end);
   session.clear_nodes();
 }
 

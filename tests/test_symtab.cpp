@@ -1,11 +1,18 @@
 // ELF symbol-table parsing and address resolution, exercised against
 // this test binary itself.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <string>
 
+#include "live_heap.hpp"
 #include "symtab/elf.hpp"
 #include "symtab/resolver.hpp"
 
@@ -41,6 +48,46 @@ TEST(Elf, RefusesFifoAndDeviceAtOnce) {
     EXPECT_FALSE(tempest::symtab::read_elf_image(path).is_ok()) << path;
   }
   std::remove(fifo.c_str());
+}
+
+TEST(Elf, SparseHoleAfterTheImageIsNeverRead) {
+  // A copy of this binary, then the same copy extended by a 512 MiB
+  // hole, as a session's metadata may name any large regular file. The
+  // readers fetch the header, the section table and the sections they
+  // use, so the hole is never read: the same results, in under 4 MiB
+  // of heap.
+  const std::string path = ::testing::TempDir() + "/symtab_holed_exe." +
+                           std::to_string(::getpid());
+  {
+    std::ifstream in("/proc/self/exe", std::ios::binary);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << in.rdbuf();
+    ASSERT_TRUE(out.good());
+  }
+  const auto symbols = tempest::symtab::read_function_symbols(path);
+  const auto image = tempest::symtab::read_elf_image(path);
+  ASSERT_TRUE(symbols.is_ok()) << symbols.message();
+  ASSERT_TRUE(image.is_ok()) << image.message();
+
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  struct stat st {};
+  ASSERT_EQ(::fstat(fd, &st), 0);
+  ASSERT_EQ(::ftruncate(fd, st.st_size + (off_t{512} << 20)), 0);
+  ::close(fd);
+
+  std::optional<tempest::Result<std::vector<tempest::symtab::FuncSymbol>>> holed_symbols;
+  std::optional<tempest::Result<tempest::symtab::ElfImage>> holed_image;
+  const std::int64_t peak = live_heap::peak_heap([&] {
+    holed_symbols.emplace(tempest::symtab::read_function_symbols(path));
+    holed_image.emplace(tempest::symtab::read_elf_image(path));
+  });
+  std::remove(path.c_str());
+  ASSERT_TRUE(holed_symbols->is_ok()) << holed_symbols->message();
+  ASSERT_TRUE(holed_image->is_ok()) << holed_image->message();
+  EXPECT_TRUE(holed_symbols->value() == symbols.value());
+  EXPECT_TRUE(holed_image->value() == image.value());
+  EXPECT_LT(peak, std::int64_t{4} << 20);
 }
 
 TEST(Elf, ReadsOwnSymbols) {
@@ -86,6 +133,24 @@ TEST(Resolver, UnknownAddressRendersHex) {
   std::string name;
   EXPECT_FALSE(resolver.resolve_checked(0x12345678, &name));
   EXPECT_EQ(name, "0x12345678");
+}
+
+TEST(Resolver, OnlyTheRunningProcessAsksDladdr) {
+  // qsort lives in libc, outside any table built here. An offline
+  // resolver must not name it after whatever this process maps there;
+  // the resolver for the running process may.
+  const auto addr = reinterpret_cast<std::uint64_t>(&std::qsort);
+  Resolver offline({{0x1000, 0x10, "fn"}}, 0);
+  std::string name;
+  EXPECT_FALSE(offline.resolve_checked(addr, &name));
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%llx", static_cast<unsigned long long>(addr));
+  EXPECT_EQ(name, hex);
+
+  auto self = Resolver::for_current_process();
+  ASSERT_TRUE(self.is_ok()) << self.message();
+  EXPECT_TRUE(self.value().resolve_checked(addr, &name));
+  EXPECT_NE(name.find("qsort"), std::string::npos) << name;  // sanitizers wrap it
 }
 
 TEST(Resolver, ZeroSizedSymbolExtendsToNext) {

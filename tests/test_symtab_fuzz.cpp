@@ -2,9 +2,14 @@
 // fuzzing. parse_elf_image must never crash or read out of bounds —
 // malformed input either parses to a structurally valid ElfImage or
 // fails with a Status (ASan/UBSan CI backs the "never OOB" claim).
+// Every image is also written to a file and read back through the path
+// entry points, which fetch ranges by pread: read_elf_image must give
+// the same image or fail too, and read_function_symbols must return.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -145,9 +150,36 @@ SyntheticElf build_synthetic_rel() {
   return out;
 }
 
+/// `bytes` written to this process's temp file; returns its path.
+std::string write_temp(const std::vector<char>& bytes) {
+  const std::string path = ::testing::TempDir() + "/symtab_fuzz." +
+                           std::to_string(::getpid()) + ".elf";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good()) << path;
+  return path;
+}
+
+/// parse_elf_image(bytes), checked against the same bytes read from a
+/// file: read_elf_image must return the same image, or an error when
+/// parse_elf_image does, and read_function_symbols must return.
+tempest::Result<ElfImage> parse_both(const std::vector<char>& bytes) {
+  tempest::Result<ElfImage> memory = parse_elf_image(bytes);
+  const std::string path = write_temp(bytes);
+  const tempest::Result<ElfImage> file = read_elf_image(path);
+  EXPECT_EQ(file.is_ok(), memory.is_ok())
+      << "file: " << file.message() << "; memory: " << memory.message();
+  if (file.is_ok() && memory.is_ok()) {
+    EXPECT_TRUE(file.value() == memory.value());
+  }
+  (void)read_function_symbols(path);
+  std::remove(path.c_str());
+  return memory;
+}
+
 TEST(SymtabFuzz, SyntheticRelParses) {
   SyntheticElf elf = build_synthetic_rel();
-  auto image = parse_elf_image(elf.bytes);
+  auto image = parse_both(elf.bytes);
   ASSERT_TRUE(image.is_ok()) << image.message();
   const ElfImage& im = image.value();
   EXPECT_EQ(im.elf_type, kEtRel);
@@ -178,7 +210,7 @@ TEST(SymtabFuzz, TruncationAtEveryOffsetFailsCleanly) {
   for (std::size_t cut = 0; cut < elf.bytes.size(); ++cut) {
     std::vector<char> damaged(elf.bytes.begin(),
                               elf.bytes.begin() + static_cast<long>(cut));
-    auto result = parse_elf_image(damaged);
+    auto result = parse_both(damaged);
     ASSERT_FALSE(result.is_ok()) << "truncated image at " << cut << "/"
                                  << elf.bytes.size() << " parsed successfully";
     EXPECT_FALSE(result.message().empty());
@@ -187,7 +219,7 @@ TEST(SymtabFuzz, TruncationAtEveryOffsetFailsCleanly) {
 
 TEST(SymtabFuzz, NotElfRejected) {
   std::vector<char> garbage(128, 'x');
-  auto result = parse_elf_image(garbage);
+  auto result = parse_both(garbage);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("not an ELF"), std::string::npos);
 }
@@ -195,10 +227,10 @@ TEST(SymtabFuzz, NotElfRejected) {
 TEST(SymtabFuzz, Elf32AndBigEndianRejected) {
   SyntheticElf elf = build_synthetic_rel();
   elf.ehdr()->e_ident[4] = 1;  // ELFCLASS32
-  EXPECT_FALSE(parse_elf_image(elf.bytes).is_ok());
+  EXPECT_FALSE(parse_both(elf.bytes).is_ok());
   elf.ehdr()->e_ident[4] = 2;
   elf.ehdr()->e_ident[5] = 2;  // big-endian
-  EXPECT_FALSE(parse_elf_image(elf.bytes).is_ok());
+  EXPECT_FALSE(parse_both(elf.bytes).is_ok());
 }
 
 TEST(SymtabFuzz, SectionTableOffsetOverflowRejected) {
@@ -206,15 +238,102 @@ TEST(SymtabFuzz, SectionTableOffsetOverflowRejected) {
   // Hostile e_shoff near UINT64_MAX: offset + size wraps past zero, so a
   // naive `shoff + bytes > size` check would pass. Must still error.
   elf.ehdr()->e_shoff = UINT64_MAX - 32;
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("section headers"), std::string::npos);
+}
+
+TEST(SymtabFuzz, SectionTablePastEndOfFileRejected) {
+  // The table starts inside the file but runs past its end, starts at
+  // or beyond the end, or counts one header more than the file holds.
+  const SyntheticElf clean = build_synthetic_rel();
+  const std::uint64_t size = clean.bytes.size();
+  for (const std::uint64_t shoff :
+       {std::uint64_t{clean.shoff + 1}, size - 1, size, size + 4096}) {
+    SyntheticElf elf = clean;
+    elf.ehdr()->e_shoff = shoff;
+    auto result = parse_both(elf.bytes);
+    ASSERT_FALSE(result.is_ok()) << "e_shoff " << shoff;
+    EXPECT_NE(result.message().find("section headers"), std::string::npos);
+  }
+  SyntheticElf elf = clean;
+  ++elf.ehdr()->e_shnum;
+  auto result = parse_both(elf.bytes);
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_NE(result.message().find("section headers"), std::string::npos);
+}
+
+/// The same image with its section table moved up front, after the ELF
+/// header, so a cut can leave the table whole and clip the sections.
+std::vector<char> table_first(const SyntheticElf& elf) {
+  const std::size_t table = elf.bytes.size() - elf.shoff;
+  std::vector<char> out(elf.bytes.begin(), elf.bytes.begin() + sizeof(RawEhdr));
+  RawEhdr ehdr;
+  std::memcpy(&ehdr, out.data(), sizeof(ehdr));
+  ehdr.e_shoff = sizeof(RawEhdr);
+  std::memcpy(out.data(), &ehdr, sizeof(ehdr));
+  for (std::size_t i = 0; i < table / sizeof(RawShdr); ++i) {
+    RawShdr shdr;
+    std::memcpy(&shdr, elf.bytes.data() + elf.shdr_off(i), sizeof(shdr));
+    if (shdr.sh_offset != 0) shdr.sh_offset += table;
+    const char* p = reinterpret_cast<const char*>(&shdr);
+    out.insert(out.end(), p, p + sizeof(shdr));
+  }
+  out.insert(out.end(), elf.bytes.begin() + sizeof(RawEhdr),
+             elf.bytes.begin() + static_cast<long>(elf.shoff));
+  return out;
+}
+
+TEST(SymtabFuzz, CutAtEverySectionBoundaryWithTheTableFirst) {
+  // Sections in file order: .text, .symtab, .strtab, .rela.text,
+  // .shstrtab. A cut that clips .text, .symtab or .rela.text fails; one
+  // that clips only a string table leaves those names empty.
+  const std::vector<char> whole = table_first(build_synthetic_rel());
+  ASSERT_TRUE(parse_both(whole).is_ok());
+  RawShdr shdrs[6];
+  std::memcpy(shdrs, whole.data() + sizeof(RawEhdr), sizeof(shdrs));
+  const std::uint64_t rela_end = shdrs[4].sh_offset + shdrs[4].sh_size;
+  for (std::size_t i = 1; i < 6; ++i) {
+    for (const std::uint64_t cut :
+         {shdrs[i].sh_offset, shdrs[i].sh_offset + shdrs[i].sh_size}) {
+      const std::vector<char> damaged(whole.begin(),
+                                      whole.begin() + static_cast<long>(cut));
+      auto result = parse_both(damaged);
+      ASSERT_EQ(result.is_ok(), cut >= rela_end)
+          << "cut at " << cut << "/" << whole.size() << ": " << result.message();
+      if (result.is_ok() && cut < whole.size()) {
+        EXPECT_TRUE(result.value().sections[1].name.empty());
+        EXPECT_EQ(result.value().symbols[1].name, "f");
+      }
+    }
+  }
+}
+
+TEST(SymtabFuzz, FunctionSymbolsComeFromTheFirstSymbolTable) {
+  // Two symbol tables over the same entries, one cut to the null
+  // symbol. read_function_symbols reads the first .symtab (and the
+  // first .dynsym, of which there is none), however many the section
+  // table lists, so `f` is found only when the full table comes first.
+  SyntheticElf elf = build_synthetic_rel();
+  auto* f = reinterpret_cast<RawSym*>(elf.bytes.data() + elf.symtab_off) + 1;
+  f->st_value = 0x40;  // a linked address: value 0 is never a function
+  *elf.shdr(4) = *elf.shdr(2);  // .rela.text becomes a second .symtab
+  elf.shdr(2)->sh_size = sizeof(RawSym);
+  std::string path = write_temp(elf.bytes);
+  EXPECT_FALSE(read_function_symbols(path).is_ok());
+  std::swap(*elf.shdr(2), *elf.shdr(4));
+  path = write_temp(elf.bytes);
+  const auto symbols = read_function_symbols(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(symbols.is_ok()) << symbols.message();
+  ASSERT_EQ(symbols.value().size(), 1u);
+  EXPECT_EQ(symbols.value()[0].name, "f");
 }
 
 TEST(SymtabFuzz, ExecSectionOffsetOverflowRejected) {
   SyntheticElf elf = build_synthetic_rel();
   elf.shdr(1)->sh_offset = UINT64_MAX - 8;  // wraps with sh_size = 16
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("executable section"), std::string::npos);
 }
@@ -222,13 +341,13 @@ TEST(SymtabFuzz, ExecSectionOffsetOverflowRejected) {
 TEST(SymtabFuzz, SymtabWrongEntsizeRejected) {
   SyntheticElf elf = build_synthetic_rel();
   elf.shdr(2)->sh_entsize = 17;
-  EXPECT_FALSE(parse_elf_image(elf.bytes).is_ok());
+  EXPECT_FALSE(parse_both(elf.bytes).is_ok());
 }
 
 TEST(SymtabFuzz, SymtabDanglingStrtabLinkRejected) {
   SyntheticElf elf = build_synthetic_rel();
   elf.shdr(2)->sh_link = 99;
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("string table"), std::string::npos);
 }
@@ -239,7 +358,7 @@ TEST(SymtabFuzz, UnterminatedStrtabYieldsEmptyNamesNotCrash) {
   // terminator by shrinking the table: the name must come back empty
   // (no over-read), the rest of the table intact.
   elf.shdr(3)->sh_size -= 1;
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_TRUE(result.is_ok()) << result.message();
   ASSERT_EQ(result.value().symbols.size(), 3u);
   EXPECT_EQ(result.value().symbols[1].name, "f");
@@ -249,7 +368,7 @@ TEST(SymtabFuzz, UnterminatedStrtabYieldsEmptyNamesNotCrash) {
 TEST(SymtabFuzz, BogusShstrndxLeavesSectionNamesEmpty) {
   SyntheticElf elf = build_synthetic_rel();
   elf.ehdr()->e_shstrndx = 1000;
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_TRUE(result.is_ok()) << result.message();
   for (const auto& sec : result.value().sections) {
     EXPECT_TRUE(sec.name.empty());
@@ -262,7 +381,7 @@ TEST(SymtabFuzz, RelaDanglingSymbolIndexSkipsEntry) {
   SyntheticElf elf = build_synthetic_rel();
   auto* rela = reinterpret_cast<RawRela*>(elf.bytes.data() + elf.rela_off);
   rela->r_info = (std::uint64_t{99} << 32) | kRX8664Plt32;
-  auto result = parse_elf_image(elf.bytes);
+  auto result = parse_both(elf.bytes);
   ASSERT_TRUE(result.is_ok()) << result.message();
   EXPECT_TRUE(result.value().relocations.empty());
 }
@@ -270,7 +389,7 @@ TEST(SymtabFuzz, RelaDanglingSymbolIndexSkipsEntry) {
 TEST(SymtabFuzz, RelaWrongEntsizeRejected) {
   SyntheticElf elf = build_synthetic_rel();
   elf.shdr(4)->sh_entsize = 12;
-  EXPECT_FALSE(parse_elf_image(elf.bytes).is_ok());
+  EXPECT_FALSE(parse_both(elf.bytes).is_ok());
 }
 
 class SymtabBitFlip : public ::testing::TestWithParam<int> {};
@@ -286,7 +405,7 @@ TEST_P(SymtabBitFlip, BitFlipsNeverCrash) {
     for (int f = 0; f <= trial % 3; ++f) {
       mutated[pos_dist(rng)] ^= static_cast<char>(1 << bit_dist(rng));
     }
-    auto result = parse_elf_image(mutated);
+    auto result = parse_both(mutated);
     if (result.is_ok()) {
       // Whatever parsed must be safe to walk in full.
       const ElfImage& im = result.value();

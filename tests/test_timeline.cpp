@@ -5,68 +5,13 @@
 // function is credited with, however the samples-first feed is split —
 // and the fold's memory bounds.
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "live_heap.hpp"
 #include "parser/timeline.hpp"
-
-namespace {
-
-// Live heap bytes, counted while g_track is set, so a memory bound is
-// checked on what the fold allocates rather than on process RSS. A
-// tracked allocation that would lift the live count past g_cap fails
-// instead of exhausting the machine. The scalar operator new/delete
-// family below replaces the library's; the array forms stay paired with
-// each other, as do the aligned ones.
-std::atomic<bool> g_track{false};
-std::atomic<std::int64_t> g_live{0};
-std::atomic<std::int64_t> g_peak{0};
-constexpr std::int64_t g_cap = std::int64_t{512} << 20;
-
-/// malloc that counts the block while tracking; nullptr on failure or
-/// when the block would pass g_cap.
-void* counted_malloc(std::size_t n) {
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr || !g_track.load(std::memory_order_relaxed)) return p;
-  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
-  const std::int64_t live = g_live.fetch_add(size) + size;
-  if (live > g_cap) {
-    g_live.fetch_sub(size);
-    std::free(p);
-    return nullptr;
-  }
-  std::int64_t peak = g_peak.load();
-  while (live > peak && !g_peak.compare_exchange_weak(peak, live)) {
-  }
-  return p;
-}
-
-void counted_free(void* p) {
-  if (p != nullptr && g_track.load(std::memory_order_relaxed)) {
-    g_live.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
-  }
-  std::free(p);
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  void* p = counted_malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_malloc(n);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace {
 
@@ -328,21 +273,7 @@ TEST(Timeline, MergeSampleRangesCoalesces) {
   EXPECT_EQ(ranges[2].last, 13u);
 }
 
-/// Peak live heap bytes, above the level at the start, while `run` runs.
-template <typename F>
-std::int64_t peak_heap(F&& run) {
-  g_live = 0;
-  g_peak = 0;
-  g_track = true;
-  try {
-    run();
-  } catch (...) {
-    g_track = false;
-    throw;
-  }
-  g_track = false;
-  return g_peak;
-}
+using live_heap::peak_heap;
 
 TEST(Timeline, FoldMemoryGrowsWithPairsSeen) {
   // Enter i pairs address i with thread i, so every (function, thread)
