@@ -12,6 +12,13 @@
 //            samples credited online   / interval unions
 //   profile  read back credited ranges / per-function sample scan
 //
+// Set-up, what every tool run pays before its first event batch:
+//   open     TraceStreamReader::open_file on a 1e5-event trace with
+//            2,000 synthetic symbols: the header and metadata, then the
+//            pre-pass over samples, syncs and trailers
+//   resolver Resolver::for_executable on this binary: its symbol and
+//            string tables, sorted into address ranges
+//
 // End-to-end covers drain -> write -> read -> sort -> timeline ->
 // profile on the same synthetic trace (8 threads, 4 nodes, 64
 // functions, samples ~= events/100), at 1e5..1e7 events. The seed
@@ -38,6 +45,7 @@
 #include "parser/profile.hpp"
 #include "parser/timeline.hpp"
 #include "reference/reference.hpp"
+#include "symtab/resolver.hpp"
 #include "trace/align.hpp"
 #include "trace/reader.hpp"
 #include "trace/trace.hpp"
@@ -306,6 +314,38 @@ void BM_Read_Seed(benchmark::State& state) {
   std::remove(bench_path());
 }
 BENCHMARK(BM_Read_Seed)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+// --- Set-up ---------------------------------------------------------------
+// Both carry a /100000 argument so CI's smoke filter runs them; only
+// BM_OpenTrace sizes its input by it.
+
+void BM_OpenTrace(benchmark::State& state) {
+  tempest::trace::Trace t = sorted_trace(state.range(0));
+  for (std::uint64_t f = 0; f < 2000; ++f) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "fn_%04llu", static_cast<unsigned long long>(f));
+    t.synthetic_symbols.push_back({tempest::trace::kSyntheticAddrBase + 0x1000 + f * 0x10, name});
+  }
+  (void)tempest::trace::write_trace_file(bench_path(), t).is_ok();
+  for (auto _ : state) {
+    auto opened = tempest::trace::TraceStreamReader::open_file(bench_path());
+    benchmark::DoNotOptimize(opened.is_ok());
+  }
+  std::remove(bench_path());
+}
+BENCHMARK(BM_OpenTrace)->Arg(100000)->Unit(benchmark::kMicrosecond);
+
+void BM_ResolverBuild(benchmark::State& state) {
+  const std::string self = "/proc/self/exe";
+  std::size_t symbols = 0;
+  for (auto _ : state) {
+    auto built = tempest::symtab::Resolver::for_executable(self, 0);
+    symbols = built.is_ok() ? built.value().symbol_count() : 0;
+    benchmark::DoNotOptimize(symbols);
+  }
+  state.counters["symbols"] = static_cast<double>(symbols);
+}
+BENCHMARK(BM_ResolverBuild)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 // --- Align ----------------------------------------------------------------
 // The per-record rewrite into the global clock on the sorted trace's

@@ -155,17 +155,24 @@ Status read_string_table(const ElfBytes& bytes, const Elf64ShdrFull& sec,
   return read_entries(bytes, sec, out);
 }
 
-/// Read a NUL-terminated name out of a string table. Returns false
-/// (never reads out of bounds) when the offset is outside the table or
-/// the table ends before a terminator.
+/// The length of the NUL-terminated name at `name_off` in a string
+/// table. Returns false (never reads out of bounds) when the offset is
+/// outside the table or the table ends before a terminator.
+bool name_length(const std::vector<char>& table, std::uint32_t name_off,
+                 std::size_t* len) {
+  if (name_off >= table.size()) return false;
+  const std::size_t max_len = table.size() - name_off;
+  *len = strnlen(table.data() + name_off, max_len);
+  return *len < max_len;  // else the table is not NUL-terminated here
+}
+
+/// Read a NUL-terminated name out of a string table; false as
+/// name_length.
 bool read_name(const std::vector<char>& table, std::uint32_t name_off,
                std::string* out) {
-  if (name_off >= table.size()) return false;
-  const char* base = table.data() + name_off;
-  const std::size_t max_len = table.size() - name_off;
-  const std::size_t len = strnlen(base, max_len);
-  if (len == max_len) return false;  // table not NUL-terminated here
-  out->assign(base, len);
+  std::size_t len = 0;
+  if (!name_length(table, name_off, &len)) return false;
+  out->assign(table.data() + name_off, len);
   return true;
 }
 
@@ -221,6 +228,24 @@ Result<ElfImage> read_image(const ElfBytes& bytes) {
     if (!read) return R::error(read.message());
   }
 
+  // Every executable section's bytes are kept, so together they must
+  // fit the file: valid files never overlap them, and a crafted one that
+  // lists one range in many headers would be copied once per header.
+  std::uint64_t exec_bytes = 0;
+  for (const auto& raw : raw_sections) {
+    if ((raw.sh_flags & kShfExecinstr) == 0 || raw.sh_type == kShtNobits ||
+        raw.sh_size == 0) {
+      continue;
+    }
+    if (!contains(bytes, raw)) {
+      return R::error("executable section beyond end of file");
+    }
+    if (!bytes.contains(exec_bytes, raw.sh_size)) {
+      return R::error("executable sections larger than the file");
+    }
+    exec_bytes += raw.sh_size;
+  }
+
   image.sections.reserve(raw_sections.size());
   for (const auto& raw : raw_sections) {
     SectionInfo sec;
@@ -234,9 +259,6 @@ Result<ElfImage> read_image(const ElfBytes& bytes) {
     sec.info = raw.sh_info;
     sec.entsize = raw.sh_entsize;
     if (sec.executable() && raw.sh_type != kShtNobits && raw.sh_size > 0) {
-      if (!contains(bytes, raw)) {
-        return R::error("executable section beyond end of file");
-      }
       read = read_entries(bytes, raw, &sec.bytes);
       if (!read) return R::error(read.message());
     }
@@ -317,8 +339,8 @@ Result<ElfImage> read_image(const ElfBytes& bytes) {
 
 }  // namespace
 
-Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
-  using R = Result<std::vector<FuncSymbol>>;
+Result<FunctionTable> read_function_table(const std::string& path) {
+  using R = Result<FunctionTable>;
   const ElfBytes bytes(path);
   if (!bytes.opened()) return R::error(bytes.opened().message());
 
@@ -332,7 +354,7 @@ Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
   // at most, however many the section table lists, so a crafted file
   // cannot multiply what is read.
   std::vector<Elf64Sym> symbols;
-  std::vector<char> strtab;
+  FunctionTable table;
   for (std::uint32_t want : {kShtSymtab, kShtDynsym}) {
     const auto sec = std::find_if(
         sections.begin(), sections.end(),
@@ -344,20 +366,33 @@ Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
       continue;
     }
     read = read_entries(bytes, *sec, &symbols);
-    if (read) read = read_entries(bytes, names, &strtab);
+    if (read) read = read_entries(bytes, names, &table.names);
     if (!read) return R::error(read.message() + ": " + path);
 
-    std::vector<FuncSymbol> out;
-    out.reserve(symbols.size() / 4);
+    table.entries.reserve(symbols.size());
     for (const Elf64Sym& sym : symbols) {
-      if ((sym.st_info & 0x0f) != kSttFunc || sym.st_value == 0) continue;
-      std::string name;
-      if (!read_name(strtab, sym.st_name, &name) || name.empty()) continue;
-      out.push_back({sym.st_value, sym.st_size, std::move(name)});
+      std::size_t len = 0;
+      if ((sym.st_info & 0x0f) != kSttFunc || sym.st_value == 0 ||
+          !name_length(table.names, sym.st_name, &len) || len == 0) {
+        continue;
+      }
+      table.entries.push_back({sym.st_value, sym.st_size, sym.st_name});
     }
-    if (!out.empty()) return out;
+    if (!table.entries.empty()) return table;
   }
   return R::error("no function symbols found in " + path);
+}
+
+Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
+  auto table = read_function_table(path);
+  if (!table.is_ok()) return Result<std::vector<FuncSymbol>>::error(table.message());
+  const FunctionTable& t = table.value();
+  std::vector<FuncSymbol> out;
+  out.reserve(t.entries.size());
+  for (const FunctionTable::Entry& e : t.entries) {
+    out.push_back({e.value, e.size, std::string(t.names.data() + e.name)});
+  }
+  return out;
 }
 
 Result<ElfImage> parse_elf_image(const std::vector<char>& file) {

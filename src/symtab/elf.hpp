@@ -7,17 +7,22 @@
 // the ELF header, the section table and then only the sections its
 // caller uses:
 //
-//   * read_function_symbols — STT_FUNC entries from .symtab (falling
-//     back to .dynsym for stripped-but-dynamic binaries); what the
-//     Resolver needs. Reads the first .symtab (else the first .dynsym)
-//     and its string table, however many tables the file lists.
+//   * read_function_table — STT_FUNC entries from .symtab (falling
+//     back to .dynsym for stripped-but-dynamic binaries), each with the
+//     offset of its name in the table's string table; what the Resolver
+//     keeps. Reads the first .symtab (else the first .dynsym) and its
+//     string table, however many tables the file lists, in four heap
+//     blocks whatever the symbol count.
+//   * read_function_symbols — the same table with one string per name.
 //   * read_elf_image — the full static inventory the audit pass needs:
 //     every section header (with raw bytes for executable sections),
 //     the complete symbol table in original index order, and all RELA
 //     relocations that patch executable sections (.rela.text of
 //     relocatable objects, .rela.plt of linked binaries). Reads
 //     .shstrtab, the executable sections, the symbol table with its
-//     string table, and those RELA sections.
+//     string table, and those RELA sections. An image whose executable
+//     sections list more bytes than the file holds is refused, so what
+//     it copies stays within the file's size.
 //   * parse_elf_image — read_elf_image over bytes already in memory.
 //
 // A path is opened non-blocking and read by pread only if it names a
@@ -117,9 +122,28 @@ struct ElfImage {
   bool operator==(const ElfImage&) const = default;
 };
 
-/// Parse function symbols from an ELF64 file. Errors cover missing
-/// files, anything but a regular file, non-ELF input, wrong
-/// class/endianness, truncation and a short read, and name the path.
+/// The function symbols of one symbol table, their names left in that
+/// table's string table: what a Resolver keeps, read with O(1)
+/// allocations however many symbols the table holds.
+struct FunctionTable {
+  struct Entry {
+    std::uint64_t value = 0;  ///< st_value (link-time address)
+    std::uint64_t size = 0;   ///< st_size; 0 when the assembler omitted it
+    std::uint64_t name = 0;   ///< offset of its NUL-terminated name in `names`
+  };
+  std::vector<Entry> entries;  ///< symbol-table order
+  std::vector<char> names;     ///< the string table
+};
+
+/// The STT_FUNC entries with a nonzero address and a non-empty name, of
+/// the first .symtab, or else of the first .dynsym, that has any.
+/// Errors cover missing files, anything but a regular file, non-ELF
+/// input, wrong class/endianness, truncation and a short read, and name
+/// the path.
+Result<FunctionTable> read_function_table(const std::string& path);
+
+/// read_function_table with each name copied out: one string per
+/// symbol, for callers that want them. Same table, same errors.
 Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path);
 
 /// Parse the full static inventory from an ELF64 file (see ElfImage).

@@ -15,17 +15,45 @@
 
 namespace tempest::symtab {
 
-std::string demangle(const std::string& name) {
+namespace {
+
+/// The NUL-terminated `raw` demangled into `out`; false, leaving `out`
+/// alone, when it is not a mangled name.
+bool demangle_into(const char* raw, std::string* out) {
 #if defined(__GNUG__)
   int status = 0;
-  char* out = abi::__cxa_demangle(name.c_str(), nullptr, nullptr, &status);
-  if (status == 0 && out != nullptr) {
-    std::string result(out);
-    std::free(out);
-    return result;
-  }
-  std::free(out);
+  char* demangled = abi::__cxa_demangle(raw, nullptr, nullptr, &status);
+  const bool ok = status == 0 && demangled != nullptr;
+  if (ok) out->assign(demangled);
+  std::free(demangled);
+  return ok;
+#else
+  (void)raw;
+  (void)out;
+  return false;
 #endif
+}
+
+/// Explicit symbols as a function table: their names in one buffer.
+FunctionTable to_table(const std::vector<FuncSymbol>& symbols) {
+  FunctionTable table;
+  std::size_t bytes = 0;
+  for (const FuncSymbol& sym : symbols) bytes += sym.name.size() + 1;
+  table.names.reserve(bytes);
+  table.entries.reserve(symbols.size());
+  for (const FuncSymbol& sym : symbols) {
+    table.entries.push_back({sym.value, sym.size, table.names.size()});
+    table.names.insert(table.names.end(), sym.name.begin(), sym.name.end());
+    table.names.push_back('\0');
+  }
+  return table;
+}
+
+}  // namespace
+
+std::string demangle(const std::string& name) {
+  std::string out;
+  if (demangle_into(name.c_str(), &out)) return out;
   return name;
 }
 
@@ -50,13 +78,15 @@ std::uint64_t current_load_bias() {
 }
 
 Resolver::Resolver(std::vector<FuncSymbol> symbols, std::uint64_t load_bias) {
-  ranges_.reserve(symbols.size());
-  for (auto& sym : symbols) {
-    Range r;
-    r.start = sym.value + load_bias;
-    r.end = sym.size > 0 ? r.start + sym.size : r.start;  // patched below
-    r.name = std::move(sym.name);
-    ranges_.push_back(std::move(r));
+  build(to_table(symbols), load_bias);
+}
+
+void Resolver::build(FunctionTable table, std::uint64_t load_bias) {
+  names_ = std::move(table.names);
+  ranges_.reserve(table.entries.size());
+  for (const FunctionTable::Entry& e : table.entries) {
+    const std::uint64_t start = e.value + load_bias;
+    ranges_.push_back({start, e.size > 0 ? start + e.size : start, e.name});
   }
   std::sort(ranges_.begin(), ranges_.end(),
             [](const Range& a, const Range& b) { return a.start < b.start; });
@@ -87,9 +117,11 @@ Result<Resolver> Resolver::for_current_process() {
 
 Result<Resolver> Resolver::for_executable(const std::string& path,
                                           std::uint64_t load_bias) {
-  auto symbols = read_function_symbols(path);
-  if (!symbols.is_ok()) return Result<Resolver>::error(symbols.message());
-  return Resolver(std::move(symbols).value(), load_bias);
+  auto table = read_function_table(path);
+  if (!table.is_ok()) return Result<Resolver>::error(table.message());
+  Resolver resolver;
+  resolver.build(std::move(table).value(), load_bias);
+  return resolver;
 }
 
 bool Resolver::resolve_checked(std::uint64_t addr, std::string* name) const {
@@ -99,7 +131,8 @@ bool Resolver::resolve_checked(std::uint64_t addr, std::string* name) const {
   if (it != ranges_.begin()) {
     const Range& r = *std::prev(it);
     if (addr >= r.start && addr < r.end) {
-      *name = demangle(r.name);
+      const char* raw = names_.data() + r.name;
+      if (!demangle_into(raw, name)) name->assign(raw);
       return true;
     }
   }

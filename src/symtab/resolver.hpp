@@ -2,9 +2,13 @@
 //
 // Combines the ELF symbol table with the load bias (PIE executables
 // relocate), producing sorted [start, end) ranges for binary-searched
-// lookup. Addresses the table misses render as hex so the profile is
-// still usable. A resolver for the running process (for_current_process)
-// first asks dladdr about them, e.g. for shared-library functions.
+// lookup. Each range holds the offset of its raw name in one buffer of
+// names (the executable's string table, as read_function_table returns
+// it), so a build allocates O(1) times however many symbols there are;
+// a name is demangled when an address resolves to it. Addresses the
+// table misses render as hex so the profile is still usable. A
+// resolver for the running process (for_current_process) first asks
+// dladdr about them, e.g. for shared-library functions.
 // dladdr looks in this process's own address space, which says nothing
 // about addresses another process recorded, so every other resolver (a
 // trace's executable and bias) renders them as hex.
@@ -48,12 +52,17 @@ class Resolver {
   std::size_t symbol_count() const { return ranges_.size(); }
 
  private:
+  Resolver() = default;
+  /// Ranges from `table`'s entries shifted by `load_bias`, its names kept.
+  void build(FunctionTable table, std::uint64_t load_bias);
+
   struct Range {
     std::uint64_t start;
     std::uint64_t end;
-    std::string name;
+    std::uint64_t name;  ///< offset of the raw name in names_
   };
   std::vector<Range> ranges_;  ///< sorted by start
+  std::vector<char> names_;    ///< NUL-terminated raw names
   bool in_process_ = false;    ///< set by for_current_process: dladdr may help
 };
 

@@ -1,7 +1,9 @@
 #include "trace/reader.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <vector>
@@ -13,37 +15,79 @@
 namespace tempest::trace {
 namespace {
 
-class Cursor {
+/// Fields parsed out of one buffer that fills from the stream in
+/// 64 KiB steps and never past the `available` bytes the input holds:
+/// the metadata and the trailers cost a few bulk reads, not a stream
+/// call per field, and a count or length the file lies about meets the
+/// end of the input before it meets an allocation.
+class BulkCursor {
  public:
-  explicit Cursor(std::istream& in) : in_(in) {}
+  BulkCursor(std::istream& in, std::uint64_t available)
+      : in_(in), available_(available) {}
 
   template <typename T>
   bool get(T* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    in_.read(reinterpret_cast<char*>(out), sizeof(T));
-    return static_cast<bool>(in_);
+    if (!fill(sizeof(T))) return false;
+    std::memcpy(out, buf_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
   }
 
   bool get_string(std::string* out) {
     std::uint32_t len = 0;
-    if (!get(&len)) return false;
-    if (len > kMaxString) return false;
-    out->resize(len);
-    in_.read(out->data(), len);
-    return static_cast<bool>(in_);
+    if (!get(&len) || len > kMaxString || !fill(len)) return false;
+    out->assign(buf_.data() + pos_, len);
+    pos_ += len;
+    return true;
   }
 
-  /// Bulk read: true only when all `n` bytes arrived.
+  /// True only when all `n` bytes arrived.
   bool get_bytes(char* out, std::size_t n) {
-    in_.read(out, static_cast<std::streamsize>(n));
-    return static_cast<bool>(in_) &&
-           in_.gcount() == static_cast<std::streamsize>(n);
+    if (!fill(n)) return false;
+    std::memcpy(out, buf_.data() + pos_, n);
+    pos_ += n;
+    return true;
   }
+
+  /// Bytes parsed so far, and the input's bytes after them.
+  std::uint64_t consumed() const { return pos_; }
+  std::uint64_t left() const { return available_ - pos_; }
 
  private:
   static constexpr std::uint32_t kMaxString = 1 << 20;
+  static constexpr std::uint64_t kStep = std::uint64_t{64} << 10;
+
+  /// True once the `n` bytes after the cursor are buffered. A stream
+  /// that delivers less than it holds (a file cut while read) ends the
+  /// input where it stopped.
+  bool fill(std::uint64_t n) {
+    if (n <= buf_.size() - pos_) return true;
+    if (n > available_ - pos_) return false;
+    const std::size_t have = buf_.size();
+    buf_.resize(static_cast<std::size_t>(
+        std::min(available_, (pos_ + n + kStep - 1) / kStep * kStep)));
+    const auto want = static_cast<std::streamsize>(buf_.size() - have);
+    in_.read(buf_.data() + have, want);
+    if (in_.gcount() < want) {
+      buf_.resize(have + static_cast<std::size_t>(in_.gcount()));
+      available_ = buf_.size();
+    }
+    return n <= buf_.size() - pos_;
+  }
+
   std::istream& in_;
+  std::uint64_t available_;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;
 };
+
+/// The stream-side reads left: section framing and staged record
+/// chunks. True only when all `n` bytes arrived.
+bool read_exact(std::istream& in, char* out, std::size_t n) {
+  in.read(out, static_cast<std::streamsize>(n));
+  return static_cast<bool>(in) && in.gcount() == static_cast<std::streamsize>(n);
+}
 
 // Little-endian unpack mirrors of the writer's pack helpers.
 inline std::uint32_t unpack_u32(const char* p) {
@@ -70,6 +114,71 @@ bool unpack_samples(const char* src, std::size_t n, TempSample* dst) {
 bool unpack_syncs(const char* src, std::size_t n, ClockSync* dst) {
   codec::unpack_clock_syncs(src, n, dst);
   return true;
+}
+
+Status read_runstats_trailer(BulkCursor* cur, RunStats* out) {
+  std::uint32_t record_size = 0;
+  // Legacy 15-field records predate the admission pipeline; their
+  // admission counters stay zero (value-initialised payload).
+  char payload[kRunStatsRecordSize] = {};
+  if (!cur->get(&record_size) ||
+      (record_size != kRunStatsRecordSize &&
+       record_size != kRunStatsRecordSizeLegacy)) {
+    return Status::error("runstats record size mismatch (corrupt trailer)");
+  }
+  if (!cur->get_bytes(payload, record_size)) {
+    return Status::error("truncated runstats trailer");
+  }
+  RunStats& rs = *out;
+  const char* p = payload;
+  rs.events_recorded = unpack_u64(p); p += 8;
+  rs.events_dropped = unpack_u64(p); p += 8;
+  rs.buffer_flushes = unpack_u64(p); p += 8;
+  rs.threads_registered = unpack_u64(p); p += 8;
+  rs.tempd_ticks = unpack_u64(p); p += 8;
+  rs.tempd_missed_ticks = unpack_u64(p); p += 8;
+  rs.tempd_samples = unpack_u64(p); p += 8;
+  rs.tempd_read_errors = unpack_u64(p); p += 8;
+  rs.sensor_read_failures = unpack_u64(p); p += 8;
+  rs.heartbeats = unpack_u64(p); p += 8;
+  rs.peak_rss_kb = unpack_u64(p); p += 8;
+  rs.wall_seconds = unpack_f64(p); p += 8;
+  rs.tempd_cpu_seconds = unpack_f64(p); p += 8;
+  rs.probe_cost_ns_mean = unpack_f64(p); p += 8;
+  rs.cadence_jitter_us_mean = unpack_f64(p); p += 8;
+  rs.events_suppressed = unpack_u64(p); p += 8;
+  rs.events_throttled = unpack_u64(p); p += 8;
+  rs.events_overwritten = unpack_u64(p); p += 8;
+  rs.calls_observed = unpack_u64(p); p += 8;
+  rs.ring_snapshots = unpack_u64(p);
+  rs.present = true;
+  return Status::ok();
+}
+
+Status read_filter_trailer(BulkCursor* cur, FilterDecl* out) {
+  char resolved_buf[8];
+  FilterDecl& fd = *out;
+  if (!cur->get_bytes(resolved_buf, sizeof(resolved_buf))) {
+    return Status::error("truncated filter trailer");
+  }
+  fd.resolved = unpack_u64(resolved_buf);
+  std::uint32_t count = 0;
+  if (!cur->get_string(&fd.source) || !cur->get(&count)) {
+    return Status::error("truncated filter trailer");
+  }
+  // Each name takes at least its 4-byte length.
+  if (count > (1u << 20) || count > cur->left() / 4) {
+    return Status::error("filter trailer symbol count implausible (corrupt)");
+  }
+  fd.suppressed.clear();
+  fd.suppressed.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (!cur->get_string(&fd.suppressed[i])) {
+      return Status::error("truncated filter trailer symbol");
+    }
+  }
+  fd.present = true;
+  return Status::ok();
 }
 
 // A corrupt count field must fail before anything is allocated for it:
@@ -130,7 +239,9 @@ Status TraceStreamReader::read_header() {
                 "(pipe input: write the trace to a file first)");
   }
 
-  Cursor cur(in);
+  // The header and metadata parse out of one bulk buffer; the stream
+  // then goes back to the first section, just past them.
+  BulkCursor cur(in, start <= end_ ? static_cast<std::uint64_t>(end_ - start) : 0);
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   if (!cur.get(&magic) || magic != kTraceMagic) {
@@ -189,6 +300,7 @@ Status TraceStreamReader::read_header() {
     }
     h.synthetic_symbols.push_back(std::move(s));
   }
+  in.seekg(start + static_cast<std::istream::off_type>(cur.consumed()));
   return read_ahead();
 }
 
@@ -212,7 +324,6 @@ Status TraceStreamReader::read_ahead() {
   }
   if (read) read = read_trailers();
   if (!read) return read;
-  trailing_bytes_ = bytes_left();
   in_->seekg(events_at);
   if (!*in_) return fail("stream rewind failed after the read-ahead pre-pass");
   events_left_ = events;
@@ -222,12 +333,13 @@ Status TraceStreamReader::read_ahead() {
 Status TraceStreamReader::read_section_frame(std::uint32_t record_size,
                                              const char* what,
                                              std::uint64_t* count) {
-  Cursor cur(*in_);
   std::uint32_t size = 0;
-  if (!cur.get(count) || *count > kMaxRecords) {
+  if (!read_exact(*in_, reinterpret_cast<char*>(count), sizeof(*count)) ||
+      *count > kMaxRecords) {
     return fail(std::string("truncated or oversized ") + what + " section");
   }
-  if (!cur.get(&size) || size != record_size) {
+  if (!read_exact(*in_, reinterpret_cast<char*>(&size), sizeof(size)) ||
+      size != record_size) {
     return fail(std::string(what) + " record size mismatch (corrupt section framing)");
   }
   const std::uint64_t present = bytes_left() / record_size;
@@ -245,7 +357,6 @@ Status TraceStreamReader::decode(std::uint64_t n, std::uint32_t record_size,
                                  UnpackFn unpack_bulk) {
   // The framing check bounded n by the bytes present: reserve exactly.
   out->reserve(out->size() + static_cast<std::size_t>(n));
-  Cursor cur(*in_);
   // With a decode pool the staging chunk scales with the worker count
   // (capped at 4 MiB) so every worker gets a slice worth converting.
   const std::size_t staging_budget =
@@ -260,7 +371,7 @@ Status TraceStreamReader::decode(std::uint64_t n, std::uint32_t record_size,
     const std::size_t k = static_cast<std::size_t>(
         std::min<std::uint64_t>(per_chunk, left));
     staging.resize(k * record_size);
-    if (!cur.get_bytes(staging.data(), staging.size())) {
+    if (!read_exact(*in_, staging.data(), staging.size())) {
       return fail(std::string("truncated ") + what + " section");
     }
     // Chunk-wise resize keeps growth geometric while skipping the
@@ -293,93 +404,27 @@ Status TraceStreamReader::decode(std::uint64_t n, std::uint32_t record_size,
 }
 
 Status TraceStreamReader::read_trailers() {
+  BulkCursor cur(*in_, bytes_left());
   for (;;) {
-    if (bytes_left() < 4) return Status::ok();
-    const std::istream::pos_type pos = in_->tellg();
+    // Bytes after the last trailer that start no marker are trailing
+    // bytes.
+    trailing_bytes_ = cur.left();
+    if (trailing_bytes_ < 4) return Status::ok();
     char marker_buf[4];
-    if (!Cursor(*in_).get_bytes(marker_buf, sizeof(marker_buf))) {
+    if (!cur.get_bytes(marker_buf, sizeof(marker_buf))) {
       return fail("truncated trailer marker");
     }
     const std::uint32_t marker = unpack_u32(marker_buf);
     Status parsed = Status::ok();
     if (marker == kRunStatsMarker) {
-      parsed = read_runstats_trailer();
+      parsed = read_runstats_trailer(&cur, &header_.run_stats);
     } else if (marker == kFilterMarker) {
-      parsed = read_filter_trailer();
+      parsed = read_filter_trailer(&cur, &header_.filter);
     } else {
-      // Someone else's bytes: not a trailer. Give them back.
-      in_->seekg(pos);
-      return Status::ok();
+      return Status::ok();  // someone else's bytes: not a trailer
     }
-    if (!parsed) return parsed;
+    if (!parsed) return fail(parsed.message());
   }
-}
-
-Status TraceStreamReader::read_runstats_trailer() {
-  Cursor cur(*in_);
-  std::uint32_t record_size = 0;
-  // Legacy 15-field records predate the admission pipeline; their
-  // admission counters stay zero (value-initialised payload).
-  char payload[kRunStatsRecordSize] = {};
-  if (!cur.get(&record_size) ||
-      (record_size != kRunStatsRecordSize &&
-       record_size != kRunStatsRecordSizeLegacy)) {
-    return fail("runstats record size mismatch (corrupt trailer)");
-  }
-  if (!cur.get_bytes(payload, record_size)) {
-    return fail("truncated runstats trailer");
-  }
-  RunStats& rs = header_.run_stats;
-  const char* p = payload;
-  rs.events_recorded = unpack_u64(p); p += 8;
-  rs.events_dropped = unpack_u64(p); p += 8;
-  rs.buffer_flushes = unpack_u64(p); p += 8;
-  rs.threads_registered = unpack_u64(p); p += 8;
-  rs.tempd_ticks = unpack_u64(p); p += 8;
-  rs.tempd_missed_ticks = unpack_u64(p); p += 8;
-  rs.tempd_samples = unpack_u64(p); p += 8;
-  rs.tempd_read_errors = unpack_u64(p); p += 8;
-  rs.sensor_read_failures = unpack_u64(p); p += 8;
-  rs.heartbeats = unpack_u64(p); p += 8;
-  rs.peak_rss_kb = unpack_u64(p); p += 8;
-  rs.wall_seconds = unpack_f64(p); p += 8;
-  rs.tempd_cpu_seconds = unpack_f64(p); p += 8;
-  rs.probe_cost_ns_mean = unpack_f64(p); p += 8;
-  rs.cadence_jitter_us_mean = unpack_f64(p); p += 8;
-  rs.events_suppressed = unpack_u64(p); p += 8;
-  rs.events_throttled = unpack_u64(p); p += 8;
-  rs.events_overwritten = unpack_u64(p); p += 8;
-  rs.calls_observed = unpack_u64(p); p += 8;
-  rs.ring_snapshots = unpack_u64(p);
-  rs.present = true;
-  return Status::ok();
-}
-
-Status TraceStreamReader::read_filter_trailer() {
-  Cursor cur(*in_);
-  char resolved_buf[8];
-  FilterDecl& fd = header_.filter;
-  if (!cur.get_bytes(resolved_buf, sizeof(resolved_buf))) {
-    return fail("truncated filter trailer");
-  }
-  fd.resolved = unpack_u64(resolved_buf);
-  std::uint32_t count = 0;
-  if (!cur.get_string(&fd.source) || !cur.get(&count)) {
-    return fail("truncated filter trailer");
-  }
-  // Each name takes at least its 4-byte length.
-  if (count > (1u << 20) || count > bytes_left() / 4) {
-    return fail("filter trailer symbol count implausible (corrupt)");
-  }
-  fd.suppressed.clear();
-  fd.suppressed.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!cur.get_string(&fd.suppressed[i])) {
-      return fail("truncated filter trailer symbol");
-    }
-  }
-  fd.present = true;
-  return Status::ok();
 }
 
 Status TraceStreamReader::expect_eof() const {

@@ -5,7 +5,9 @@
 //
 // TraceStreamReader is the one place that knows the file layout. Every
 // consumer runs the same sequence: open() reads the header and the
-// metadata, then one pre-pass reads everything but the event payload —
+// metadata into one buffer, in 64 KiB steps and never past the bytes
+// the input holds, and parses them from memory (the trailers likewise),
+// then one pre-pass reads everything but the event payload —
 // the sample and clock-sync sections, the optional RUNSTATS and FLTR
 // trailers, and the count of bytes left after them. So the header is
 // complete, or the input rejected, before the first event batch; after
@@ -35,7 +37,8 @@ namespace tempest::trace {
 ///
 /// The reader never allocates more than one staging chunk plus the
 /// caller's batch for the events, and never more than the bytes the
-/// input holds for the small sections, whatever counts the file claims.
+/// input holds for the metadata and the small sections, whatever counts
+/// the file claims.
 class TraceStreamReader {
  public:
   TraceStreamReader(TraceStreamReader&&) = default;
@@ -98,8 +101,6 @@ class TraceStreamReader {
   /// reading stops at the first bytes that are no marker, which then
   /// count as trailing bytes. A marker with bad framing is an error.
   Status read_trailers();
-  Status read_runstats_trailer();
-  Status read_filter_trailer();
   /// `message`, prefixed with the path for file readers.
   Status fail(const std::string& message) const;
 

@@ -1,7 +1,8 @@
-// Live heap bytes, counted while a peak_heap run is under way, so a
-// memory bound is checked on what the code under test allocates rather
-// than on process RSS. A tracked allocation that would lift the live
-// count past kLiveHeapCap fails instead of exhausting the machine.
+// Live heap bytes and allocations, counted while a peak_heap run is
+// under way, so a memory bound is checked on what the code under test
+// allocates rather than on process RSS. A tracked allocation that would
+// lift the live count past kLiveHeapCap fails instead of exhausting the
+// machine.
 //
 // Include in exactly one translation unit of a test binary: it replaces
 // the scalar operator new/delete family. The array forms stay paired
@@ -20,6 +21,7 @@ namespace live_heap {
 inline std::atomic<bool> g_track{false};
 inline std::atomic<std::int64_t> g_live{0};
 inline std::atomic<std::int64_t> g_peak{0};
+inline std::atomic<std::int64_t> g_allocations{0};
 inline constexpr std::int64_t kLiveHeapCap = std::int64_t{512} << 20;
 
 /// malloc that counts the block while tracking; nullptr on failure or
@@ -27,6 +29,7 @@ inline constexpr std::int64_t kLiveHeapCap = std::int64_t{512} << 20;
 inline void* counted_malloc(std::size_t n) {
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr || !g_track.load(std::memory_order_relaxed)) return p;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
   const std::int64_t live = g_live.fetch_add(size) + size;
   if (live > kLiveHeapCap) {
@@ -52,6 +55,7 @@ template <typename F>
 std::int64_t peak_heap(F&& run) {
   g_live = 0;
   g_peak = 0;
+  g_allocations = 0;
   g_track = true;
   try {
     run();
@@ -61,6 +65,13 @@ std::int64_t peak_heap(F&& run) {
   }
   g_track = false;
   return g_peak;
+}
+
+/// Heap allocations made while `run` runs.
+template <typename F>
+std::int64_t allocations(F&& run) {
+  peak_heap(run);
+  return g_allocations;
 }
 
 }  // namespace live_heap

@@ -153,6 +153,46 @@ TEST(Resolver, OnlyTheRunningProcessAsksDladdr) {
   EXPECT_NE(name.find("qsort"), std::string::npos) << name;  // sanitizers wrap it
 }
 
+TEST(Resolver, ExecutableAndExplicitSymbolsResolveAlike) {
+  // for_executable keeps the string table and each symbol's offset in
+  // it; the explicit constructor packs the names it is given. Every
+  // function's start, its last byte and the byte after it must resolve
+  // to the same name, or miss alike, either way.
+  const std::uint64_t bias = 0x10000;
+  const auto symbols = tempest::symtab::read_function_symbols("/proc/self/exe");
+  ASSERT_TRUE(symbols.is_ok()) << symbols.message();
+  const auto from_file = Resolver::for_executable("/proc/self/exe", bias);
+  ASSERT_TRUE(from_file.is_ok()) << from_file.message();
+  const Resolver explicit_symbols(symbols.value(), bias);
+  ASSERT_EQ(from_file.value().symbol_count(), explicit_symbols.symbol_count());
+  std::size_t checked = 0;
+  for (const auto& sym : symbols.value()) {
+    const std::uint64_t start = sym.value + bias;
+    const std::uint64_t last = start + (sym.size > 0 ? sym.size - 1 : 0);
+    for (const std::uint64_t addr : {start, last, last + 1}) {
+      std::string file_name;
+      std::string explicit_name;
+      const bool file_named = from_file.value().resolve_checked(addr, &file_name);
+      const bool explicit_named = explicit_symbols.resolve_checked(addr, &explicit_name);
+      ASSERT_EQ(file_named, explicit_named) << sym.name << " at 0x" << std::hex << addr;
+      ASSERT_EQ(file_name, explicit_name) << sym.name << " at 0x" << std::hex << addr;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 300u);
+}
+
+TEST(Resolver, BuildingFromAnExecutableAllocatesAFewTimes) {
+  // The section table, the symbol and string tables and the ranges:
+  // O(1) allocations, not one string per symbol.
+  std::optional<tempest::Result<Resolver>> built;
+  const std::int64_t allocations = live_heap::allocations(
+      [&] { built.emplace(Resolver::for_executable("/proc/self/exe", 0)); });
+  ASSERT_TRUE(built->is_ok()) << built->message();
+  EXPECT_GT(built->value().symbol_count(), 100u);
+  EXPECT_LT(allocations, 16);
+}
+
 TEST(Resolver, ZeroSizedSymbolExtendsToNext) {
   Resolver resolver({{0x1000, 0, "stub"}, {0x1100, 0x10, "real"}}, 0);
   EXPECT_EQ(resolver.resolve(0x1050), "stub");

@@ -10,10 +10,12 @@
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "live_heap.hpp"
 #include "symtab/elf.hpp"
 
 namespace {
@@ -328,6 +330,49 @@ TEST(SymtabFuzz, FunctionSymbolsComeFromTheFirstSymbolTable) {
   ASSERT_TRUE(symbols.is_ok()) << symbols.message();
   ASSERT_EQ(symbols.value().size(), 1u);
   EXPECT_EQ(symbols.value()[0].name, "f");
+}
+
+/// An executable whose section table lists one `text`-byte range of
+/// code in `headers` executable sections, after the null section.
+std::vector<char> repeated_text_image(std::size_t text, std::uint16_t headers) {
+  RawEhdr ehdr{};
+  std::memcpy(ehdr.e_ident, "\x7f" "ELF", 4);
+  ehdr.e_ident[4] = 2;  // ELFCLASS64
+  ehdr.e_ident[5] = 1;  // little-endian
+  ehdr.e_ident[6] = 1;
+  ehdr.e_type = kEtExec;
+  ehdr.e_machine = 62;  // EM_X86_64
+  ehdr.e_version = 1;
+  ehdr.e_ehsize = sizeof(RawEhdr);
+  ehdr.e_shentsize = sizeof(RawShdr);
+  ehdr.e_shnum = static_cast<std::uint16_t>(headers + 1);
+  ehdr.e_shoff = sizeof(RawEhdr) + text;
+  std::vector<char> out(sizeof(RawEhdr) + text, static_cast<char>(0x90));
+  std::memcpy(out.data(), &ehdr, sizeof(ehdr));
+  const RawShdr null{};
+  const RawShdr code = {0, kShtProgbits, kShfExecinstr | 0x2, 0x401000, sizeof(RawEhdr),
+                        text, 0, 0, 16, 0};
+  const auto append = [&out](const RawShdr& shdr) {
+    const char* p = reinterpret_cast<const char*>(&shdr);
+    out.insert(out.end(), p, p + sizeof(shdr));
+  };
+  append(null);
+  for (std::uint16_t i = 0; i < headers; ++i) append(code);
+  return out;
+}
+
+TEST(SymtabFuzz, OneCodeRangeListedManyTimesIsRefused) {
+  // 64 headers over one 1 MiB range of code: copied once per header,
+  // 64 MiB. The executable sections list more bytes than the file
+  // holds, so both entry points refuse it before copying any.
+  const std::vector<char> bytes = repeated_text_image(std::size_t{1} << 20, 64);
+  std::optional<tempest::Result<ElfImage>> result;
+  const std::int64_t peak = live_heap::peak_heap([&] { result.emplace(parse_both(bytes)); });
+  ASSERT_FALSE(result->is_ok());
+  EXPECT_EQ(result->message(), "executable sections larger than the file");
+  EXPECT_LT(peak, 2 * static_cast<std::int64_t>(bytes.size()));
+  // One header over the range is a valid image.
+  EXPECT_TRUE(parse_both(repeated_text_image(std::size_t{1} << 20, 1)).is_ok());
 }
 
 TEST(SymtabFuzz, ExecSectionOffsetOverflowRejected) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
 
+#include "collectd/wire.hpp"
 #include "export/run.hpp"
 #include "pipeline/analysis.hpp"
 #include "pipeline/source.hpp"
@@ -237,6 +239,171 @@ TEST(TraceCut, EveryCutFailsBeforeTheFirstBatchOrDropsOnlyATrailer) {
   }
   EXPECT_EQ(streamed, 2u);
   std::remove(path.c_str());
+}
+
+/// A trace whose metadata outgrows one 64 KiB bulk read: nodes,
+/// sensors and threads, then synthetic symbols, four with 20,000-byte
+/// names (a 64 KiB step ends inside one) and 700 with 20-40-byte names,
+/// then a few events. A cut at every offset re-parses every record
+/// before it, so the many short records come last: 4,000 short names
+/// would make the cut loop a minute long.
+Trace trace_with_large_metadata() {
+  std::mt19937 rng(24);
+  std::uniform_int_distribution<std::size_t> name_len(20, 40);
+  Trace t;
+  t.tsc_ticks_per_second = 2.5e9;
+  t.executable = "/fuzz/large-metadata-exe";
+  t.load_bias = 0x5555'0000'0000ULL;
+  for (std::uint16_t n = 0; n < 4; ++n) {
+    t.nodes.push_back({n, "node" + std::to_string(n) + ".cluster.example"});
+    for (std::uint16_t s = 0; s < 2; ++s) {
+      t.sensors.push_back({n, s, "Core " + std::to_string(s), 0.5});
+    }
+  }
+  for (std::uint32_t th = 0; th < 8; ++th) {
+    t.threads.push_back({th, static_cast<std::uint16_t>(th % 4),
+                         static_cast<std::uint16_t>(th)});
+  }
+  for (std::uint64_t i = 0; i < 704; ++i) {
+    std::string name = "region_" + std::to_string(i) + "_";
+    name.resize(i < 4 ? 20'000 : name_len(rng), 'x');
+    t.synthetic_symbols.push_back({kSyntheticAddrBase + i, std::move(name)});
+  }
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    t.fn_events.push_back({100 + i, kSyntheticAddrBase + i / 2, 0, 0,
+                           i % 2 == 0 ? FnEventKind::kEnter : FnEventKind::kExit});
+  }
+  return t;
+}
+
+/// A seekable read-only stream buffer over bytes it does not copy, so
+/// each cut of a large prefix costs its parse, not a copy.
+class ViewBuf : public std::streambuf {
+ public:
+  ViewBuf(const char* data, std::size_t size) {
+    char* p = const_cast<char*>(data);
+    setg(p, p, p + size);
+  }
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode /*which*/) override {
+    const off_type size = egptr() - eback();
+    const off_type at = off + (dir == std::ios_base::beg   ? 0
+                               : dir == std::ios_base::cur ? gptr() - eback()
+                                                           : size);
+    if (at < 0 || at > size) return pos_type(off_type(-1));
+    setg(eback(), eback() + at, egptr());
+    return pos_type(at);
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    return seekoff(off_type(pos), std::ios_base::beg, which);
+  }
+};
+
+/// The cuts of the large-metadata trace, split over interleaved shards
+/// that ctest runs in parallel: each cut re-reads every byte before it,
+/// so one loop over all ~110,000 offsets takes minutes under the thread
+/// sanitizer.
+constexpr std::size_t kLargeMetadataShards = 8;
+class LargeMetadataCut : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LargeMetadataCut, EveryCutFailsWithItsSectionsError) {
+  // The metadata is read in 64 KiB steps and parsed from memory; a cut
+  // anywhere before the first event byte must still fail at open, with
+  // the error of the section it lands in, and the same bytes as a
+  // collector META frame must be refused.
+  const Trace original = trace_with_large_metadata();
+  const std::string full = trace_bytes(original);
+  const auto string_bytes = [](const std::string& s) { return 4 + s.size(); };
+  std::size_t nodes_at = 8 + 4 + 8 + string_bytes(original.executable) + 8;
+  std::size_t sensors_at = nodes_at + 4;
+  for (const NodeInfo& n : original.nodes) sensors_at += 2 + string_bytes(n.hostname);
+  const std::size_t threads_at = [&] {
+    std::size_t at = sensors_at + 4;
+    for (const SensorMeta& s : original.sensors) at += 2 + 2 + 8 + string_bytes(s.name);
+    return at;
+  }();
+  const std::size_t symbols_at = threads_at + 4 + 8 * original.threads.size();
+  std::size_t events_at = symbols_at + 4;
+  for (const SyntheticSymbol& s : original.synthetic_symbols) {
+    events_at += 8 + string_bytes(s.name);
+  }
+  const std::size_t first_event = events_at + 8 + 4;
+  ASSERT_GE(events_at, std::size_t{100} << 10);
+  ASSERT_EQ(full.size(), first_event + original.fn_events.size() * kFnEventRecordSize +
+                             2 * (8 + 4));
+  {
+    ViewBuf view(full.data(), full.size());
+    std::istream in(&view);
+    auto whole = read_trace(in);
+    ASSERT_TRUE(whole.is_ok()) << whole.message();
+    EXPECT_EQ(whole.value().nodes.back().hostname, original.nodes.back().hostname);
+    ASSERT_EQ(whole.value().synthetic_symbols.size(), original.synthetic_symbols.size());
+    EXPECT_EQ(whole.value().synthetic_symbols.back().name,
+              original.synthetic_symbols.back().name);
+    EXPECT_EQ(whole.value().fn_events.size(), original.fn_events.size());
+  }
+
+  const auto expected = [&](std::size_t cut) -> std::string {
+    if (cut < 8) return "not a Tempest trace (bad magic)";
+    if (cut < 12) return "truncated trace header (no version)";
+    if (cut < nodes_at) return "truncated trace header";
+    if (cut < nodes_at + 4) return "truncated node section";
+    if (cut < sensors_at) return "truncated node record";
+    if (cut < sensors_at + 4) return "truncated sensor section";
+    if (cut < threads_at) return "truncated sensor record";
+    if (cut < threads_at + 4) return "truncated thread section";
+    if (cut < symbols_at) return "truncated thread record";
+    if (cut < symbols_at + 4) return "truncated synthetic-symbol section";
+    if (cut < events_at) return "truncated synthetic symbol";
+    if (cut < events_at + 8) return "truncated or oversized fn event section";
+    if (cut < first_event) return "fn event record size mismatch (corrupt section framing)";
+    return "truncated fn event section (file claims 4 records but ends after 0)";
+  };
+  std::size_t mismatches = 0;
+  for (std::size_t cut = GetParam(); cut <= first_event; cut += kLargeMetadataShards) {
+    ViewBuf view(full.data(), cut);
+    std::istream in(&view);
+    auto opened = TraceStreamReader::open(in);
+    const std::string want = expected(cut);
+    if (opened.is_ok() || opened.message() != want) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "cut at " << cut << "/" << full.size() << ": want \"" << want
+                      << "\", got " << (opened.is_ok() ? "a trace" : opened.message());
+      }
+    }
+    Trace meta;
+    if (tempest::collectd::unpack_meta(std::string_view(full.data(), cut), &meta)) {
+      if (++mismatches <= 5) ADD_FAILURE() << "META cut at " << cut << " unpacked";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, LargeMetadataCut,
+                         ::testing::Range<std::size_t>(0, kLargeMetadataShards));
+
+TEST(TraceCut, SyntheticSymbolNameRunningPastTheEndOrOverTheCap) {
+  // The last symbol's name length claims the bytes after it, then more
+  // than the 1 MiB string cap, with the bytes present: both fail as a
+  // truncated synthetic symbol.
+  Trace t = trace_with_large_metadata();
+  t.fn_events.clear();
+  const std::string full = trace_bytes(t);
+  const std::size_t len_at = full.size() - 3 * (8 + 4) -
+                             t.synthetic_symbols.back().name.size() - 4;
+  const auto past_end = static_cast<std::uint32_t>(full.size() - len_at - 4 + 1);
+  for (const std::uint32_t len : {past_end, std::uint32_t{(1u << 20) + 1}}) {
+    std::string damaged = full;
+    std::memcpy(damaged.data() + len_at, &len, sizeof(len));
+    if (len > past_end) damaged.resize(len_at + 4 + len);  // the bytes are there
+    ViewBuf view(damaged.data(), damaged.size());
+    std::istream in(&view);
+    auto opened = TraceStreamReader::open(in);
+    ASSERT_FALSE(opened.is_ok()) << "name length " << len;
+    EXPECT_EQ(opened.message(), "truncated synthetic symbol") << "name length " << len;
+  }
 }
 
 TEST(TraceCut, ExportOfADamagedTraceWritesNothing) {
