@@ -8,22 +8,35 @@ Used by CI (e2e-asan) after the export steps:
 Writes four damaged copies of TRACE (a recorded trace, so it ends with
 a RUNSTATS trailer) beside it: cut inside the event payload, cut inside
 the sample section, with its last 10 bytes removed (a cut inside
-RUNSTATS), and with 7 garbage bytes appended. Runs tempest_parse,
-tempest-export, tempest-lint, tempest-diff (against the intact TRACE)
-and tempest-audit --trace TRACE BINARY on each, and checks that:
+RUNSTATS), and with 7 garbage bytes appended. Beside them it makes a
+FIFO nobody writes to and a directory, two paths that are no trace
+file at all. Runs tempest_parse, tempest-export, tempest-lint,
+tempest-diff (against the intact TRACE) and tempest-audit --trace TRACE
+BINARY on each, and checks that:
 
   * every run exits non-zero; tempest-lint exits 1 with a
-    file-trailing-bytes finding for the garbage tail and 2 for the cuts;
-  * every read error is one stderr line starting "<tool>: <copy>:";
+    file-trailing-bytes finding for the garbage tail and 2 otherwise;
+  * every read error is one stderr line starting "<tool>: <copy>:",
+    and for the FIFO and the directory is exactly
+    "<tool>: <path>: not a regular file";
+  * every run exits within its deadline (10 s on the FIFO and the
+    directory, which a reader that blocks would never leave);
   * no sanitizer reports anything;
   * every tempest-export output file is empty.
 
 Exit 0 when every check holds, 1 with a message per violation otherwise.
 """
 import os
+import shutil
 import struct
 import subprocess
 import sys
+
+# Seconds a run may take: a sanitizer build reading a damaged copy, and
+# a refusal that must come before any read.
+DEADLINE_S = 120
+NON_REGULAR_DEADLINE_S = 10
+NON_REGULAR = ("fifo", "directory")
 
 
 def sections(data):
@@ -81,6 +94,17 @@ def damaged_copies(trace):
         with open(path, "wb") as f:
             f.write(body)
         paths[name] = path
+    for name in NON_REGULAR:
+        path = f"{trace}.damaged-{name}"
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+        if name == "fifo":
+            os.mkfifo(path)
+        else:
+            os.mkdir(path)
+        paths[name] = path
     return paths
 
 
@@ -99,10 +123,16 @@ def main(argv):
             "tempest-diff": [trace, path],
             "tempest-audit": ["--trace", path, binary],
         }
+        deadline = NON_REGULAR_DEADLINE_S if name in NON_REGULAR else DEADLINE_S
         for tool, args in runs.items():
-            run = subprocess.run([os.path.join(tools, tool)] + args,
-                                 capture_output=True, text=True)
             where = f"{tool} on the {name} copy"
+            try:
+                run = subprocess.run([os.path.join(tools, tool)] + args,
+                                     capture_output=True, text=True,
+                                     timeout=deadline)
+            except subprocess.TimeoutExpired:
+                errors.append(f"{where}: still running after {deadline} s")
+                continue
             lines = run.stderr.splitlines()
             if "Sanitizer" in run.stderr or "runtime error" in run.stderr:
                 errors.append(f"{where}: sanitizer report:\n{run.stderr}")
@@ -118,6 +148,9 @@ def main(argv):
             if len(lines) != 1 or not lines[0].startswith(f"{tool}: {path}:"):
                 errors.append(f"{where}: want one stderr line starting "
                               f"'{tool}: {path}:', got:\n{run.stderr}")
+            elif name in NON_REGULAR and lines[0] != f"{tool}: {path}: not a regular file":
+                errors.append(f"{where}: want '{tool}: {path}: not a regular "
+                              f"file', got:\n{run.stderr}")
         if not os.path.exists(out) or os.path.getsize(out) != 0:
             size = os.path.getsize(out) if os.path.exists(out) else "no"
             errors.append(f"tempest-export on the {name} copy: {size} bytes "
@@ -126,7 +159,8 @@ def main(argv):
         print(f"check_damaged_traces: {e}", file=sys.stderr)
     if errors:
         return 1
-    print("4 damaged copies rejected by 5 tools, before any output")
+    print("4 damaged copies, a FIFO and a directory rejected by 5 tools, "
+          "before any output")
     return 0
 
 

@@ -22,6 +22,7 @@ struct OverheadReport;
 
 using common::FilterFile;
 using common::FilterRule;
+using common::parse_filter_file;
 using common::read_filter_file;
 using common::write_filter_file;
 

@@ -1,8 +1,5 @@
 #include "collectd/wire.hpp"
 
-#include <cstring>
-#include <sstream>
-
 #include "trace/codec.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
@@ -10,24 +7,13 @@
 namespace tempest::collectd {
 namespace {
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
+using trace::codec::load_le;
 
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
+template <typename T>
+void put_le(std::string* out, T v) {
+  char bytes[sizeof(T)];
+  trace::codec::store_le(bytes, v);
+  out->append(bytes, sizeof(T));
 }
 
 template <typename Record>
@@ -47,9 +33,7 @@ void encode_frame_header(char out[kFrameHeaderBytes], FrameType type,
   out[1] = kFrameMagic1;
   out[2] = static_cast<char>(type);
   out[3] = 0;  // flags
-  for (int i = 0; i < 4; ++i) {
-    out[4 + i] = static_cast<char>((payload_len >> (8 * i)) & 0xFF);
-  }
+  trace::codec::store_le(out + 4, payload_len);
 }
 
 FrameRead read_frame(std::string_view in, std::size_t max_payload, Frame* out) {
@@ -60,7 +44,7 @@ FrameRead read_frame(std::string_view in, std::size_t max_payload, Frame* out) {
       t > static_cast<unsigned char>(FrameType::kBye)) {
     return FrameRead::kBadType;
   }
-  const std::uint32_t len = get_u32(in.data() + 4);
+  const std::uint32_t len = load_le<std::uint32_t>(in.data() + 4);
   if (len > max_payload) return FrameRead::kOversized;
   if (in.size() - kFrameHeaderBytes < len) return FrameRead::kNeedMore;
   out->type = static_cast<FrameType>(t);
@@ -72,16 +56,16 @@ FrameRead read_frame(std::string_view in, std::size_t max_payload, Frame* out) {
 std::string pack_hello(const Hello& hello) {
   std::string out;
   out.reserve(12 + hello.name.size());
-  put_u32(&out, hello.protocol);
-  put_u64(&out, hello.pid);
+  put_le(&out, hello.protocol);
+  put_le(&out, hello.pid);
   out += hello.name;
   return out;
 }
 
 bool unpack_hello(std::string_view payload, Hello* out) {
   if (payload.size() < 12) return false;
-  out->protocol = get_u32(payload.data());
-  out->pid = get_u64(payload.data() + 4);
+  out->protocol = load_le<std::uint32_t>(payload.data());
+  out->pid = load_le<std::uint64_t>(payload.data() + 4);
   out->name.assign(payload.data() + 12, payload.size() - 12);
   return true;
 }
@@ -89,15 +73,15 @@ bool unpack_hello(std::string_view payload, Hello* out) {
 std::string pack_bye(const Bye& bye) {
   std::string out;
   out.reserve(16);
-  put_u64(&out, bye.events_sent);
-  put_u64(&out, bye.samples_sent);
+  put_le(&out, bye.events_sent);
+  put_le(&out, bye.samples_sent);
   return out;
 }
 
 bool unpack_bye(std::string_view payload, Bye* out) {
   if (payload.size() != 16) return false;
-  out->events_sent = get_u64(payload.data());
-  out->samples_sent = get_u64(payload.data() + 8);
+  out->events_sent = load_le<std::uint64_t>(payload.data());
+  out->samples_sent = load_le<std::uint64_t>(payload.data() + 8);
   return true;
 }
 
@@ -142,14 +126,11 @@ bool unpack_temp_samples(std::string_view payload,
 std::string pack_meta(const trace::TraceHeader& header) {
   trace::Trace meta_only;
   static_cast<trace::TraceHeader&>(meta_only) = header;
-  std::ostringstream out;
-  if (!trace::write_trace(out, meta_only).is_ok()) return {};
-  return std::move(out).str();
+  return trace::encode_trace(meta_only);
 }
 
 bool unpack_meta(std::string_view payload, trace::Trace* out) {
-  std::istringstream in{std::string(payload)};
-  auto parsed = trace::read_trace(in);
+  auto parsed = trace::read_trace(payload);
   if (!parsed.is_ok()) return false;
   *out = std::move(parsed).value();
   return true;

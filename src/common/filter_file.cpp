@@ -1,19 +1,33 @@
 #include "common/filter_file.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+
+#include "common/byte_input.hpp"
 
 namespace tempest::common {
 namespace {
 
 constexpr const char* kVersionLine = "# TEMPEST_FILTER v1";
+constexpr std::string_view kBlank = " \t";          // what trim strips
+constexpr std::string_view kSpace = " \t\n\v\f\r";  // what separates fields
 
 /// Strip leading/trailing spaces and tabs.
-std::string trim(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t");
-  if (first == std::string::npos) return {};
-  const std::size_t last = s.find_last_not_of(" \t");
-  return s.substr(first, last - first + 1);
+std::string_view trim(std::string_view s) {
+  const std::size_t first = s.find_first_not_of(kBlank);
+  if (first == std::string_view::npos) return {};
+  return s.substr(first, s.find_last_not_of(kBlank) - first + 1);
+}
+
+/// The next whitespace-separated field of `*rest`, which then starts
+/// just past it; empty when no field is left.
+std::string_view next_field(std::string_view* rest) {
+  const std::size_t first = rest->find_first_not_of(kSpace);
+  if (first == std::string_view::npos) return *rest = {};
+  const std::size_t end = std::min(rest->find_first_of(kSpace, first), rest->size());
+  const std::string_view field = rest->substr(first, end - first);
+  rest->remove_prefix(end);
+  return field;
 }
 
 }  // namespace
@@ -36,41 +50,44 @@ Status write_filter_file(const std::string& path, const FilterFile& filter) {
   return Status::ok();
 }
 
-Result<FilterFile> read_filter_file(std::istream& in) {
+Result<FilterFile> parse_filter_file(std::string_view text) {
   FilterFile filter;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string text = trim(line);
-    if (text.empty() || text[0] == '#') continue;
+  for (std::size_t line_no = 1; !text.empty(); ++line_no) {
+    const std::size_t eol = std::min(text.find('\n'), text.size());
+    std::string_view fields = trim(text.substr(0, eol));
+    text.remove_prefix(std::min(eol + 1, text.size()));
+    if (fields.empty() || fields[0] == '#') continue;
 
-    std::istringstream fields(text);
-    std::string directive;
-    fields >> directive;
+    const std::string_view directive = next_field(&fields);
     if (directive != "suppress") {
       return Result<FilterFile>::error("filter line " + std::to_string(line_no) +
-                                       ": unknown directive '" + directive + "'");
+                                       ": unknown directive '" + std::string(directive) +
+                                       "'");
     }
     FilterRule rule;
-    fields >> rule.symbol;
+    rule.symbol = next_field(&fields);
     if (rule.symbol.empty() || rule.symbol[0] == '#') {
       return Result<FilterFile>::error("filter line " + std::to_string(line_no) +
                                        ": suppress needs a symbol name");
     }
-    std::string rest;
-    std::getline(fields, rest);
-    const std::size_t hash = rest.find('#');
-    if (hash != std::string::npos) rule.reason = trim(rest.substr(hash + 1));
+    const std::size_t hash = fields.find('#');
+    if (hash != std::string_view::npos) rule.reason = trim(fields.substr(hash + 1));
     filter.rules.push_back(std::move(rule));
   }
   return filter;
 }
 
 Result<FilterFile> read_filter_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Result<FilterFile>::error("cannot open filter file " + path);
-  return read_filter_file(in);
+  const ByteInput in(path, "cannot open filter file " + path);
+  if (!in.opened()) return Result<FilterFile>::error(in.opened().message());
+  if (in.size() > kMaxFilterFileBytes) {
+    return Result<FilterFile>::error(path + ": filter file larger than " +
+                                     std::to_string(kMaxFilterFileBytes >> 20) + " MiB");
+  }
+  std::string text(static_cast<std::size_t>(in.size()), '\0');
+  const Status read = in.read(0, text.size(), text.data());
+  if (!read) return Result<FilterFile>::error(path + ": " + read.message());
+  return parse_filter_file(text);
 }
 
 }  // namespace tempest::common

@@ -17,11 +17,17 @@
 //
 // The parser lives here in src/common so that src/core stays free of
 // the audit library (which drags in the whole ELF analyzer); the audit
-// layer re-exports these types for its callers.
+// layer re-exports these types for its callers. The recorder reads the
+// file once per session, through common::ByteInput: a path that names
+// anything but a regular file, or a file over kMaxFilterFileBytes, is
+// refused unread, so the variable cannot make a run block or read
+// without bound.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -45,9 +51,17 @@ struct FilterFile {
 void write_filter_file(std::ostream& out, const FilterFile& filter);
 Status write_filter_file(const std::string& path, const FilterFile& filter);
 
-/// Parse a filter file. Unknown directives and directives without a
+/// The largest filter file read_filter_file reads.
+inline constexpr std::uint64_t kMaxFilterFileBytes = std::uint64_t{16} << 20;
+
+/// Parse filter-file text. Unknown directives and directives without a
 /// symbol are errors naming the line number.
-Result<FilterFile> read_filter_file(std::istream& in);
+Result<FilterFile> parse_filter_file(std::string_view text);
+
+/// Read and parse the file at `path`. Refused unread: a path that does
+/// not open ("cannot open filter file <path>"), anything but a regular
+/// file ("<path>: not a regular file") and a file over
+/// kMaxFilterFileBytes.
 Result<FilterFile> read_filter_file(const std::string& path);
 
 }  // namespace tempest::common

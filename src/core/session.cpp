@@ -167,13 +167,14 @@ Status Session::start(const SessionConfig& config) {
   registry_.set_buffer_ring(ring_events);
   registry_.set_buffer_limit(config_.max_events_per_thread);
 
-  // Build the admission plan: filter set sized for the rule count plus
-  // headroom for synthetic regions minted mid-run.
+  // Build the admission plan from one read of the filter file: the set
+  // sized for its rule count plus headroom for synthetic regions minted
+  // mid-run, then filled from the same rules.
   common::FilterFile filter_file;
   if (!config_.filter_path.empty()) {
     auto parsed = common::read_filter_file(config_.filter_path);
     if (parsed.is_ok()) {
-      filter_file = std::move(parsed.value());
+      filter_file = std::move(parsed).value();
     } else {
       telemetry::log_warn("session", "TEMPEST_FILTER ignored: " +
                                          parsed.status().message());
@@ -182,7 +183,7 @@ Status Session::start(const SessionConfig& config) {
   }
   auto plan =
       std::make_unique<AdmissionPlan>(filter_file.rules.size() + 32);
-  if (!config_.filter_path.empty()) load_filter(plan.get());
+  if (!config_.filter_path.empty()) load_filter(filter_file, plan.get());
   ThrottleSettings& th = plan->throttle;
   th.min_duration_ticks = static_cast<std::uint64_t>(
       static_cast<double>(config_.min_duration_ns) * tsc_hz_ * 1e-9);
@@ -476,11 +477,7 @@ void Session::record_throttled(ThreadState* ts, const AdmissionPlan* plan,
   push_admitted(ts, now, addr, kind);
 }
 
-void Session::load_filter(AdmissionPlan* plan) {
-  auto parsed = common::read_filter_file(config_.filter_path);
-  if (!parsed.is_ok()) return;  // start() already validated/warned
-  const common::FilterFile& ff = parsed.value();
-
+void Session::load_filter(const common::FilterFile& ff, AdmissionPlan* plan) {
   common::MutexLock lock(&synth_mu_);
   filter_decl_.present = true;
   filter_decl_.source = config_.filter_path;

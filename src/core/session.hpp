@@ -28,6 +28,10 @@ namespace tempest::collectd {
 class CollectClient;
 }  // namespace tempest::collectd
 
+namespace tempest::common {
+struct FilterFile;
+}  // namespace tempest::common
+
 namespace tempest::core {
 
 class Session {
@@ -180,11 +184,12 @@ class Session {
   void push_admitted(ThreadState* ts, std::uint64_t now, std::uint64_t addr,
                      trace::FnEventKind kind);
 
-  /// Consume config_.filter_path: parse, resolve names against the ELF
-  /// symtab (+ already-minted synthetic regions), build the suppression
-  /// set into `plan`. Unresolved names wait in filter_names_ for
-  /// synthetic_addr to mint them.
-  void load_filter(AdmissionPlan* plan) EXCLUDES(synth_mu_);
+  /// Apply the rules start() read from config_.filter_path: resolve
+  /// names against the ELF symtab (+ already-minted synthetic regions),
+  /// build the suppression set into `plan`. Unresolved names wait in
+  /// filter_names_ for synthetic_addr to mint them.
+  void load_filter(const common::FilterFile& ff, AdmissionPlan* plan)
+      EXCLUDES(synth_mu_);
 
   /// Runs on the tempd thread once per sampling tick: services snapshot
   /// requests (signal/API/watchdog) and the adaptive boost controller.

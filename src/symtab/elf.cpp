@@ -1,15 +1,15 @@
 #include "symtab/elf.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
+#include <string_view>
+
+#include "common/byte_input.hpp"
 
 namespace tempest::symtab {
 namespace {
+
+using common::ByteInput;
 
 // ELF64 structures, laid out per the System V ABI. Defined locally so
 // the parser also builds on non-ELF hosts (where it just never runs).
@@ -62,85 +62,14 @@ struct Elf64Rela {
 
 constexpr std::uint32_t kShtNobits = 8;  // .bss: sh_offset is meaningless
 
-/// The bytes of one ELF image, fetched a range at a time: from a
-/// caller's buffer (parse_elf_image) or by pread from a regular file
-/// (the path entry points), so the parser reads only the header, the
-/// section table and the sections it uses, never the whole file. Every
-/// range is checked against the image's size before it is read.
-class ElfBytes {
- public:
-  explicit ElfBytes(const std::vector<char>& memory)
-      : memory_(memory.data()), size_(memory.size()) {}
-
-  /// Open `path` for pread. The path may come from a peer's trace
-  /// metadata, so anything but a regular file — a FIFO that would
-  /// block, a device that never ends — is refused unread; opened() says
-  /// why. Not mapped: a file cut while mapped would raise SIGBUS.
-  explicit ElfBytes(const std::string& path)
-      : fd_(::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC)) {
-    struct stat st {};
-    if (fd_ < 0) {
-      opened_ = Status::error("cannot open " + path);
-    } else if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
-      opened_ = Status::error(path + ": not a regular file");
-    } else {
-      size_ = static_cast<std::uint64_t>(st.st_size);
-    }
-  }
-  ~ElfBytes() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ElfBytes(const ElfBytes&) = delete;
-  ElfBytes& operator=(const ElfBytes&) = delete;
-
-  const Status& opened() const { return opened_; }
-
-  /// Overflow-safe "does [offset, offset+size) fit inside the image?".
-  /// `offset + size > size_` alone wraps for hostile 64-bit values.
-  bool contains(std::uint64_t offset, std::uint64_t size) const {
-    return offset <= size_ && size <= size_ - offset;
-  }
-
-  /// Copy [offset, offset+size) into `dst`. A file that ends before
-  /// the range does (it shrank after it was opened) is an error.
-  Status read(std::uint64_t offset, std::uint64_t size, void* dst) const {
-    if (!contains(offset, size)) return Status::error("read beyond end of file");
-    if (size == 0) return Status::ok();
-    char* out = static_cast<char*>(dst);
-    if (fd_ < 0) {
-      std::memcpy(out, memory_ + offset, size);
-      return Status::ok();
-    }
-    while (size > 0) {
-      const auto want =
-          static_cast<std::size_t>(std::min<std::uint64_t>(size, std::uint64_t{1} << 30));
-      const ssize_t n = ::pread(fd_, out, want, static_cast<off_t>(offset));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        return Status::error("short read at offset " + std::to_string(offset));
-      }
-      out += n;
-      offset += static_cast<std::uint64_t>(n);
-      size -= static_cast<std::uint64_t>(n);
-    }
-    return Status::ok();
-  }
-
- private:
-  const char* memory_ = nullptr;
-  int fd_ = -1;
-  std::uint64_t size_ = 0;
-  Status opened_;
-};
-
-bool contains(const ElfBytes& bytes, const Elf64ShdrFull& sec) {
+bool contains(const ByteInput& bytes, const Elf64ShdrFull& sec) {
   return bytes.contains(sec.sh_offset, sec.sh_size);
 }
 
 /// The whole entries of a section that fits the image, as `Entry`
 /// records (a trailing partial entry is ignored).
 template <typename Entry>
-Status read_entries(const ElfBytes& bytes, const Elf64ShdrFull& sec,
+Status read_entries(const ByteInput& bytes, const Elf64ShdrFull& sec,
                     std::vector<Entry>* out) {
   out->resize(sec.sh_size / sizeof(Entry));
   return bytes.read(sec.sh_offset, out->size() * sizeof(Entry), out->data());
@@ -148,7 +77,7 @@ Status read_entries(const ElfBytes& bytes, const Elf64ShdrFull& sec,
 
 /// A string table's bytes; empty when the section does not fit the
 /// image, so every name read through it comes back empty.
-Status read_string_table(const ElfBytes& bytes, const Elf64ShdrFull& sec,
+Status read_string_table(const ByteInput& bytes, const Elf64ShdrFull& sec,
                          std::vector<char>* out) {
   out->clear();
   if (!contains(bytes, sec)) return Status::ok();
@@ -178,7 +107,7 @@ bool read_name(const std::vector<char>& table, std::uint32_t name_off,
 
 /// Read and validate the ELF header plus the section-header table: the
 /// front end of every entry point.
-Status read_headers(const ElfBytes& bytes, Elf64Ehdr* ehdr,
+Status read_headers(const ByteInput& bytes, Elf64Ehdr* ehdr,
                     std::vector<Elf64ShdrFull>* sections) {
   if (!bytes.contains(0, sizeof(Elf64Ehdr))) {
     return Status::error("file too small for ELF header");
@@ -210,7 +139,7 @@ Status read_headers(const ElfBytes& bytes, Elf64Ehdr* ehdr,
 /// table, .shstrtab, the executable sections' bytes, the chosen symbol
 /// table with its string table, and the RELA sections that patch
 /// executable sections. Nothing else in the image is read.
-Result<ElfImage> read_image(const ElfBytes& bytes) {
+Result<ElfImage> read_image(const ByteInput& bytes) {
   using R = Result<ElfImage>;
   Elf64Ehdr ehdr;
   std::vector<Elf64ShdrFull> raw_sections;
@@ -341,7 +270,7 @@ Result<ElfImage> read_image(const ElfBytes& bytes) {
 
 Result<FunctionTable> read_function_table(const std::string& path) {
   using R = Result<FunctionTable>;
-  const ElfBytes bytes(path);
+  const ByteInput bytes(path, "cannot open " + path);
   if (!bytes.opened()) return R::error(bytes.opened().message());
 
   Elf64Ehdr ehdr;
@@ -396,11 +325,11 @@ Result<std::vector<FuncSymbol>> read_function_symbols(const std::string& path) {
 }
 
 Result<ElfImage> parse_elf_image(const std::vector<char>& file) {
-  return read_image(ElfBytes(file));
+  return read_image(ByteInput(std::string_view(file.data(), file.size())));
 }
 
 Result<ElfImage> read_elf_image(const std::string& path) {
-  const ElfBytes bytes(path);
+  const ByteInput bytes(path, "cannot open " + path);
   if (!bytes.opened()) return Result<ElfImage>::error(bytes.opened().message());
   auto image = read_image(bytes);
   if (!image.is_ok()) {

@@ -25,13 +25,15 @@
 //     it copies stays within the file's size.
 //   * parse_elf_image — read_elf_image over bytes already in memory.
 //
-// A path is opened non-blocking and read by pread only if it names a
-// regular file (it may come from a peer's trace metadata). Debug info
-// and every other section stay unread, so memory is bounded by the
-// sections above, not by the file's size. Every offset/size/index from
-// the file is validated before use, and every range is checked against
-// the file's size before it is read: malformed input, or a file cut
-// while it is read, returns a Status error, never an out-of-bounds read.
+// A path is read through common::ByteInput, the input class the trace
+// and TEMPEST_FILTER readers share: opened non-blocking and read by
+// pread only if it names a regular file (it may come from a peer's
+// trace metadata). Debug info and every other section stay unread, so
+// memory is bounded by the sections above, not by the file's size.
+// Every offset/size/index from the file is validated before use, and
+// every range is checked against the file's size before it is read:
+// malformed input, or a file cut while it is read, returns a Status
+// error, never an out-of-bounds read.
 #pragma once
 
 #include <cstdint>

@@ -50,6 +50,10 @@ const char* log_level_name(LogLevel level) {
 }
 
 struct Logger::Impl {
+  /// std::cerr constructed, however early the first message comes: a
+  /// recorder started from a constructor function (auto_session) may
+  /// log before any translation unit's own stream initialiser has run.
+  std::ios_base::Init streams;
   mutable std::mutex mu;
   LogEntry ring[kRingCapacity];
   std::uint64_t next = 0;  ///< total entries ever logged

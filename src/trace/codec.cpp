@@ -6,19 +6,11 @@
 
 #include "trace/writer.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define TEMPEST_CODEC_SSE2 1
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#include <arm_neon.h>
-#define TEMPEST_CODEC_NEON 1
-#endif
-
 namespace tempest::trace::codec {
 namespace {
 
-// The fast paths below reproduce the wire layout by copying leading
-// struct bytes; these asserts pin the struct layouts they rely on. A
+// The little-endian paths below reproduce the wire layout by copying
+// leading struct bytes; these asserts pin the struct layouts they rely on. A
 // platform that lays the structs out differently fails the build here
 // instead of corrupting traces.
 static_assert(offsetof(FnEvent, tsc) == 0 && offsetof(FnEvent, addr) == 8 &&
@@ -37,74 +29,7 @@ static_assert(sizeof(double) == 8);
 
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
-// 16- and 8-byte unaligned copies, the only shapes the record layouts
-// need. Each record is covered by one 16-byte copy plus one overlapping
-// narrower copy, both fully inside the record on the load side and
-// fully inside the struct on the store side — no tail over-read even on
-// the final record of a section.
-#if defined(TEMPEST_CODEC_SSE2)
-inline void copy16(void* dst, const void* src) {
-  _mm_storeu_si128(static_cast<__m128i*>(dst),
-                   _mm_loadu_si128(static_cast<const __m128i*>(src)));
-}
-inline void copy8(void* dst, const void* src) {
-  _mm_storel_epi64(static_cast<__m128i*>(dst),
-                   _mm_loadl_epi64(static_cast<const __m128i*>(src)));
-}
-#elif defined(TEMPEST_CODEC_NEON)
-inline void copy16(void* dst, const void* src) {
-  vst1q_u8(static_cast<std::uint8_t*>(dst),
-           vld1q_u8(static_cast<const std::uint8_t*>(src)));
-}
-inline void copy8(void* dst, const void* src) {
-  vst1_u8(static_cast<std::uint8_t*>(dst),
-          vld1_u8(static_cast<const std::uint8_t*>(src)));
-}
-#else
-inline void copy16(void* dst, const void* src) { std::memcpy(dst, src, 16); }
-inline void copy8(void* dst, const void* src) { std::memcpy(dst, src, 8); }
-#endif
-inline void copy2(void* dst, const void* src) { std::memcpy(dst, src, 2); }
-
-// Byte-loop field converters shared by the scalar reference paths.
-inline std::uint16_t load_u16(const char* p) {
-  return static_cast<std::uint16_t>(
-      static_cast<unsigned char>(p[0]) |
-      (static_cast<std::uint16_t>(static_cast<unsigned char>(p[1])) << 8));
-}
-inline std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-inline std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-inline void store_u16(char* p, std::uint16_t v) {
-  p[0] = static_cast<char>(v);
-  p[1] = static_cast<char>(v >> 8);
-}
-inline void store_u32(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
-inline void store_u64(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
-
 }  // namespace
-
-const char* backend() {
-  if (!kLittleEndian) return "scalar";
-#if defined(TEMPEST_CODEC_SSE2)
-  return "sse2";
-#elif defined(TEMPEST_CODEC_NEON)
-  return "neon";
-#else
-  return "le-copy";
-#endif
-}
 
 namespace scalar {
 
@@ -112,10 +37,10 @@ bool unpack_fn_events(const char* src, std::size_t n, FnEvent* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kFnEventRecordSize;
     FnEvent& e = dst[i];
-    e.tsc = load_u64(p);
-    e.addr = load_u64(p + 8);
-    e.thread_id = load_u32(p + 16);
-    e.node_id = load_u16(p + 20);
+    e.tsc = load_le<std::uint64_t>(p);
+    e.addr = load_le<std::uint64_t>(p + 8);
+    e.thread_id = load_le<std::uint32_t>(p + 16);
+    e.node_id = load_le<std::uint16_t>(p + 20);
     const auto kind = static_cast<unsigned char>(p[22]);
     if (kind != 1 && kind != 2) return false;
     e.kind = static_cast<FnEventKind>(kind);
@@ -127,10 +52,10 @@ void unpack_temp_samples(const char* src, std::size_t n, TempSample* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kTempSampleRecordSize;
     TempSample& s = dst[i];
-    s.tsc = load_u64(p);
-    s.temp_c = std::bit_cast<double>(load_u64(p + 8));
-    s.node_id = load_u16(p + 16);
-    s.sensor_id = load_u16(p + 18);
+    s.tsc = load_le<std::uint64_t>(p);
+    s.temp_c = load_le<double>(p + 8);
+    s.node_id = load_le<std::uint16_t>(p + 16);
+    s.sensor_id = load_le<std::uint16_t>(p + 18);
   }
 }
 
@@ -138,9 +63,9 @@ void unpack_clock_syncs(const char* src, std::size_t n, ClockSync* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kClockSyncRecordSize;
     ClockSync& c = dst[i];
-    c.node_tsc = load_u64(p);
-    c.global_tsc = load_u64(p + 8);
-    c.node_id = load_u16(p + 16);
+    c.node_tsc = load_le<std::uint64_t>(p);
+    c.global_tsc = load_le<std::uint64_t>(p + 8);
+    c.node_id = load_le<std::uint16_t>(p + 16);
   }
 }
 
@@ -148,10 +73,10 @@ void pack_fn_events(const FnEvent* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     char* p = dst + i * kFnEventRecordSize;
     const FnEvent& e = src[i];
-    store_u64(p, e.tsc);
-    store_u64(p + 8, e.addr);
-    store_u32(p + 16, e.thread_id);
-    store_u16(p + 20, e.node_id);
+    store_le(p, e.tsc);
+    store_le(p + 8, e.addr);
+    store_le(p + 16, e.thread_id);
+    store_le(p + 20, e.node_id);
     p[22] = static_cast<char>(e.kind);
   }
 }
@@ -160,10 +85,10 @@ void pack_temp_samples(const TempSample* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     char* p = dst + i * kTempSampleRecordSize;
     const TempSample& s = src[i];
-    store_u64(p, s.tsc);
-    store_u64(p + 8, std::bit_cast<std::uint64_t>(s.temp_c));
-    store_u16(p + 16, s.node_id);
-    store_u16(p + 18, s.sensor_id);
+    store_le(p, s.tsc);
+    store_le(p + 8, s.temp_c);
+    store_le(p + 16, s.node_id);
+    store_le(p + 18, s.sensor_id);
   }
 }
 
@@ -171,9 +96,9 @@ void pack_clock_syncs(const ClockSync* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     char* p = dst + i * kClockSyncRecordSize;
     const ClockSync& c = src[i];
-    store_u64(p, c.node_tsc);
-    store_u64(p + 8, c.global_tsc);
-    store_u16(p + 16, c.node_id);
+    store_le(p, c.node_tsc);
+    store_le(p + 8, c.global_tsc);
+    store_le(p + 16, c.node_id);
   }
 }
 
@@ -189,8 +114,8 @@ bool unpack_fn_events(const char* src, std::size_t n, FnEvent* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kFnEventRecordSize;
     char* q = reinterpret_cast<char*>(dst + i);
-    copy16(q, p);
-    copy8(q + 15, p + 15);  // bytes 15..22: thread_id tail, node_id, kind
+    std::memcpy(q, p, 16);
+    std::memcpy(q + 15, p + 15, 8);  // bytes 15..22: thread_id tail, node_id, kind
     bad |= static_cast<unsigned>(
         (static_cast<unsigned>(static_cast<unsigned char>(p[22])) - 1u) > 1u);
   }
@@ -202,8 +127,8 @@ void unpack_temp_samples(const char* src, std::size_t n, TempSample* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kTempSampleRecordSize;
     char* q = reinterpret_cast<char*>(dst + i);
-    copy16(q, p);
-    copy8(q + 12, p + 12);  // bytes 12..19: temp tail, node_id, sensor_id
+    std::memcpy(q, p, 16);
+    std::memcpy(q + 12, p + 12, 8);  // bytes 12..19: temp tail, node_id, sensor_id
   }
 }
 
@@ -212,8 +137,8 @@ void unpack_clock_syncs(const char* src, std::size_t n, ClockSync* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* p = src + i * kClockSyncRecordSize;
     char* q = reinterpret_cast<char*>(dst + i);
-    copy16(q, p);
-    copy2(q + 16, p + 16);
+    std::memcpy(q, p, 16);
+    std::memcpy(q + 16, p + 16, 2);
   }
 }
 
@@ -222,8 +147,8 @@ void pack_fn_events(const FnEvent* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* q = reinterpret_cast<const char*>(src + i);
     char* p = dst + i * kFnEventRecordSize;
-    copy16(p, q);
-    copy8(p + 15, q + 15);
+    std::memcpy(p, q, 16);
+    std::memcpy(p + 15, q + 15, 8);
   }
 }
 
@@ -232,8 +157,8 @@ void pack_temp_samples(const TempSample* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* q = reinterpret_cast<const char*>(src + i);
     char* p = dst + i * kTempSampleRecordSize;
-    copy16(p, q);
-    copy8(p + 12, q + 12);
+    std::memcpy(p, q, 16);
+    std::memcpy(p + 12, q + 12, 8);
   }
 }
 
@@ -242,8 +167,8 @@ void pack_clock_syncs(const ClockSync* src, std::size_t n, char* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const char* q = reinterpret_cast<const char*>(src + i);
     char* p = dst + i * kClockSyncRecordSize;
-    copy16(p, q);
-    copy2(p + 16, q + 16);
+    std::memcpy(p, q, 16);
+    std::memcpy(p + 16, q + 16, 2);
   }
 }
 

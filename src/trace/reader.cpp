@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <vector>
 
@@ -15,15 +13,15 @@
 namespace tempest::trace {
 namespace {
 
-/// Fields parsed out of one buffer that fills from the stream in
-/// 64 KiB steps and never past the `available` bytes the input holds:
-/// the metadata and the trailers cost a few bulk reads, not a stream
-/// call per field, and a count or length the file lies about meets the
-/// end of the input before it meets an allocation.
+/// Fields parsed out of one buffer that fills from the input at
+/// `offset` in 64 KiB steps and never past the bytes the input holds:
+/// the metadata and the trailers cost a few bulk reads, not a read per
+/// field, and a count or length the file lies about meets the end of
+/// the input before it meets an allocation.
 class BulkCursor {
  public:
-  BulkCursor(std::istream& in, std::uint64_t available)
-      : in_(in), available_(available) {}
+  BulkCursor(const common::ByteInput& in, std::uint64_t offset)
+      : in_(in), offset_(offset), available_(in.size() - offset) {}
 
   template <typename T>
   bool get(T* out) {
@@ -58,53 +56,28 @@ class BulkCursor {
   static constexpr std::uint32_t kMaxString = 1 << 20;
   static constexpr std::uint64_t kStep = std::uint64_t{64} << 10;
 
-  /// True once the `n` bytes after the cursor are buffered. A stream
-  /// that delivers less than it holds (a file cut while read) ends the
-  /// input where it stopped.
+  /// True once the `n` bytes after the cursor are buffered. A file
+  /// that ends before the step does (it was cut while read) ends the
+  /// input at the bytes already buffered.
   bool fill(std::uint64_t n) {
     if (n <= buf_.size() - pos_) return true;
     if (n > available_ - pos_) return false;
     const std::size_t have = buf_.size();
     buf_.resize(static_cast<std::size_t>(
         std::min(available_, (pos_ + n + kStep - 1) / kStep * kStep)));
-    const auto want = static_cast<std::streamsize>(buf_.size() - have);
-    in_.read(buf_.data() + have, want);
-    if (in_.gcount() < want) {
-      buf_.resize(have + static_cast<std::size_t>(in_.gcount()));
-      available_ = buf_.size();
+    if (!in_.read(offset_ + have, buf_.size() - have, buf_.data() + have)) {
+      buf_.resize(have);
+      available_ = have;
     }
     return n <= buf_.size() - pos_;
   }
 
-  std::istream& in_;
+  const common::ByteInput& in_;
+  std::uint64_t offset_;  ///< where in the input the buffer starts
   std::uint64_t available_;
   std::vector<char> buf_;
   std::size_t pos_ = 0;
 };
-
-/// The stream-side reads left: section framing and staged record
-/// chunks. True only when all `n` bytes arrived.
-bool read_exact(std::istream& in, char* out, std::size_t n) {
-  in.read(out, static_cast<std::streamsize>(n));
-  return static_cast<bool>(in) && in.gcount() == static_cast<std::streamsize>(n);
-}
-
-// Little-endian unpack mirrors of the writer's pack helpers.
-inline std::uint32_t unpack_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-inline std::uint64_t unpack_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-inline double unpack_f64(const char* p) {
-  return std::bit_cast<double>(unpack_u64(p));
-}
 
 bool unpack_samples(const char* src, std::size_t n, TempSample* dst) {
   codec::unpack_temp_samples(src, n, dst);
@@ -131,26 +104,26 @@ Status read_runstats_trailer(BulkCursor* cur, RunStats* out) {
   }
   RunStats& rs = *out;
   const char* p = payload;
-  rs.events_recorded = unpack_u64(p); p += 8;
-  rs.events_dropped = unpack_u64(p); p += 8;
-  rs.buffer_flushes = unpack_u64(p); p += 8;
-  rs.threads_registered = unpack_u64(p); p += 8;
-  rs.tempd_ticks = unpack_u64(p); p += 8;
-  rs.tempd_missed_ticks = unpack_u64(p); p += 8;
-  rs.tempd_samples = unpack_u64(p); p += 8;
-  rs.tempd_read_errors = unpack_u64(p); p += 8;
-  rs.sensor_read_failures = unpack_u64(p); p += 8;
-  rs.heartbeats = unpack_u64(p); p += 8;
-  rs.peak_rss_kb = unpack_u64(p); p += 8;
-  rs.wall_seconds = unpack_f64(p); p += 8;
-  rs.tempd_cpu_seconds = unpack_f64(p); p += 8;
-  rs.probe_cost_ns_mean = unpack_f64(p); p += 8;
-  rs.cadence_jitter_us_mean = unpack_f64(p); p += 8;
-  rs.events_suppressed = unpack_u64(p); p += 8;
-  rs.events_throttled = unpack_u64(p); p += 8;
-  rs.events_overwritten = unpack_u64(p); p += 8;
-  rs.calls_observed = unpack_u64(p); p += 8;
-  rs.ring_snapshots = unpack_u64(p);
+  rs.events_recorded = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.events_dropped = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.buffer_flushes = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.threads_registered = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.tempd_ticks = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.tempd_missed_ticks = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.tempd_samples = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.tempd_read_errors = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.sensor_read_failures = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.heartbeats = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.peak_rss_kb = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.wall_seconds = codec::load_le<double>(p); p += 8;
+  rs.tempd_cpu_seconds = codec::load_le<double>(p); p += 8;
+  rs.probe_cost_ns_mean = codec::load_le<double>(p); p += 8;
+  rs.cadence_jitter_us_mean = codec::load_le<double>(p); p += 8;
+  rs.events_suppressed = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.events_throttled = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.events_overwritten = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.calls_observed = codec::load_le<std::uint64_t>(p); p += 8;
+  rs.ring_snapshots = codec::load_le<std::uint64_t>(p);
   rs.present = true;
   return Status::ok();
 }
@@ -161,7 +134,7 @@ Status read_filter_trailer(BulkCursor* cur, FilterDecl* out) {
   if (!cur->get_bytes(resolved_buf, sizeof(resolved_buf))) {
     return Status::error("truncated filter trailer");
   }
-  fd.resolved = unpack_u64(resolved_buf);
+  fd.resolved = codec::load_le<std::uint64_t>(resolved_buf);
   std::uint32_t count = 0;
   if (!cur->get_string(&fd.source) || !cur->get(&count)) {
     return Status::error("truncated filter trailer");
@@ -195,20 +168,19 @@ constexpr std::size_t kDecodeSliceRecords = 4096;
 
 }  // namespace
 
-Result<TraceStreamReader> TraceStreamReader::open(std::istream& in) {
-  TraceStreamReader reader;
-  reader.in_ = &in;
+Result<TraceStreamReader> TraceStreamReader::open(std::string_view bytes) {
+  TraceStreamReader reader(common::ByteInput(bytes), "");
   const Status read = reader.read_header();
   if (!read) return Result<TraceStreamReader>::error(read.message());
   return reader;
 }
 
 Result<TraceStreamReader> TraceStreamReader::open_file(const std::string& path) {
-  TraceStreamReader reader;
-  reader.name_ = path + ": ";
-  reader.owned_ = std::make_unique<std::ifstream>(path, std::ios::binary);
-  reader.in_ = reader.owned_.get();
-  if (!*reader.in_) return Result<TraceStreamReader>::error(path + ": cannot open trace file");
+  TraceStreamReader reader(common::ByteInput(path, path + ": cannot open trace file"),
+                           path + ": ");
+  if (!reader.input_.opened()) {
+    return Result<TraceStreamReader>::error(reader.input_.opened().message());
+  }
   const Status read = reader.read_header();
   if (!read) return Result<TraceStreamReader>::error(read.message());
   return reader;
@@ -218,30 +190,16 @@ Status TraceStreamReader::fail(const std::string& message) const {
   return Status::error(name_ + message);
 }
 
-std::uint64_t TraceStreamReader::bytes_left() {
-  const std::istream::pos_type pos = in_->tellg();
-  if (!*in_ || pos == std::istream::pos_type(-1) || pos > end_) return 0;
-  return static_cast<std::uint64_t>(end_ - pos);
+bool TraceStreamReader::take(void* out, std::uint64_t n) {
+  if (!input_.read(pos_, n, out)) return false;
+  pos_ += n;
+  return true;
 }
 
 Status TraceStreamReader::read_header() {
-  // The pre-pass seeks, and the input's size bounds every count.
-  std::istream& in = *in_;
-  const std::istream::pos_type start = in.tellg();
-  if (in && start != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    end_ = in.tellg();
-    in.seekg(start);
-  }
-  if (!in || start == std::istream::pos_type(-1) ||
-      end_ == std::istream::pos_type(-1)) {
-    return fail("trace reader needs a seekable input "
-                "(pipe input: write the trace to a file first)");
-  }
-
-  // The header and metadata parse out of one bulk buffer; the stream
-  // then goes back to the first section, just past them.
-  BulkCursor cur(in, start <= end_ ? static_cast<std::uint64_t>(end_ - start) : 0);
+  // The header and metadata parse out of one bulk buffer; the first
+  // section starts just past them. The input's size bounds every count.
+  BulkCursor cur(input_, 0);
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   if (!cur.get(&magic) || magic != kTraceMagic) {
@@ -300,7 +258,7 @@ Status TraceStreamReader::read_header() {
     }
     h.synthetic_symbols.push_back(std::move(s));
   }
-  in.seekg(start + static_cast<std::istream::off_type>(cur.consumed()));
+  pos_ = cur.consumed();
   return read_ahead();
 }
 
@@ -308,9 +266,10 @@ Status TraceStreamReader::read_ahead() {
   std::uint64_t events = 0;
   Status read = read_section_frame(kFnEventRecordSize, "fn event", &events);
   if (!read) return read;
-  const std::istream::pos_type events_at = in_->tellg();
-  in_->seekg(static_cast<std::istream::off_type>(events * kFnEventRecordSize),
-             std::ios::cur);
+  // The framing bounded the payload by the bytes present, so the sample
+  // section starts exactly past it.
+  const std::uint64_t events_at = pos_;
+  pos_ += events * kFnEventRecordSize;
   std::uint64_t count = 0;
   read = read_section_frame(kTempSampleRecordSize, "temp sample", &count);
   if (read) {
@@ -324,8 +283,7 @@ Status TraceStreamReader::read_ahead() {
   }
   if (read) read = read_trailers();
   if (!read) return read;
-  in_->seekg(events_at);
-  if (!*in_) return fail("stream rewind failed after the read-ahead pre-pass");
+  pos_ = events_at;
   events_left_ = events;
   return Status::ok();
 }
@@ -334,15 +292,13 @@ Status TraceStreamReader::read_section_frame(std::uint32_t record_size,
                                              const char* what,
                                              std::uint64_t* count) {
   std::uint32_t size = 0;
-  if (!read_exact(*in_, reinterpret_cast<char*>(count), sizeof(*count)) ||
-      *count > kMaxRecords) {
+  if (!take(count, sizeof(*count)) || *count > kMaxRecords) {
     return fail(std::string("truncated or oversized ") + what + " section");
   }
-  if (!read_exact(*in_, reinterpret_cast<char*>(&size), sizeof(size)) ||
-      size != record_size) {
+  if (!take(&size, sizeof(size)) || size != record_size) {
     return fail(std::string(what) + " record size mismatch (corrupt section framing)");
   }
-  const std::uint64_t present = bytes_left() / record_size;
+  const std::uint64_t present = (input_.size() - pos_) / record_size;
   if (*count > present) {
     return fail(std::string("truncated ") + what + " section (file claims " +
                 std::to_string(*count) + " records but ends after " +
@@ -371,7 +327,7 @@ Status TraceStreamReader::decode(std::uint64_t n, std::uint32_t record_size,
     const std::size_t k = static_cast<std::size_t>(
         std::min<std::uint64_t>(per_chunk, left));
     staging.resize(k * record_size);
-    if (!read_exact(*in_, staging.data(), staging.size())) {
+    if (!take(staging.data(), staging.size())) {
       return fail(std::string("truncated ") + what + " section");
     }
     // Chunk-wise resize keeps growth geometric while skipping the
@@ -404,7 +360,7 @@ Status TraceStreamReader::decode(std::uint64_t n, std::uint32_t record_size,
 }
 
 Status TraceStreamReader::read_trailers() {
-  BulkCursor cur(*in_, bytes_left());
+  BulkCursor cur(input_, pos_);
   for (;;) {
     // Bytes after the last trailer that start no marker are trailing
     // bytes.
@@ -414,7 +370,7 @@ Status TraceStreamReader::read_trailers() {
     if (!cur.get_bytes(marker_buf, sizeof(marker_buf))) {
       return fail("truncated trailer marker");
     }
-    const std::uint32_t marker = unpack_u32(marker_buf);
+    const std::uint32_t marker = codec::load_le<std::uint32_t>(marker_buf);
     Status parsed = Status::ok();
     if (marker == kRunStatsMarker) {
       parsed = read_runstats_trailer(&cur, &header_.run_stats);
@@ -471,8 +427,8 @@ Result<Trace> materialise(Result<TraceStreamReader> opened, bool lone_payload) {
 
 }  // namespace
 
-Result<Trace> read_trace(std::istream& in) {
-  return materialise(TraceStreamReader::open(in), false);
+Result<Trace> read_trace(std::string_view bytes) {
+  return materialise(TraceStreamReader::open(bytes), false);
 }
 
 Result<Trace> read_trace_file(const std::string& path) {

@@ -15,13 +15,19 @@
 // 256 KiB staged section decoder the pre-pass used, so a consumer can
 // analyse a trace far larger than RAM (src/pipeline builds on it).
 // read_trace / read_trace_file materialise a whole trace through it.
+//
+// The reader gets its bytes by offset through common::ByteInput: from
+// a caller's buffer (a collector META frame, a test), or by pread from
+// a file, which must be a regular file — a FIFO or a directory fails at
+// once with "<path>: not a regular file".
 #pragma once
 
-#include <istream>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/byte_input.hpp"
 #include "common/status.hpp"
 #include "trace/trace.hpp"
 
@@ -31,9 +37,10 @@ class WorkerPool;
 
 namespace tempest::trace {
 
-/// Incremental trace-v2 reader. The pre-pass seeks over the event
-/// payload (its framing gives the exact byte size) and back, so the
-/// input must be seekable: a file or a string stream, not a pipe.
+/// Incremental trace-v2 reader. It keeps the offset of its next read,
+/// so the pre-pass steps over the event payload by the size its framing
+/// gives (count x 23 bytes) and the events then stream from where they
+/// start.
 ///
 /// The reader never allocates more than one staging chunk plus the
 /// caller's batch for the events, and never more than the bytes the
@@ -42,14 +49,13 @@ namespace tempest::trace {
 class TraceStreamReader {
  public:
   TraceStreamReader(TraceStreamReader&&) = default;
-  TraceStreamReader& operator=(TraceStreamReader&&) = default;
 
-  /// Read from `in`, which must outlive the reader.
-  static Result<TraceStreamReader> open(std::istream& in);
-  /// Read the file at `path`. The reader owns the stream, and every
-  /// error it reports, from here or from a later batch, starts with
-  /// "<path>: " — an unopenable file is "<path>: cannot open trace
-  /// file".
+  /// Read `bytes`, which must outlive the reader.
+  static Result<TraceStreamReader> open(std::string_view bytes);
+  /// Read the file at `path`. Every error the reader reports, from here
+  /// or from a later batch, starts with "<path>: " — an unopenable file
+  /// is "<path>: cannot open trace file", and anything but a regular
+  /// file "<path>: not a regular file".
   static Result<TraceStreamReader> open_file(const std::string& path);
 
   /// Metadata and trailers, complete from open() on.
@@ -74,18 +80,22 @@ class TraceStreamReader {
 
   /// Decode the staged event chunks on `pool`'s workers instead of the
   /// calling thread (nullptr restores serial decode). Purely a decode
-  /// fan-out: stream reads stay on the caller and records land in `out`
+  /// fan-out: reads stay on the caller and records land in `out`
   /// at the same positions, so the produced batches are byte-identical
   /// to serial. When a pool is set the staging chunk grows with the
   /// worker count so each slice stays worth a hand-off.
   void set_decode_pool(WorkerPool* pool) { decode_pool_ = pool; }
 
  private:
-  TraceStreamReader() = default;
+  /// `name` prefixes every error: "<path>: " for file readers.
+  TraceStreamReader(common::ByteInput input, std::string name)
+      : input_(std::move(input)), name_(std::move(name)) {}
 
   Status read_header();
   Status read_ahead();
-  std::uint64_t bytes_left();
+  /// Copy the `n` bytes at the read offset into `out` and move past
+  /// them; false, not moving, when the input holds fewer.
+  bool take(void* out, std::uint64_t n);
   /// Reads one section's framing; rejects a count above the cap or
   /// beyond the bytes left.
   Status read_section_frame(std::uint32_t record_size, const char* what,
@@ -104,24 +114,23 @@ class TraceStreamReader {
   /// `message`, prefixed with the path for file readers.
   Status fail(const std::string& message) const;
 
-  std::unique_ptr<std::istream> owned_;  ///< open_file's stream
-  std::istream* in_ = nullptr;
-  std::string name_;  ///< "<path>: " for file readers, else empty
+  common::ByteInput input_;
+  std::uint64_t pos_ = 0;  ///< offset of the next byte to read
+  std::string name_;
   TraceHeader header_;
   std::vector<TempSample> temp_samples_;
   std::vector<ClockSync> clock_syncs_;
   std::uint64_t trailing_bytes_ = 0;
   WorkerPool* decode_pool_ = nullptr;  ///< optional parallel record decode
-  std::istream::pos_type end_ = 0;     ///< the input's size
   std::uint64_t events_left_ = 0;      ///< fn events not yet read
 };
 
-/// Materialise a whole trace from a stream. Tolerates trailing bytes
-/// (the stream may carry more than one payload; tempest-lint reports
-/// them as a finding instead).
-Result<Trace> read_trace(std::istream& in);
+/// Materialise a whole trace from bytes in memory. Tolerates trailing
+/// bytes (the buffer may carry more than one payload; tempest-lint
+/// reports them as a finding instead).
+Result<Trace> read_trace(std::string_view bytes);
 
-/// Materialise a whole trace file. Unlike the stream overload this
+/// Materialise a whole trace file. Unlike the in-memory overload this
 /// rejects trailing bytes after the last section with an actionable
 /// error — a lone trace file has exactly one well-formed payload.
 Result<Trace> read_trace_file(const std::string& path);

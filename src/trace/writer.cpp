@@ -1,8 +1,7 @@
 #include "trace/writer.hpp"
 
-#include <bit>
-#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "trace/codec.hpp"
@@ -19,28 +18,6 @@ void put(std::ostream& out, T value) {
 void put_string(std::ostream& out, const std::string& s) {
   put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// Explicit little-endian packing for the bulk record sections; compiles
-// to plain stores on LE hosts, stays correct elsewhere.
-inline char* pack_u16(char* p, std::uint16_t v) {
-  p[0] = static_cast<char>(v);
-  p[1] = static_cast<char>(v >> 8);
-  return p + 2;
-}
-
-inline char* pack_u32(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
-  return p + 4;
-}
-
-inline char* pack_u64(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
-  return p + 8;
-}
-
-inline char* pack_f64(char* p, double v) {
-  return pack_u64(p, std::bit_cast<std::uint64_t>(v));
 }
 
 /// Staging-buffer budget per bulk write; a 10^7-event section flushes in
@@ -121,28 +98,28 @@ Status write_trace(std::ostream& out, const Trace& trace) {
     const RunStats& rs = trace.run_stats;
     char buf[4 + 4 + kRunStatsRecordSize];
     char* p = buf;
-    p = pack_u32(p, kRunStatsMarker);
-    p = pack_u32(p, kRunStatsRecordSize);
-    p = pack_u64(p, rs.events_recorded);
-    p = pack_u64(p, rs.events_dropped);
-    p = pack_u64(p, rs.buffer_flushes);
-    p = pack_u64(p, rs.threads_registered);
-    p = pack_u64(p, rs.tempd_ticks);
-    p = pack_u64(p, rs.tempd_missed_ticks);
-    p = pack_u64(p, rs.tempd_samples);
-    p = pack_u64(p, rs.tempd_read_errors);
-    p = pack_u64(p, rs.sensor_read_failures);
-    p = pack_u64(p, rs.heartbeats);
-    p = pack_u64(p, rs.peak_rss_kb);
-    p = pack_f64(p, rs.wall_seconds);
-    p = pack_f64(p, rs.tempd_cpu_seconds);
-    p = pack_f64(p, rs.probe_cost_ns_mean);
-    p = pack_f64(p, rs.cadence_jitter_us_mean);
-    p = pack_u64(p, rs.events_suppressed);
-    p = pack_u64(p, rs.events_throttled);
-    p = pack_u64(p, rs.events_overwritten);
-    p = pack_u64(p, rs.calls_observed);
-    p = pack_u64(p, rs.ring_snapshots);
+    p = codec::store_le(p, kRunStatsMarker);
+    p = codec::store_le(p, kRunStatsRecordSize);
+    p = codec::store_le(p, rs.events_recorded);
+    p = codec::store_le(p, rs.events_dropped);
+    p = codec::store_le(p, rs.buffer_flushes);
+    p = codec::store_le(p, rs.threads_registered);
+    p = codec::store_le(p, rs.tempd_ticks);
+    p = codec::store_le(p, rs.tempd_missed_ticks);
+    p = codec::store_le(p, rs.tempd_samples);
+    p = codec::store_le(p, rs.tempd_read_errors);
+    p = codec::store_le(p, rs.sensor_read_failures);
+    p = codec::store_le(p, rs.heartbeats);
+    p = codec::store_le(p, rs.peak_rss_kb);
+    p = codec::store_le(p, rs.wall_seconds);
+    p = codec::store_le(p, rs.tempd_cpu_seconds);
+    p = codec::store_le(p, rs.probe_cost_ns_mean);
+    p = codec::store_le(p, rs.cadence_jitter_us_mean);
+    p = codec::store_le(p, rs.events_suppressed);
+    p = codec::store_le(p, rs.events_throttled);
+    p = codec::store_le(p, rs.events_overwritten);
+    p = codec::store_le(p, rs.calls_observed);
+    p = codec::store_le(p, rs.ring_snapshots);
     out.write(buf, sizeof(buf));
   }
 
@@ -150,8 +127,8 @@ Status write_trace(std::ostream& out, const Trace& trace) {
   if (trace.filter.present) {
     char buf[4 + 8];
     char* p = buf;
-    p = pack_u32(p, kFilterMarker);
-    p = pack_u64(p, trace.filter.resolved);
+    p = codec::store_le(p, kFilterMarker);
+    p = codec::store_le(p, trace.filter.resolved);
     out.write(buf, sizeof(buf));
     put_string(out, trace.filter.source);
     put<std::uint32_t>(out,
@@ -163,6 +140,12 @@ Status write_trace(std::ostream& out, const Trace& trace) {
 
   if (!out) return Status::error("trace write failed (stream error)");
   return Status::ok();
+}
+
+std::string encode_trace(const Trace& trace) {
+  std::ostringstream out;
+  (void)write_trace(out, trace);  // a string stream does not fail
+  return std::move(out).str();
 }
 
 Status write_trace_file(const std::string& path, const Trace& trace) {

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
+#include <iosfwd>
 #include <string>
 
 #include "common/status.hpp"
@@ -70,6 +70,10 @@ inline constexpr std::uint32_t kFilterMarker = 0x5254'4C46;               // "FL
 
 /// Serialise a complete trace to a stream. Returns error on I/O failure.
 Status write_trace(std::ostream& out, const Trace& trace);
+
+/// The bytes write_trace writes, in memory: for small payloads such as
+/// the collector's META frame.
+std::string encode_trace(const Trace& trace);
 
 /// Convenience: write to a file path (truncates).
 Status write_trace_file(const std::string& path, const Trace& trace);

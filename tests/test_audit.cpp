@@ -234,7 +234,7 @@ TEST(AuditFilter, RoundTripPreservesRules) {
   write_filter_file(buffer, filter);
   EXPECT_NE(buffer.str().find("# TEMPEST_FILTER v1"), std::string::npos);
 
-  auto loaded = read_filter_file(buffer);
+  auto loaded = parse_filter_file(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   ASSERT_EQ(loaded.value().rules.size(), 2u);
   EXPECT_EQ(loaded.value().rules[0], filter.rules[0]);
@@ -242,16 +242,14 @@ TEST(AuditFilter, RoundTripPreservesRules) {
 }
 
 TEST(AuditFilter, RejectsUnknownDirectiveWithLineNumber) {
-  std::stringstream in("# TEMPEST_FILTER v1\n\nsupress typo_fn\n");
-  auto loaded = read_filter_file(in);
+  auto loaded = parse_filter_file("# TEMPEST_FILTER v1\n\nsupress typo_fn\n");
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_NE(loaded.message().find("line 3"), std::string::npos);
   EXPECT_NE(loaded.message().find("supress"), std::string::npos);
 }
 
 TEST(AuditFilter, RejectsSuppressWithoutSymbol) {
-  std::stringstream in("suppress   # no symbol here\n");
-  auto loaded = read_filter_file(in);
+  auto loaded = parse_filter_file("suppress   # no symbol here\n");
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_NE(loaded.message().find("line 1"), std::string::npos);
 }

@@ -258,7 +258,7 @@ TEST(GoldenPipeline, EndToEndThroughV2RoundTrip) {
   produced.sort_by_time();
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, produced));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   Trace fast_t = std::move(loaded).value();
   fast_t.sort_by_time();
@@ -724,7 +724,7 @@ TEST(GoldenPipeline, SeedV1TraceRejectedByV2Reader) {
   Trace t = golden_trace();
   std::stringstream buffer;
   ASSERT_TRUE(reference::write_trace_seed(buffer, t));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_NE(loaded.message().find("version"), std::string::npos) << loaded.message();
   // And the seed reader still accepts its own format.

@@ -57,7 +57,7 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   const Trace original = sample_trace();
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const Trace& t = loaded.value();
 
@@ -81,9 +81,7 @@ TEST(TraceIo, RoundTripPreservesEverything) {
 }
 
 TEST(TraceIo, RejectsBadMagicAndVersion) {
-  std::stringstream buffer;
-  buffer << "NOT A TRACE FILE AT ALL";
-  EXPECT_FALSE(read_trace(buffer).is_ok());
+  EXPECT_FALSE(read_trace("NOT A TRACE FILE AT ALL").is_ok());
 }
 
 TEST(TraceIo, RejectsTruncation) {
@@ -94,8 +92,7 @@ TEST(TraceIo, RejectsTruncation) {
   // Truncate at several byte positions; all must fail cleanly.
   for (std::size_t cut : {std::size_t{10}, std::size_t{40}, std::size_t{100},
                           full.size() - 3}) {
-    std::stringstream cut_buffer(full.substr(0, cut));
-    EXPECT_FALSE(read_trace(cut_buffer).is_ok()) << "cut at " << cut;
+    EXPECT_FALSE(read_trace(full.substr(0, cut)).is_ok()) << "cut at " << cut;
   }
 }
 
@@ -121,8 +118,7 @@ TEST(TraceIo, RejectsOldVersionWithClearMessage) {
   std::string bytes = minimal_trace_bytes();
   const std::uint32_t old_version = 1;
   std::memcpy(bytes.data() + sizeof(kTraceMagic), &old_version, sizeof(old_version));
-  std::stringstream buffer(bytes);
-  auto result = read_trace(buffer);
+  auto result = read_trace(bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("unsupported trace version 1"), std::string::npos)
       << result.message();
@@ -135,8 +131,7 @@ TEST(TraceIo, RejectsRecordSizeMismatch) {
   // means the payload layout is unknowable.
   std::string bytes = minimal_trace_bytes();
   bytes[kMinimalFnRecordSizeOffset] = static_cast<char>(kFnEventRecordSize + 1);
-  std::stringstream buffer(bytes);
-  auto result = read_trace(buffer);
+  auto result = read_trace(bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("record size mismatch"), std::string::npos)
       << result.message();
@@ -145,9 +140,8 @@ TEST(TraceIo, RejectsRecordSizeMismatch) {
 TEST(TraceIo, RejectsTruncatedBulkPayload) {
   const std::string bytes = minimal_trace_bytes();
   // Cut inside the first packed fn event record.
-  std::stringstream buffer(
-      bytes.substr(0, kMinimalFnRecordSizeOffset + sizeof(std::uint32_t) + 10));
-  auto result = read_trace(buffer);
+  auto result =
+      read_trace(bytes.substr(0, kMinimalFnRecordSizeOffset + sizeof(std::uint32_t) + 10));
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("truncated fn event"), std::string::npos)
       << result.message();
@@ -159,16 +153,14 @@ TEST(TraceIo, CorruptHugeCountFailsBounded) {
   std::string bytes = minimal_trace_bytes();
   const std::uint64_t over_cap = 0xFFFF'FFFF'FFULL;  // > kMaxRecords
   std::memcpy(bytes.data() + kMinimalFnCountOffset, &over_cap, sizeof(over_cap));
-  std::stringstream buffer(bytes);
-  auto result = read_trace(buffer);
+  auto result = read_trace(bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("oversized"), std::string::npos) << result.message();
 
   bytes = minimal_trace_bytes();
   const std::uint64_t under_cap = 1ULL << 31;  // plausible but absent payload
   std::memcpy(bytes.data() + kMinimalFnCountOffset, &under_cap, sizeof(under_cap));
-  std::stringstream buffer2(bytes);
-  result = read_trace(buffer2);
+  result = read_trace(bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("truncated fn event"), std::string::npos)
       << result.message();
@@ -180,8 +172,7 @@ TEST(TraceIo, CorruptFnEventKindRejected) {
   const std::size_t kind_offset =
       kMinimalFnRecordSizeOffset + sizeof(std::uint32_t) + kFnEventRecordSize - 1;
   bytes[kind_offset] = 7;
-  std::stringstream buffer(bytes);
-  auto result = read_trace(buffer);
+  auto result = read_trace(bytes);
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.message().find("corrupt fn event"), std::string::npos)
       << result.message();
@@ -274,7 +265,7 @@ TEST(RunStatsIo, RoundTripPreservesEveryField) {
   original.run_stats = sample_run_stats();
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const RunStats& rs = loaded.value().run_stats;
   ASSERT_TRUE(rs.present);
@@ -306,7 +297,7 @@ TEST(RunStatsIo, AdmissionCountersRoundTrip) {
   original.run_stats.ring_snapshots = 2;
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const RunStats& rs = loaded.value().run_stats;
   EXPECT_EQ(rs.events_suppressed, 1001u);
@@ -337,8 +328,7 @@ TEST(RunStatsIo, LegacyFifteenFieldRecordReadsWithZeroAdmission) {
   legacy.append(reinterpret_cast<const char*>(&size), 4);
   legacy += bytes.substr(trailer + 8, kRunStatsRecordSizeLegacy);
 
-  std::stringstream surgery(legacy);
-  auto loaded = read_trace(surgery);
+  auto loaded = read_trace(legacy);
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const RunStats& rs = loaded.value().run_stats;
   ASSERT_TRUE(rs.present);
@@ -359,7 +349,7 @@ TEST(FilterDeclIo, RoundTripThroughTraceAndFile) {
   original.filter.suppressed = {"_ZN4slowEv", "plain_c_fn", "unresolved_fn"};
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const FilterDecl& fd = loaded.value().filter;
   ASSERT_TRUE(fd.present);
@@ -380,7 +370,7 @@ TEST(FilterDeclIo, AbsentTrailerReadsAsNotPresent) {
   const Trace original = sample_trace();
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   EXPECT_FALSE(loaded.value().filter.present);
 }
@@ -409,7 +399,7 @@ TEST(RunStatsIo, PreRunstatsTracesReadAsAbsent) {
   const Trace original = sample_trace();
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   EXPECT_FALSE(loaded.value().run_stats.present);
 }
@@ -421,8 +411,7 @@ TEST(RunStatsIo, TruncatedTrailerRejected) {
   ASSERT_TRUE(write_trace(buffer, original));
   const std::string full = buffer.str();
   // Cut inside the trailer payload (after the marker + size words).
-  std::stringstream cut(full.substr(0, full.size() - 16));
-  EXPECT_FALSE(read_trace(cut).is_ok());
+  EXPECT_FALSE(read_trace(full.substr(0, full.size() - 16)).is_ok());
 }
 
 TEST(RunStatsIo, TrailingGarbageStillRejectedByFileReader) {

@@ -72,7 +72,7 @@ TEST_P(TraceFuzz, RoundTripIsLossless) {
   const Trace original = random_trace(rng);
   std::stringstream buffer;
   ASSERT_TRUE(write_trace(buffer, original));
-  auto loaded = read_trace(buffer);
+  auto loaded = read_trace(buffer.str());
   ASSERT_TRUE(loaded.is_ok()) << loaded.message();
   const Trace& t = loaded.value();
   EXPECT_EQ(t.nodes.size(), original.nodes.size());
@@ -101,8 +101,7 @@ TEST_P(TraceFuzz, TruncationAtEveryBoundaryFailsCleanly) {
   std::uniform_int_distribution<std::size_t> cut_dist(0, full.size() - 1);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t cut = cut_dist(rng);
-    std::stringstream damaged(full.substr(0, cut));
-    auto result = read_trace(damaged);  // must not crash
+    auto result = read_trace(full.substr(0, cut));  // must not crash
     if (result.is_ok()) {
       // Only acceptable if the cut landed beyond all payload (never,
       // since we cut strictly inside) — so a success here is a bug.
@@ -129,8 +128,7 @@ TEST_P(TraceFuzz, BitFlipsNeverCrash) {
     for (int f = 0; f <= trial % 3; ++f) {
       mutated[pos_dist(rng)] ^= static_cast<char>(1 << bit_dist(rng));
     }
-    std::stringstream damaged(mutated);
-    auto result = read_trace(damaged);
+    auto result = read_trace(mutated);
     if (result.is_ok()) {
       // Structurally valid result: the analysis path — alignment, the
       // cross-node order stage, the fold — must also survive whatever
@@ -276,31 +274,6 @@ Trace trace_with_large_metadata() {
   return t;
 }
 
-/// A seekable read-only stream buffer over bytes it does not copy, so
-/// each cut of a large prefix costs its parse, not a copy.
-class ViewBuf : public std::streambuf {
- public:
-  ViewBuf(const char* data, std::size_t size) {
-    char* p = const_cast<char*>(data);
-    setg(p, p, p + size);
-  }
-
- protected:
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode /*which*/) override {
-    const off_type size = egptr() - eback();
-    const off_type at = off + (dir == std::ios_base::beg   ? 0
-                               : dir == std::ios_base::cur ? gptr() - eback()
-                                                           : size);
-    if (at < 0 || at > size) return pos_type(off_type(-1));
-    setg(eback(), eback() + at, egptr());
-    return pos_type(at);
-  }
-  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
-    return seekoff(off_type(pos), std::ios_base::beg, which);
-  }
-};
-
 /// The cuts of the large-metadata trace, split over interleaved shards
 /// that ctest runs in parallel: each cut re-reads every byte before it,
 /// so one loop over all ~110,000 offsets takes minutes under the thread
@@ -334,9 +307,7 @@ TEST_P(LargeMetadataCut, EveryCutFailsWithItsSectionsError) {
   ASSERT_EQ(full.size(), first_event + original.fn_events.size() * kFnEventRecordSize +
                              2 * (8 + 4));
   {
-    ViewBuf view(full.data(), full.size());
-    std::istream in(&view);
-    auto whole = read_trace(in);
+    auto whole = read_trace(full);
     ASSERT_TRUE(whole.is_ok()) << whole.message();
     EXPECT_EQ(whole.value().nodes.back().hostname, original.nodes.back().hostname);
     ASSERT_EQ(whole.value().synthetic_symbols.size(), original.synthetic_symbols.size());
@@ -363,9 +334,7 @@ TEST_P(LargeMetadataCut, EveryCutFailsWithItsSectionsError) {
   };
   std::size_t mismatches = 0;
   for (std::size_t cut = GetParam(); cut <= first_event; cut += kLargeMetadataShards) {
-    ViewBuf view(full.data(), cut);
-    std::istream in(&view);
-    auto opened = TraceStreamReader::open(in);
+    auto opened = TraceStreamReader::open(std::string_view(full.data(), cut));
     const std::string want = expected(cut);
     if (opened.is_ok() || opened.message() != want) {
       if (++mismatches <= 5) {
@@ -398,9 +367,7 @@ TEST(TraceCut, SyntheticSymbolNameRunningPastTheEndOrOverTheCap) {
     std::string damaged = full;
     std::memcpy(damaged.data() + len_at, &len, sizeof(len));
     if (len > past_end) damaged.resize(len_at + 4 + len);  // the bytes are there
-    ViewBuf view(damaged.data(), damaged.size());
-    std::istream in(&view);
-    auto opened = TraceStreamReader::open(in);
+    auto opened = TraceStreamReader::open(damaged);
     ASSERT_FALSE(opened.is_ok()) << "name length " << len;
     EXPECT_EQ(opened.message(), "truncated synthetic symbol") << "name length " << len;
   }
