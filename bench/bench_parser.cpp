@@ -176,7 +176,8 @@ Producer make_producer(const tempest::trace::Trace& base) {
       tempest::core::ThreadState* ts = p.registry->current();
       ts->node_id = static_cast<std::uint16_t>(th % kNodes);
       ts->core = static_cast<std::uint16_t>(th);
-      ts->events.append(base.fn_events.data() + th * per_thread, per_thread);
+      const tempest::trace::FnEvent* events = base.fn_events.data() + th * per_thread;
+      for (std::size_t i = 0; i < per_thread; ++i) ts->events.push(events[i]);
     }).join();
   }
   static_cast<tempest::trace::TraceHeader&>(p.trace) = base;
@@ -211,7 +212,7 @@ void BM_Drain_Fast(benchmark::State& state) {
     state.PauseTiming();
     Producer p = make_producer(base);
     state.ResumeTiming();
-    p.registry->drain_into(&p.trace);
+    p.registry->drain_into(&p.trace, 0, nullptr);
     benchmark::DoNotOptimize(p.trace.fn_events.data());
     benchmark::ClobberMemory();
     state.PauseTiming();  // freeing the trace is not the drain
@@ -480,7 +481,7 @@ void end_to_end(benchmark::State& state) {
       profile = tempest::parser::reference::build_profile_seed(
           loaded, timeline, names, diag, options);
     } else {
-      p.registry->drain_into(&p.trace);
+      p.registry->drain_into(&p.trace, 0, nullptr);
       p.trace.sort_samples_by_time();  // as Session::stop: samples, bounds
       (void)tempest::trace::write_trace_file(bench_path(), p.trace).is_ok();
       auto rt = tempest::trace::read_trace_file(bench_path());

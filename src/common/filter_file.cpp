@@ -9,10 +9,11 @@ namespace tempest::common {
 namespace {
 
 constexpr const char* kVersionLine = "# TEMPEST_FILTER v1";
-constexpr std::string_view kBlank = " \t";          // what trim strips
+constexpr std::string_view kBlank = " \t\r";        // what trim strips
 constexpr std::string_view kSpace = " \t\n\v\f\r";  // what separates fields
 
-/// Strip leading/trailing spaces and tabs.
+/// Strip leading/trailing spaces, tabs and carriage returns: a CRLF
+/// file parses as its LF copy does.
 std::string_view trim(std::string_view s) {
   const std::size_t first = s.find_first_not_of(kBlank);
   if (first == std::string_view::npos) return {};

@@ -138,7 +138,6 @@ Status Session::start(const SessionConfig& config) {
   snapshot_requested_.store(false, std::memory_order_relaxed);
   g_signal_snapshot.store(false, std::memory_order_relaxed);
   snapshots_written_.store(0, std::memory_order_relaxed);
-  stopping_.store(false, std::memory_order_relaxed);
   watchdog_snapped_ = false;
   {
     common::MutexLock lock(&synth_mu_);
@@ -255,44 +254,28 @@ Status Session::start(const SessionConfig& config) {
       telemetry::log_warn("session", "heartbeat disabled: " + hb.message());
     }
   }
-  active_.store(true, std::memory_order_release);
+  running_.store(true, std::memory_order_release);
+  armed_.store(true, std::memory_order_release);
   return Status::ok();
 }
 
 Status Session::stop() {
-  if (!active()) return Status::error("Tempest session not active");
-  // Order matters: stopping_ first so a tempd-thread snapshot that is
-  // mid-write never re-arms recording after we disarm it here.
-  stopping_.store(true, std::memory_order_release);
-  active_.store(false, std::memory_order_release);
+  if (!running_.exchange(false, std::memory_order_acq_rel)) {
+    return Status::error("Tempest session not active");
+  }
+  armed_.store(false, std::memory_order_release);
   tempd_.stop();
+  // A snapshot that was mid-write when stop() began may have re-armed
+  // the hooks after the store above; tempd has joined, so it is done.
+  armed_.store(false, std::memory_order_release);
   if (signal_installed_) {
     (void)::sigaction(config_.snapshot_signal, &g_prev_snapshot_action,
                       nullptr);
     signal_installed_ = false;
   }
 
-  trace_.tsc_ticks_per_second = tsc_ticks_per_second();
-  trace_.executable = self_exe_path();
-  trace_.load_bias = symtab::current_load_bias();
-  for (const auto& node : nodes_) {
-    trace_.nodes.push_back({node.node_id, node.hostname});
-    for (const auto& s : node.sensors) {
-      trace_.sensors.push_back({node.node_id, s.id, s.name, s.quant_step_c});
-    }
-  }
-  {
-    common::MutexLock lock(&synth_mu_);
-    trace_.synthetic_symbols = synthetic_;
-    trace_.filter = filter_decl_;
-  }
-  // The drain merges the events in time order and frees the buffers as
-  // it goes, so only the samples need sorting.
   DrainTotals totals;
-  registry_.drain_into(&trace_, ring_trim_ticks_, &totals);
-  trace_.temp_samples = std::move(tempd_.samples());
-  trace_.clock_syncs = std::move(tempd_.clock_syncs());
-  trace_.sort_samples_by_time();
+  seal_trace(&trace_, /*drain=*/true, &totals);
 
   // Stop the heartbeat after the drain published exact event totals, so
   // its final JSONL line is the run's true summary; then fold the same
@@ -350,18 +333,10 @@ void Session::record_probed(ThreadState* ts, std::uint64_t addr,
       static_cast<double>(t1 - t0) * 1e9 / tsc_ticks_per_second());
 }
 
-void Session::publish_suppressed(ThreadState* ts) {
-  telemetry::count(telemetry::Counter::kEventsSuppressed,
-                   ts->suppressed - ts->published_suppressed);
-  ts->published_suppressed = ts->suppressed;
-}
-
 void Session::count_throttled(ThreadState* ts, std::uint64_t n) {
   ts->throttled += n;
   if (ts->throttled - ts->published_throttled >= kAdmissionPublishBlock) {
-    telemetry::count(telemetry::Counter::kEventsThrottled,
-                     ts->throttled - ts->published_throttled);
-    ts->published_throttled = ts->throttled;
+    ts->publish_rejections();
   }
 }
 
@@ -530,7 +505,7 @@ void Session::load_filter(const common::FilterFile& ff, AdmissionPlan* plan) {
 }
 
 void Session::on_tempd_tick() {
-  if (!active() || stopping_.load(std::memory_order_acquire)) return;
+  if (!active()) return;
   if (g_signal_snapshot.exchange(false, std::memory_order_acq_rel)) {
     write_snapshot("signal");
   } else if (snapshot_requested_.exchange(false, std::memory_order_acq_rel)) {
@@ -581,54 +556,68 @@ void Session::adaptive_tick() {
   }
 }
 
+void Session::seal_trace(trace::Trace* out, bool drain, DrainTotals* totals) {
+  out->tsc_ticks_per_second = tsc_hz_;
+  out->executable = self_exe_path();
+  out->load_bias = symtab::current_load_bias();
+  for (const auto& node : nodes_) {
+    out->nodes.push_back({node.node_id, node.hostname});
+    for (const auto& s : node.sensors) {
+      out->sensors.push_back({node.node_id, s.id, s.name, s.quant_step_c});
+    }
+  }
+  {
+    common::MutexLock lock(&synth_mu_);
+    out->synthetic_symbols = synthetic_;
+    out->filter = filter_decl_;
+  }
+  // The merge writes the events in time order, so only the samples need
+  // sorting. Between start and join the sample vectors belong to the
+  // tempd thread, where a snapshot runs, so copying them is race-free.
+  if (drain) {
+    registry_.drain_into(out, ring_trim_ticks_, totals);
+    out->temp_samples = std::move(tempd_.samples());
+    out->clock_syncs = std::move(tempd_.clock_syncs());
+  } else {
+    registry_.snapshot_into(out, ring_trim_ticks_, totals);
+    out->temp_samples = tempd_.samples();
+    out->clock_syncs = tempd_.clock_syncs();
+  }
+  out->sort_samples_by_time();
+}
+
 void Session::write_snapshot(const char* trigger) {
   if (config_.output_path.empty()) {
     telemetry::log_warn("session",
                         "snapshot requested but TEMPEST_OUT is unset");
     return;
   }
-  // Pause admission so recording threads quiesce; a short settle lets
-  // hooks that already passed the active_ check finish their push (see
+  // Pause the hooks so recording threads quiesce; a short settle lets
+  // hooks that already passed the armed_ check finish their push (see
   // DESIGN.md §13 for the residual in-flight approximation).
-  active_.store(false, std::memory_order_release);
+  armed_.store(false, std::memory_order_release);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   trace::Trace snap;
-  snap.tsc_ticks_per_second = tsc_hz_;
-  snap.executable = self_exe_path();
-  snap.load_bias = symtab::current_load_bias();
-  for (const auto& node : nodes_) {
-    snap.nodes.push_back({node.node_id, node.hostname});
-    for (const auto& s : node.sensors) {
-      snap.sensors.push_back({node.node_id, s.id, s.name, s.quant_step_c});
-    }
-  }
-  {
-    common::MutexLock lock(&synth_mu_);
-    snap.synthetic_symbols = synthetic_;
-    snap.filter = filter_decl_;
-  }
   DrainTotals totals;
-  registry_.snapshot_into(&snap, ring_trim_ticks_, &totals);
+  seal_trace(&snap, /*drain=*/false, &totals);
   // A snapshot quiesces by flag + settle, not by join, so a thread
   // descheduled mid-hook can leave `admitted` a few events out of step
   // with what the buffers actually hold. Derive it from what was
   // actually copied so the snapshot's RUNSTATS satisfy the conservation
   // invariant by construction (stop() asserts the real thing exactly).
   totals.admitted = totals.retained + totals.dropped + totals.overwritten;
-  // This runs on the tempd thread, the sole owner of the sample
-  // vectors between start and join — copying them here is race-free.
-  snap.temp_samples = tempd_.samples();
-  snap.clock_syncs = tempd_.clock_syncs();
-  snap.sort_samples_by_time();
   assemble_run_stats(&snap.run_stats, totals);
-  snap.run_stats.ring_snapshots =
-      snapshots_written_.load(std::memory_order_relaxed) + 1;
-
   const std::uint64_t n = snapshots_written_.load(std::memory_order_relaxed);
+  snap.run_stats.ring_snapshots = n + 1;
+
   std::string path = config_.output_path + ".snapshot";
   if (n > 0) path += "." + std::to_string(n);
   const Status written = trace::write_trace_file(path, snap);
+  // Re-arm before the count publishes, so a request_snapshot() that sees
+  // the new count finds recording running again. A stop() that began
+  // meanwhile disarms once more after tempd has joined.
+  if (active()) armed_.store(true, std::memory_order_release);
   if (written.is_ok()) {
     {
       common::MutexLock lock(&snap_mu_);
@@ -643,10 +632,6 @@ void Session::write_snapshot(const char* trigger) {
   } else {
     telemetry::log_warn("session",
                         "snapshot write failed: " + written.message());
-  }
-  // Re-arm unless a concurrent stop() already disarmed for good.
-  if (!stopping_.load(std::memory_order_acquire)) {
-    active_.store(true, std::memory_order_release);
   }
 }
 

@@ -69,7 +69,9 @@ class Session {
   /// config.output_path when set.
   Status stop();
 
-  bool active() const { return active_.load(std::memory_order_acquire); }
+  /// True from start() until stop(). A flight-recorder snapshot pauses
+  /// only the hooks, so the session stays active through one.
+  bool active() const { return running_.load(std::memory_order_acquire); }
   const SessionConfig& config() const { return config_; }
 
   /// The assembled trace of the last completed run.
@@ -91,50 +93,33 @@ class Session {
 
   // -- hot path (called by hooks / explicit API) --------------------------
 
-  void record_enter(std::uint64_t addr) {
-    if (!active_.load(std::memory_order_relaxed)) return;
-    ThreadState* ts = registry_.current();
-    const AdmissionPlan* plan = admission_.load(std::memory_order_acquire);
-    if (plan != nullptr) {
-      if (plan->filter.contains(addr)) {
-        count_suppressed(ts);
-        return;
-      }
-      if (plan->throttling) {
-        record_throttled(ts, plan, addr, trace::FnEventKind::kEnter);
-        return;
-      }
-    }
-    ++ts->admitted;
-    if ((++ts->probe_tick & (kProbeSamplePeriod - 1)) == 0) {
-      record_probed(ts, addr, trace::FnEventKind::kEnter);
-      return;
-    }
-    ts->events.push({ts->now(), addr, ts->thread_id, ts->node_id,
-                     trace::FnEventKind::kEnter});
-  }
+  void record_enter(std::uint64_t addr) { record(addr, trace::FnEventKind::kEnter); }
+  void record_exit(std::uint64_t addr) { record(addr, trace::FnEventKind::kExit); }
 
-  void record_exit(std::uint64_t addr) {
-    if (!active_.load(std::memory_order_relaxed)) return;
+  /// The one hook body: admission, then a buffer push of `kind`.
+  void record(std::uint64_t addr, trace::FnEventKind kind) {
+    if (!armed_.load(std::memory_order_relaxed)) return;
     ThreadState* ts = registry_.current();
     const AdmissionPlan* plan = admission_.load(std::memory_order_acquire);
     if (plan != nullptr) {
       if (plan->filter.contains(addr)) {
-        count_suppressed(ts);
+        ++ts->suppressed;
+        if (ts->suppressed - ts->published_suppressed >= kAdmissionPublishBlock) {
+          ts->publish_rejections();
+        }
         return;
       }
       if (plan->throttling) {
-        record_throttled(ts, plan, addr, trace::FnEventKind::kExit);
+        record_throttled(ts, plan, addr, kind);
         return;
       }
     }
     ++ts->admitted;
     if ((++ts->probe_tick & (kProbeSamplePeriod - 1)) == 0) {
-      record_probed(ts, addr, trace::FnEventKind::kExit);
+      record_probed(ts, addr, kind);
       return;
     }
-    ts->events.push({ts->now(), addr, ts->thread_id, ts->node_id,
-                     trace::FnEventKind::kExit});
+    ts->events.push({ts->now(), addr, ts->thread_id, ts->node_id, kind});
   }
 
   // -- thread/node association -------------------------------------------
@@ -165,13 +150,6 @@ class Session {
   /// exact remainder flushes at drain.
   static constexpr std::uint64_t kAdmissionPublishBlock = 4096;
 
-  void count_suppressed(ThreadState* ts) {
-    ++ts->suppressed;
-    if (ts->suppressed - ts->published_suppressed >= kAdmissionPublishBlock) {
-      publish_suppressed(ts);
-    }
-  }
-  void publish_suppressed(ThreadState* ts);    ///< cold: telemetry flush
   void count_throttled(ThreadState* ts, std::uint64_t n);
 
   /// Slow lane for sessions with throttling enabled: rate-cap table,
@@ -196,10 +174,19 @@ class Session {
   void on_tempd_tick();
   void adaptive_tick();
 
+  /// Fill `out` from the session: metadata, synthetic symbols and the
+  /// filter declaration, the registry's merged events and tempd's
+  /// samples and syncs. `drain` (stop) empties the buffers and moves the
+  /// samples; otherwise (a snapshot, on the tempd thread) both are
+  /// copied. `totals` receives the exact admission accounting.
+  void seal_trace(trace::Trace* out, bool drain, DrainTotals* totals)
+      EXCLUDES(synth_mu_);
+
   /// Write the current flight-recorder window as a standalone trace-v2
   /// file next to the output path. Called only from the tempd thread
-  /// (which owns the sample vectors). Recording is paused around the
-  /// buffer copy and re-armed unless stop() is underway.
+  /// (which owns the sample vectors). The hooks are paused around the
+  /// buffer copy and re-armed, before the count publishes, unless
+  /// stop() is underway.
   void write_snapshot(const char* trigger);
 
   /// Fold exact drain totals + telemetry + tempd stats into `rs`.
@@ -207,11 +194,16 @@ class Session {
 
   // Lifecycle members (config_, nodes_, trace_, ...) are mutated only
   // from the controlling thread while the session is inactive, or
-  // published to worker threads through active_ / thread creation.
+  // published to worker threads through running_ / thread creation.
   // synthetic_ is the one structure the explicit API mutates from
   // arbitrary threads mid-run, hence its lock.
   SessionConfig config_;
-  std::atomic<bool> active_{false};
+  /// The lifecycle: set at the end of start(), cleared first in stop().
+  std::atomic<bool> running_{false};
+  /// The hooks' armed flag, which record() checks first. A snapshot
+  /// clears it around its copy and re-arms while running_ holds; stop()
+  /// clears it again once tempd has joined, undoing a re-arm that raced.
+  std::atomic<bool> armed_{false};
   std::vector<NodeBinding> nodes_;
   Tempd tempd_;
   ThreadRegistry registry_;
@@ -247,8 +239,7 @@ class Session {
   // -- flight recorder ----------------------------------------------------
   std::atomic<bool> snapshot_requested_{false};
   std::atomic<std::uint64_t> snapshots_written_{0};
-  std::atomic<bool> stopping_{false};  ///< stop() underway: don't re-arm
-  bool watchdog_snapped_ = false;      ///< tempd thread only
+  bool watchdog_snapped_ = false;  ///< tempd thread only
   bool signal_installed_ = false;
   common::Mutex snap_mu_;
   std::string last_snapshot_path_ GUARDED_BY(snap_mu_);

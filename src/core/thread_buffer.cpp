@@ -220,18 +220,6 @@ void EventBuffer::new_chunk() {
   telemetry::count(Counter::kBufferFlushes);
 }
 
-void EventBuffer::append(const trace::FnEvent* events, std::size_t n) {
-  while (n > 0) {
-    if (pos_ == kChunkSize) new_chunk();
-    const std::size_t room = kChunkSize - pos_;
-    const std::size_t take = n < room ? n : room;
-    std::copy(events, events + take, active_ + pos_);
-    pos_ += take;
-    events += take;
-    n -= take;
-  }
-}
-
 void EventBuffer::set_limit(std::size_t max_events) {
   max_chunks_ =
       max_events == 0 ? 0 : (max_events + kChunkSize - 1) / kChunkSize;
@@ -293,6 +281,18 @@ void EventBuffer::publish_telemetry() {
   }
 }
 
+void ThreadState::publish_rejections() {
+  using telemetry::Counter;
+  if (suppressed > published_suppressed) {
+    telemetry::count(Counter::kEventsSuppressed, suppressed - published_suppressed);
+    published_suppressed = suppressed;
+  }
+  if (throttled > published_throttled) {
+    telemetry::count(Counter::kEventsThrottled, throttled - published_throttled);
+    published_throttled = throttled;
+  }
+}
+
 ThreadState* ThreadRegistry::current() {
   if (tls_slot.state == nullptr ||
       tls_slot.generation != g_generation.load(std::memory_order_acquire)) {
@@ -345,16 +345,7 @@ void ThreadRegistry::collect_into(trace::Trace* trace, std::uint64_t ring_ticks,
       // throttled remainders below the block-publication granularity
       // all flush to the counters.
       ts->events.publish_telemetry();
-      if (ts->suppressed > ts->published_suppressed) {
-        telemetry::count(telemetry::Counter::kEventsSuppressed,
-                         ts->suppressed - ts->published_suppressed);
-        ts->published_suppressed = ts->suppressed;
-      }
-      if (ts->throttled > ts->published_throttled) {
-        telemetry::count(telemetry::Counter::kEventsThrottled,
-                         ts->throttled - ts->published_throttled);
-        ts->published_throttled = ts->throttled;
-      }
+      ts->publish_rejections();
     }
     // TEMPEST_RING_SECONDS: trim to each thread's own clock domain —
     // "now minus the window" translated the same way its events were.

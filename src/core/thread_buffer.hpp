@@ -83,9 +83,6 @@ class EventBuffer {
     active_[pos_++] = e;
   }
 
-  /// Bulk append: chunk-wise memcpy instead of per-event pushes.
-  void append(const trace::FnEvent* events, std::size_t n);
-
   /// Cap stored events at roughly `max_events` (rounded up to whole
   /// chunks; 0 = unbounded, the default). Call before recording starts.
   void set_limit(std::size_t max_events);
@@ -193,6 +190,11 @@ struct ThreadState {
   std::uint64_t published_suppressed = 0;  ///< telemetry already counted
   std::uint64_t published_throttled = 0;
 
+  /// Publish the suppressed and throttled counts telemetry has not yet
+  /// seen: the hooks call it once a block has built up, the drain for
+  /// the exact remainder.
+  void publish_rejections();
+
   /// Per-thread throttle machinery, created lazily on the first hook
   /// call that reaches the throttle layer.
   std::unique_ptr<ThrottleState> throttle;
@@ -266,14 +268,11 @@ class ThreadRegistry {
   /// non-null, receives the exact admission accounting for RUNSTATS.
   void drain_into(trace::Trace* trace, std::uint64_t ring_ticks,
                   DrainTotals* totals) EXCLUDES(mu_);
-  void drain_into(trace::Trace* trace) EXCLUDES(mu_) {
-    drain_into(trace, 0, nullptr);
-  }
 
   /// Like drain_into but non-destructive and without telemetry flushes:
   /// merges a copy of the retained window out for a flight-recorder
-  /// snapshot while the session is merely paused (active flag cleared),
-  /// not stopped, and releases nothing.
+  /// snapshot while the session is merely paused (hooks disarmed), not
+  /// stopped, and releases nothing.
   /// Thread ids/cores are appended to trace->threads as in drain_into.
   void snapshot_into(trace::Trace* trace, std::uint64_t ring_ticks,
                      DrainTotals* totals) EXCLUDES(mu_);

@@ -12,12 +12,6 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-const clock::time_point g_start = clock::now();
-
-double now_seconds() {
-  return std::chrono::duration<double>(clock::now() - g_start).count();
-}
-
 LogLevel threshold_from_env() {
   const std::string v = env_string("TEMPEST_LOG", "warn");
   if (v == "off" || v == "none") return static_cast<LogLevel>(-1);
@@ -54,6 +48,10 @@ struct Logger::Impl {
   /// recorder started from a constructor function (auto_session) may
   /// log before any translation unit's own stream initialiser has run.
   std::ios_base::Init streams;
+  /// The `t=` epoch, set when the logger is first used. A namespace-
+  /// scope clock would read zero for a message logged before its own
+  /// initialiser ran, stamping it with the host's uptime.
+  const clock::time_point start = clock::now();
   mutable std::mutex mu;
   LogEntry ring[kRingCapacity];
   std::uint64_t next = 0;  ///< total entries ever logged
@@ -78,7 +76,7 @@ bool Logger::should_emit(LogLevel level) const {
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view message) {
   LogEntry entry;
-  entry.t_seconds = now_seconds();
+  entry.t_seconds = std::chrono::duration<double>(clock::now() - impl_->start).count();
   entry.level = level;
   entry.component.assign(component);
   entry.message.assign(message);

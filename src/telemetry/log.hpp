@@ -24,7 +24,7 @@ enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 const char* log_level_name(LogLevel level);
 
 struct LogEntry {
-  double t_seconds = 0.0;  ///< since process start (steady clock)
+  double t_seconds = 0.0;  ///< since the logger's first use (steady clock)
   LogLevel level = LogLevel::kInfo;
   std::string component;
   std::string message;

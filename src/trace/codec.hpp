@@ -1,5 +1,9 @@
 // Bulk pack/unpack for the trace-v2 record sections, and the
-// little-endian field helpers every part of the trace format shares.
+// little-endian field helpers every part of the trace format shares:
+// the header fields, metadata counts, string lengths and section frames
+// the writer puts and the reader gets, the trailers, and the collector's
+// wire frames all go through store_le / load_le, so the bytes are the
+// same on every host.
 //
 // The reader and writer used to convert one field at a time through
 // byte loops — correct everywhere, but the dominant cost of draining a

@@ -23,11 +23,11 @@ class BulkCursor {
   BulkCursor(const common::ByteInput& in, std::uint64_t offset)
       : in_(in), offset_(offset), available_(in.size() - offset) {}
 
+  /// One little-endian field.
   template <typename T>
   bool get(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
     if (!fill(sizeof(T))) return false;
-    std::memcpy(out, buf_.data() + pos_, sizeof(T));
+    *out = codec::load_le<T>(buf_.data() + pos_);
     pos_ += sizeof(T);
     return true;
   }
@@ -196,6 +196,14 @@ bool TraceStreamReader::take(void* out, std::uint64_t n) {
   return true;
 }
 
+template <typename T>
+bool TraceStreamReader::take_le(T* out) {
+  char bytes[sizeof(T)];
+  if (!take(bytes, sizeof(bytes))) return false;
+  *out = codec::load_le<T>(bytes);
+  return true;
+}
+
 Status TraceStreamReader::read_header() {
   // The header and metadata parse out of one bulk buffer; the first
   // section starts just past them. The input's size bounds every count.
@@ -292,10 +300,10 @@ Status TraceStreamReader::read_section_frame(std::uint32_t record_size,
                                              const char* what,
                                              std::uint64_t* count) {
   std::uint32_t size = 0;
-  if (!take(count, sizeof(*count)) || *count > kMaxRecords) {
+  if (!take_le(count) || *count > kMaxRecords) {
     return fail(std::string("truncated or oversized ") + what + " section");
   }
-  if (!take(&size, sizeof(size)) || size != record_size) {
+  if (!take_le(&size) || size != record_size) {
     return fail(std::string(what) + " record size mismatch (corrupt section framing)");
   }
   const std::uint64_t present = (input_.size() - pos_) / record_size;

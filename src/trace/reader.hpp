@@ -96,6 +96,9 @@ class TraceStreamReader {
   /// Copy the `n` bytes at the read offset into `out` and move past
   /// them; false, not moving, when the input holds fewer.
   bool take(void* out, std::uint64_t n);
+  /// take() of one little-endian field.
+  template <typename T>
+  bool take_le(T* out);
   /// Reads one section's framing; rejects a count above the cap or
   /// beyond the bytes left.
   Status read_section_frame(std::uint32_t record_size, const char* what,

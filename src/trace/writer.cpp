@@ -9,10 +9,12 @@
 namespace tempest::trace {
 namespace {
 
+/// One header field or section frame, little-endian like the records.
 template <typename T>
 void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  char bytes[sizeof(T)];
+  codec::store_le(bytes, value);
+  out.write(bytes, sizeof(bytes));
 }
 
 void put_string(std::ostream& out, const std::string& s) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "export/run.hpp"
 #include "simnode/cluster.hpp"
 #include "trace/reader.hpp"
+#include "trace/writer.hpp"
 
 namespace {
 
@@ -325,13 +327,21 @@ TEST(Admission, RingSnapshotParsesAndExports) {
   }
   auto snap_path = session.request_snapshot(10.0);
   ASSERT_TRUE(snap_path.is_ok()) << snap_path.message();
-  // Recording re-arms after the snapshot; the run continues.
+  // Recording re-arms before the snapshot is reported; the run continues
+  // and the pair recorded next reaches the final trace.
   ASSERT_TRUE(session.active());
-  session.record_enter(work);
-  session.record_exit(work);
+  const std::uint64_t after = session.synthetic_addr("adm_snap_after");
+  session.record_enter(after);
+  session.record_exit(after);
   ASSERT_TRUE(session.stop());
   session.clear_nodes();
   EXPECT_EQ(session.last_trace().run_stats.ring_snapshots, 1u);
+  std::vector<trace::FnEventKind> after_kinds;
+  for (const auto& e : session.last_trace().fn_events) {
+    if (e.addr == after) after_kinds.push_back(e.kind);
+  }
+  EXPECT_EQ(after_kinds, (std::vector<trace::FnEventKind>{trace::FnEventKind::kEnter,
+                                                          trace::FnEventKind::kExit}));
 
   // The snapshot is a valid trace-v2 file in its own right.
   auto parsed = trace::read_trace_file(snap_path.value());
@@ -363,6 +373,57 @@ TEST(Admission, RingSnapshotParsesAndExports) {
   }
   std::remove(snap_path.value().c_str());
   std::remove(c.output_path.c_str());
+}
+
+/// The header fields a snapshot shares with the stopped trace, encoded.
+std::string shared_header(const trace::Trace& t) {
+  trace::Trace h;
+  h.tsc_ticks_per_second = t.tsc_ticks_per_second;
+  h.executable = t.executable;
+  h.load_bias = t.load_bias;
+  h.nodes = t.nodes;
+  h.sensors = t.sensors;
+  h.synthetic_symbols = t.synthetic_symbols;
+  h.filter = t.filter;
+  return trace::encode_trace(h);
+}
+
+// A snapshot and the stopped trace are sealed by the same code: with no
+// region minted between them, their headers match byte for byte.
+TEST(Admission, SnapshotHeaderMatchesStoppedTrace) {
+  auto& session = Session::instance();
+  session.clear_nodes();
+  simnode::SimNode node(fast_node());
+  session.register_sim_node(&node);
+
+  SessionConfig c = test_config();
+  c.filter_path = write_filter("adm_header_filter.txt", {"adm_header_cold"});
+  c.output_path = temp_path("adm_header.trace");
+  ASSERT_TRUE(session.start(c));
+  const std::uint64_t cold = session.synthetic_addr("adm_header_cold");
+  const std::uint64_t hot = session.synthetic_addr("adm_header_hot");
+  for (int i = 0; i < 1000; ++i) {
+    session.record_enter(hot);
+    session.record_enter(cold);
+    session.record_exit(cold);
+    session.record_exit(hot);
+  }
+  auto snap_path = session.request_snapshot(10.0);
+  ASSERT_TRUE(snap_path.is_ok()) << snap_path.message();
+  ASSERT_TRUE(session.stop());
+  session.clear_nodes();
+
+  auto parsed = trace::read_trace_file(snap_path.value());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
+  const trace::Trace& stopped = session.last_trace();
+  ASSERT_FALSE(stopped.executable.empty());
+  ASSERT_FALSE(stopped.sensors.empty());
+  ASSERT_TRUE(stopped.filter.present);
+  EXPECT_EQ(stopped.filter.resolved, 1u);
+  EXPECT_EQ(shared_header(parsed.value()), shared_header(stopped));
+  std::remove(snap_path.value().c_str());
+  std::remove(c.output_path.c_str());
+  std::remove(c.filter_path.c_str());
 }
 
 // N threads hammer the suppression set and their own rings while a

@@ -3,7 +3,8 @@
 // "<path>: not a regular file" (the recorder warns and records
 // unfiltered instead). A reader that blocked on a FIFO would hang, so
 // each call runs in a child process under a deadline: a hang fails the
-// test instead of stalling the suite.
+// test instead of stalling the suite. The instrumented demo's warning,
+// logged before main, also pins the log clock's epoch.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
@@ -174,22 +175,48 @@ TEST_F(NonRegularPaths, SessionStartWarnsAndRecordsUnfiltered) {
 }
 
 #ifdef TEMPEST_DEMO_BIN
-TEST_F(NonRegularPaths, InstrumentedRunWithAFifoFilterCompletes) {
-  // An instrumented binary starts its session from a constructor
-  // function, before main and before its streams are set up: it must
-  // print the warning and run to completion, unfiltered.
+/// The instrumented demo's stderr, run with TEMPEST_FILTER=`filter`;
+/// the run must complete.
+std::string demo_stderr(const std::string& filter) {
   const std::string err =
       ::testing::TempDir() + "byte_input_demo." + std::to_string(::getpid()) + ".err";
-  const std::string cmd = "TEMPEST_FILTER=" + fifo_ + " TEMPEST_REPORT=0 timeout 60 " +
+  const std::string cmd = "TEMPEST_FILTER=" + filter + " TEMPEST_REPORT=0 timeout 60 " +
                           TEMPEST_DEMO_BIN + " > /dev/null 2> " + err;
   const int rc = std::system(cmd.c_str());
   EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << "status " << rc;
   std::ifstream in(err);
-  const std::string log((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::string log((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(err.c_str());
+  return log;
+}
+
+TEST_F(NonRegularPaths, InstrumentedRunWithAFifoFilterCompletes) {
+  // An instrumented binary starts its session from a constructor
+  // function, before main and before its streams are set up: it must
+  // print the warning and run to completion, unfiltered.
+  const std::string log = demo_stderr(fifo_);
   EXPECT_NE(log.find("TEMPEST_FILTER ignored: " + fifo_ + ": not a regular file"),
             std::string::npos)
       << log;
-  std::remove(err.c_str());
+}
+
+TEST(LogEpoch, WarningBeforeMainIsStampedFromTheLoggersFirstUse) {
+  // The same warning, logged before main, must not carry the host's
+  // uptime as its t=: the log clock starts when the logger is first
+  // used, however early that is.
+  const std::string missing =
+      ::testing::TempDir() + "byte_input_missing." + std::to_string(::getpid()) + ".filter";
+  const std::string log = demo_stderr(missing);
+  const std::size_t warning = log.find("TEMPEST_FILTER ignored");
+  ASSERT_NE(warning, std::string::npos) << log;
+  const std::size_t line = log.rfind('\n', warning);
+  double t = -1.0;
+  ASSERT_EQ(std::sscanf(log.c_str() + (line == std::string::npos ? 0 : line + 1),
+                        "tempest t=%lf", &t),
+            1)
+      << log;
+  EXPECT_GE(t, 0.0);
+  EXPECT_LT(t, 60.0) << log;
 }
 #endif
 

@@ -116,6 +116,13 @@ TEST_F(FilterFileFuzz, CrlfLineEnds) {
     crlf += c;
   }
   expect_rules_or_line_error(crlf);
+  // The CRLF copy gives the LF file's rules, reasons included: a blank
+  // line stays blank and no reason keeps a trailing '\r'.
+  const auto want = parse_filter_file(kValid);
+  const auto got = parse_filter_file(crlf);
+  ASSERT_TRUE(want.is_ok()) << want.message();
+  ASSERT_TRUE(got.is_ok()) << got.message();
+  EXPECT_EQ(got.value().rules, want.value().rules);
   // Directive lines keep their symbols: '\r' ends a field.
   const auto parsed = parse_filter_file("suppress _ZN4slowEv\r\nsuppress plain_c_fn\r\n");
   ASSERT_TRUE(parsed.is_ok()) << parsed.message();

@@ -84,6 +84,26 @@ TEST(TraceIo, RejectsBadMagicAndVersion) {
   EXPECT_FALSE(read_trace("NOT A TRACE FILE AT ALL").is_ok());
 }
 
+TEST(TraceIo, HeaderFieldsAreLittleEndian) {
+  // The leading bytes of a tiny trace, pinned: header fields and string
+  // lengths are little-endian on every host, like the records.
+  Trace t;
+  t.tsc_ticks_per_second = 1.5e9;  // IEEE-754 bits 0x41d65a0bc0000000
+  t.executable = "a.out";
+  t.load_bias = 0x0102030405060708;
+  const unsigned char want[] = {
+      'T', 'M', 'P', 'S', 'T', 'R', 'C', 'T',          // magic
+      0x02, 0x00, 0x00, 0x00,                          // version 2
+      0x00, 0x00, 0x00, 0xc0, 0x0b, 0x5a, 0xd6, 0x41,  // tsc rate
+      0x05, 0x00, 0x00, 0x00, 'a', '.', 'o', 'u', 't', // executable
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // load bias
+  };
+  const std::string bytes = encode_trace(t);
+  ASSERT_GE(bytes.size(), sizeof(want));
+  EXPECT_EQ(bytes.substr(0, sizeof(want)),
+            std::string(reinterpret_cast<const char*>(want), sizeof(want)));
+}
+
 TEST(TraceIo, RejectsTruncation) {
   const Trace original = sample_trace();
   std::stringstream buffer;
