@@ -546,10 +546,7 @@ LintReport LintEngine::finish() {
     // exactly once. calls_observed == 0 means a pre-admission recorder
     // (or an empty run) — nothing to check.
     if (rs.calls_observed > 0) {
-      const std::uint64_t accounted = rs.events_recorded +
-                                      rs.events_suppressed +
-                                      rs.events_throttled + rs.events_dropped +
-                                      rs.events_overwritten;
+      const std::uint64_t accounted = rs.accounted();
       if (rs.calls_observed != accounted) {
         out.add("admission-conservation", Severity::kError,
                 "runstats observe " + std::to_string(rs.calls_observed) +

@@ -518,9 +518,6 @@ struct Collector::Impl {
   std::string runstats() const {
     const FleetSnapshot snap = snapshot();
     const trace::RunStats& rs = snap.run_stats;
-    const std::uint64_t accounted = rs.events_recorded + rs.events_suppressed +
-                                    rs.events_throttled + rs.events_dropped +
-                                    rs.events_overwritten;
     std::string body = "{\"present\":";
     body += rs.present ? "true" : "false";
     body += ",\"sessions_folded\":" + std::to_string(snap.sessions_folded);
@@ -541,7 +538,8 @@ struct Collector::Impl {
     // The conservation invariant, checked server-side so a curl of this
     // endpoint is a fleet-wide lint.
     body += ",\"conservation_ok\":";
-    body += (!rs.present || rs.calls_observed == accounted) ? "true" : "false";
+    const bool conserved = !rs.present || rs.calls_observed == rs.accounted();
+    body += conserved ? "true" : "false";
     body += "}";
     return body;
   }

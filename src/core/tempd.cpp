@@ -103,14 +103,14 @@ void Tempd::run_loop(double hz) {
     sample_all_nodes();
     ++stats_.ticks;
     telemetry::count(Counter::kTempdTicks);
+    // Before the hook, which runs on this thread: the session's live
+    // overhead checks read tempd's CPU from stats_.
+    publish_cpu();
     // After the sweep so a snapshot taken from the hook sees samples up
     // to and including this tick.
     if (tick_hook_) tick_hook_();
     const auto tick_end = clock::now();
     telemetry::observe(Histogram::kTickWallUs, to_us(tick_end - tick_start));
-    telemetry::gauge_set(
-        Gauge::kTempdCpuUs,
-        static_cast<std::int64_t>(std::llround(thread_cpu_seconds() * 1e6)));
     // Piggyback the RSS high-water mark on the tick so live heartbeats
     // carry it; one status read per period is noise.
     telemetry::gauge_set(Gauge::kPeakRssKb, telemetry::read_peak_rss_kb());
@@ -132,9 +132,13 @@ void Tempd::run_loop(double hz) {
   sample_all_nodes();
   ++stats_.ticks;
   telemetry::count(Counter::kTempdTicks);
+  publish_cpu();
+}
+
+void Tempd::publish_cpu() {
   stats_.cpu_seconds = thread_cpu_seconds();
   telemetry::gauge_set(
-      Gauge::kTempdCpuUs,
+      telemetry::Gauge::kTempdCpuUs,
       static_cast<std::int64_t>(std::llround(stats_.cpu_seconds * 1e6)));
 }
 

@@ -50,7 +50,9 @@ class Tempd {
     /// an overrun skips forward instead of compressing later gaps —
     /// missed ticks are counted, never smeared into drift.
     std::uint64_t missed_ticks = 0;
-    double cpu_seconds = 0.0;  ///< tempd thread CPU time
+    /// tempd thread CPU time, updated every tick before the tick hook
+    /// runs, so the hook reads it current on the sampler thread.
+    double cpu_seconds = 0.0;
   };
 
   ~Tempd() { stop(); }
@@ -81,6 +83,8 @@ class Tempd {
  private:
   void run_loop(double hz);
   void sample_all_nodes();
+  /// Read this thread's CPU time into stats_ and the kTempdCpuUs gauge.
+  void publish_cpu();
 
   // Lifecycle lock: serialises start/stop (including concurrent stop()
   // racing the destructor) and guards the thread handle. The sampler

@@ -22,14 +22,12 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/fastwrite.hpp"
 #include "export/clock.hpp"
 #include "export/export.hpp"
 #include "pipeline/stage.hpp"
@@ -37,7 +35,16 @@
 
 namespace tempest::exporter {
 
-class PerfettoExporter : public pipeline::BatchSink {
+/// Everything about a B/E event that doesn't change per event,
+/// preformatted once per (rank, thread) track: the per-event work is
+/// two fragment memcpys around a single to_chars timestamp.
+struct PerfettoTrack {
+  std::string begin_prefix;  ///< {"ph":"B","pid":N,"tid":T,"ts":
+  std::string end_prefix;    ///< {"ph":"E","pid":N,"tid":T,"ts":
+};
+
+class PerfettoExporter
+    : public SpanExporter<PerfettoExporter, PerfettoTrack> {
  public:
   /// `resolver` may be null: addresses render as hex (synthetic region
   /// names still resolve). The correlator carries the sync records'
@@ -55,54 +62,29 @@ class PerfettoExporter : public pipeline::BatchSink {
                   const pipeline::EventBatch& batch) override;
   Status on_end(const pipeline::TraceMeta& meta) override;
 
-  /// Valid after a successful on_end.
-  const ExportStats& stats() const { return stats_; }
-  /// Residual-skew lint findings (also embedded in the metadata
-  /// section); the CLIs print them to stderr.
-  const std::vector<std::string>& warnings() const { return warnings_; }
-
  private:
-  /// Everything about a B/E event that doesn't change per event,
-  /// preformatted once per (rank, thread) track: the per-event work is
-  /// two fragment memcpys around a single to_chars timestamp.
-  struct TrackFragments {
-    std::string begin_prefix;  ///< {"ph":"B","pid":N,"tid":T,"ts":
-    std::string end_prefix;    ///< {"ph":"E","pid":N,"tid":T,"ts":
-  };
+  friend class SpanExporter<PerfettoExporter, PerfettoTrack>;
+
   /// Counter-event fragments, one per (rank, sensor) track.
   struct CounterFragments {
     std::string prefix;     ///< {"ph":"C","pid":N,"ts":
     std::string name_args;  ///< ,"name":"temp ...","args":{"celsius":
   };
 
-  void write(const std::string& s);
-  /// Append one traceEvents entry (comma handling + byte accounting).
+  void open_track(TrackKey key, PerfettoTrack& track);
+  void open(PerfettoTrack& track, const trace::FnEvent& e, double ts);
+  void close(PerfettoTrack& track, std::uint64_t addr, double ts);
+
+  /// Append one traceEvents entry (comma handling).
   void put_event(const std::string& json);
-  void note_base(std::uint64_t tsc);
-  const TrackFragments& track_fragments(std::uint16_t node_id,
-                                        std::uint32_t thread_id);
   const std::string& name_suffix(std::uint64_t addr);
   const CounterFragments& counter_fragments(std::uint16_t node_id,
                                             std::uint16_t sensor_id);
 
-  std::ostream* out_;
-  fastwrite::BufferedWriter writer_;
-  ClockCorrelator correlator_;
-  const symtab::Resolver* resolver_;
-
-  std::unordered_map<std::uint64_t, TrackFragments> tracks_;
-  /// Dense thread-id -> track pointers (unordered_map values are
-  /// pointer-stable); first is node_id + 1, 0 = empty. Per-event track
-  /// lookup becomes an array index; mismatches fall back to the map.
-  std::vector<std::pair<std::uint32_t, const TrackFragments*>> track_cache_;
   /// addr -> ,"cat":"fn","name":"<escaped>"} — the escape runs once per
   /// distinct function, not once per event.
   std::unordered_map<std::uint64_t, std::string> name_suffixes_;
   std::unordered_map<std::uint32_t, CounterFragments> counters_;
-
-  std::optional<NameTable> names_;  ///< built in begin() (needs metadata)
-  SpanScrubber scrubber_;
-  SamplePeriodEstimator sample_period_;
   /// (node, sensor) -> counter-track name, from the sensor inventory.
   std::map<std::pair<std::uint16_t, std::uint16_t>, std::string> sensor_names_;
 
@@ -113,10 +95,7 @@ class PerfettoExporter : public pipeline::BatchSink {
   std::vector<const DiffAnnotation*> annotations_marked_;
   std::unordered_map<std::uint64_t, const DiffAnnotation*> annotation_by_addr_;
 
-  ExportStats stats_;
-  std::vector<std::string> warnings_;
   std::vector<trace::TempSample> held_samples_;  ///< counter records, written at on_end
-  std::uint64_t max_tsc_ = 0;
   bool any_event_ = false;   ///< comma state for the traceEvents array
   std::string line_;         ///< reused per-event scratch buffer
 };

@@ -62,13 +62,13 @@ Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
 
   std::optional<PerfettoExporter> perfetto;
   std::optional<SpeedscopeExporter> speedscope;
-  pipeline::BatchSink* sink = nullptr;
+  SpanExportCore* exporter = nullptr;
   if (options.format == Format::kPerfetto) {
     perfetto.emplace(out, std::move(correlator), resolver_ptr);
     if (!options.annotations.empty()) {
       perfetto->set_annotations(options.annotations);
     }
-    sink = &*perfetto;
+    exporter = &*perfetto;
   } else {
     speedscope.emplace(out, std::move(correlator), options.spool_prefix,
                        resolver_ptr);
@@ -76,19 +76,15 @@ Result<ExportRunResult> run_export(const std::vector<std::string>& paths,
       result.warnings.push_back(
           "diff annotations are perfetto-only; speedscope output unmarked");
     }
-    sink = &*speedscope;
+    exporter = &*speedscope;
   }
 
-  const Status ran = input.run({sink});
+  const Status ran = input.run({exporter});
   if (!ran) return Out::error(ran.message());
 
-  const ExportStats& stats =
-      perfetto ? perfetto->stats() : speedscope->stats();
-  const std::vector<std::string>& warnings =
-      perfetto ? perfetto->warnings() : speedscope->warnings();
-  result.stats = stats;
-  result.warnings.insert(result.warnings.end(), warnings.begin(),
-                         warnings.end());
+  result.stats = exporter->stats();
+  result.warnings.insert(result.warnings.end(), exporter->warnings().begin(),
+                         exporter->warnings().end());
   return Out(std::move(result));
 }
 

@@ -1,10 +1,11 @@
 #include "export/speedscope.hpp"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
+#include "common/fastwrite.hpp"
 #include "common/json.hpp"
-#include "trace/writer.hpp"
 
 namespace tempest::exporter {
 
@@ -13,10 +14,6 @@ namespace {
 /// Spool write-behind threshold; spools are per-thread so this stays
 /// modest.
 constexpr std::size_t kSpoolBufBytes = std::size_t{64} << 10;
-
-void append_u64(std::string* line, std::uint64_t v) {
-  fastwrite::append_u64(*line, v);
-}
 
 void append_double(std::string* line, double v) {
   fastwrite::append_fixed(*line, v, 3);
@@ -28,30 +25,15 @@ SpeedscopeExporter::SpeedscopeExporter(std::ostream& out,
                                        ClockCorrelator correlator,
                                        std::string spool_prefix,
                                        const symtab::Resolver* resolver)
-    : out_(&out),
-      writer_(out),
-      correlator_(std::move(correlator)),
-      spool_prefix_(std::move(spool_prefix)),
-      resolver_(resolver) {}
+    : SpanExporter(out, std::move(correlator), resolver, "speedscope"),
+      spool_prefix_(std::move(spool_prefix)) {}
 
-SpeedscopeExporter::~SpeedscopeExporter() { remove_spools(); }
-
-void SpeedscopeExporter::remove_spools() {
-  for (auto& [key, spool] : spools_) {
-    if (spool.file.is_open()) spool.file.close();
-    if (!spool.path.empty()) std::remove(spool.path.c_str());
-  }
-}
-
-void SpeedscopeExporter::write(const std::string& s) {
-  writer_.append(s);
-  stats_.bytes_written += s.size();
-}
-
-void SpeedscopeExporter::flush_spool(ThreadSpool& spool) {
+void SpeedscopeExporter::flush_spool(SpeedscopeSpool& spool) {
   if (spool.buf.empty()) return;
-  spool.file.write(spool.buf.data(),
-                   static_cast<std::streamsize>(spool.buf.size()));
+  if (!spool.file.write(spool.buf.data(),
+                        static_cast<std::streamsize>(spool.buf.size()))) {
+    fail("speedscope export: spool write failed: " + spool.path);
+  }
   spool.buf.clear();
 }
 
@@ -71,40 +53,21 @@ const std::string& SpeedscopeExporter::frame_prefix(char type,
   return prefix;
 }
 
-SpeedscopeExporter::ThreadSpool& SpeedscopeExporter::spool_for(
-    const SpanScrubber::ThreadKey& key) {
-  constexpr std::uint32_t kDenseTids = 1u << 16;
-  const bool dense = key.thread_id < kDenseTids;
-  if (dense) {
-    if (key.thread_id >= spool_cache_.size()) {
-      spool_cache_.resize(key.thread_id + 1);
-    }
-    const auto& slot = spool_cache_[key.thread_id];
-    if (slot.second != nullptr &&
-        slot.first == std::uint32_t{key.node_id} + 1) {
-      return *slot.second;
-    }
-  }
-  const auto it = spools_.find(key);
-  if (it != spools_.end()) {
-    if (dense) {
-      spool_cache_[key.thread_id] = {std::uint32_t{key.node_id} + 1,
-                                     &it->second};
-    }
-    return it->second;
-  }
-
-  ThreadSpool& spool = spools_[key];
+void SpeedscopeExporter::open_track(TrackKey key, SpeedscopeSpool& spool) {
   spool.path = spool_prefix_ + ".t" + std::to_string(key.node_id) + "_" +
                std::to_string(key.thread_id) + ".spool";
-  spool.file.open(spool.path, std::ios::binary | std::ios::trunc);
-  if (dense) {
-    spool_cache_[key.thread_id] = {std::uint32_t{key.node_id} + 1, &spool};
+  spool.file.open(spool.path, std::ios::in | std::ios::out |
+                                  std::ios::trunc | std::ios::binary);
+  if (!spool.file.is_open()) {
+    fail("speedscope export: spool write failed: " + spool.path);
+    return;
   }
-  return spool;
+  // The open stream keeps the bytes; the name goes at once, so nothing
+  // is left behind however the export ends.
+  std::remove(spool.path.c_str());
 }
 
-void SpeedscopeExporter::spool_event(ThreadSpool& spool, char type,
+void SpeedscopeExporter::spool_event(SpeedscopeSpool& spool, char type,
                                      std::size_t frame, double at) {
   if (spool.any_event) {
     spool.buf += ",\n";
@@ -117,83 +80,26 @@ void SpeedscopeExporter::spool_event(ThreadSpool& spool, char type,
   spool.buf += "}";
   if (spool.buf.size() >= kSpoolBufBytes) flush_spool(spool);
   spool.last_at = at;
-  ++spool.event_count;
   ++stats_.events_exported;
 }
 
 Status SpeedscopeExporter::begin(const pipeline::TraceMeta& meta) {
-  names_.emplace(meta, resolver_);
+  build_name_table(meta);
   for (const auto& thread : meta.threads) {
     thread_names_[{thread.node_id, thread.thread_id}] =
         "rank " + std::to_string(thread.node_id) + " thread " +
         std::to_string(thread.thread_id) + " (core " +
         std::to_string(thread.core) + ")";
   }
-  return Status::ok();
-}
-
-Status SpeedscopeExporter::on_batch(const pipeline::TraceMeta& /*meta*/,
-                                    const pipeline::EventBatch& batch) {
-  std::vector<std::uint64_t> to_close;
-  for (const auto& e : batch.fn_events) {
-    if (!correlator_.has_base()) correlator_.set_base(e.tsc);
-    if (e.tsc > max_tsc_) max_tsc_ = e.tsc;
-    const double at = correlator_.to_us(e.tsc);
-    const SpanScrubber::ThreadKey key{e.node_id, e.thread_id};
-    ThreadSpool& spool = spool_for(key);
-    if (e.kind == trace::FnEventKind::kEnter) {
-      scrubber_.push(key, e.addr);
-      spool_event(spool, 'O', names_->index_of(e.addr), at);
-    } else {
-      if (!scrubber_.close(key, e.addr, &to_close)) {
-        ++stats_.spans_dropped;
-        continue;
-      }
-      stats_.spans_force_closed += to_close.size() - 1;
-      for (const std::uint64_t addr : to_close) {
-        spool_event(spool, 'C', names_->index_of(addr), at);
-      }
-    }
-    if (!spool.file.good()) {
-      return Status::error("speedscope export: spool write failed: " +
-                           spool.path);
-    }
-  }
-  // Samples don't appear in speedscope output, but they define the
-  // cadence the residual-skew warning compares against, and the final
-  // timestamp force-closes anchor to. The time base is the first fn
-  // event's, although sources emit samples first.
-  for (const auto& s : batch.temp_samples) {
-    if (!any_sample_) first_sample_tsc_ = s.tsc;
-    any_sample_ = true;
-    if (s.tsc > max_tsc_) max_tsc_ = s.tsc;
-    sample_period_.observe(s);
-  }
-  return Status::ok();
+  return status();
 }
 
 Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
-  if (!correlator_.has_base() && any_sample_) correlator_.set_base(first_sample_tsc_);
-  const double end_at = correlator_.to_us(max_tsc_);
-
   // Frames still open close at the final timestamp, innermost first —
   // speedscope rejects profiles whose O events are never closed.
-  for (const auto& [key, stack] : scrubber_.stacks()) {
-    if (stack.empty()) continue;
-    ThreadSpool& spool = spool_for(key);
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      spool_event(spool, 'C', names_->index_of(*it), end_at);
-      ++stats_.spans_force_closed;
-    }
-    if (!spool.file.good()) {
-      return Status::error("speedscope export: spool write failed: " +
-                           spool.path);
-    }
-  }
-
-  const double period_us =
-      correlator_.ticks_to_us(sample_period_.period_ticks());
-  warnings_ = correlation_warnings(correlator_, period_us);
+  close_open_frames(end_us());
+  for (auto& [key, slot] : tracks()) flush_spool(slot.track);
+  if (Status spooled = status(); !spooled) return spooled;
 
   // Document head: schema, shared frame table.
   line_.clear();
@@ -214,13 +120,8 @@ Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
 
   // Stitch each thread's spool into its evented profile.
   bool first_profile = true;
-  for (auto& [key, spool] : spools_) {
-    flush_spool(spool);
-    if (!spool.file.good()) {
-      return Status::error("speedscope export: spool write failed: " +
-                           spool.path);
-    }
-    spool.file.close();
+  for (auto& [key, slot] : tracks()) {
+    SpeedscopeSpool& spool = slot.track;
     line_.clear();
     if (!first_profile) line_ += ",";
     first_profile = false;
@@ -238,66 +139,21 @@ Status SpeedscopeExporter::on_end(const pipeline::TraceMeta& /*meta*/) {
     line_ += ",\"events\":[\n";
     write(line_);
 
-    std::ifstream in(spool.path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::error("speedscope export: cannot reopen spool: " +
-                           spool.path);
-    }
+    spool.file.seekg(0);
     char buf[1 << 16];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-      writer_.append(
-          std::string_view(buf, static_cast<std::size_t>(in.gcount())));
-      stats_.bytes_written += static_cast<std::uint64_t>(in.gcount());
+    while (spool.file.read(buf, sizeof(buf)) || spool.file.gcount() > 0) {
+      write(std::string_view(buf, static_cast<std::size_t>(spool.file.gcount())));
+    }
+    if (spool.file.bad()) {
+      return Status::error("speedscope export: cannot read back spool: " +
+                           spool.path);
     }
     write("\n]}");
   }
 
   // Trailer: the same correlation + accounting block Perfetto carries
   // (speedscope ignores keys it doesn't know).
-  line_.clear();
-  line_ += "],\n\"metadata\":{\"exporter\":\"tempest-export\","
-           "\"trace_format_version\":";
-  append_u64(&line_, trace::kTraceVersion);
-  line_ += ",\"base_tsc\":";
-  append_u64(&line_, correlator_.base());
-  line_ += ",\"clock_correlation\":{\"ranks\":[";
-  first = true;
-  for (const RankClock& rank : correlator_.ranks()) {
-    if (!first) line_ += ",";
-    first = false;
-    line_ += "{\"node_id\":";
-    append_u64(&line_, rank.node_id);
-    line_ += ",\"syncs\":";
-    append_u64(&line_, rank.sync_count);
-    line_ += ",\"skew_us\":";
-    append_double(&line_, rank.skew_us);
-    line_ += ",\"drift_ppm\":";
-    append_double(&line_, rank.drift_ppm);
-    line_ += ",\"residual_us\":";
-    append_double(&line_, rank.residual_us);
-    line_ += "}";
-  }
-  line_ += "],\"max_residual_us\":";
-  append_double(&line_, correlator_.max_residual_us());
-  line_ += ",\"sample_period_us\":";
-  append_double(&line_, period_us);
-  line_ += ",\"residual_exceeds_sample_period\":";
-  line_ += warnings_.empty() ? "false" : "true";
-  line_ += "},\"export_stats\":{\"events_exported\":";
-  append_u64(&line_, stats_.events_exported);
-  line_ += ",\"spans_dropped\":";
-  append_u64(&line_, stats_.spans_dropped);
-  line_ += ",\"spans_force_closed\":";
-  append_u64(&line_, stats_.spans_force_closed);
-  line_ += "}}}\n";
-  write(line_);
-
-  writer_.flush();
-  out_->flush();
-  if (!out_->good()) return Status::error("speedscope export: write failed");
-  remove_spools();
-  publish_export_telemetry(stats_);
-  return Status::ok();
+  return finish("],\n", {});
 }
 
 }  // namespace tempest::exporter

@@ -94,10 +94,7 @@ struct RunStats {
   double cadence_jitter_us_mean = 0.0;  ///< mean |tick - deadline|
 
   // Admission-pipeline accounting (zero in pre-admission traces). The
-  // conservation invariant lint checks:
-  //   calls_observed == events_recorded + events_suppressed
-  //                     + events_throttled + events_dropped
-  //                     + events_overwritten
+  // conservation invariant lint checks: calls_observed == accounted().
   std::uint64_t events_suppressed = 0;   ///< rejected by the TEMPEST_FILTER set
   std::uint64_t events_throttled = 0;    ///< rejected by rate caps / min-duration
   std::uint64_t events_overwritten = 0;  ///< discarded by the flight-recorder ring
@@ -105,6 +102,13 @@ struct RunStats {
   std::uint64_t ring_snapshots = 0;      ///< flight-recorder snapshots written
 
   bool present = false;  ///< section existed in the trace (not serialised)
+
+  /// Every hook call's fate: recorded + suppressed + throttled + dropped
+  /// + overwritten. A sound recorder's calls_observed equals it.
+  std::uint64_t accounted() const {
+    return events_recorded + events_suppressed + events_throttled +
+           events_dropped + events_overwritten;
+  }
 
   /// Fold another run's stats in (multi-rank fan-in): counts add, wall
   /// time takes the max (ranks overlap), CPU adds, means combine

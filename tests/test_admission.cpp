@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -372,6 +373,35 @@ TEST(Admission, RingSnapshotParsesAndExports) {
     EXPECT_NE(out.str().find("adm_snap_work"), std::string::npos);
   }
   std::remove(snap_path.value().c_str());
+  std::remove(c.output_path.c_str());
+}
+
+// The live overhead checks count tempd's CPU while it runs: with no hook
+// calls the sampler alone is over an impossible budget, so the ring-mode
+// watchdog snapshots the run before stop.
+TEST(Admission, RingWatchdogCountsTempdCpu) {
+  auto& session = Session::instance();
+  session.clear_nodes();
+  simnode::SimNode node(fast_node());
+  session.register_sim_node(&node);
+
+  SessionConfig c = test_config();
+  c.ring_events = 1;
+  c.watchdog = true;
+  c.watchdog_budget = 1e-9;
+  c.output_path = temp_path("adm_watchdog.trace");
+  const std::string snap_path = c.output_path + ".snapshot";
+  std::remove(snap_path.c_str());
+  ASSERT_TRUE(session.start(c));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_FALSE(session.stop());  // the stop-time verdict trips as well
+  session.clear_nodes();
+  EXPECT_GE(session.last_trace().run_stats.ring_snapshots, 1u);
+
+  auto parsed = trace::read_trace_file(snap_path);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
+  EXPECT_GE(parsed.value().run_stats.ring_snapshots, 1u);
+  std::remove(snap_path.c_str());
   std::remove(c.output_path.c_str());
 }
 

@@ -10,6 +10,7 @@
 #include "core/api.hpp"
 #include "core/auto_session.hpp"
 #include "core/session.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -29,9 +30,12 @@ TEST(AutoSession, RecordsRegionsIntoTheAmbientSession) {
 }
 
 TEST(AutoSession, TempdIsSampling) {
-  // Give tempd at least one tick at the default 4 Hz.
+  // Give tempd at least one tick at the default 4 Hz. Tempd's own stats
+  // belong to its thread until stop(); the live counter is the
+  // race-free view of a running sampler.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_GE(tempest::core::Session::instance().tempd_stats().ticks, 1u);
+  const auto snap = tempest::telemetry::metrics().snapshot();
+  EXPECT_GE(snap.counter(tempest::telemetry::Counter::kTempdTicks), 1u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Interactive trace export: clock correlation math, the span scrubber's
-// nesting policy, Perfetto / speedscope document structure, and the
-// export path's bytes against the reference oracle's ordering (single
-// file) and the 4-rank fan-in.
+// Interactive trace export: clock correlation math, the span-export
+// core's nesting policy, Perfetto / speedscope document structure, both
+// formats' bytes pinned for two fixtures, and the export path's bytes
+// against the reference oracle's ordering (single file) and the 4-rank
+// fan-in.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -87,7 +89,7 @@ Trace concatenated(const std::vector<Trace>& ranks) {
   return combined;
 }
 
-/// A single-node trace exercising every scrubber branch: a force-closed
+/// A single-node trace exercising every replay branch: a force-closed
 /// inner frame, an orphan exit, an unclosed frame at trace end, and a
 /// synthetic region name.
 Trace unbalanced_trace() {
@@ -108,6 +110,45 @@ Trace unbalanced_trace() {
   t.temp_samples = {{15, 41.0, 0, 0}, {35, 42.0, 0, 0}, {55, 43.0, 0, 0}};
   t.sort_by_time();
   return t;
+}
+
+/// A RUNSTATS trailer declaring dropped events and missed sampler
+/// ticks, which Perfetto marks as global instants.
+void add_run_stats(Trace* t, std::uint64_t dropped, std::uint64_t missed) {
+  t->run_stats.present = true;
+  t->run_stats.events_recorded = t->fn_events.size();
+  t->run_stats.events_dropped = dropped;
+  t->run_stats.tempd_missed_ticks = missed;
+}
+
+/// A document pinned under tests/golden.
+std::string golden(const std::string& name) {
+  std::ifstream in(std::string(TEMPEST_EXPORT_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Export `paths` through run_export in both formats and compare each
+/// document with `<name>.perfetto.json` / `<name>.speedscope.json`.
+void expect_golden_documents(const std::string& name,
+                             const std::vector<std::string>& paths,
+                             const exporter::DiffAnnotation& annotation) {
+  for (const exporter::Format format :
+       {exporter::Format::kPerfetto, exporter::Format::kSpeedscope}) {
+    const bool perfetto = format == exporter::Format::kPerfetto;
+    exporter::ExportRunOptions options;
+    options.format = format;
+    options.spool_prefix = temp_path(name + "_spool");
+    if (perfetto) options.annotations = {annotation};
+    std::ostringstream out;
+    auto ran = exporter::run_export(paths, out, options);
+    ASSERT_TRUE(ran.is_ok()) << ran.message();
+    const std::string file =
+        name + (perfetto ? ".perfetto.json" : ".speedscope.json");
+    EXPECT_EQ(out.str(), golden(file)) << file;
+  }
 }
 
 TEST(ClockCorrelator, PureOffsetSkewReportedInMicroseconds) {
@@ -168,25 +209,63 @@ TEST(SamplePeriodEstimator, TracksTightestPerSensorMeanGap) {
   EXPECT_DOUBLE_EQ(estimator.period_ticks(), 100.0);
 }
 
-TEST(SpanScrubber, DropsOrphansAndForceClosesInnerFrames) {
-  exporter::SpanScrubber scrubber;
-  const exporter::SpanScrubber::ThreadKey key{0, 0};
-  std::vector<std::uint64_t> to_close;
+TEST(SpanExport, DropsOrphansAndForceClosesInnerFrames) {
+  Trace t;
+  t.tsc_ticks_per_second = 1e6;  // 1 tick = 1 us
+  t.nodes = {{0, "host"}};
+  t.threads = {{0, 0, 0}};
+  t.fn_events = {
+      {10, 0x1000, 0, 0, FnEventKind::kExit},  // nothing open: dropped
+      {20, 0x1000, 0, 0, FnEventKind::kEnter},
+      {30, 0x2000, 0, 0, FnEventKind::kEnter},
+      {40, 0x3000, 0, 0, FnEventKind::kEnter},
+      {50, 0x1000, 0, 0, FnEventKind::kExit},  // closes 0x3000, 0x2000 first
+      {60, 0x2000, 0, 0, FnEventKind::kExit},  // now orphaned: dropped
+  };
+  pipeline::MemoryTraceSource source(t);
+  std::ostringstream out;
+  exporter::PerfettoExporter sink(
+      out, exporter::ClockCorrelator(t.tsc_ticks_per_second, {}));
+  ASSERT_TRUE(pipeline::run_pipeline(&source, {}, {&sink}));
 
-  EXPECT_FALSE(scrubber.close(key, 0x1000, &to_close));  // nothing open
+  // Innermost first, at the matching exit's time (the base is the first
+  // event's, dropped or not).
+  std::vector<std::string> closes;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"E\"") != std::string::npos) closes.push_back(line);
+  }
+  ASSERT_EQ(closes.size(), 3u);
+  const std::string at = "\"ts\":40.000,\"cat\":\"fn\",\"name\":";
+  EXPECT_NE(closes[0].find(at + "\"0x3000\""), std::string::npos);
+  EXPECT_NE(closes[1].find(at + "\"0x2000\""), std::string::npos);
+  EXPECT_NE(closes[2].find(at + "\"0x1000\""), std::string::npos);
+  EXPECT_EQ(sink.stats().spans_dropped, 2u);
+  EXPECT_EQ(sink.stats().spans_force_closed, 2u);
+}
 
-  scrubber.push(key, 0x1000);
-  scrubber.push(key, 0x2000);
-  scrubber.push(key, 0x3000);
-  ASSERT_TRUE(scrubber.close(key, 0x1000, &to_close));
-  // Innermost first: 0x3000 and 0x2000 are force-closures, then 0x1000.
-  ASSERT_EQ(to_close.size(), 3u);
-  EXPECT_EQ(to_close[0], 0x3000u);
-  EXPECT_EQ(to_close[1], 0x2000u);
-  EXPECT_EQ(to_close[2], 0x1000u);
-
-  EXPECT_FALSE(scrubber.close(key, 0x2000, &to_close));  // now orphaned
-  EXPECT_TRUE(to_close.empty());
+TEST(SpanExport, WriteFailuresEndTheRunNamingTheFormat) {
+  const Trace t = unbalanced_trace();
+  {
+    pipeline::MemoryTraceSource source(t);
+    std::ostringstream out;
+    out.setstate(std::ios::badbit);
+    exporter::PerfettoExporter sink(
+        out, exporter::ClockCorrelator(t.tsc_ticks_per_second, {}));
+    const Status ran = pipeline::run_pipeline(&source, {}, {&sink});
+    EXPECT_EQ(ran.message(), "perfetto export: write failed");
+  }
+  {
+    pipeline::MemoryTraceSource source(t);
+    std::ostringstream out;
+    const std::string prefix = temp_path("no_such_dir/ss");
+    exporter::SpeedscopeExporter sink(
+        out, exporter::ClockCorrelator(t.tsc_ticks_per_second, {}), prefix);
+    const Status ran = pipeline::run_pipeline(&source, {}, {&sink});
+    EXPECT_EQ(ran.message(),
+              "speedscope export: spool write failed: " + prefix + ".t0_0.spool");
+    EXPECT_TRUE(out.str().empty());
+  }
 }
 
 TEST(PerfettoExporter, BalancedDocumentFromUnbalancedInput) {
@@ -244,6 +323,30 @@ TEST(SpeedscopeExporter, BalancedEventedProfileWithSharedFrames) {
   // The per-thread spool is scratch, removed after stitching.
   std::ifstream spool(spool_prefix + ".t0_0.spool");
   EXPECT_FALSE(spool.is_open());
+}
+
+// Each spool is unlinked as soon as it is opened, so an export killed at
+// any point leaves no scratch file beside its output.
+TEST(SpeedscopeExporter, SpoolsLeaveNoFileBehind) {
+  const Trace t = unbalanced_trace();
+  const std::filesystem::path dir = temp_path("ss_unlinked");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ostringstream out;
+  exporter::SpeedscopeExporter sink(
+      out, exporter::ClockCorrelator(t.tsc_ticks_per_second, {}),
+      (dir / "out").string());
+  ASSERT_TRUE(sink.begin(t));
+  pipeline::EventBatch batch;
+  batch.fn_events = t.fn_events;
+  ASSERT_TRUE(sink.on_batch(t, batch));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+  // on_end reads the events back through the open stream.
+  ASSERT_TRUE(sink.on_end(t));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_EQ(count_occurrences(out.str(), "\"type\":\"O\""), 3u);
+  EXPECT_EQ(count_occurrences(out.str(), "\"type\":\"C\""), 3u);
 }
 
 TEST(RunExport, StreamAndBatchBytesIdentical) {
@@ -317,6 +420,31 @@ TEST(RunExport, FourRankFanInCorrelatesClocks) {
   EXPECT_NE(json.find("\"clock_correlation\""), std::string::npos);
   EXPECT_NE(json.find("\"max_residual_us\""), std::string::npos);
   EXPECT_EQ(ran.value().stats.spans_dropped, 0u);
+}
+
+// The complete documents, pinned byte for byte: every record kind
+// (M, B, E, C, the annotation and RUNSTATS instants; O/C spools and the
+// frame table) and both metadata trailers.
+TEST(ExportGolden, UnbalancedTraceDocuments) {
+  Trace t = unbalanced_trace();
+  add_run_stats(&t, 7, 3);
+  const std::string path = temp_path("golden_unbalanced.trace");
+  ASSERT_TRUE(write_trace_file(path, t));
+  expect_golden_documents("export_unbalanced", {path},
+                          {"my region", 0.25, 0.99, true});
+}
+
+TEST(ExportGolden, FourRankFanInDocuments) {
+  std::vector<std::string> paths;
+  for (std::uint16_t r = 0; r < 4; ++r) {
+    Trace t = rank_trace(r, 40 * r);
+    t.sort_by_time();
+    add_run_stats(&t, r + 1, 2 * r);
+    paths.push_back(temp_path("golden_rank" + std::to_string(r) + ".trace"));
+    ASSERT_TRUE(write_trace_file(paths[r], t));
+  }
+  expect_golden_documents("export_fanin", paths,
+                          {"0x2002", -0.125, 0.95, false});
 }
 
 TEST(RunExport, RejectsBadInputs) {
