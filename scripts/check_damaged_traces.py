@@ -10,19 +10,27 @@ a RUNSTATS trailer) beside it: cut inside the event payload, cut inside
 the sample section, with its last 10 bytes removed (a cut inside
 RUNSTATS), and with 7 garbage bytes appended. Beside them it makes a
 FIFO nobody writes to and a directory, two paths that are no trace
-file at all. Runs tempest_parse, tempest-export, tempest-lint,
-tempest-diff (against the intact TRACE) and tempest-audit --trace TRACE
-BINARY on each, and checks that:
+file at all; their names end in ".telemetry.jsonl", so tempest-top
+reads them as heartbeat files. Runs tempest_parse, tempest-export,
+tempest-lint, tempest-diff (against the intact TRACE) and tempest-audit
+--trace TRACE BINARY on each, and tempest-top --once on the FIFO and
+the directory, and checks that:
 
   * every run exits non-zero; tempest-lint exits 1 with a
     file-trailing-bytes finding for the garbage tail and 2 otherwise;
   * every read error is one stderr line starting "<tool>: <copy>:",
     and for the FIFO and the directory is exactly
-    "<tool>: <path>: not a regular file";
+    "<tool>: <path>: not a regular file" (tempest-top: exit 2 and
+    "error: <path>: not a regular file");
   * every run exits within its deadline (10 s on the FIFO and the
     directory, which a reader that blocks would never leave);
   * no sanitizer reports anything;
   * every tempest-export output file is empty.
+
+Last it runs BINARY, an instrumented program, once with TEMPEST_HZ=2e9
+and TEMPEST_HEARTBEAT=1e-12: periods that round to zero steady-clock
+ticks, on which the recorder's tick loops would never catch up. The
+run must exit 0 within 120 s and warn about TEMPEST_HZ on stderr.
 
 Exit 0 when every check holds, 1 with a message per violation otherwise.
 """
@@ -95,7 +103,7 @@ def damaged_copies(trace):
             f.write(body)
         paths[name] = path
     for name in NON_REGULAR:
-        path = f"{trace}.damaged-{name}"
+        path = f"{trace}.damaged-{name}.telemetry.jsonl"
         if os.path.isdir(path):
             shutil.rmtree(path)
         elif os.path.lexists(path):
@@ -106,6 +114,43 @@ def damaged_copies(trace):
             os.mkdir(path)
         paths[name] = path
     return paths
+
+
+def check_top(tools, name, path):
+    """tempest-top --once refuses a heartbeat path that is no regular file."""
+    where = f"tempest-top on the {name} copy"
+    try:
+        run = subprocess.run([os.path.join(tools, "tempest-top"), "--once", path],
+                             capture_output=True, text=True,
+                             timeout=NON_REGULAR_DEADLINE_S)
+    except subprocess.TimeoutExpired:
+        return [f"{where}: still running after {NON_REGULAR_DEADLINE_S} s"]
+    want = f"error: {path}: not a regular file"
+    if run.returncode != 2 or run.stderr.splitlines() != [want]:
+        return [f"{where}: want exit 2 and '{want}', got exit "
+                f"{run.returncode}:\n{run.stderr}"]
+    return []
+
+
+def check_periods(trace, binary):
+    """The instrumented BINARY finishes when its periods are out of range."""
+    out = f"{trace}.damaged-periods"
+    env = dict(os.environ, TEMPEST_HZ="2e9", TEMPEST_HEARTBEAT="1e-12",
+               TEMPEST_OUT=out, TEMPEST_REPORT="0")
+    where = "the demo with TEMPEST_HZ=2e9 TEMPEST_HEARTBEAT=1e-12"
+    try:
+        run = subprocess.run([binary], env=env, capture_output=True, text=True,
+                             timeout=DEADLINE_S)
+    except subprocess.TimeoutExpired:
+        return [f"{where}: still running after {DEADLINE_S} s"]
+    finally:
+        if os.path.exists(out):
+            os.remove(out)
+    if ("Sanitizer" in run.stderr or "runtime error" in run.stderr
+            or run.returncode != 0 or "TEMPEST_HZ" not in run.stderr):
+        return [f"{where}: want exit 0 and a TEMPEST_HZ warning, got exit "
+                f"{run.returncode}:\n{run.stderr}"]
+    return []
 
 
 def main(argv):
@@ -155,12 +200,16 @@ def main(argv):
             size = os.path.getsize(out) if os.path.exists(out) else "no"
             errors.append(f"tempest-export on the {name} copy: {size} bytes "
                           f"written to {out}, want an empty file")
+        if name in NON_REGULAR:
+            errors += check_top(tools, name, path)
+    errors += check_periods(trace, binary)
     for e in errors:
         print(f"check_damaged_traces: {e}", file=sys.stderr)
     if errors:
         return 1
     print("4 damaged copies, a FIFO and a directory rejected by 5 tools, "
-          "before any output")
+          "before any output; tempest-top refused the FIFO and the directory; "
+          "the demo ran with out-of-range periods")
     return 0
 
 

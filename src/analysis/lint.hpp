@@ -22,16 +22,25 @@
 // the session started, `main` still open when it stopped, scheduling
 // jitter in the cadence) are warnings; anything a correct pipeline can
 // never emit is an error.
+//
+// Both entry points run one pass in the order every trace input has:
+// the complete header, then the events in file order, then the samples
+// and clock syncs the input already holds. A file's events stream in
+// bounded batches, so a trace larger than RAM lints in memory bounded
+// by one batch, the open activations and the sample gaps.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
 #include "trace/trace.hpp"
+
+namespace tempest::audit {
+struct Inventory;
+}
 
 namespace tempest::analysis {
 
@@ -57,23 +66,12 @@ struct LintOptions {
   std::size_t max_findings_per_check = 8;
 };
 
-/// One function from a static audit of the traced binary, keyed by its
-/// link-time address range. Declared here (not in src/audit) so the
-/// lint engine stays free of the audit library; tempest-lint's
-/// --symtab path builds these from an audit::Inventory.
-struct CoverageFunction {
-  std::uint64_t addr = 0;  ///< link-time entry address
-  std::uint64_t size = 0;  ///< body extent
-  std::string name;        ///< raw (possibly mangled)
-  bool instrumented = false;
-};
-
-/// The traced binary's instrumented set, for the trace<->binary
-/// cross-check rules.
-struct CoverageInventory {
-  std::vector<CoverageFunction> functions;
-};
-
+/// Findings in report order: tsc-rate and empty-trace, metadata,
+/// references (events, samples, syncs), monotonic timestamps (events,
+/// global sort, samples, syncs), nesting, cadence, coverage, RUNSTATS
+/// and trailing bytes. The per-check cap counts each check across these
+/// groups in that order; past the cap one "(further <check> findings
+/// suppressed)" line stands for the rest.
 struct LintReport {
   std::vector<Finding> findings;
   std::size_t error_count = 0;
@@ -89,84 +87,40 @@ struct LintReport {
   bool clean() const { return error_count == 0; }
 };
 
-/// Incremental lint engine: the streaming core behind lint_trace and
-/// lint_trace_file. It takes the complete header, trailers included,
-/// as the trace reader has it before the first record. Metadata checks
-/// run at construction; records arrive in trace/file order via the
-/// add_* calls (any interleaving of the three kinds is fine — only each
-/// kind's own order matters); finish() runs the end-of-stream checks
-/// (unclosed activations, time conservation, cadence) and assembles
-/// the report. Feeding N batches produces the same report as one batch
-/// of the concatenation, with findings in the batch path's canonical
-/// check order, so a file lints with memory bounded by open activations
-/// and sample gaps instead of the whole trace.
+/// Run every lint check over an in-memory trace.
 ///
-/// A RUNSTATS trailer makes finish() cross-check the recorder's own
-/// counters against what the trace actually contains: recorded-event
-/// count vs fn events read, tempd sample count vs samples read, samples
-/// vs ticks x sensors — a mismatch means the trace and its runtime
-/// accounting disagree, i.e. one of them lies. With admission counters
-/// present it also checks the conservation invariant
+/// A RUNSTATS trailer makes lint cross-check the recorder's own counters
+/// against what the trace actually contains: recorded-event count vs fn
+/// events read, tempd sample count vs samples read, samples vs ticks x
+/// sensors — a mismatch means the trace and its runtime accounting
+/// disagree, i.e. one of them lies. With admission counters present it
+/// also checks the conservation invariant
 ///   calls_observed == recorded + suppressed + throttled
 ///                     + dropped + overwritten.
 /// A FLTR trailer makes suppression legitimate: suppressed counts stop
 /// looking like data loss, and instrumented functions named by the
 /// filter are exempt from the "instrumentation-unused" warning (their
 /// silence is the filter working, not missing coverage).
-class LintEngine {
- public:
-  explicit LintEngine(const trace::TraceHeader& header,
-                      const LintOptions& options = {});
-  ~LintEngine();
-  LintEngine(LintEngine&&) noexcept;
-  LintEngine& operator=(LintEngine&&) noexcept;
-
-  void add_fn_events(const trace::FnEvent* events, std::size_t n);
-  void add_temp_samples(const trace::TempSample* samples, std::size_t n);
-  void add_clock_syncs(const trace::ClockSync* syncs, std::size_t n);
-
-  /// Record that `bytes` trailing bytes followed the last trace section
-  /// (concatenated or partially overwritten file) — an error finding.
-  void note_trailing_bytes(std::uint64_t bytes);
-
-  /// Enable the trace<->binary cross-check against a static audit of
-  /// the traced executable. Must be called before the first
-  /// add_fn_events (the engine only tracks per-address event counts
-  /// once an inventory is present). finish() then reports
-  ///   * "instrumentation-coverage" errors for events at addresses the
-  ///     binary's instrumented set does not cover (the trace claims
-  ///     probes the binary cannot have fired), and
-  ///   * "instrumentation-unused" warnings for instrumented functions
-  ///     with zero events (never called — or their events were
-  ///     dropped).
-  /// Synthetic region addresses are exempt; runtime addresses unbias
-  /// through the trace header's load_bias.
-  void set_coverage_inventory(CoverageInventory inventory);
-
-  /// Run end-of-stream checks and return the report. The engine is
-  /// spent afterwards.
-  LintReport finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Run every lint check over an in-memory trace. Batch wrapper over
-/// LintEngine. A non-null `coverage` enables the trace<->binary
-/// cross-check (see set_coverage_inventory).
+///
+/// A non-null `coverage`, the static audit of the traced executable,
+/// enables the trace<->binary cross-check:
+///   * "instrumentation-coverage" errors for events at addresses the
+///     binary's instrumented set does not cover (the trace claims
+///     probes the binary cannot have fired), and
+///   * "instrumentation-unused" warnings for instrumented functions
+///     with zero events (never called — or their events were dropped).
+/// Synthetic region addresses are exempt; runtime addresses unbias
+/// through the trace header's load_bias.
 LintReport lint_trace(const trace::Trace& trace, const LintOptions& options = {},
-                      const CoverageInventory* coverage = nullptr);
+                      const audit::Inventory* coverage = nullptr);
 
-/// Read a trace file and lint it; unreadable/corrupt files are an error
-/// Result naming the path (distinct from a readable trace with
-/// violations; trailing bytes are a finding). Streams the file's events
-/// through LintEngine in bounded batches — traces larger than RAM lint
-/// fine. A non-null `coverage` enables the trace<->binary
-/// cross-check.
+/// Read a trace file and lint it as lint_trace does; unreadable/corrupt
+/// files are an error Result naming the path (distinct from a readable
+/// trace with violations). Bytes after the trace — concatenation or a
+/// partial overwrite — are a "file-trailing-bytes" error finding.
 Result<LintReport> lint_trace_file(const std::string& path,
                                    const LintOptions& options = {},
-                                   const CoverageInventory* coverage = nullptr);
+                                   const audit::Inventory* coverage = nullptr);
 
 /// Machine-readable report (stable field names; one JSON object).
 std::string to_json(const LintReport& report);

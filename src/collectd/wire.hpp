@@ -11,7 +11,7 @@
 //   payload  length bytes
 //
 // Payloads reuse the trace-v2 packed record layout (trace/codec.hpp),
-// so the collector unpacks sections with the same SIMD converters the
+// so the collector unpacks sections with the same converters the
 // file reader uses. Heartbeats stream live during the run; the bulk
 // sections ship once the trace is sealed at session stop, after a META
 // frame: a full metadata-only trace-v2 image with the RUNSTATS and

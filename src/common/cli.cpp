@@ -163,8 +163,11 @@ Status parse_threads(const std::string& value, unsigned* out) {
 }
 
 unsigned default_analysis_threads() {
-  const long from_env = env_long("TEMPEST_ANALYSIS_THREADS", 0);
-  if (from_env > 0) return static_cast<unsigned>(from_env);
+  std::string from_env;
+  unsigned n = 0;
+  if (env_raw("TEMPEST_ANALYSIS_THREADS", &from_env) && parse_threads(from_env, &n)) {
+    return n;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }

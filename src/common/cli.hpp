@@ -90,10 +90,11 @@ inline constexpr std::size_t kMaxThreads = 1024;
 Status parse_threads(const std::string& value, unsigned* out);
 
 /// Default worker count for --threads: TEMPEST_ANALYSIS_THREADS when
-/// set to a positive value, else the hardware concurrency (minimum 1,
-/// also the floor when the runtime cannot report a count). Shared by
-/// every CLI that drives the parallel analysis pipeline so the env
-/// override means the same thing everywhere.
+/// parse_threads takes it (so it clamps to kMaxThreads as --threads
+/// does), else the hardware concurrency (minimum 1, also the floor when
+/// the runtime cannot report a count). Shared by every CLI that drives
+/// the parallel analysis pipeline so the env override means the same
+/// thing everywhere.
 unsigned default_analysis_threads();
 
 /// Shared --version output: one line naming the tool, the trace format

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/cli.hpp"
+
 namespace tempest {
 
 bool env_raw(const char* name, std::string* out) {
@@ -36,15 +38,7 @@ long env_long(const char* name, long fallback) {
 EnvParse env_double_checked(const char* name, double* out) {
   std::string v;
   if (!env_raw(name, &v)) return EnvParse::kAbsent;
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size()) return EnvParse::kMalformed;
-    *out = d;
-    return EnvParse::kOk;
-  } catch (...) {
-    return EnvParse::kMalformed;
-  }
+  return cli::parse_double(v, out) ? EnvParse::kOk : EnvParse::kMalformed;
 }
 
 EnvParse env_long_checked(const char* name, long* out) {

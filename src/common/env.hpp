@@ -20,7 +20,9 @@ bool env_bool(const char* name, bool fallback);
 
 /// Checked variants: tell "unset" apart from "set but malformed" so
 /// config can warn about the latter instead of silently falling back —
-/// TEMPEST_MAX_EVENTS=banana should not quietly become unbounded.
+/// TEMPEST_MAX_EVENTS=banana should not quietly become unbounded. A
+/// double parses by cli::parse_double's rules, as a command line's
+/// does: the whole string, and finite ("inf" and "nan" are malformed).
 enum class EnvParse { kAbsent, kOk, kMalformed };
 
 EnvParse env_long_checked(const char* name, long* out);

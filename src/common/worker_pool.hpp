@@ -1,9 +1,10 @@
 // Persistent worker pool for blocking parallel-for over index ranges.
 //
-// The analysis fast path needs the same fork/join shape in several
-// places (bulk record decode, per-shard timeline folds) without paying
-// a thread spawn per call, so the pool keeps its threads parked on a
-// condition variable between jobs. for_slices is deliberately minimal:
+// The trace reader's bulk record decode (TraceStreamReader::
+// set_decode_pool) fans every chunk out in this fork/join shape without
+// paying a thread spawn per chunk, so the pool keeps its threads parked
+// on a condition variable between jobs. The timeline shards run their
+// own threads, not the pool. for_slices is deliberately minimal:
 // contiguous [begin, end) slices handed out through an atomic cursor,
 // the calling thread participates, and the call returns only when every
 // slice has run — no futures, no task graph.

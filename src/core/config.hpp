@@ -11,7 +11,8 @@
 //   TEMPEST_CPU     which CPU to bind to (default 0)
 //   TEMPEST_REPORT  print the standard-output profile at exit (default 1)
 //   TEMPEST_HEARTBEAT      telemetry snapshot period in seconds written
-//                          to <trace>.telemetry.jsonl (0 = off, default)
+//                          to <trace>.telemetry.jsonl (0 = off, default;
+//                          else at least 1 ms)
 //   TEMPEST_COLLECT        stream the session to a tempest-collectd
 //                          daemon: "uds:/path" or "tcp:host:port".
 //                          Heartbeats stream live; the sealed event
@@ -43,17 +44,24 @@
 //   TEMPEST_SNAPSHOT_SIGNAL signal name/number ("USR2", "12") that
 //                          triggers a flight-recorder snapshot
 //
-// Malformed numeric values (TEMPEST_MAX_EVENTS=banana) and values that
-// would silently disable recording (TEMPEST_MAX_EVENTS=0) are rejected
+// Malformed numeric values (TEMPEST_MAX_EVENTS=banana), values that
+// would silently disable recording (TEMPEST_MAX_EVENTS=0) and periods
+// outside SessionConfig::check's bounds (TEMPEST_HZ=2e9) are rejected
 // with a rate-limited warning and fall back to the default.
 #pragma once
 
 #include <cstddef>
 #include <string>
 
+#include "common/status.hpp"
 #include "common/units.hpp"
 
 namespace tempest::core {
+
+/// Shortest period a recorder loop takes (the tempd tick, the
+/// heartbeat). Shorter ones round toward zero steady-clock ticks, and a
+/// loop's catch-up over missed deadlines would then never end.
+inline constexpr double kMinPeriodSeconds = 1e-3;
 
 struct SessionConfig {
   double sample_hz = 4.0;
@@ -106,6 +114,14 @@ struct SessionConfig {
 
   /// Defaults overlaid with any TEMPEST_* environment variables.
   static SessionConfig from_env();
+
+  /// OK when every period the recorder loops on is in range: the tempd
+  /// tick 1/sample_hz and a non-zero heartbeat_period_s within
+  /// [kMinPeriodSeconds, cli::kMaxSeconds], ring_seconds 0 or within
+  /// cli::check_seconds' range, and watchdog_budget finite and above 0.
+  /// Session::start refuses a config that is not; the error names the
+  /// field.
+  Status check() const;
 };
 
 }  // namespace tempest::core

@@ -112,6 +112,8 @@ Status Session::set_node_tick_hook(std::uint16_t node_id, std::function<void()> 
 Status Session::start(const SessionConfig& config) {
   if (active()) return Status::error("Tempest session already active");
   if (nodes_.empty()) return Status::error("no nodes registered");
+  const Status in_range = config.check();
+  if (!in_range) return in_range;
   config_ = config;
 
   if (config_.bind_affinity) {

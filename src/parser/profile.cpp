@@ -60,26 +60,13 @@ const trace::TempSample* nearest_in_stream(
 
 const FunctionProfile* RunProfile::find(std::uint16_t node_id,
                                         const std::string& name) const {
-  std::size_t total_functions = 0;
-  for (const auto& node : nodes) total_functions += node.functions.size();
-  if (indexed_nodes_ != nodes.size() || indexed_functions_ != total_functions) {
-    find_index_.clear();
-    for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-      for (std::size_t fi = 0; fi < nodes[ni].functions.size(); ++fi) {
-        // try_emplace keeps the first occurrence, matching the legacy
-        // front-to-back scan when duplicates exist.
-        find_index_.try_emplace({nodes[ni].node_id, nodes[ni].functions[fi].name},
-                                std::make_pair(ni, fi));
-      }
+  for (const NodeProfile& node : nodes) {
+    if (node.node_id != node_id) continue;
+    for (const FunctionProfile& fn : node.functions) {
+      if (fn.name == name) return &fn;
     }
-    indexed_nodes_ = nodes.size();
-    indexed_functions_ = total_functions;
   }
-  const auto it = find_index_.find({node_id, name});
-  if (it == find_index_.end()) return nullptr;
-  const auto [ni, fi] = it->second;
-  if (ni >= nodes.size() || fi >= nodes[ni].functions.size()) return nullptr;
-  return &nodes[ni].functions[fi];
+  return nullptr;
 }
 
 RunProfile ProfileAssembler::assemble(

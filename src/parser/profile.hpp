@@ -65,23 +65,9 @@ struct RunProfile {
   std::vector<NodeProfile> nodes;  ///< ordered by node id
   TimelineDiagnostics diagnostics;
 
-  /// Find a function profile by (node, name); nullptr when absent.
-  /// Backed by a lazily built index (first call O(F log F), then
-  /// O(log F) per lookup instead of the old scan over nodes*functions).
-  /// The index rebuilds itself when the profile's shape (node or
-  /// function count) changes; renaming functions in place without
-  /// changing counts requires assembling the profile again. Not safe
-  /// for concurrent first calls from multiple threads.
+  /// The first function profile named `name` on node `node_id`, in
+  /// node then function order; nullptr when absent.
   const FunctionProfile* find(std::uint16_t node_id, const std::string& name) const;
-
- private:
-  /// (node_id, name) -> (node index, function index). Indices, not
-  /// pointers, so vector reallocation can never dangle.
-  mutable std::map<std::pair<std::uint16_t, std::string>,
-                   std::pair<std::size_t, std::size_t>>
-      find_index_;
-  mutable std::size_t indexed_nodes_ = static_cast<std::size_t>(-1);
-  mutable std::size_t indexed_functions_ = static_cast<std::size_t>(-1);
 };
 
 struct ProfileOptions {

@@ -168,10 +168,6 @@ ShardedTimelineAccumulator::~ShardedTimelineAccumulator() {
   if (impl_ && !impl_->joined) impl_->close_and_join(0);
 }
 
-unsigned ShardedTimelineAccumulator::shards() const {
-  return impl_ ? static_cast<unsigned>(impl_->shards.size()) : 1;
-}
-
 void ShardedTimelineAccumulator::add_samples(const trace::TempSample* samples,
                                              std::size_t n) {
   if (!impl_) {

@@ -60,9 +60,6 @@ class ShardedTimelineAccumulator {
   /// The accumulator is spent afterwards.
   TimelineMap finish(std::uint64_t end_tsc, TimelineDiagnostics* diag = nullptr);
 
-  /// Actual worker count (1 when running inline).
-  unsigned shards() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;  ///< set when shards > 1

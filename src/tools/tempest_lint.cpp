@@ -16,10 +16,10 @@
 // Exit codes: 0 all traces clean, 1 invariant violations found,
 // 2 usage error or unreadable trace/binary file.
 //
-// Lints stream through LintEngine (lint_trace_file reads the trace in
-// bounded batches), so arbitrarily large traces check in constant
-// memory.
+// lint_trace_file reads each trace's events in bounded batches, so
+// arbitrarily large traces check in constant memory.
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,24 +84,20 @@ int main(int argc, char** argv) {
   }
 
   // --symtab: audit the binary once, cross-check every trace against it.
-  tempest::analysis::CoverageInventory coverage;
-  const tempest::analysis::CoverageInventory* coverage_ptr = nullptr;
+  std::optional<tempest::audit::Inventory> coverage;
   if (!symtab_exe.empty()) {
     auto inventory = tempest::audit::analyze_binary(symtab_exe);
     if (!inventory.is_ok()) {
       std::cerr << "tempest-lint: --symtab: " << inventory.message() << "\n";
       return 2;
     }
-    coverage.functions.reserve(inventory.value().functions.size());
-    for (const auto& fn : inventory.value().functions) {
-      coverage.functions.push_back({fn.addr, fn.size, fn.name, fn.instrumented});
-    }
-    coverage_ptr = &coverage;
+    coverage = std::move(inventory).value();
   }
 
   bool any_errors = false, any_warnings = false;
   for (const std::string& path : paths) {
-    auto report = tempest::analysis::lint_trace_file(path, options, coverage_ptr);
+    auto report = tempest::analysis::lint_trace_file(path, options,
+                                                      coverage ? &*coverage : nullptr);
     if (!report.is_ok()) {
       std::cerr << "tempest-lint: " << report.message() << "\n";
       return 2;

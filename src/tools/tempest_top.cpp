@@ -24,14 +24,17 @@
 //
 // Exit codes: 0 ok, 1 assertion failed, 2 usage error or unreadable /
 // empty heartbeat file.
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "collectd/net.hpp"
+#include "common/byte_input.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/status.hpp"
@@ -46,28 +49,46 @@ constexpr const char* kUsage =
 
 /// Last two complete snapshot lines of the heartbeat file (previous may
 /// be empty when only one snapshot exists yet). Re-reads the whole
-/// file: heartbeat files are one small line per period, so even a long
-/// run is a few hundred KB — simplicity over seek bookkeeping.
+/// file, in bounded chunks: heartbeat files are one small line per
+/// period, so even a long run is a few hundred KB — simplicity over
+/// seek bookkeeping. The file is read through common::ByteInput, so a
+/// FIFO or a directory fails at once with "<path>: not a regular file".
 ///
 /// The recorder appends while we read, so the final line is routinely
 /// mid-write. Only lines that look like a whole flat JSON object
 /// ('{'..'}') count; a truncated tail is skipped, not an error — the
-/// next refresh will see it completed.
+/// next refresh will see it completed. Bytes appended after the file
+/// opened wait for the next refresh too.
 tempest::Status read_tail(const std::string& path, std::string* last,
                           std::string* previous) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return tempest::Status::error("cannot open heartbeat file '" + path +
-                                  "' (record with TEMPEST_HEARTBEAT=SECS)");
-  }
+  const tempest::common::ByteInput in(
+      path, "cannot open heartbeat file '" + path + "' (record with TEMPEST_HEARTBEAT=SECS)");
+  if (!in.opened()) return in.opened();
   last->clear();
   previous->clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() != '{' || line.back() != '}') continue;
-    *previous = *last;
+  const auto take = [&](const std::string& line) {
+    if (line.empty() || line.front() != '{' || line.back() != '}') return;
+    *previous = std::move(*last);
     *last = line;
+  };
+  std::string chunk(std::size_t{1} << 16, '\0');
+  std::string line;  // the line a chunk ends inside
+  for (std::uint64_t offset = 0; offset < in.size();) {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(chunk.size(), in.size() - offset));
+    const tempest::Status read = in.read(offset, n, chunk.data());
+    if (!read) return tempest::Status::error(path + ": " + read.message());
+    offset += n;
+    std::string_view rest(chunk.data(), n);
+    for (std::size_t eol; (eol = rest.find('\n')) != std::string_view::npos;
+         rest.remove_prefix(eol + 1)) {
+      line.append(rest.substr(0, eol));
+      take(line);
+      line.clear();
+    }
+    line.append(rest);
   }
+  take(line);
   if (last->empty()) {
     return tempest::Status::error("heartbeat file '" + path +
                                   "' has no snapshots yet");

@@ -5,10 +5,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include <unistd.h>
 
 #include "analysis/lint.hpp"
+#include "audit/audit.hpp"
 #include "core/api.hpp"
 #include "core/session.hpp"
 #include "core/workbench.hpp"
@@ -447,8 +450,8 @@ TEST(Lint, AbsentRunStatsSkipAllCrossChecks) {
 
 /// Coverage inventory matching good_trace()'s two functions, plus one
 /// hookless function and one instrumented-but-never-called function.
-tempest::analysis::CoverageInventory demo_inventory() {
-  tempest::analysis::CoverageInventory inv;
+tempest::audit::Inventory demo_inventory() {
+  tempest::audit::Inventory inv;
   inv.functions.push_back({0x1000, 0x100, "main", true});
   inv.functions.push_back({0x2000, 0x100, "child", true});
   inv.functions.push_back({0x3000, 0x100, "hookless", false});
@@ -540,6 +543,139 @@ TEST(Lint, FileStreamingPathAppliesRunStatsChecks) {
   ASSERT_TRUE(report.is_ok());
   EXPECT_TRUE(has_finding(report.value(), "runstats-consistency",
                           Severity::kError));
+  std::remove(path.c_str());
+}
+
+// -- LintGolden: whole reports, pinned byte for byte in tests/golden --
+
+/// A file pinned under tests/golden.
+std::string golden(const std::string& name) {
+  std::ifstream in(std::string(TEMPEST_LINT_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Compare both renderings of `report` with `<name>.txt` (write_human)
+/// and `<name>.json` (to_json plus the newline tempest-lint prints).
+void expect_golden_report(const std::string& name, const LintReport& report) {
+  std::ostringstream human;
+  tempest::analysis::write_human(human, report);
+  EXPECT_EQ(human.str(), golden(name + ".txt")) << name;
+  EXPECT_EQ(tempest::analysis::to_json(report) + "\n", golden(name + ".json"))
+      << name;
+}
+
+constexpr std::uint64_t kQ = 250'000'000;  // one 4 Hz period in ticks
+
+/// Three events, three samples and two syncs name the undeclared node 9.
+Trace dangling_node_trace() {
+  Trace t = good_trace();
+  for (std::size_t i = 0; i < 3; ++i) {
+    t.fn_events[i].node_id = 9;
+    t.temp_samples[i].node_id = 9;
+  }
+  t.clock_syncs = {{kQ, kQ, 9}, {2 * kQ, 2 * kQ, 9}};
+  return t;
+}
+
+LintOptions cap4() {
+  LintOptions options;
+  options.max_findings_per_check = 4;
+  return options;
+}
+
+TEST(LintGolden, CapFallsInsideTheSamplesReferences) {
+  // 3 event and 3 sample node-unresolved findings under a cap of 4: all
+  // of the events', one of the samples', then the suppression line.
+  expect_golden_report("lint_dangling_node",
+                       lint_trace(dangling_node_trace(), cap4()));
+}
+
+TEST(LintGolden, CapFallsInsideTheSamplesTimestamps) {
+  Trace t = good_trace();
+  t.threads.push_back({1, 0, 1});
+  // Thread 0 steps back twice, thread 1 once; thread 1 starts before
+  // thread 0's first event, so the events are not globally sorted.
+  t.fn_events = {
+      {10 * kQ, 0x1000, 0, 0, FnEventKind::kEnter},
+      {5 * kQ, 0x2000, 1, 0, FnEventKind::kEnter},
+      {9 * kQ, 0x1000, 0, 0, FnEventKind::kExit},
+      {4 * kQ, 0x2000, 1, 0, FnEventKind::kExit},
+      {8 * kQ, 0x1000, 0, 0, FnEventKind::kEnter},
+      {11 * kQ, 0x1000, 0, 0, FnEventKind::kExit},
+  };
+  std::swap(t.temp_samples[3].tsc, t.temp_samples[7].tsc);  // 4 backward
+  t.clock_syncs = {{100, 100, 0}, {50, 200, 0}};
+  expect_golden_report("lint_backward", lint_trace(t, cap4()));
+}
+
+TEST(LintGolden, MetadataNestingCadenceCoverageAndTrailers) {
+  Trace t = good_trace();
+  t.nodes.push_back({0, "imposter"});
+  t.sensors.push_back({0, 0, "cpu_temp_again", 1.0});
+  t.sensors.push_back({7, 1, "ghost", 1.0});
+  t.threads.push_back({0, 0, 1});
+  t.threads.push_back({5, 7, 0});
+  t.fn_events = {
+      {kQ / 2, 0x3010, 0, 0, FnEventKind::kExit},  // hookless, no entry
+      {1 * kQ, 0x1000, 0, 0, FnEventKind::kEnter},  // main never exits
+      {2 * kQ, 0x2000, 0, 0, FnEventKind::kEnter},
+      {6 * kQ, 0x2000, 0, 0, FnEventKind::kExit},
+      {7 * kQ, 0x9000, 0, 0, FnEventKind::kEnter},  // no function there
+      {8 * kQ, 0x9000, 0, 0, FnEventKind::kExit},
+      // Overlapping activations: 200 inclusive ticks in a 150-tick span.
+      {100, 0x2000, 5, 0, FnEventKind::kEnter},
+      {200, 0x2000, 5, 0, FnEventKind::kExit},
+      {150, 0x2000, 5, 0, FnEventKind::kEnter},
+      {250, 0x2000, 5, 0, FnEventKind::kExit},
+  };
+  t.temp_samples.clear();
+  std::uint64_t tsc = 1'000;
+  for (int i = 0; i < 30; ++i) {
+    tsc += (i % 3 == 0) ? 1'000'000'000ULL : 1'000;  // irregular cadence
+    t.temp_samples.push_back({tsc, 50.0, 0, 0});
+  }
+  t.run_stats.present = true;
+  t.run_stats.events_recorded = t.fn_events.size() + 5;
+  t.run_stats.tempd_samples = t.temp_samples.size() + 1;
+  t.run_stats.tempd_ticks = 2;
+  t.run_stats.events_dropped = 7;
+  t.run_stats.events_suppressed = 4;
+  t.run_stats.events_overwritten = 3;
+  t.run_stats.calls_observed = 100;
+  t.filter.present = true;
+  t.filter.source = "golden.filter";
+  t.filter.resolved = 1;
+  t.filter.suppressed = {"filtered_fn"};
+
+  // demo_inventory() plus an instrumented function the filter declares.
+  auto inv = demo_inventory();
+  inv.functions.push_back({0x5000, 0x100, "filtered_fn", true});
+  LintOptions options;
+  options.expected_hz = 4.0;
+  expect_golden_report("lint_metadata", lint_trace(t, options, &inv));
+}
+
+TEST(LintGolden, EmptyTraceAndMissingTscRate) {
+  expect_golden_report("lint_empty", lint_trace(Trace{}));
+  Trace t = good_trace();
+  t.fn_events.clear();
+  t.tsc_ticks_per_second = 0.0;
+  expect_golden_report("lint_no_tsc_rate", lint_trace(t));
+}
+
+TEST(LintGolden, TrailingBytesThroughTheFileReader) {
+  const std::string path = ::testing::TempDir() + "/lint_golden_garbage.trace";
+  ASSERT_TRUE(tempest::trace::write_trace_file(path, dangling_node_trace()));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "garbage";
+  }
+  const auto report = tempest::analysis::lint_trace_file(path, cap4());
+  ASSERT_TRUE(report.is_ok()) << report.message();
+  expect_golden_report("lint_trailing_bytes", report.value());
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,7 @@
 
 #include <fcntl.h>
 #include <spawn.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -399,6 +400,29 @@ TEST_F(CliTest, TopToleratesTruncatedHeartbeatTail) {
   const int rc = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(rc));
   EXPECT_EQ(WEXITSTATUS(rc), 2);
+}
+
+TEST_F(CliTest, TopRefusesAFifoAndADirectoryAtOnce) {
+  // A heartbeat path naming a FIFO nobody writes to must not block, nor
+  // a directory read as an empty file: both fail at once, exit 2.
+  const std::string base = ::testing::TempDir() + "/top_nonregular." +
+                           std::to_string(getpid());
+  const std::string fifo = base + ".fifo.telemetry.jsonl";
+  const std::string dir = base + ".dir.telemetry.jsonl";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const std::string err_path = base + ".err";
+  for (const std::string& path : {fifo, dir}) {
+    const std::string cmd = "timeout 10 " + std::string(TEMPEST_TOP_BIN) + " --once \"" +
+                            path + "\" > /dev/null 2> " + err_path;
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << path;
+    EXPECT_EQ(slurp(err_path), "error: " + path + ": not a regular file\n");
+  }
+  std::remove(fifo.c_str());
+  ::rmdir(dir.c_str());
+  std::remove(err_path.c_str());
 }
 
 TEST_F(CliTest, LintSymtabMissingBinaryIsUsageError) {

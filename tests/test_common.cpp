@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/affinity.hpp"
+#include "common/cli.hpp"
 #include "common/env.hpp"
 #include "common/tsc.hpp"
 #include "common/units.hpp"
@@ -106,7 +107,32 @@ TEST(Env, CheckedDoubleTellsAbsentFromMalformed) {
   EXPECT_EQ(tempest::env_double_checked("TEMPEST_TEST_CHKD", &v),
             EnvParse::kMalformed);
   EXPECT_DOUBLE_EQ(v, -1.0);
+
+  // cli::parse_double's rules, as on a command line: finite only.
+  for (const char* bad : {"inf", "nan", "-inf", "1e999"}) {
+    ::setenv("TEMPEST_TEST_CHKD", bad, 1);
+    EXPECT_EQ(tempest::env_double_checked("TEMPEST_TEST_CHKD", &v),
+              EnvParse::kMalformed)
+        << "value '" << bad << "'";
+    EXPECT_DOUBLE_EQ(v, -1.0);
+  }
   ::unsetenv("TEMPEST_TEST_CHKD");
+}
+
+TEST(Cli, AnalysisThreadsFromTheEnvironmentClampLikeTheFlag) {
+  ::unsetenv("TEMPEST_ANALYSIS_THREADS");
+  const unsigned hardware = tempest::cli::default_analysis_threads();
+  EXPECT_GE(hardware, 1u);
+  ::setenv("TEMPEST_ANALYSIS_THREADS", "100000", 1);
+  EXPECT_EQ(tempest::cli::default_analysis_threads(), tempest::cli::kMaxThreads);
+  ::setenv("TEMPEST_ANALYSIS_THREADS", "3", 1);
+  EXPECT_EQ(tempest::cli::default_analysis_threads(), 3u);
+  for (const char* rejected : {"0", "x", "-2"}) {
+    ::setenv("TEMPEST_ANALYSIS_THREADS", rejected, 1);
+    EXPECT_EQ(tempest::cli::default_analysis_threads(), hardware)
+        << "value '" << rejected << "'";
+  }
+  ::unsetenv("TEMPEST_ANALYSIS_THREADS");
 }
 
 TEST(Tsc, MonotonicAndCalibrated) {

@@ -6,11 +6,17 @@
 #include <malloc.h>
 #endif
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -61,9 +67,38 @@ TEST(SessionConfig, EnvOverrides) {
 }
 
 TEST(SessionConfig, InvalidHzFallsBackToPaperRate) {
-  ::setenv("TEMPEST_HZ", "-3", 1);
-  EXPECT_DOUBLE_EQ(SessionConfig::from_env().sample_hz, 4.0);
+  // Non-finite values and rates whose tick period is under 1 ms would
+  // spin tempd's tick loop for ever.
+  for (const char* bad : {"-3", "inf", "nan", "1e9", "2e9"}) {
+    ::setenv("TEMPEST_HZ", bad, 1);
+    EXPECT_DOUBLE_EQ(SessionConfig::from_env().sample_hz, 4.0) << "value '" << bad << "'";
+  }
+  ::setenv("TEMPEST_HZ", "1000", 1);  // a 1 ms tick is the shortest taken
+  EXPECT_DOUBLE_EQ(SessionConfig::from_env().sample_hz, 1000.0);
   ::unsetenv("TEMPEST_HZ");
+}
+
+TEST(SessionConfig, OutOfRangePeriodsFallBackToTheirDefaults) {
+  for (const char* bad : {"-1", "inf", "nan", "1e-12", "2e9"}) {
+    ::setenv("TEMPEST_HEARTBEAT", bad, 1);
+    EXPECT_DOUBLE_EQ(SessionConfig::from_env().heartbeat_period_s, 0.0)
+        << "value '" << bad << "'";
+  }
+  ::setenv("TEMPEST_HEARTBEAT", "0.001", 1);
+  EXPECT_DOUBLE_EQ(SessionConfig::from_env().heartbeat_period_s, 0.001);
+  ::unsetenv("TEMPEST_HEARTBEAT");
+  for (const char* bad : {"-1", "inf", "nan", "2e9"}) {
+    ::setenv("TEMPEST_RING_SECONDS", bad, 1);
+    EXPECT_DOUBLE_EQ(SessionConfig::from_env().ring_seconds, 0.0)
+        << "value '" << bad << "'";
+  }
+  ::unsetenv("TEMPEST_RING_SECONDS");
+  for (const char* bad : {"0", "-0.5", "inf", "nan"}) {
+    ::setenv("TEMPEST_WATCHDOG_BUDGET", bad, 1);
+    EXPECT_DOUBLE_EQ(SessionConfig::from_env().watchdog_budget, 0.01)
+        << "value '" << bad << "'";
+  }
+  ::unsetenv("TEMPEST_WATCHDOG_BUDGET");
 }
 
 TEST(SessionConfig, MaxEventsRejectsZeroAndGarbage) {
@@ -146,6 +181,57 @@ TEST(Session, LifecycleErrors) {
   EXPECT_FALSE(session.active());
   session.clear_nodes();
 }
+
+TEST(Session, StartRefusesPeriodsOutOfRange) {
+  auto& session = Session::instance();
+  session.clear_nodes();
+  simnode::SimNode node(fast_node());
+  session.register_sim_node(&node);
+  const auto refused = [&](const SessionConfig& config, const std::string& field) {
+    const Status started = session.start(config);
+    EXPECT_FALSE(started);
+    EXPECT_FALSE(session.active());
+    EXPECT_EQ(started.message().rfind(field, 0), 0u) << started.message();
+  };
+  refused(test_config(2e9), "sample_hz");
+  SessionConfig config = test_config();
+  config.heartbeat_period_s = 1e-12;
+  refused(config, "heartbeat_period_s");
+  config = test_config();
+  config.ring_seconds = std::numeric_limits<double>::infinity();
+  refused(config, "ring_seconds");
+  config = test_config();
+  config.watchdog_budget = std::nan("");
+  refused(config, "watchdog_budget");
+  ASSERT_TRUE(session.start(test_config()));  // nothing was left running
+  ASSERT_TRUE(session.stop());
+  session.clear_nodes();
+}
+
+#ifdef TEMPEST_DEMO_BIN
+TEST(Session, InstrumentedRunWithOutOfRangePeriodsCompletes) {
+  // A 2 GHz tick and a 1 ps heartbeat round to zero-length periods, on
+  // which the recorder's tick loops would never catch up: the
+  // constructor-started session must warn, keep its defaults and run to
+  // completion.
+  const std::string base =
+      ::testing::TempDir() + "/core_periods." + std::to_string(::getpid());
+  const std::string cmd = "TEMPEST_HZ=2e9 TEMPEST_HEARTBEAT=1e-12 TEMPEST_OUT=" + base +
+                          ".trace TEMPEST_REPORT=0 timeout 60 " + TEMPEST_DEMO_BIN +
+                          " > /dev/null 2> " + base + ".err";
+  const int rc = std::system(cmd.c_str());
+  EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << "status " << rc;
+  std::ifstream in(base + ".err");
+  const std::string log((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(log.find("TEMPEST_HZ: sample_hz 2e+09"), std::string::npos) << log;
+  EXPECT_NE(log.find("TEMPEST_HEARTBEAT: heartbeat_period_s 1e-12"), std::string::npos)
+      << log;
+  for (const char* suffix : {".trace", ".trace.telemetry.jsonl", ".err"}) {
+    std::remove((base + suffix).c_str());
+  }
+}
+#endif
 
 TEST(Session, TempdSamplesAtConfiguredRate) {
   auto& session = Session::instance();
